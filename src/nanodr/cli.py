@@ -292,7 +292,7 @@ def _write_traces(report: RunReport, setup: Setup, out_dir: str) -> None:
                        _fmt(rec.subgrad.g_y)]
                 row += [_fmt(s) for s in rec.steps]
                 row += [_fmt(dist) for dist in rec.distance]
-                row += [_fmt(f.e) for f in rec.followers]
+                row += [_fmt(e) for e in rec.es]
                 writer.writerow(row)
 
 

@@ -5,8 +5,10 @@ Given the aggregator's posted prices, each nanogrid picks its HVAC draw
 pressure of its shifted temperature state plus its weighted economic cost
 (trade cost at the posted prices plus quadratic discomfort).  The trade
 cost has one kink where the net interchange ``tp = d + e - rp`` changes
-sign, so the exact minimizer is found by comparing a handful of closed-form
-candidates: the per-branch parabola vertices, the kink, and the box edges.
+sign, so the exact minimizer is one of four closed-form candidates: the
+box edges, the kink, and the branch pick of the price thresholds.  The
+price-free part of this rule is built once per slot (``follower_rule``) and
+evaluated at each price broadcast (``respond``).
 
 This module also computes the certified tuning windows for the queue shift
 and the trade-off weight under which the comfort band [t_min, t_max] is
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .domain import (
     ConfigurationError,
@@ -110,15 +112,10 @@ def compute_thresholds(h: float, t: float, slot: FollowerSlot,
     one = 1.0 - eps
     mismatch = one * slot.t_out + eps * t - slot.t_opt  # °F above target, pre-draw
     if gam == 0.0:
-        alpha = 0.0
-        beta = 0.0
-        hbar = math.inf
-        delta = -eps * one * h * eta / v
-        if h == 0.0:
-            vartheta = -mismatch / (one * eta)
-        else:
-            vartheta = -math.copysign(math.inf, h)
-        return FollowerThresholds(alpha, beta, vartheta, delta, hbar)
+        vartheta = (-mismatch / (one * eta) if h == 0.0
+                    else -math.copysign(math.inf, h))
+        return FollowerThresholds(0.0, 0.0, vartheta, -eps * one * h * eta / v,
+                                  math.inf)
     alpha = 2.0 * v * gam * one * eta * mismatch
     beta = alpha + 2.0 * v * gam * one * one * eta * eta * params.e_max
     hbar = 1.0 / (2.0 * gam * one * one * eta * eta)
@@ -129,20 +126,112 @@ def compute_thresholds(h: float, t: float, slot: FollowerSlot,
     return FollowerThresholds(alpha, beta, vartheta, delta, hbar)
 
 
-def _objective(e: float, h: float, t: float, slot: FollowerSlot,
-               p_s: float, p_b: float, params: NanogridParams,
-               control: NanogridControl) -> float:
+class FollowerRule(NamedTuple):
+    """The price-free part of one nanogrid's decision rule in one slot.
+
+    The objective at draw ``e`` is ``(vg*(oe*e)**2 + le*e) + v*trade`` with
+    ``trade = 0.5*(p_s-p_b)*|tp| + 0.5*(p_s+p_b)*tp`` and ``tp = dr + e``.
+    The fixed candidates (box edges, clamped kink) are held as (draw,
+    price-free value, tp, |tp|).  With ``has_vertex`` (gamma > 0) a fourth
+    competes: zero draw if v*p_b > zero_level, e_max if v*p_s < rated_level,
+    else a branch vertex vartheta - price*hbar, else the kink.
+    """
+
+    v: float
+    at_lo: tuple[float, float, float, float]
+    at_kink: tuple[float, float, float, float]
+    at_hi: tuple[float, float, float, float]
+    has_vertex: bool
+    zero_level: float
+    rated_level: float
+    e_max: float
+    delta: float
+    vartheta: float
+    hbar: float
+    vg: float
+    oe: float
+    le: float
+    dr: float
+
+
+def follower_rule(h: float, t: float, slot: FollowerSlot,
+                  params: NanogridParams, control: NanogridControl,
+                  box: tuple[float, float] | None = None) -> FollowerRule:
+    """Build the decision rule at the current state and slot data.
+
+    ``box`` overrides the feasible draw interval (callers may tighten it
+    with extra per-slot constraints); an empty default box raises
+    ScenarioError.
+    """
+    lo, hi = feasible_box(slot, params) if box is None else box
     eps = params.epsilon
     one = 1.0 - eps
     eta = params.eta
     v = control.v_i
-    quad = v * params.gamma * (one * eta * e) ** 2
-    lin = (eps * one * h
-           + 2.0 * v * params.gamma * one * (one * slot.t_out + eps * t - slot.t_opt)
-           ) * eta * e
-    tp = slot.d - slot.rp + e
-    trade = v * (0.5 * (p_s - p_b) * abs(tp) + 0.5 * (p_s + p_b) * tp)
-    return quad + lin + trade
+    vg = v * params.gamma
+    oe = one * eta
+    le = (eps * one * h
+          + 2.0 * v * params.gamma * one * (one * slot.t_out + eps * t - slot.t_opt)
+          ) * eta
+    dr = slot.d - slot.rp
+    fixed = [(e, vg * (oe * e) ** 2 + le * e, dr + e, abs(dr + e))
+             for e in (lo, clamp(slot.rp - slot.d, lo, hi), hi)]
+    th = compute_thresholds(h, t, slot, params, control)
+    pressure = -eps * one * h * eta
+    return FollowerRule(v, *fixed, params.gamma != 0.0, pressure - th.alpha,
+                        pressure - th.beta, params.e_max, th.delta,
+                        th.vartheta, th.hbar, vg, oe, le, dr)
+
+
+def respond(rules: Sequence[FollowerRule], p_s: float,
+            p_b: float) -> tuple[list[float], list[float]]:
+    """Exact draws, and their local price sensitivities, at the posted prices.
+
+    The argmin is among the rule's candidates.  The lowest value wins; ties
+    go to the smaller draw, then to the smaller sensitivity.  A threshold
+    candidate outside the open box would clamp onto an edge and only repeat
+    its draw, so only an interior one is evaluated.  The sensitivity is
+    hbar when a strictly interior branch vertex wins (the draw then moves by
+    -hbar per unit of that price), else zero: the draw is pinned at an edge,
+    a rate limit or the kink.
+    """
+    half_gap = 0.5 * (p_s - p_b)
+    half_sum = 0.5 * (p_s + p_b)
+    es: list[float] = []
+    slopes: list[float] = []
+    for (v, (lo, base_lo, tp_lo, abs_lo), (kink, base_kink, tp_kink, abs_kink),
+         (hi, base_hi, tp_hi, abs_hi), has_vertex, zero_level, rated_level,
+         e_max, delta, vartheta, hbar, vg, oe, le, dr) in rules:
+        # Fixed candidates in ascending draw order; strict < keeps the first.
+        e, best = lo, base_lo + v * (half_gap * abs_lo + half_sum * tp_lo)
+        val = base_kink + v * (half_gap * abs_kink + half_sum * tp_kink)
+        if val < best:
+            e, best = kink, val
+        val = base_hi + v * (half_gap * abs_hi + half_sum * tp_hi)
+        if val < best:
+            e, best = hi, val
+        slope = 0.0
+        if has_vertex:
+            if v * p_b > zero_level:
+                cand, cand_slope = 0.0, 0.0
+            elif v * p_s < rated_level:
+                cand, cand_slope = e_max, 0.0
+            elif delta > p_s:
+                cand, cand_slope = vartheta - p_s * hbar, hbar
+            elif delta < p_b:
+                cand, cand_slope = vartheta - p_b * hbar, hbar
+            else:
+                cand, cand_slope = kink, 0.0
+            if lo < cand < hi:
+                tp = dr + cand
+                val = (vg * (oe * cand) ** 2 + le * cand
+                       + v * (half_gap * abs(tp) + half_sum * tp))
+                # An equal draw is the kink's, whose zero sensitivity wins.
+                if val < best or (val == best and cand < e):
+                    e, slope = cand, cand_slope
+        es.append(e)
+        slopes.append(slope)
+    return es, slopes
 
 
 def p3_objective(e: float, h: float, t: float, slot: FollowerSlot,
@@ -153,95 +242,29 @@ def p3_objective(e: float, h: float, t: float, slot: FollowerSlot,
     ``e`` must lie in the feasible draw box; violations raise ScenarioError
     naming the broken bound.
     """
-    lo, hi = feasible_box(slot, params)
+    r = follower_rule(h, t, slot, params, control)
+    lo, hi = r.at_lo[0], r.at_hi[0]
     if e < lo - 1e-9:
         raise ScenarioError(
-            f"draw e={e} below the feasible floor max(-l_max-d+rp, 0)={lo}"
-        )
+            f"draw e={e} below the feasible floor max(-l_max-d+rp, 0)={lo}")
     if e > hi + 1e-9:
         raise ScenarioError(
-            f"draw e={e} above the feasible ceiling min(l_max-d+rp, e_max)={hi}"
-        )
-    return _objective(e, h, t, slot, leader.p_s, leader.p_b, params, control)
-
-
-def _response_with_slope(h: float, t: float, slot: FollowerSlot, p_s: float,
-                         p_b: float, params: NanogridParams,
-                         control: NanogridControl,
-                         box: tuple[float, float] | None = None) -> tuple[float, float]:
-    """Exact minimizer plus the local price sensitivity of the response.
-
-    The sensitivity is the hbar constant when the winning candidate is a
-    strictly interior branch vertex (the draw then moves by -hbar per unit of
-    the relevant price) and zero when the draw is pinned at an edge, at the
-    rate limits, or at the interchange sign-change point.  ``box`` overrides
-    the feasible draw interval (callers may tighten it with extra per-slot
-    constraints).
-    """
-    lo, hi = feasible_box(slot, params) if box is None else box
-    eps = params.epsilon
-    one = 1.0 - eps
-    eta = params.eta
-    v = control.v_i
-    kink = slot.rp - slot.d  # draw at which the interchange changes sign
-
-    if params.gamma == 0.0:
-        # Piecewise linear: the minimum sits at an edge or at the kink.
-        candidates = [(lo, 0.0), (clamp(kink, lo, hi), 0.0), (hi, 0.0)]
-    else:
-        th = compute_thresholds(h, t, slot, params, control)
-        pressure = -eps * one * h * eta
-        if v * p_b > pressure - th.alpha:
-            unconstrained = 0.0
-            slope = 0.0
-        elif v * p_s < pressure - th.beta:
-            unconstrained = params.e_max
-            slope = 0.0
-        elif th.delta > p_s:
-            unconstrained = th.vartheta - p_s * th.hbar
-            slope = th.hbar
-        elif th.delta < p_b:
-            unconstrained = th.vartheta - p_b * th.hbar
-            slope = th.hbar
-        else:
-            unconstrained = kink
-            slope = 0.0
-        if not lo < unconstrained < hi:
-            slope = 0.0
-        candidates = [(lo, 0.0), (clamp(unconstrained, lo, hi), slope),
-                      (clamp(kink, lo, hi), 0.0), (hi, 0.0)]
-
-    best_e = lo
-    best_slope = 0.0
-    best_val = math.inf
-    for cand, cand_slope in sorted(candidates):
-        val = _objective(cand, h, t, slot, p_s, p_b, params, control)
-        if val < best_val:
-            best_val = val
-            best_e = cand
-            best_slope = cand_slope
-    return best_e, best_slope
-
-
-def _response_e(h: float, t: float, slot: FollowerSlot, p_s: float, p_b: float,
-                params: NanogridParams, control: NanogridControl,
-                box: tuple[float, float] | None = None) -> float:
-    """Exact minimizer of the per-slot objective over the feasible box."""
-    return _response_with_slope(h, t, slot, p_s, p_b, params, control, box)[0]
+            f"draw e={e} above the feasible ceiling min(l_max-d+rp, e_max)={hi}")
+    tp = r.dr + e
+    return (r.vg * (r.oe * e) ** 2 + r.le * e
+            + r.v * (0.5 * (leader.p_s - leader.p_b) * abs(tp)
+                     + 0.5 * (leader.p_s + leader.p_b) * tp))
 
 
 def best_response(h: float, t: float, slot: FollowerSlot, leader: LeaderAction,
                   params: NanogridParams, control: NanogridControl) -> FollowerAction:
     """Optimal HVAC draw and resulting interchange at the posted prices.
 
-    The objective is convex and piecewise quadratic with a single kink where
-    the interchange changes sign, so the argmin is one of: zero / rated power
-    when the respective price threshold fires, a per-branch parabola vertex,
-    the kink, or a box edge.  Candidates are clamped to the feasible box and
-    compared by objective value, ties resolved toward the smaller draw.
+    One follower's rule, built and evaluated once; see :func:`respond`.
     """
-    e = _response_e(h, t, slot, leader.p_s, leader.p_b, params, control)
-    return FollowerAction(e=e, tp=slot.d + e - slot.rp)
+    es, _ = respond([follower_rule(h, t, slot, params, control)],
+                    leader.p_s, leader.p_b)
+    return FollowerAction(e=es[0], tp=slot.d + es[0] - slot.rp)
 
 
 def compute_follower_bounds(params: NanogridParams, v_i: float | None,

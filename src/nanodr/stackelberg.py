@@ -32,7 +32,7 @@ from .domain import (
     SlotState,
     clamp,
 )
-from .nanogrid import _response_with_slope, compute_thresholds, feasible_box
+from .nanogrid import follower_rule, respond
 from .pme import SubgradientSet, _pro_prime, subgradients
 
 
@@ -82,7 +82,7 @@ class IterationRecord:
     """One loop iteration: the broadcast action and what it triggered."""
 
     action: LeaderAction
-    followers: tuple[FollowerAction, ...]
+    es: tuple[float, ...]  # follower draws at ``action``
     subgrad: SubgradientSet
     steps: tuple[float, float, float]
     distance: tuple[float, float, float]  # to the next iterate
@@ -137,8 +137,10 @@ def project_leader(raw_ps: float, raw_pb: float, raw_y: float,
 class QueueResponder:
     """Followers solving their relaxed problem at the given queue pressure.
 
-    ``drop_queue=True`` zeroes the queue term (myopic play).  All state and
-    slot data are frozen at construction; responses depend only on prices.
+    ``drop_queue=True`` zeroes the queue term (myopic play); ``boxes``
+    overrides the draw intervals.  Each follower's price-free rule is built
+    once per slot, here, from the frozen state and slot data; each price
+    broadcast only evaluates it (``nanogrid.respond``).
     """
 
     def __init__(self, state: SlotState, slot: SlotData,
@@ -146,26 +148,14 @@ class QueueResponder:
                  controls: Sequence[NanogridControl],
                  drop_queue: bool = False,
                  boxes: Sequence[tuple[float, float]] | None = None):
-        self._hs = tuple(0.0 for _ in state.h) if drop_queue else state.h
-        self._ts = state.t
-        self._slots = slot.followers
-        self._params = tuple(params)
-        self._controls = tuple(controls)
-        self._boxes: tuple[tuple[float, float], ...] = (
-            tuple(feasible_box(fs, p) for fs, p in zip(slot.followers, params))
-            if boxes is None else tuple(boxes)
-        )
+        n = len(state.h)
+        self._rules = tuple(map(
+            follower_rule, (0.0,) * n if drop_queue else state.h, state.t,
+            slot.followers, params, controls, (None,) * n if boxes is None else boxes))
 
     def respond_full(self, p_s: float, p_b: float) -> tuple[list[float], list[float]]:
         """Draws plus each follower's local price sensitivity at this iterate."""
-        es: list[float] = []
-        slopes: list[float] = []
-        for h, t, fs, p, c, box in zip(self._hs, self._ts, self._slots,
-                                       self._params, self._controls, self._boxes):
-            e, slope = _response_with_slope(h, t, fs, p_s, p_b, p, c, box)
-            es.append(e)
-            slopes.append(slope)
-        return es, slopes
+        return respond(self._rules, p_s, p_b)
 
     def respond(self, p_s: float, p_b: float) -> list[float]:
         return self.respond_full(p_s, p_b)[0]
@@ -173,14 +163,11 @@ class QueueResponder:
     def price_breakpoints(self) -> list[float]:
         """Price levels where some follower's response map changes branch."""
         pts: list[float] = []
-        for (lo, hi), h, t, fs, p, c in zip(self._boxes, self._hs, self._ts,
-                                            self._slots, self._params,
-                                            self._controls):
-            th = compute_thresholds(h, t, fs, p, c)
-            pts.append(th.delta)
-            if math.isfinite(th.hbar) and th.hbar > 0.0:
-                pts.append((th.vartheta - lo) / th.hbar)
-                pts.append((th.vartheta - hi) / th.hbar)
+        for r in self._rules:
+            pts.append(r.delta)
+            if math.isfinite(r.hbar) and r.hbar > 0.0:
+                pts.append((r.vartheta - r.at_lo[0]) / r.hbar)
+                pts.append((r.vartheta - r.at_hi[0]) / r.hbar)
         return pts
 
 
@@ -189,10 +176,9 @@ class FixedResponder:
 
     def __init__(self, es: Sequence[float]):
         self._es = list(es)
-        self._slopes = [0.0 for _ in es]
 
     def respond_full(self, p_s: float, p_b: float) -> tuple[list[float], list[float]]:
-        return list(self._es), list(self._slopes)
+        return list(self._es), [0.0] * len(self._es)
 
     def respond(self, p_s: float, p_b: float) -> list[float]:
         return list(self._es)
@@ -308,36 +294,31 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
     p_s, p_b, y = action.p_s, action.p_b, action.y
     raw_pts = responder.price_breakpoints()
     sweeps = 0
+
+    def evaluate(ps: float, pb: float) -> tuple[float, float]:
+        # Surrogate and net residual at (ps, pb), y fixed.
+        tps_x = [fs.d + e - fs.rp for fs, e in
+                 zip(slot.followers, responder.respond(ps, pb))]
+        residual = math.fsum(tps_x) - g_t + y
+        return (_pro_prime(ps, pb, y, tps_x, b, g_t, m_s, m_b, v_p, c_b),
+                residual)
+
     for _ in range(config.polish_passes):
         sweeps += 1
         prev = (p_s, p_b, y)
 
-        def eval_ps(x: float) -> tuple[float, float]:
-            tps_x = [fs.d + e - fs.rp for fs, e in
-                     zip(slot.followers, responder.respond(x, p_b))]
-            residual = math.fsum(tps_x) - g_t + y
-            return (_pro_prime(x, p_b, y, tps_x, b, g_t, m_s, m_b, v_p, c_b),
-                    residual)
-
         lo_s, hi_s = p_b + config.min_gap, m_s
         if hi_s - lo_s > 1e-12:
             pts = [lo_s, hi_s] + [x for x in raw_pts if lo_s < x < hi_s]
-            cand, val = _scan_quadratic_segments(eval_ps, pts)
-            if val < eval_ps(p_s)[0]:
+            cand, val = _scan_quadratic_segments(lambda x: evaluate(x, p_b), pts)
+            if val < evaluate(p_s, p_b)[0]:
                 p_s = cand
-
-        def eval_pb(x: float) -> tuple[float, float]:
-            tps_x = [fs.d + e - fs.rp for fs, e in
-                     zip(slot.followers, responder.respond(p_s, x))]
-            residual = math.fsum(tps_x) - g_t + y
-            return (_pro_prime(p_s, x, y, tps_x, b, g_t, m_s, m_b, v_p, c_b),
-                    residual)
 
         lo_b, hi_b = m_b, p_s - config.min_gap
         if hi_b - lo_b > 1e-12:
             pts = [lo_b, hi_b] + [x for x in raw_pts if lo_b < x < hi_b]
-            cand, val = _scan_quadratic_segments(eval_pb, pts)
-            if val < eval_pb(p_b)[0]:
+            cand, val = _scan_quadratic_segments(lambda x: evaluate(p_s, x), pts)
+            if val < evaluate(p_s, p_b)[0]:
                 p_b = cand
 
         tps = [fs.d + e - fs.rp for fs, e in
@@ -384,11 +365,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     for m in range(1, config.max_iters + 1):
         iterations = m
         es, slopes = responder.respond_full(chi.p_s, chi.p_b)
-        followers = tuple(
-            FollowerAction(e=e, tp=fs.d + e - fs.rp)
-            for e, fs in zip(es, slot.followers)
-        )
-        tps = [f.tp for f in followers]
+        tps = [fs.d + e - fs.rp for e, fs in zip(es, slot.followers)]
         grad = subgradients(chi, tps, b, g_t, m_s, m_b, pme_control,
                             pme_params, slopes)
         steps = (scale_s / (config.step_s0 + config.step_s1 * m),
@@ -400,7 +377,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
                        m_s, m_b, y_box[0], y_box[1], config.min_gap)
         distance = (abs(nxt.p_s - chi.p_s), abs(nxt.p_b - chi.p_b),
                     abs(nxt.y - chi.y))
-        records.append(IterationRecord(chi, followers, grad, steps, distance))
+        records.append(IterationRecord(chi, tuple(es), grad, steps, distance))
         chi = nxt
         if max(distance) < config.rho:
             converged = True

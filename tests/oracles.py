@@ -125,3 +125,74 @@ def interior_follower_instance(rng: random.Random, buyer: bool):
         d, rp = 1.0, 4.0 + target_e + 1.0
     slot = FollowerSlot(rp=rp, d=d, t_out=t_out, t_opt=t_opt)
     return params, control, t, h, slot, p_s, p_b
+
+
+def reference_response(h, t, slot, p_s, p_b, params, control, box=None):
+    """Four-candidate follower rule, restated in full as a bit-exact reference.
+
+    Returns (draw, price sensitivity) by comparing the objective at the box
+    edges, the clamped interchange kink and the clamped branch candidate the
+    price thresholds select, in ascending (draw, sensitivity) order with a
+    strict comparison.  Every floating-point operation is written out in the
+    order the package's rule must reproduce.
+    """
+    def clip(x, lo, hi):
+        return lo if x < lo else hi if x > hi else x
+
+    eps = params.epsilon
+    one = 1.0 - eps
+    eta = params.eta
+    gam = params.gamma
+    v = control.v_i
+    if box is None:
+        lo = max(-params.l_max - slot.d + slot.rp, 0.0)
+        hi = min(params.l_max - slot.d + slot.rp, params.e_max)
+        if lo > hi and lo - hi <= 1e-12:
+            hi = lo
+    else:
+        lo, hi = box
+    kink = slot.rp - slot.d
+
+    def objective(e):
+        quad = v * gam * (one * eta * e) ** 2
+        lin = (eps * one * h
+               + 2.0 * v * gam * one * (one * slot.t_out + eps * t - slot.t_opt)
+               ) * eta * e
+        tp = slot.d - slot.rp + e
+        trade = v * (0.5 * (p_s - p_b) * abs(tp) + 0.5 * (p_s + p_b) * tp)
+        return quad + lin + trade
+
+    if gam == 0.0:
+        candidates = [(lo, 0.0), (clip(kink, lo, hi), 0.0), (hi, 0.0)]
+    else:
+        mismatch = one * slot.t_out + eps * t - slot.t_opt
+        alpha = 2.0 * v * gam * one * eta * mismatch
+        beta = alpha + 2.0 * v * gam * one * one * eta * eta * params.e_max
+        hbar = 1.0 / (2.0 * gam * one * one * eta * eta)
+        vartheta = -mismatch / (one * eta) - eps * h / (2.0 * v * gam * one * eta)
+        delta = (-2.0 * gam * one * eta * mismatch
+                 - eps * one * h * eta / v
+                 - 2.0 * gam * one * one * eta * eta * (slot.rp - slot.d))
+        pressure = -eps * one * h * eta
+        if v * p_b > pressure - alpha:
+            free, slope = 0.0, 0.0
+        elif v * p_s < pressure - beta:
+            free, slope = params.e_max, 0.0
+        elif delta > p_s:
+            free, slope = vartheta - p_s * hbar, hbar
+        elif delta < p_b:
+            free, slope = vartheta - p_b * hbar, hbar
+        else:
+            free, slope = kink, 0.0
+        if not lo < free < hi:
+            slope = 0.0
+        candidates = [(lo, 0.0), (clip(free, lo, hi), slope),
+                      (clip(kink, lo, hi), 0.0), (hi, 0.0)]
+
+    best_e, best_slope, best_val = lo, 0.0, float("inf")
+    for cand, cand_slope in sorted(candidates):
+        val = objective(cand)
+        if val < best_val:
+            best_e, best_slope, best_val = cand, cand_slope, val
+    return best_e, best_slope
+

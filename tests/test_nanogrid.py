@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,8 @@ from nanodr.domain import (
     NanogridControl,
     NanogridParams,
     ScenarioError,
+    SlotData,
+    SlotState,
     thermal_step,
 )
 from nanodr.nanogrid import (
@@ -22,8 +25,9 @@ from nanodr.nanogrid import (
     p3_objective,
     validate_control,
 )
+from nanodr.stackelberg import QueueResponder
 
-from oracles import brute_force_follower, random_follower_instance
+from oracles import brute_force_follower, random_follower_instance, reference_response
 
 PARAMS = NanogridParams(epsilon=0.95, eta=15.0, e_max=5.0, t_min=66.0,
                         t_max=77.0, l_max=10.0, gamma=0.01)
@@ -244,6 +248,89 @@ def test_threshold_cases_agree_with_unclamped_argmin():
         assert best_response(h, t, slot, leader, wide, control).e == endpoint
         fired += 1
     assert fired > 50
+
+
+# -- bit-exact decision rule ------------------------------------------------
+
+
+def _instances(rng, count, binding_l_max):
+    """Random follower problems; with ``binding_l_max`` the interchange limit
+    cuts the draw box inside [0, e_max]."""
+    out = []
+    while len(out) < count:
+        params, control, t, h, slot, leader = random_follower_instance(rng)
+        if binding_l_max:
+            params = replace(params, l_max=rng.uniform(0.3, 3.0))
+            lo = max(-params.l_max - slot.d + slot.rp, 0.0)
+            hi = min(params.l_max - slot.d + slot.rp, params.e_max)
+            if not (lo <= hi and (lo > 0.0 or hi < params.e_max)):
+                continue
+        out.append((params, control, t, h, slot, leader))
+    return out
+
+
+def _prices_near_delta(rng, group, drop_queue):
+    """Each follower's own prices, plus p_s and then p_b at th.delta and a
+    few ULPs either side, where the branch vertex meets the kink."""
+    prices = [(leader.p_s, leader.p_b) for *_, leader in group]
+    for params, control, t, h, slot, _ in group:
+        if params.gamma == 0.0:
+            continue
+        h = 0.0 if drop_queue else h
+        delta = compute_thresholds(h, t, slot, params, control).delta
+        for k in range(-4, 5):
+            p = delta
+            for _ in range(abs(k)):
+                p = math.nextafter(p, math.copysign(math.inf, k))
+            gap = rng.uniform(0.01, 6.0)
+            prices.append((p, p - gap))
+            prices.append((p + gap, p))
+    return prices
+
+
+@pytest.mark.parametrize("case", ["random", "binding_l_max", "myopic_boxes"])
+def test_queue_responder_is_bit_exact_with_reference_rule(case):
+    rng = random.Random({"random": 61, "binding_l_max": 67, "myopic_boxes": 71}[case])
+    myopic = case == "myopic_boxes"  # queue term dropped, tightened boxes
+    compared = 0
+    mixed = 0  # groups with both gamma == 0 and gamma > 0 followers
+    for _ in range(30):
+        group = _instances(rng, 8, binding_l_max=case == "binding_l_max")
+        mixed += 0 < sum(p.gamma == 0.0 for p, *_ in group) < len(group)
+        boxes = None
+        if myopic:
+            boxes = []
+            for params, _, _, _, slot, _ in group:
+                lo, hi = feasible_box(slot, params)
+                sub_lo = lo + rng.choice([0.0, rng.random()]) * (hi - lo)
+                sub_hi = sub_lo + rng.choice([0.0, 1.0, rng.random()]) * (hi - sub_lo)
+                boxes.append((sub_lo, sub_hi))
+        state = SlotState(t=tuple(g[2] for g in group), h=tuple(g[3] for g in group),
+                          e_batt=0.0, b=0.0)
+        slot = SlotData(m_s=20.0, m_b=1.0, g_t=0.0,
+                        followers=tuple(g[4] for g in group))
+        responder = QueueResponder(state, slot, [g[0] for g in group],
+                                   [g[1] for g in group],
+                                   drop_queue=myopic, boxes=boxes)
+        for p_s, p_b in _prices_near_delta(rng, group, myopic):
+            expected = [
+                reference_response(0.0 if myopic else h, t, fs, p_s, p_b, params,
+                                   control, boxes[i] if myopic else None)
+                for i, (params, control, t, h, fs, _) in enumerate(group)
+            ]
+            es, slopes = responder.respond_full(p_s, p_b)
+            assert es == [e for e, _ in expected]
+            assert slopes == [s for _, s in expected]
+            compared += len(group)
+    assert compared > 10_000 and mixed > 20
+
+
+def test_best_response_is_bit_exact_with_reference_rule():
+    rng = random.Random(73)
+    for params, control, t, h, slot, leader in _instances(rng, 500, False):
+        e, _ = reference_response(h, t, slot, leader.p_s, leader.p_b, params,
+                                  control)
+        assert best_response(h, t, slot, leader, params, control).e == e
 
 
 # -- certified windows ------------------------------------------------------
