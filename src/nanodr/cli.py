@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .baselines import CaseId, run_case
 from .domain import (
@@ -253,6 +253,28 @@ def _write_summary(report: RunReport, setup: Setup, out_dir: str) -> None:
         fh.write("\n")
 
 
+def _cells(values: Iterable[float]) -> str:
+    """Floats formatted as by ``_fmt`` and joined into CSV cells.
+
+    A ``repr`` of a float holds no comma, quote or line break, so the
+    default ``excel`` dialect of ``csv.writer`` would write these cells
+    unquoted too.  Mapping the builtins skips a Python call per cell.
+    """
+    return ",".join(map(repr, map(float, values)))
+
+
+def _write_csv(path: str, headers: Sequence[str],
+               slots: Iterable[Iterable[str]]) -> None:
+    """Write a CSV as ``csv.writer`` would, with one write per slot.
+
+    ``slots`` yields each slot's rows, already joined into cells.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(headers) + "\r\n")
+        for rows in slots:
+            fh.write("".join(row + "\r\n" for row in rows))
+
+
 def _write_series(report: RunReport, setup: Setup, out_dir: str) -> None:
     n = setup.scenario.n
     headers = (["slot", "p_s", "p_b", "y", "e_batt", "residual", "profit",
@@ -260,18 +282,15 @@ def _write_series(report: RunReport, setup: Setup, out_dir: str) -> None:
                + [f"t_{i + 1}" for i in range(n)]
                + [f"e_{i + 1}" for i in range(n)]
                + [f"tp_{i + 1}" for i in range(n)])
-    with open(os.path.join(out_dir, "series.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        for o in report.outcomes:
-            row = [str(o.slot), _fmt(o.leader.p_s), _fmt(o.leader.p_b),
-                   _fmt(o.leader.y), _fmt(o.next_state.e_batt),
-                   _fmt(o.grid_residual), _fmt(o.pme_profit),
-                   str(int(o.converged)), str(o.iterations)]
-            row += [_fmt(t) for t in o.next_state.t]
-            row += [_fmt(f.e) for f in o.followers]
-            row += [_fmt(f.tp) for f in o.followers]
-            writer.writerow(row)
+    _write_csv(os.path.join(out_dir, "series.csv"), headers, (
+        (",".join((str(o.slot),
+                   _cells((o.leader.p_s, o.leader.p_b, o.leader.y,
+                           o.next_state.e_batt, o.grid_residual, o.pme_profit)),
+                   str(int(o.converged)), str(o.iterations),
+                   *map(_fmt, o.next_state.t),
+                   *(_fmt(f.e) for f in o.followers),
+                   *(_fmt(f.tp) for f in o.followers))),)
+        for o in report.outcomes))
 
 
 def _write_traces(report: RunReport, setup: Setup, out_dir: str) -> None:
@@ -279,21 +298,24 @@ def _write_traces(report: RunReport, setup: Setup, out_dir: str) -> None:
     headers = (["slot", "iter", "p_s", "p_b", "y", "g_ps", "g_pb", "g_y",
                 "step_s", "step_b", "step_y", "dist_s", "dist_b", "dist_y"]
                + [f"e_{i + 1}" for i in range(n)])
-    with open(os.path.join(out_dir, "traces.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        for o in report.outcomes:
-            if o.trace is None:
-                continue
-            for m, rec in enumerate(o.trace.records, start=1):
-                row = [str(o.slot), str(m), _fmt(rec.action.p_s),
-                       _fmt(rec.action.p_b), _fmt(rec.action.y),
-                       _fmt(rec.subgrad.g_ps), _fmt(rec.subgrad.g_pb),
-                       _fmt(rec.subgrad.g_y)]
-                row += [_fmt(s) for s in rec.steps]
-                row += [_fmt(dist) for dist in rec.distance]
-                row += [_fmt(e) for e in rec.es]
-                writer.writerow(row)
+    # A step triple depends only on the iteration index, so each recurs in
+    # every slot: format each once.
+    steps: dict[tuple[float, float, float], str] = {}
+
+    def step_cells(triple: tuple[float, float, float]) -> str:
+        text = steps.get(triple)
+        if text is None:
+            text = steps[triple] = _cells(triple)
+        return text
+
+    _write_csv(os.path.join(out_dir, "traces.csv"), headers, (
+        (f"{o.slot},{m},"
+         + _cells((rec.action.p_s, rec.action.p_b, rec.action.y,
+                   rec.subgrad.g_ps, rec.subgrad.g_pb, rec.subgrad.g_y))
+         + "," + step_cells(rec.steps) + ","
+         + _cells((*rec.distance, *rec.es))
+         for m, rec in enumerate(o.trace.records, start=1))
+        for o in report.outcomes if o.trace is not None))
 
 
 def _print_bounds(setup: Setup) -> None:

@@ -70,18 +70,32 @@ def _validate_action(action: LeaderAction, m_s: float, m_b: float,
         )
 
 
-def _pro_prime(p_s: float, p_b: float, y: float, tps: Sequence[float],
-               b: float, g_t: float, m_s: float, m_b: float,
-               v_p: float, c_b: float) -> float:
-    """Leader surrogate value without feasibility checks (solver hot path)."""
+def _trade_sums(p_s: float, p_b: float,
+                tps: Sequence[float]) -> tuple[float, float]:
+    """Trading revenue and total interchange, summed in follower order."""
     revenue = 0.0
     total = 0.0
     for tp in tps:
         revenue += p_s * tp if tp >= 0.0 else p_b * tp
         total += tp
+    return revenue, total
+
+
+def _close_pro_prime(revenue: float, total: float, y: float, b: float,
+                     g_t: float, m_s: float, m_b: float, v_p: float,
+                     c_b: float) -> float:
+    """The surrogate from its trade sums: the only part that depends on y."""
     residual = total - g_t + y
     settle = m_s * residual if residual >= 0.0 else m_b * residual
     return b * y - v_p * revenue + v_p * (settle + 0.5 * c_b * y * y)
+
+
+def _pro_prime(p_s: float, p_b: float, y: float, tps: Sequence[float],
+               b: float, g_t: float, m_s: float, m_b: float,
+               v_p: float, c_b: float) -> float:
+    """Leader surrogate value without feasibility checks (solver hot path)."""
+    revenue, total = _trade_sums(p_s, p_b, tps)
+    return _close_pro_prime(revenue, total, y, b, g_t, m_s, m_b, v_p, c_b)
 
 
 def p4_objective(action: LeaderAction, tps: Sequence[float], b: float,

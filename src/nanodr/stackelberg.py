@@ -11,7 +11,10 @@ away from a non-smooth minimizer, the returned action is then polished:
 exact coordinate-wise minimization of the surrogate (followers re-solved for
 price moves, closed-form for the charge) until a fixed point.  The polish is
 deterministic, never increases the surrogate, and makes the returned action
-withstand unilateral-deviation equilibrium checks at tight tolerances.
+withstand unilateral-deviation equilibrium checks at tight tolerances.  The
+followers' responses do not depend on the charge, so the polish asks them
+once per price pair: it keeps the draws and trade sums of every pair it has
+evaluated, and the draws at its final point are the slot's follower actions.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .domain import (
     clamp,
 )
 from .nanogrid import follower_rule, respond
-from .pme import SubgradientSet, _pro_prime, subgradients
+from .pme import SubgradientSet, _close_pro_prime, _trade_sums, subgradients
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,20 +239,11 @@ def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
     exactly.  Returns (argmin, value); ties resolve to the smaller argument.
     """
     pts = sorted(set(points))
-    cache: dict[float, tuple[float, float]] = {}
-
-    def ev(x: float) -> tuple[float, float]:
-        got = cache.get(x)
-        if got is None:
-            got = evaluate(x)
-            cache[x] = got
-        return got
-
     refined: list[float] = []
     for a, bpt in zip(pts, pts[1:]):
         refined.append(a)
-        ra = ev(a)[1]
-        rb = ev(bpt)[1]
+        ra = evaluate(a)[1]
+        rb = evaluate(bpt)[1]
         if (ra > 0.0) != (rb > 0.0) and ra != rb:
             cross = a + (bpt - a) * ra / (ra - rb)
             if a < cross < bpt:
@@ -257,9 +251,9 @@ def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
     refined.append(pts[-1])
 
     best_x = refined[0]
-    best_val = ev(refined[0])[0]
+    best_val = evaluate(refined[0])[0]
     for x in refined[1:]:
-        val = ev(x)[0]
+        val = evaluate(x)[0]
         if val < best_val:
             best_val = val
             best_x = x
@@ -268,7 +262,7 @@ def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
         if width < 1e-11:
             continue
         mid = 0.5 * (a + bpt)
-        fa, fm, fb = ev(a)[0], ev(mid)[0], ev(bpt)[0]
+        fa, fm, fb = evaluate(a)[0], evaluate(mid)[0], evaluate(bpt)[0]
         if fm < best_val:
             best_val = fm
             best_x = mid
@@ -279,7 +273,7 @@ def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
         slope = (fb - fa) / width
         vertex = mid - slope / (2.0 * curv)
         if a < vertex < bpt:
-            val = ev(vertex)[0]
+            val = evaluate(vertex)[0]
             if val < best_val:
                 best_val = val
                 best_x = vertex
@@ -288,20 +282,36 @@ def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
 
 def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
             c_b: float, v_p: float, y_box: tuple[float, float],
-            config: GameConfig) -> tuple[LeaderAction, int]:
-    """Coordinate-exact refinement of the leader action to a fixed point."""
+            config: GameConfig) -> tuple[LeaderAction, int, list[float]]:
+    """Coordinate-exact refinement of the leader action to a fixed point.
+
+    Returns the action, the sweeps made, and the follower draws at the
+    action.  The followers' responses do not depend on ``y``, so each price
+    pair is answered once per call: a memo keyed by the exact (p_s, p_b)
+    holds the draws, the interchanges and their trade sums, and a surrogate
+    evaluation at a known pair is only the closing arithmetic in ``y``.
+    """
     m_s, m_b, g_t = slot.m_s, slot.m_b, slot.g_t
     p_s, p_b, y = action.p_s, action.p_b, action.y
     raw_pts = responder.price_breakpoints()
+    memo: dict[tuple[float, float], tuple] = {}
     sweeps = 0
+
+    def trade(ps: float, pb: float) -> tuple:
+        # (draws, interchanges, revenue, sequential total, exact total).
+        got = memo.get((ps, pb))
+        if got is None:
+            es = responder.respond(ps, pb)
+            tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
+            got = memo[ps, pb] = (es, tps, *_trade_sums(ps, pb, tps),
+                                  math.fsum(tps))
+        return got
 
     def evaluate(ps: float, pb: float) -> tuple[float, float]:
         # Surrogate and net residual at (ps, pb), y fixed.
-        tps_x = [fs.d + e - fs.rp for fs, e in
-                 zip(slot.followers, responder.respond(ps, pb))]
-        residual = math.fsum(tps_x) - g_t + y
-        return (_pro_prime(ps, pb, y, tps_x, b, g_t, m_s, m_b, v_p, c_b),
-                residual)
+        _, _, revenue, total, exact = trade(ps, pb)
+        return (_close_pro_prime(revenue, total, y, b, g_t, m_s, m_b, v_p, c_b),
+                exact - g_t + y)
 
     for _ in range(config.polish_passes):
         sweeps += 1
@@ -321,15 +331,14 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
             if val < evaluate(p_s, p_b)[0]:
                 p_b = cand
 
-        tps = [fs.d + e - fs.rp for fs, e in
-               zip(slot.followers, responder.respond(p_s, p_b))]
-        y = _argmin_charge(tps, b, g_t, m_s, m_b, v_p, c_b, y_box[0], y_box[1])
+        y = _argmin_charge(trade(p_s, p_b)[1], b, g_t, m_s, m_b, v_p, c_b,
+                           y_box[0], y_box[1])
 
         if (abs(p_s - prev[0]) < config.polish_tol
                 and abs(p_b - prev[1]) < config.polish_tol
                 and abs(y - prev[2]) < config.polish_tol):
             break
-    return LeaderAction(p_s=p_s, p_b=p_b, y=y), sweeps
+    return LeaderAction(p_s=p_s, p_b=p_b, y=y), sweeps, trade(p_s, p_b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +392,13 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
             converged = True
             break
 
-    sweeps = 0
     if config.polish:
-        chi, sweeps = _polish(chi, responder, b, slot, pme_params.c_b, v_p,
-                              y_box, config)
-    final_followers = tuple(
-        FollowerAction(e=e, tp=fs.d + e - fs.rp)
-        for e, fs in zip(responder.respond(chi.p_s, chi.p_b), slot.followers)
-    )
+        chi, sweeps, es = _polish(chi, responder, b, slot, pme_params.c_b,
+                                  v_p, y_box, config)
+    else:
+        sweeps, es = 0, responder.respond(chi.p_s, chi.p_b)
+    final_followers = tuple(FollowerAction(e=e, tp=fs.d + e - fs.rp)
+                            for e, fs in zip(es, slot.followers))
     trace = IterationTrace(records=tuple(records), converged=converged,
                            iterations=iterations, polish_sweeps=sweeps)
     return SlotSolution(leader=chi, followers=final_followers, trace=trace)

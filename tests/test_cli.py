@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from nanodr import cli
 from nanodr.cli import main
 
 
@@ -42,7 +43,54 @@ def test_run_writes_consistent_artifacts(tmp_path):
     assert summary["battery_violations"] == 0
 
 
-def test_run_emits_traces_on_request(tmp_path):
+def _reference_csvs(report, out_dir):
+    """series.csv and traces.csv in their format, written row by row with
+    csv.writer from the report alone."""
+    fmt = lambda x: repr(float(x))
+    n = len(report.outcomes[0].followers)
+    with open(out_dir / "series.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["slot", "p_s", "p_b", "y", "e_batt", "residual",
+                         "profit", "converged", "iterations"]
+                        + [f"t_{i + 1}" for i in range(n)]
+                        + [f"e_{i + 1}" for i in range(n)]
+                        + [f"tp_{i + 1}" for i in range(n)])
+        for o in report.outcomes:
+            writer.writerow(
+                [str(o.slot), fmt(o.leader.p_s), fmt(o.leader.p_b),
+                 fmt(o.leader.y), fmt(o.next_state.e_batt),
+                 fmt(o.grid_residual), fmt(o.pme_profit),
+                 str(int(o.converged)), str(o.iterations)]
+                + [fmt(t) for t in o.next_state.t]
+                + [fmt(f.e) for f in o.followers]
+                + [fmt(f.tp) for f in o.followers])
+    with open(out_dir / "traces.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["slot", "iter", "p_s", "p_b", "y", "g_ps", "g_pb",
+                         "g_y", "step_s", "step_b", "step_y", "dist_s",
+                         "dist_b", "dist_y"]
+                        + [f"e_{i + 1}" for i in range(n)])
+        for o in report.outcomes:
+            for m, rec in enumerate(o.trace.records, start=1):
+                writer.writerow(
+                    [str(o.slot), str(m), fmt(rec.action.p_s),
+                     fmt(rec.action.p_b), fmt(rec.action.y),
+                     fmt(rec.subgrad.g_ps), fmt(rec.subgrad.g_pb),
+                     fmt(rec.subgrad.g_y)]
+                    + [fmt(x) for x in rec.steps]
+                    + [fmt(x) for x in rec.distance]
+                    + [fmt(e) for e in rec.es])
+
+
+def test_run_emits_traces_on_request(tmp_path, monkeypatch):
+    reports = []
+    simulate = cli.run
+
+    def keep_report(*args, **kwargs):
+        reports.append(simulate(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run", keep_report)
     out = tmp_path / "tr"
     rc = main(["run", "--slots", "6", "--out", str(out), "--traces"])
     assert rc == 0
@@ -50,6 +98,12 @@ def test_run_emits_traces_on_request(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows
     assert {"slot", "iter", "p_s", "g_ps", "dist_y"} <= set(rows[0])
+    # Both files are byte-equal to the same rows written by csv.writer.
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _reference_csvs(reports[0], ref)
+    for name in ("series.csv", "traces.csv"):
+        assert _read(out / name) == _read(ref / name)
 
 
 def test_check_bounds_prints_without_artifacts(tmp_path, capsys):

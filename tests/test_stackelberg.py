@@ -16,9 +16,17 @@ from nanodr.domain import (
 )
 from nanodr.nanogrid import best_response
 from nanodr.pme import _pro_prime, optimal_charge
+from nanodr.policy import default_policy
+from nanodr.scenario_io import (
+    SyntheticSpec,
+    default_pme_params,
+    generate_synthetic,
+    synthetic_params,
+)
 from nanodr.stackelberg import (
     GameConfig,
     QueueResponder,
+    _polish,
     project_leader,
     solve_slot,
 )
@@ -192,3 +200,58 @@ def test_non_convergence_is_flagged_not_raised():
     sol = solve_slot(state, slot, params, controls, PME, pmec, cfg)
     assert not sol.trace.converged
     assert sol.trace.iterations == 3
+
+
+# -- polish -----------------------------------------------------------------
+
+
+class _RecordingResponder(QueueResponder):
+    """Records every price pair the followers are asked to answer."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def respond(self, p_s, p_b):
+        self.asked.append((p_s, p_b))
+        return super().respond(p_s, p_b)
+
+
+def _generated_slot(n=50, k=18):
+    spec = SyntheticSpec(n=n, slots=24, seed=1)
+    scenario = generate_synthetic(spec)
+    params = synthetic_params(spec)
+    pme = default_pme_params()
+    bundle = default_policy(scenario, params, pme)
+    t = tuple(0.5 * (p.t_min + p.t_max) for p in params)
+    e_batt = 0.5 * (pme.e_min + pme.e_max_cap)
+    state = SlotState(
+        t=t, h=tuple(x + c.gamma_shift for x, c in zip(t, bundle.ng_controls)),
+        e_batt=e_batt, b=e_batt + bundle.pme_control.theta)
+    return (params, bundle.ng_controls, state, bundle.pme_control,
+            scenario.slot(k), pme)
+
+
+@pytest.mark.parametrize("case", ["desk", "generated50"])
+def test_polish_asks_each_price_pair_once(case):
+    if case == "desk":
+        params, controls, state, pmec = _desk_setup()
+        slot, pme = _desk_slot(), PME
+    else:
+        params, controls, state, pmec, slot, pme = _generated_slot()
+    cfg = GameConfig()
+    start = solve_slot(state, slot, params, controls, pme, pmec,
+                       GameConfig(polish=False)).leader
+    recorder = _RecordingResponder(state, slot, params, controls)
+    act, sweeps, es = _polish(start, recorder, state.b, slot, pme.c_b,
+                              pmec.v_p, (-pme.u_dmax, pme.u_cmax), cfg)
+    # The confirming second sweep revisits the first sweep's pairs.
+    assert sweeps >= 2
+    assert len(recorder.asked) > 10
+    assert len(set(recorder.asked)) == len(recorder.asked)
+    fresh = QueueResponder(state, slot, params, controls)
+    assert es == fresh.respond(act.p_s, act.p_b)
+    # The memo changes no result: the full solve returns the same action.
+    solved = solve_slot(state, slot, params, controls, pme, pmec, cfg)
+    assert solved.leader == act
+    assert [f.e for f in solved.followers] == es
