@@ -4,115 +4,7 @@ A simulator library and batch CLI: an aggregator posts bidirectional prices
 and runs a battery, nanogrids with HVAC units respond, and both sides follow
 forecast-free queue-based online policies solved each slot by an iterative
 leader/follower equilibrium algorithm.
+
+The package root exports nothing: programs import the submodules
+(``nanodr.cli``, ``nanodr.simulator``, ``nanodr.domain``, ...).
 """
-
-from .baselines import CaseId, run_case, social_welfare_cost
-from .domain import (
-    ConfigurationError,
-    FollowerAction,
-    FollowerSlot,
-    InvariantViolation,
-    LeaderAction,
-    NanogridControl,
-    NanogridParams,
-    PmeControl,
-    PmeParams,
-    Scenario,
-    ScenarioError,
-    SlotData,
-    SlotState,
-    battery_cost,
-    bilinear_trade_cost,
-    check_assumptions,
-    pme_profit,
-    thermal_step,
-)
-from .nanogrid import (
-    FollowerBounds,
-    FollowerThresholds,
-    best_response,
-    compute_follower_bounds,
-    compute_thresholds,
-    feasible_box,
-    p3_objective,
-)
-from .pme import (
-    LeaderBounds,
-    SubgradientSet,
-    compute_leader_bounds,
-    optimal_charge,
-    p4_objective,
-    subgradients,
-)
-from .scenario_io import (
-    SyntheticSpec,
-    default_nanogrid_params,
-    default_pme_params,
-    generate_synthetic,
-    load_scenario,
-    save_scenario,
-    synthetic_params,
-)
-from .simulator import RunReport, SlotOutcome, run, update_queues
-from .stackelberg import (
-    GameConfig,
-    IterationRecord,
-    IterationTrace,
-    SlotSolution,
-    project_leader,
-    solve_slot,
-)
-
-__all__ = [
-    "CaseId",
-    "ConfigurationError",
-    "FollowerAction",
-    "FollowerBounds",
-    "FollowerSlot",
-    "FollowerThresholds",
-    "GameConfig",
-    "InvariantViolation",
-    "IterationRecord",
-    "IterationTrace",
-    "LeaderAction",
-    "LeaderBounds",
-    "NanogridControl",
-    "NanogridParams",
-    "PmeControl",
-    "PmeParams",
-    "RunReport",
-    "Scenario",
-    "ScenarioError",
-    "SlotData",
-    "SlotOutcome",
-    "SlotSolution",
-    "SlotState",
-    "SubgradientSet",
-    "SyntheticSpec",
-    "battery_cost",
-    "best_response",
-    "bilinear_trade_cost",
-    "check_assumptions",
-    "compute_follower_bounds",
-    "compute_leader_bounds",
-    "compute_thresholds",
-    "default_nanogrid_params",
-    "default_pme_params",
-    "feasible_box",
-    "generate_synthetic",
-    "load_scenario",
-    "optimal_charge",
-    "p3_objective",
-    "p4_objective",
-    "pme_profit",
-    "project_leader",
-    "run",
-    "run_case",
-    "save_scenario",
-    "social_welfare_cost",
-    "solve_slot",
-    "subgradients",
-    "synthetic_params",
-    "thermal_step",
-    "update_queues",
-]

@@ -33,7 +33,6 @@ from .domain import (
     FollowerAction,
     FollowerSlot,
     LeaderAction,
-    Mode,
     NanogridControl,
     NanogridParams,
     PmeControl,
@@ -71,29 +70,23 @@ class CaseId(enum.Enum):
 _EMPTY_TRACE = IterationTrace(records=(), converged=True, iterations=0)
 
 
-def _tracking_draw(t: float, fs: FollowerSlot, params: NanogridParams,
-                   mode: Mode) -> float:
+def _tracking_draw(t: float, fs: FollowerSlot, params: NanogridParams) -> float:
     """Draw that lands the end-of-slot temperature exactly on the target,
     clamped to the feasible box."""
     eps = params.epsilon
     needed = (fs.t_opt - eps * t) / (1.0 - eps) - fs.t_out
-    e = needed / params.eta if mode == "heating" else -needed / params.eta
     lo, hi = feasible_box(fs, params)
-    return clamp(e, lo, hi)
+    return clamp(needed / params.eta, lo, hi)
 
 
-def _comfort_box(t: float, fs: FollowerSlot, params: NanogridParams,
-                 mode: Mode) -> tuple[float, float]:
+def _comfort_box(t: float, fs: FollowerSlot,
+                 params: NanogridParams) -> tuple[float, float]:
     """Draw interval that also keeps the next temperature inside the band."""
     lo, hi = feasible_box(fs, params)
     eps = params.epsilon
     floor_need = (params.t_min - eps * t) / (1.0 - eps) - fs.t_out
     ceil_need = (params.t_max - eps * t) / (1.0 - eps) - fs.t_out
-    if mode == "heating":
-        e_floor, e_ceil = floor_need / params.eta, ceil_need / params.eta
-    else:
-        e_floor, e_ceil = -ceil_need / params.eta, -floor_need / params.eta
-    lo, hi = max(lo, e_floor), min(hi, e_ceil)
+    lo, hi = max(lo, floor_need / params.eta), min(hi, ceil_need / params.eta)
     if lo > hi:
         if lo - hi <= 1e-9:
             hi = lo
@@ -107,14 +100,14 @@ def _comfort_box(t: float, fs: FollowerSlot, params: NanogridParams,
 
 def social_welfare_cost(es: Sequence[float], y: float, ts: Sequence[float],
                         slot: SlotData, ng_params: Sequence[NanogridParams],
-                        pme_params: PmeParams, mode: Mode = "heating") -> float:
+                        pme_params: PmeParams) -> float:
     """Cooperative cost of a joint action: battery use + grid settlement +
     total discomfort.  Internal payments between the parties cancel out."""
     total_tp = 0.0
     discomfort = 0.0
     for e, t, fs, p in zip(es, ts, slot.followers, ng_params):
         total_tp += fs.d + e - fs.rp
-        t_next = thermal_step(t, fs.t_out, e, p, mode)
+        t_next = thermal_step(t, fs.t_out, e, p)
         discomfort += p.gamma * (t_next - fs.t_opt) ** 2
     residual = total_tp - slot.g_t + y
     return (battery_cost(y, pme_params.c_b)
@@ -130,27 +123,24 @@ def social_welfare_cost(es: Sequence[float], y: float, ts: Sequence[float],
 def _welfare_objective(es: Sequence[float], y: float, state: SlotState,
                        slot: SlotData, ng_params: Sequence[NanogridParams],
                        ng_controls: Sequence[NanogridControl],
-                       pme_params: PmeParams, pme_control: PmeControl,
-                       mode: Mode) -> float:
+                       pme_params: PmeParams, pme_control: PmeControl) -> float:
     """Cooperative drift-plus-penalty: social cost plus per-agent-weighted drifts."""
     drift = state.b * y / pme_control.v_p
     for e, h, p, c in zip(es, state.h, ng_params, ng_controls):
-        gain = p.eta * e if mode == "heating" else -p.eta * e
-        drift += p.epsilon * (1.0 - p.epsilon) * h * gain / c.v_i
-    return drift + social_welfare_cost(es, y, state.t, slot, ng_params,
-                                       pme_params, mode)
+        drift += p.epsilon * (1.0 - p.epsilon) * h * (p.eta * e) / c.v_i
+    return drift + social_welfare_cost(es, y, state.t, slot, ng_params, pme_params)
 
 
 def _solve_welfare_slot(state: SlotState, slot: SlotData,
                         ng_params: Sequence[NanogridParams],
                         ng_controls: Sequence[NanogridControl],
-                        pme_params: PmeParams, pme_control: PmeControl,
-                        mode: Mode, tol: float = 1e-8,
-                        max_passes: int = 300) -> tuple[list[float], float]:
+                        pme_params: PmeParams,
+                        pme_control: PmeControl) -> tuple[list[float], float]:
     """Joint minimizer of the cooperative drift-plus-penalty for one slot.
 
     Block-coordinate descent with exact piecewise-quadratic sub-solvers from
-    several deterministic starts, followed by pairwise exchange moves that
+    several deterministic starts (at most 300 passes each, stopping once no
+    coordinate moves by 1e-8), followed by pairwise exchange moves that
     fix the stall mode of coordinate descent on the shared settlement kink
     (trades along the balanced-residual manifold keep the kink term frozen).
     """
@@ -158,7 +148,6 @@ def _solve_welfare_slot(state: SlotState, slot: SlotData,
     boxes = [feasible_box(fs, p) for fs, p in zip(slot.followers, ng_params)]
     m_s, m_b, g_t = slot.m_s, slot.m_b, slot.g_t
     c_b = pme_params.c_b
-    sign = 1.0 if mode == "heating" else -1.0
     b_scaled = state.b / pme_control.v_p
 
     # Per-coordinate quadratic pieces: J_i(e) = quad*e^2 + lin*e + settlement.
@@ -171,7 +160,7 @@ def _solve_welfare_slot(state: SlotState, slot: SlotData,
         lins.append((p.epsilon * one * h / c.v_i
                      + 2.0 * p.gamma * one
                      * (one * fs.t_out + p.epsilon * t - fs.t_opt))
-                    * p.eta * sign)
+                    * p.eta)
 
     def coordinate_min(i: int, es: list[float], y: float) -> float:
         lo, hi = boxes[i]
@@ -202,7 +191,7 @@ def _solve_welfare_slot(state: SlotState, slot: SlotData,
         return best
 
     def descend(es: list[float], y: float) -> tuple[list[float], float]:
-        for _ in range(max_passes):
+        for _ in range(300):
             moved = 0.0
             for i in range(n):
                 new_e = coordinate_min(i, es, y)
@@ -213,7 +202,7 @@ def _solve_welfare_slot(state: SlotState, slot: SlotData,
                                    -pme_params.u_dmax, pme_params.u_cmax)
             moved = max(moved, abs(new_y - y))
             y = new_y
-            if moved < tol:
+            if moved < 1e-8:
                 break
         return es, y
 
@@ -250,7 +239,7 @@ def _solve_welfare_slot(state: SlotState, slot: SlotData,
 
     starts: list[tuple[list[float], float]] = [
         ([clamp(0.0, *boxes[i]) for i in range(n)], 0.0),
-        ([_tracking_draw(state.t[i], slot.followers[i], ng_params[i], mode)
+        ([_tracking_draw(state.t[i], slot.followers[i], ng_params[i])
           for i in range(n)], 0.0),
         ([boxes[i][1] for i in range(n)], 0.0),
     ]
@@ -262,7 +251,7 @@ def _solve_welfare_slot(state: SlotState, slot: SlotData,
         es, y = exchange(es, y)
         es, y = descend(es, y)
         val = _welfare_objective(es, y, state, slot, ng_params, ng_controls,
-                                 pme_params, pme_control, mode)
+                                 pme_params, pme_control)
         if val < best_val:
             best_val = val
             best = (es, y)
@@ -278,9 +267,7 @@ def run_case(case: CaseId, scenario: Scenario,
              ng_params: Sequence[NanogridParams],
              ng_controls: Sequence[NanogridControl],
              pme_params: PmeParams, pme_control: PmeControl,
-             config: GameConfig = GameConfig(),
-             t0: Sequence[float] | None = None, e0: float | None = None,
-             mode: Mode = "heating") -> RunReport:
+             config: GameConfig = GameConfig()) -> RunReport:
     """Run one comparison case over the scenario and report its economics.
 
     Only the proposed case carries the runtime bound certificates, so the
@@ -289,13 +276,13 @@ def run_case(case: CaseId, scenario: Scenario,
 
     if case is CaseId.PROPOSED:
         return run(scenario, ng_params, ng_controls, pme_params, pme_control,
-                   config, t0=t0, e0=e0, mode=mode, strict_bounds=True)
+                   config, strict_bounds=True)
 
     if case is CaseId.FIXED_POINT_FORECAST_PRICE:
         def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
             followers = []
             for i, (p, fs) in enumerate(zip(ng_params, slot.followers)):
-                e = _tracking_draw(state.t[i], fs, p, mode)
+                e = _tracking_draw(state.t[i], fs, p)
                 followers.append(FollowerAction(e=e, tp=fs.d + e - fs.rp))
             leader = LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=0.0)
             return SlotSolution(leader=leader, followers=tuple(followers),
@@ -303,7 +290,7 @@ def run_case(case: CaseId, scenario: Scenario,
 
     elif case is CaseId.FIXED_POINT_REAL_TIME_PRICE:
         def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
-            es = [_tracking_draw(state.t[i], fs, p, mode)
+            es = [_tracking_draw(state.t[i], fs, p)
                   for i, (p, fs) in enumerate(zip(ng_params, slot.followers))]
             responder = FixedResponder(es)
             return _solve_with_responder(responder, state.b, slot,
@@ -312,7 +299,7 @@ def run_case(case: CaseId, scenario: Scenario,
     elif case is CaseId.MYOPIC_GAME:
         def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
             boxes = [
-                _comfort_box(state.t[i], fs, p, mode)
+                _comfort_box(state.t[i], fs, p)
                 for i, (p, fs) in enumerate(zip(ng_params, slot.followers))
             ]
             responder = QueueResponder(state, slot, ng_params, ng_controls,
@@ -325,7 +312,7 @@ def run_case(case: CaseId, scenario: Scenario,
     elif case is CaseId.SOCIAL_WELFARE:
         def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
             es, y = _solve_welfare_slot(state, slot, ng_params, ng_controls,
-                                        pme_params, pme_control, mode)
+                                        pme_params, pme_control)
             followers = tuple(
                 FollowerAction(e=e, tp=fs.d + e - fs.rp)
                 for e, fs in zip(es, slot.followers)
@@ -340,5 +327,4 @@ def run_case(case: CaseId, scenario: Scenario,
         raise ValueError(f"unknown case {case}")
 
     return run(scenario, ng_params, ng_controls, pme_params, pme_control,
-               config, t0=t0, e0=e0, mode=mode, strict_bounds=False,
-               slot_solver=solver)
+               config, strict_bounds=False, slot_solver=solver)

@@ -69,7 +69,6 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="synthetic generator seed")
     p.add_argument("--slots", type=int, help="synthetic horizon length")
     p.add_argument("--followers", type=int, help="synthetic nanogrid count")
-    p.add_argument("--mode", choices=("heating", "cooling"), default="heating")
     # Building parameter overrides (applied to every nanogrid).
     p.add_argument("--epsilon", type=float, help="thermal inertia for all nanogrids")
     p.add_argument("--eta", type=float)
@@ -96,15 +95,25 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-polish", dest="no_polish", action="store_true")
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
+_ON_OFF = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _read_config_file(args: argparse.Namespace,
+                      parser: argparse.ArgumentParser) -> dict[str, object]:
+    """The ``--config`` file's ``key = value`` lines as the command's defaults.
+
+    Keys are the command's long flags (``-`` or ``_``).  Values stay text, so
+    argparse converts each with its flag's own type when it parses the
+    command line again, and a bad one exits 2 naming the flag.  An on/off
+    flag takes true/false, yes/no or 1/0.
+    """
     try:
         with open(args.config) as fh:
             lines = fh.readlines()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    overrides: dict[str, str] = {}
+    keys = vars(args).keys() - {"command", "func", "config"}
+    defaults: dict[str, object] = {}
     for no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,21 +121,17 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         if "=" not in line:
             parser.error(f"{args.config}:{no}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        overrides[key.replace("-", "_")] = value
-    bool_keys = {"no_polish", "traces"}
-    for key, value in overrides.items():
-        if not hasattr(args, key):
+        key = key.replace("-", "_")
+        if key not in keys:
             parser.error(f"{args.config}: unknown key {key!r}")
-        if getattr(args, key) not in (None, False):
-            continue  # explicit flag wins
-        if key in bool_keys:
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif key in ("seed", "slots", "followers", "max_iters"):
-            setattr(args, key, int(value))
-        elif key in ("scenario", "mode", "cases", "param", "values", "out"):
-            setattr(args, key, value)
+        if isinstance(getattr(args, key), bool):
+            if value.lower() not in _ON_OFF:
+                parser.error(f"{args.config}:{no}: {key} takes true or false, "
+                             f"got {value!r}")
+            defaults[key] = _ON_OFF[value.lower()]
         else:
-            setattr(args, key, float(value))
+            defaults[key] = value
+    return defaults
 
 
 def _build_spec(args: argparse.Namespace) -> SyntheticSpec:
@@ -166,17 +171,9 @@ def _build_pme_params(args: argparse.Namespace) -> PmeParams:
 
 
 def _build_game_config(args: argparse.Namespace) -> GameConfig:
-    cfg = GameConfig()
-    updates = {}
-    if args.rho is not None:
-        updates["rho"] = args.rho
-    if args.max_iters is not None:
-        updates["max_iters"] = args.max_iters
-    if args.min_gap is not None:
-        updates["min_gap"] = args.min_gap
-    if args.no_polish:
-        updates["polish"] = False
-    return replace(cfg, **updates) if updates else cfg
+    knobs = {k: getattr(args, k) for k in ("rho", "max_iters", "min_gap")
+             if getattr(args, k) is not None}
+    return GameConfig(**knobs, polish=not args.no_polish)
 
 
 class Setup:
@@ -210,12 +207,11 @@ class Setup:
             v_i=v_i, gamma_shift=shift, v_p=args.v_p, theta=args.theta,
         )
         self.config = _build_game_config(args)
-        self.mode = args.mode
 
     def simulate(self, keep_traces: bool = False) -> RunReport:
         return run(self.scenario, self.ng_params, self.bundle.ng_controls,
                    self.pme_params, self.bundle.pme_control, self.config,
-                   mode=self.mode, keep_traces=keep_traces)
+                   keep_traces=keep_traces)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +389,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for case in cases:
         report = run_case(case, setup.scenario, setup.ng_params,
                           setup.bundle.ng_controls, setup.pme_params,
-                          setup.bundle.pme_control, setup.config,
-                          mode=setup.mode)
+                          setup.bundle.pme_control, setup.config)
         # The cooperative case has no prices, so its internal transfer
         # columns stay blank in the table.
         blank = case is CaseId.SOCIAL_WELFARE
@@ -509,7 +504,8 @@ def _cmd_gen_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict[str, object] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` replaces the commands' flag defaults."""
     parser = argparse.ArgumentParser(
         prog="nanodr",
         description="Bilevel online energy management simulator "
@@ -551,13 +547,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_gen)
     p_gen.add_argument("--out", default="scenario.csv", help="output CSV path")
     p_gen.set_defaults(func=_cmd_gen_scenario)
+    if defaults:
+        for p in (p_run, p_cmp, p_swp, p_chk, p_gen):
+            p.set_defaults(**defaults)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(args, parser)
+    if args.config:
+        # Parse again with the file's values as defaults: explicit flags
+        # still win, and argparse converts and checks each file value.
+        args = build_parser(_read_config_file(args, parser)).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigurationError, ScenarioError) as exc:

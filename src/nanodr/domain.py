@@ -7,9 +7,13 @@ operates a battery, and settles any residual imbalance with the main grid
 at prices ``m_s`` / ``m_b``.  All energy quantities are kWh per one-hour
 slot, temperatures are in degrees Fahrenheit and money is in cents.
 
-Indoor temperature follows a first-order inertial model (heating mode):
+The model is heating-only: HVAC input raises the indoor temperature, which
+follows a first-order inertial model,
 
     T' = eps * T + (1 - eps) * (T_out + eta * e)
+
+and every rule built on it (the follower decision rule, the comfort
+assumptions and the tuning certificates) assumes that sign.
 
 Battery energy follows E' = E + y with y the signed charge for the slot.
 
@@ -23,9 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
-
-Mode = Literal["heating", "cooling"]
+from typing import Sequence
 
 
 class ConfigurationError(ValueError):
@@ -193,8 +195,9 @@ class Scenario:
 
     Per-slot, per-nanogrid series are indexed ``series[k][i]``.  ``t_opt[k]``
     is the comfort target against which the temperature reached at the end of
-    slot ``k`` is scored.  Construction validates shape and the price band;
-    no other code path builds an unvalidated Scenario.
+    slot ``k`` is scored.  Construction validates shape, finiteness, the
+    price band and the sign of ``rp`` and ``d``; no other code path builds
+    an unvalidated Scenario.
     """
 
     n: int
@@ -230,6 +233,15 @@ class Scenario:
                     f"series {name!r} has {len(series)} slots, expected {self.slots}"
                 )
         for k in range(self.slots):
+            for name in ("m_s", "m_b", "g_t"):
+                x = getattr(self, name)[k]
+                if not math.isfinite(x):
+                    raise ScenarioError(f"series {name!r} is not finite at slot {k}: {x}")
+            for name in ("rp", "d", "t_out", "t_opt"):
+                for i, x in enumerate(getattr(self, name)[k]):
+                    if not math.isfinite(x):
+                        raise ScenarioError(f"series {name!r} is not finite at "
+                                            f"slot {k}, nanogrid {i}: {x}")
             if self.m_b[k] > self.m_s[k]:
                 raise ScenarioError(
                     f"main-grid price band is empty at slot {k}: "
@@ -266,9 +278,6 @@ class Scenario:
 
     def t_out_max(self, i: int) -> float:
         return max(self.t_out[k][i] for k in range(self.slots))
-
-    def t_opt_series(self, i: int) -> tuple[float, ...]:
-        return tuple(self.t_opt[k][i] for k in range(self.slots))
 
     def m_s_max(self) -> float:
         return max(self.m_s)
@@ -327,17 +336,11 @@ def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> N
 # ---------------------------------------------------------------------------
 
 
-def thermal_step(t: float, t_out: float, e: float, params: NanogridParams,
-                 mode: Mode = "heating") -> float:
-    """One slot of the first-order indoor temperature model.
-
-    Heating adds eta*e to the effective outdoor temperature; cooling
-    subtracts it.
-    """
+def thermal_step(t: float, t_out: float, e: float, params: NanogridParams) -> float:
+    """One slot of the first-order indoor temperature model: the HVAC draw
+    adds eta*e to the effective outdoor temperature."""
     eps = params.epsilon
-    if mode == "heating":
-        return eps * t + (1.0 - eps) * (t_out + params.eta * e)
-    return eps * t + (1.0 - eps) * (t_out - params.eta * e)
+    return eps * t + (1.0 - eps) * (t_out + params.eta * e)
 
 
 def bilinear_trade_cost(tp: float, p_s: float, p_b: float) -> float:
@@ -367,6 +370,21 @@ def grid_settlement(residual: float, m_s: float, m_b: float) -> float:
     return m_b * residual
 
 
+def _trade_sums(p_s: float, p_b: float,
+                tps: Sequence[float]) -> tuple[float, float]:
+    """Trading revenue and total interchange, summed in follower order.
+
+    The aggregator's profit, its surrogate and the solver's memo all take
+    their trade terms from here, so they agree to the last bit.
+    """
+    revenue = 0.0
+    total = 0.0
+    for tp in tps:
+        revenue += p_s * tp if tp >= 0.0 else p_b * tp
+        total += tp
+    return revenue, total
+
+
 def pme_profit(action: LeaderAction, tps: Sequence[float], g_t: float,
                m_s: float, m_b: float, c_b: float) -> float:
     """Aggregator net profit for one slot.
@@ -374,22 +392,10 @@ def pme_profit(action: LeaderAction, tps: Sequence[float], g_t: float,
     Revenue from trading with the nanogrids, minus battery-use cost, minus
     the cost of settling the net residual sum(tp) - g_t + y with the main grid.
     """
-    revenue = 0.0
-    total_tp = 0.0
-    for tp in tps:
-        revenue += bilinear_trade_cost(tp, action.p_s, action.p_b)
-        total_tp += tp
+    revenue, total_tp = _trade_sums(action.p_s, action.p_b, tps)
     residual = total_tp - g_t + action.y
     return revenue - battery_cost(action.y, c_b) - grid_settlement(residual, m_s, m_b)
 
 
 def clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
-
-
-def midpoint(lo: float, hi: float) -> float:
-    return 0.5 * (lo + hi)
-
-
-def is_finite(x: float) -> bool:
-    return math.isfinite(x)

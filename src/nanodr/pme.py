@@ -21,6 +21,7 @@ from .domain import (
     LeaderAction,
     PmeControl,
     PmeParams,
+    _trade_sums,
     clamp,
 )
 
@@ -68,17 +69,6 @@ def _validate_action(action: LeaderAction, m_s: float, m_b: float,
             f"charge y={action.y} outside [-u_dmax, u_cmax] = "
             f"[{-params.u_dmax}, {params.u_cmax}]"
         )
-
-
-def _trade_sums(p_s: float, p_b: float,
-                tps: Sequence[float]) -> tuple[float, float]:
-    """Trading revenue and total interchange, summed in follower order."""
-    revenue = 0.0
-    total = 0.0
-    for tp in tps:
-        revenue += p_s * tp if tp >= 0.0 else p_b * tp
-        total += tp
-    return revenue, total
 
 
 def _close_pro_prime(revenue: float, total: float, y: float, b: float,
@@ -192,22 +182,21 @@ def compute_leader_bounds(params: PmeParams, v_p: float | None,
     return LeaderBounds(theta_min, theta_max, v_p_max, c_min, c_max, drift_bound)
 
 
-def validate_control(control: PmeControl, bounds: LeaderBounds,
-                     label: str = "aggregator") -> None:
+def validate_control(control: PmeControl, bounds: LeaderBounds) -> None:
     """Reject controls outside the certified windows, naming the bound."""
     tol = 1e-9
     if control.v_p > bounds.v_p_max * (1.0 + 1e-12) + tol:
         raise ConfigurationError(
-            f"{label}: v_p={control.v_p} exceeds the maximum stabilizing "
+            f"aggregator: v_p={control.v_p} exceeds the maximum stabilizing "
             f"weight v_p_max={bounds.v_p_max}"
         )
     if control.theta < bounds.theta_min - tol:
         raise ConfigurationError(
-            f"{label}: theta={control.theta} below the certified shift floor "
+            f"aggregator: theta={control.theta} below the certified shift floor "
             f"{bounds.theta_min}"
         )
     if control.theta > bounds.theta_max + tol:
         raise ConfigurationError(
-            f"{label}: theta={control.theta} above the certified shift "
+            f"aggregator: theta={control.theta} above the certified shift "
             f"ceiling {bounds.theta_max}"
         )

@@ -28,19 +28,6 @@ class PolicyBundle:
     leader_bounds: LeaderBounds
 
 
-def follower_bounds_for(scenario: Scenario, params: NanogridParams, i: int,
-                        v_i: float | None = None) -> FollowerBounds:
-    """Bound calculator wired to one nanogrid's scenario envelope."""
-    return compute_follower_bounds(
-        params, v_i,
-        t_out_min=scenario.t_out_min(i),
-        t_out_max=scenario.t_out_max(i),
-        t_opt=scenario.t_opt_series(i),
-        p_s_max=scenario.m_s_max(),
-        p_b_min=scenario.m_b_min(),
-    )
-
-
 def default_policy(scenario: Scenario, ng_params: Sequence[NanogridParams],
                    pme_params: PmeParams,
                    v_i: Sequence[float] | None = None,
@@ -57,7 +44,14 @@ def default_policy(scenario: Scenario, ng_params: Sequence[NanogridParams],
     fbounds: list[FollowerBounds] = []
     for i, params in enumerate(ng_params):
         want_v = None if v_i is None else v_i[i]
-        bounds = follower_bounds_for(scenario, params, i, want_v)
+        bounds = compute_follower_bounds(
+            params, want_v,
+            t_out_min=scenario.t_out_min(i),
+            t_out_max=scenario.t_out_max(i),
+            t_opt=tuple(row[i] for row in scenario.t_opt),
+            p_s_max=scenario.m_s_max(),
+            p_b_min=scenario.m_b_min(),
+        )
         use_v = bounds.v_max if want_v is None else want_v
         use_shift = bounds.gamma_min if gamma_shift is None else gamma_shift[i]
         control = NanogridControl(v_i=use_v, gamma_shift=use_shift)

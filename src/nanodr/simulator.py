@@ -22,7 +22,6 @@ from .domain import (
     FollowerAction,
     InvariantViolation,
     LeaderAction,
-    Mode,
     NanogridControl,
     NanogridParams,
     PmeControl,
@@ -32,7 +31,6 @@ from .domain import (
     SlotState,
     bilinear_trade_cost,
     check_assumptions,
-    midpoint,
     pme_profit,
     thermal_step,
 )
@@ -98,8 +96,7 @@ def update_queues(state: SlotState, followers: Sequence[FollowerAction],
                   leader: LeaderAction, slot: SlotData,
                   ng_params: Sequence[NanogridParams],
                   ng_controls: Sequence[NanogridControl],
-                  pme_control: PmeControl,
-                  mode: Mode = "heating") -> SlotState:
+                  pme_control: PmeControl) -> SlotState:
     """Advance physical states and queues by one slot.
 
     Temperatures move by the inertial model, the battery by its balance
@@ -110,10 +107,9 @@ def update_queues(state: SlotState, followers: Sequence[FollowerAction],
     h_next: list[float] = []
     for i, (f, p, c) in enumerate(zip(followers, ng_params, ng_controls)):
         fs = slot.followers[i]
-        t_new = thermal_step(state.t[i], fs.t_out, f.e, p, mode)
-        heat = p.eta * f.e if mode == "heating" else -p.eta * f.e
+        t_new = thermal_step(state.t[i], fs.t_out, f.e, p)
         h_recursive = (p.epsilon * state.h[i]
-                       + (1.0 - p.epsilon) * (c.gamma_shift + fs.t_out + heat))
+                       + (1.0 - p.epsilon) * (c.gamma_shift + fs.t_out + p.eta * f.e))
         h_shifted = t_new + c.gamma_shift
         if abs(h_recursive - h_shifted) > _IDENTITY_TOL:
             raise InvariantViolation(
@@ -141,12 +137,12 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
         ng_controls: Sequence[NanogridControl], pme_params: PmeParams,
         pme_control: PmeControl, config: GameConfig = GameConfig(),
         t0: Sequence[float] | None = None, e0: float | None = None,
-        mode: Mode = "heating", strict_bounds: bool = True,
-        keep_traces: bool = False, slot_solver: SlotSolver | None = None,
-        validate_assumptions: bool = True) -> RunReport:
+        strict_bounds: bool = True, keep_traces: bool = False,
+        slot_solver: SlotSolver | None = None) -> RunReport:
     """Simulate the whole horizon and aggregate the economics.
 
-    Initial temperatures default to each comfort band's midpoint and the
+    The comfort-guarantee assumptions are checked first.  Initial
+    temperatures default to each comfort band's midpoint and the
     battery to the middle of its window.  With ``strict_bounds`` a comfort or
     battery bound breach raises InvariantViolation naming the slot (it should
     be unreachable under certified controls); otherwise breaches are only
@@ -159,12 +155,11 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
             f"need {n} parameter and control sets, got "
             f"{len(ng_params)} and {len(ng_controls)}"
         )
-    if validate_assumptions:
-        check_assumptions(scenario, ng_params)
+    check_assumptions(scenario, ng_params)
     if t0 is None:
-        t0 = [midpoint(p.t_min, p.t_max) for p in ng_params]
+        t0 = [0.5 * (p.t_min + p.t_max) for p in ng_params]
     if e0 is None:
-        e0 = midpoint(pme_params.e_min, pme_params.e_max_cap)
+        e0 = 0.5 * (pme_params.e_min + pme_params.e_max_cap)
     if len(t0) != n:
         raise ConfigurationError(f"need {n} initial temperatures, got {len(t0)}")
     for i, (temp, p) in enumerate(zip(t0, ng_params)):
@@ -208,7 +203,7 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
         leader, followers = sol.leader, sol.followers
 
         next_state = update_queues(state, followers, leader, slot, ng_params,
-                                   ng_controls, pme_control, mode)
+                                   ng_controls, pme_control)
         trade_costs = tuple(
             bilinear_trade_cost(f.tp, leader.p_s, leader.p_b) for f in followers
         )

@@ -33,49 +33,46 @@ from .domain import (
     PmeParams,
     SlotData,
     SlotState,
+    _trade_sums,
     clamp,
 )
 from .nanogrid import follower_rule, respond
-from .pme import SubgradientSet, _close_pro_prime, _trade_sums, subgradients
+from .pme import SubgradientSet, _close_pro_prime, subgradients
+
+
+# Step sizes at iteration m are scale / (STEP_C0 + STEP_C1*m): strictly
+# decreasing, divergent sum, convergent sum of squares.  The scales are small
+# fixed fractions of the coordinate ranges (about 1e-4 of a typical price
+# band per unit subgradient, 1e-3 of the charge window), chosen so the stop
+# rule fires well inside the iteration cap on the supported workloads.
+STEP_C0, STEP_C1 = 1.0, 0.5
+STEP_SCALE_S = STEP_SCALE_B = 1e-3  # cent/kWh moved per unit subgradient at m=0
+STEP_SCALE_Y = 2e-3                 # kWh moved per unit subgradient at m=0
+# The polish stops after POLISH_PASSES sweeps, or after a sweep that moves
+# no coordinate by POLISH_TOL.
+POLISH_PASSES, POLISH_TOL = 25, 1e-11
 
 
 @dataclass(frozen=True, slots=True)
 class GameConfig:
     """Solver knobs for the per-slot equilibrium iteration.
 
-    Step sizes follow scale/(c0 + c1*m): strictly decreasing, divergent sum,
-    convergent sum of squares.  The scales are small fixed fractions of the
-    coordinate ranges (about 1e-4 of a typical price band per unit
-    subgradient, 1e-3 of the charge window) chosen so the successive-distance
-    stop rule fires well inside the iteration cap on the supported workloads.
+    These are the knobs the CLI sets.  The step schedule and the polish's
+    sweep cap and tolerance are module constants (``STEP_*``, ``POLISH_*``)
+    because no caller tunes them.  The loop starts from the band-midpoint
+    prices and y = 0.
     """
 
     rho: float = 1e-3          # per-coordinate convergence distance
     max_iters: int = 500       # iteration cap (flagged as non-converged beyond)
-    step_s0: float = 1.0
-    step_s1: float = 0.5
-    step_b0: float = 1.0
-    step_b1: float = 0.5
-    step_y0: float = 1.0
-    step_y1: float = 0.5
-    step_scale_s: float = 1e-3  # cent/kWh moved per unit subgradient at m=0
-    step_scale_b: float = 1e-3
-    step_scale_y: float = 2e-3  # kWh moved per unit subgradient at m=0
     min_gap: float = 0.01      # enforced p_s - p_b separation (cent/kWh)
-    initial: LeaderAction | None = None  # default: band midpoint prices, y = 0
     polish: bool = True
-    polish_passes: int = 25
-    polish_tol: float = 1e-11
 
     def __post_init__(self) -> None:
         if self.rho <= 0.0:
             raise ConfigurationError(f"rho must be positive, got {self.rho}")
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name in ("step_s0", "step_s1", "step_b0", "step_b1", "step_y0",
-                     "step_y1", "step_scale_s", "step_scale_b", "step_scale_y"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"step constant {name} must be positive")
         if self.min_gap <= 0.0:
             raise ConfigurationError(f"min_gap must be positive, got {self.min_gap}")
 
@@ -212,17 +209,11 @@ def _argmin_charge(tps: Sequence[float], b: float, g_t: float, m_s: float,
         candidates.append(clamp(-(b + v_p * m_s) / (v_p * c_b), y_lo, y_hi))
         candidates.append(clamp(-(b + v_p * m_b) / (v_p * c_b), y_lo, y_hi))
 
-    def value(y: float) -> float:
-        # Trading revenue is constant in y, so only pressure, settlement and
-        # battery-use terms matter here.
-        residual = total - g_t + y
-        settle = m_s * residual if residual >= 0.0 else m_b * residual
-        return b * y + v_p * (settle + 0.5 * c_b * y * y)
-
     best_y = y_lo
     best_val = math.inf
     for y in sorted(candidates):
-        val = value(y)
+        # Trading revenue is constant in y, so it is left out (zero).
+        val = _close_pro_prime(0.0, total, y, b, g_t, m_s, m_b, v_p, c_b)
         if val < best_val:
             best_val = val
             best_y = y
@@ -313,7 +304,7 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
         return (_close_pro_prime(revenue, total, y, b, g_t, m_s, m_b, v_p, c_b),
                 exact - g_t + y)
 
-    for _ in range(config.polish_passes):
+    for _ in range(POLISH_PASSES):
         sweeps += 1
         prev = (p_s, p_b, y)
 
@@ -334,9 +325,9 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
         y = _argmin_charge(trade(p_s, p_b)[1], b, g_t, m_s, m_b, v_p, c_b,
                            y_box[0], y_box[1])
 
-        if (abs(p_s - prev[0]) < config.polish_tol
-                and abs(p_b - prev[1]) < config.polish_tol
-                and abs(y - prev[2]) < config.polish_tol):
+        if (abs(p_s - prev[0]) < POLISH_TOL
+                and abs(p_b - prev[1]) < POLISH_TOL
+                and abs(y - prev[2]) < POLISH_TOL):
             break
     return LeaderAction(p_s=p_s, p_b=p_b, y=y), sweeps, trade(p_s, p_b)[0]
 
@@ -352,21 +343,12 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
                           y_box: tuple[float, float] | None = None) -> SlotSolution:
     m_s, m_b, g_t = slot.m_s, slot.m_b, slot.g_t
     v_p = pme_control.v_p
-    scale_s = config.step_scale_s
-    scale_b = config.step_scale_b
-    scale_y = config.step_scale_y
     if y_box is None:
         y_box = (-pme_params.u_dmax, pme_params.u_cmax)
 
-    if config.initial is not None:
-        chi = _project(config.initial.p_s, config.initial.p_b,
-                       config.initial.y, m_s, m_b, y_box[0], y_box[1],
-                       config.min_gap)
-    else:
-        mid = 0.5 * (m_s + m_b)
-        chi = _project(mid + 0.5 * config.min_gap,
-                       mid - 0.5 * config.min_gap,
-                       0.0, m_s, m_b, y_box[0], y_box[1], config.min_gap)
+    mid = 0.5 * (m_s + m_b)
+    chi = _project(mid + 0.5 * config.min_gap, mid - 0.5 * config.min_gap,
+                   0.0, m_s, m_b, y_box[0], y_box[1], config.min_gap)
 
     records: list[IterationRecord] = []
     converged = False
@@ -377,9 +359,9 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
         tps = [fs.d + e - fs.rp for e, fs in zip(es, slot.followers)]
         grad = subgradients(chi, tps, b, g_t, m_s, m_b, pme_control,
                             pme_params, slopes)
-        steps = (scale_s / (config.step_s0 + config.step_s1 * m),
-                 scale_b / (config.step_b0 + config.step_b1 * m),
-                 scale_y / (config.step_y0 + config.step_y1 * m))
+        denom = STEP_C0 + STEP_C1 * m
+        steps = (STEP_SCALE_S / denom, STEP_SCALE_B / denom,
+                 STEP_SCALE_Y / denom)
         nxt = _project(chi.p_s - steps[0] * grad.g_ps,
                        chi.p_b - steps[1] * grad.g_pb,
                        chi.y - steps[2] * grad.g_y,

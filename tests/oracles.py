@@ -74,10 +74,13 @@ def brute_force_charge(b, m_price, v_p, c_b, u_dmax, u_cmax, points=100_000):
 
 
 def leader_surrogate(p_s, p_b, y, tps, b, g_t, m_s, m_b, v_p, c_b):
-    """Re-statement of the leader's per-slot surrogate from its definition."""
+    """Re-statement of the leader's per-slot surrogate from its definition.
+
+    ``y`` may be an array: a grid of charges is evaluated in one call.
+    """
     revenue = sum(p_s * max(tp, 0.0) + p_b * min(tp, 0.0) for tp in tps)
     residual = sum(tps) - g_t + y
-    settle = m_s * max(residual, 0.0) + m_b * min(residual, 0.0)
+    settle = m_s * np.maximum(residual, 0.0) + m_b * np.minimum(residual, 0.0)
     return b * y - v_p * revenue + v_p * (settle + 0.5 * c_b * y * y)
 
 

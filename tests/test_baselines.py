@@ -118,11 +118,11 @@ def test_welfare_solution_beats_equilibrium_pointwise():
         sol = solve_slot(state, slot, params, controls, PME, pmec, cfg)
         es4 = [f.e for f in sol.followers]
         es5, y5 = _solve_welfare_slot(state, slot, params, controls, PME,
-                                      pmec, "heating")
+                                      pmec)
         j4 = _welfare_objective(es4, sol.leader.y, state, slot, params,
-                                controls, PME, pmec, "heating")
+                                controls, PME, pmec)
         j5 = _welfare_objective(es5, y5, state, slot, params, controls, PME,
-                                pmec, "heating")
+                                pmec)
         assert j5 <= j4 + 1e-9
 
 

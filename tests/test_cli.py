@@ -226,6 +226,65 @@ def test_config_file_supplies_defaults(tmp_path):
     assert json.loads((out2 / "summary.json").read_text())["slots"] == 4
 
 
+def test_config_file_supplies_string_flags(tmp_path):
+    out = tmp_path / "from_file"
+    cfg = tmp_path / "cmp.cfg"
+    cfg.write_text(f"out = {out}\ncases = 1,2\nslots = 6\nfollowers = 1\n")
+    assert main(["compare", "--config", str(cfg)]) == 0
+    with open(out / "comparison.csv") as fh:
+        assert [r["case"] for r in csv.DictReader(fh)] == ["1", "2"]
+    # An explicit --out beats the file's.
+    explicit = tmp_path / "explicit"
+    assert main(["compare", "--config", str(cfg), "--out", str(explicit)]) == 0
+    assert (explicit / "comparison.csv").exists()
+    assert sorted(os.listdir(out)) == ["comparison.csv"]
+
+
+def test_config_file_flag_and_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text("check_bounds = true\nslots = 6\n")
+    out = tmp_path / "nothing"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "shift_floor" in capsys.readouterr().out
+    assert not out.exists()
+    # A value the flag's own type rejects is a usage error (exit 2).
+    for text, named in (("gamma = abc\n", "--gamma"),
+                        ("traces = maybe\n", "traces")):
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cooling_mode_is_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--mode", "cooling", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cool.cfg"
+    cfg.write_text("mode = cooling\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unknown key 'mode'" in capsys.readouterr().err
+
+
+def test_non_finite_scenario_value_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "scen.csv"
+    assert main(["gen-scenario", "--slots", "6", "--followers", "2", "--out",
+                 str(path)]) == 0
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[4].split(",")
+    row[header.index("g_t")] = "inf"
+    lines[4] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "'g_t' is not finite at slot 3" in capsys.readouterr().err
+
+
 def test_conflicting_scenario_sources_rejected(tmp_path, capsys):
     path = tmp_path / "scen.csv"
     assert main(["gen-scenario", "--slots", "4", "--followers", "1", "--out",

@@ -40,12 +40,6 @@ def test_thermal_step_heating_arithmetic():
     assert thermal_step(70.0, 30.0, 5.0, PARAMS) == pytest.approx(71.75, abs=1e-12)
 
 
-def test_thermal_step_cooling_flips_sign():
-    # 0.95*70 + 0.05*(30 - 75) = 64.25
-    assert thermal_step(70.0, 30.0, 5.0, PARAMS, mode="cooling") == pytest.approx(
-        64.25, abs=1e-12)
-
-
 @given(st.floats(0.0, 5.0), st.floats(1e-6, 4.99))
 def test_thermal_step_increasing_in_draw(e_hi, gap):
     e_lo = e_hi - gap
@@ -182,6 +176,27 @@ def test_scenario_rejects_empty_price_band():
 def test_scenario_rejects_negative_series():
     with pytest.raises(ScenarioError, match="rp negative"):
         _tiny_scenario(rp=-0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_scenario_rejects_non_finite_values(bad):
+    def scenario(**bad_series):
+        series = dict(rp=[[1.0, 1.0]] * 3, d=[[1.0, 1.0]] * 3,
+                      t_out=[[30.0, 30.0]] * 3, t_opt=[[70.0, 70.0]] * 3,
+                      m_s=[10.0] * 3, m_b=[3.0] * 3, g_t=[0.0] * 3)
+        series.update(bad_series)
+        return Scenario.from_series(n=2, slots=3, **series)
+
+    with pytest.raises(ScenarioError, match=r"'g_t' is not finite at slot 2"):
+        scenario(g_t=[0.0, 0.0, bad])
+    with pytest.raises(ScenarioError, match=r"'m_b' is not finite at slot 0"):
+        scenario(m_b=[bad, 3.0, 3.0])
+    with pytest.raises(ScenarioError,
+                       match=r"'t_out' is not finite at slot 1, nanogrid 1"):
+        scenario(t_out=[[30.0, 30.0], [30.0, bad], [30.0, 30.0]])
+    with pytest.raises(ScenarioError,
+                       match=r"'rp' is not finite at slot 0, nanogrid 0"):
+        scenario(rp=[[bad, 1.0], [1.0, 1.0], [1.0, 1.0]])
 
 
 def test_scenario_rejects_ragged_rows():

@@ -64,18 +64,6 @@ def test_update_queues_identities_hold():
     assert nxt.e_batt == state.e_batt + 0.5
 
 
-def test_cooling_mode_keeps_queue_identity():
-    scen = _scenario_const(t_out=77.0)
-    cool = NanogridParams(epsilon=0.95, eta=15.0, e_max=5.0, t_min=66.0,
-                          t_max=77.0, l_max=10.0, gamma=0.01)
-    state = _state(t=74.0)
-    nxt = update_queues(state, [FollowerAction(e=3.0, tp=3.0)],
-                        LeaderAction(p_s=10.0, p_b=5.0, y=0.0), scen.slot(0),
-                        [cool], [CONTROL], PMEC, mode="cooling")
-    assert nxt.t[0] == pytest.approx(0.95 * 74.0 + 0.05 * (77.0 - 45.0))
-    assert nxt.h[0] == nxt.t[0] + CONTROL.gamma_shift
-
-
 def test_idle_battery_keeps_queue():
     scen = _scenario_const()
     state = _state()

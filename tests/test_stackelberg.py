@@ -1,7 +1,9 @@
 """Per-slot equilibrium iteration: projection, schedule, determinism, quality."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from nanodr.domain import (
@@ -24,12 +26,18 @@ from nanodr.scenario_io import (
     synthetic_params,
 )
 from nanodr.stackelberg import (
+    STEP_C0,
+    STEP_C1,
+    STEP_SCALE_S,
     GameConfig,
     QueueResponder,
+    _argmin_charge,
     _polish,
     project_leader,
     solve_slot,
 )
+
+from oracles import leader_surrogate
 
 PME = PmeParams(e_min=2.0, e_max_cap=16.0, u_cmax=1.0, u_dmax=1.0, c_b=0.01)
 
@@ -100,18 +108,16 @@ def test_projection_accepts_band_equal_to_gap():
 
 
 def test_step_schedule_properties():
-    cfg = GameConfig()
-    steps = [cfg.step_scale_s / (cfg.step_s0 + cfg.step_s1 * m)
-             for m in range(1, 200_001)]
+    steps = [STEP_SCALE_S / (STEP_C0 + STEP_C1 * m) for m in range(1, 200_001)]
     assert all(b < a for a, b in zip(steps, steps[1:]))
     # The running sum keeps growing without bound (harmonic divergence):
     # doubling the horizon adds at least a fixed increment.
     partial_1 = sum(steps[:100_000])
     partial_2 = partial_1 + sum(steps[100_000:])
-    assert partial_2 - partial_1 > 0.9 * (cfg.step_scale_s / cfg.step_s1) * math.log(2) * 0.9
+    assert partial_2 - partial_1 > 0.9 * (STEP_SCALE_S / STEP_C1) * math.log(2) * 0.9
     # The sum of squares converges: the tail is dominated by an integral.
     tail = sum(s * s for s in steps[1000:])
-    bound = (cfg.step_scale_s / cfg.step_s1) ** 2 / 1000.0
+    bound = (STEP_SCALE_S / STEP_C1) ** 2 / 1000.0
     assert tail < bound
 
 
@@ -121,9 +127,67 @@ def test_game_config_validation():
     with pytest.raises(ConfigurationError):
         GameConfig(max_iters=0)
     with pytest.raises(ConfigurationError):
-        GameConfig(step_s1=-1.0)
-    with pytest.raises(ConfigurationError):
         GameConfig(min_gap=0.0)
+
+
+# -- exact charge step ------------------------------------------------------
+
+
+def test_argmin_charge_beats_a_fine_grid():
+    # The exact charge step of the polish and of the welfare solver, checked
+    # against the surrogate's definition on a 20,001-point grid of y plus the
+    # settlement kink, over both cost regimes and both charge boxes.
+    rng = random.Random(7)
+    landed = {"edge": 0, "kink": 0, "vertex": 0}
+    for trial in range(320):
+        tps = [rng.uniform(-4.0, 4.0) for _ in range(rng.randint(0, 6))]
+        m_b = rng.uniform(1.0, 6.0)
+        m_s = m_b + rng.uniform(0.5, 10.0)
+        p_b = rng.uniform(m_b, m_s - 0.01)
+        p_s = rng.uniform(p_b + 0.01, m_s)
+        v_p = rng.uniform(0.2, 3.0)
+        c_b = rng.uniform(0.001, 0.5) if trial % 2 else 0.0
+        # Put b near the band of marginal prices, or a branch's vertex
+        # -(b + v_p*m)/(v_p*c_b) near the box.
+        if c_b > 0.0:
+            b = (-v_p * rng.choice([m_s, m_b])
+                 - v_p * c_b * rng.uniform(-1.5, 1.5))
+        else:
+            b = -v_p * rng.uniform(m_b - 1.0, m_s + 1.0)
+        if trial % 4 < 2:
+            y_lo, y_hi = -PME.u_dmax, PME.u_cmax
+        else:
+            # As in the myopic case: the battery window narrows the box.
+            e_batt = rng.choice([rng.uniform(PME.e_min, PME.e_min + 1.0),
+                                 rng.uniform(PME.e_max_cap - 1.0, PME.e_max_cap)])
+            y_lo = max(-PME.u_dmax, PME.e_min - e_batt)
+            y_hi = min(PME.u_cmax, PME.e_max_cap - e_batt)
+        if trial % 8 < 4:
+            kink = rng.uniform(y_lo, y_hi)
+        else:
+            kink = rng.choice([y_lo - rng.uniform(0.01, 3.0),
+                               y_hi + rng.uniform(0.01, 3.0)])
+        g_t = kink + math.fsum(tps)
+
+        got = _argmin_charge(tps, b, g_t, m_s, m_b, v_p, c_b, y_lo, y_hi)
+        assert y_lo <= got <= y_hi
+        grid = np.linspace(y_lo, y_hi, 20_001)
+        kink = g_t - sum(tps)
+        if y_lo < kink < y_hi:
+            grid = np.append(grid, kink)
+        best = float(np.min(leader_surrogate(p_s, p_b, grid, tps, b, g_t,
+                                             m_s, m_b, v_p, c_b)))
+        val = float(leader_surrogate(p_s, p_b, got, tps, b, g_t, m_s, m_b,
+                                     v_p, c_b))
+        assert val <= best + 1e-9 * (1.0 + abs(best)), (trial, got, val, best)
+        if got in (y_lo, y_hi):
+            landed["edge"] += 1
+        elif abs(got - kink) < 1e-12:
+            landed["kink"] += 1
+        else:
+            landed["vertex"] += 1
+    # Every kind of minimizer was exercised.
+    assert min(landed.values()) >= 20, landed
 
 
 # -- solve_slot -------------------------------------------------------------
