@@ -5,7 +5,9 @@ Five cases share the simulator loop and differ only in the per-slot policy:
 1. Fixed-point comfort tracking, all trades valued at the main-grid prices,
    no battery play (a perfect-price-forecast upper baseline).
 2. The same inelastic comfort tracking, but the aggregator optimizes its
-   prices and battery against it in real time.
+   prices and battery against it in real time.  The draws do not answer the
+   prices, so this is a closed form: the grid band's edges and the exact
+   charge; the solver knobs other than ``min_gap`` do not apply.
 3. The myopic game: the same leader/follower iteration with both queue
    pressures zeroed.  Dropping the future coupling does not drop the hard
    constraints, which are enforceable slot by slot: each draw box is
@@ -16,7 +18,8 @@ Five cases share the simulator loop and differ only in the per-slot policy:
    jointly minimize the social cost (grid settlement + battery use +
    discomfort) plus every queue's drift, each drift weighted exactly as its
    own agent weights it (divided by that agent's trade-off weight), so the
-   cooperative run keeps the same queue discipline as the game.
+   cooperative run keeps the same queue discipline as the game.  Solved
+   exactly per slot through the one multiplier of the settlement kink.
 
 Cases 1, 2 and 5 synthesize bookkeeping prices equal to the main-grid pair;
 internal transfers cancel in the aggregate, so the aggregate cost of case 5
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .domain import (
     FollowerAction,
@@ -46,15 +49,15 @@ from .domain import (
     grid_settlement,
     thermal_step,
 )
-from .nanogrid import feasible_box
+from .nanogrid import feasible_box, follower_rule
 from .simulator import RunReport, run
 from .stackelberg import (
-    FixedResponder,
     GameConfig,
     IterationTrace,
     QueueResponder,
     SlotSolution,
     _argmin_charge,
+    _project,
     _solve_with_responder,
 )
 
@@ -77,6 +80,11 @@ def _tracking_draw(t: float, fs: FollowerSlot, params: NanogridParams) -> float:
     needed = (fs.t_opt - eps * t) / (1.0 - eps) - fs.t_out
     lo, hi = feasible_box(fs, params)
     return clamp(needed / params.eta, lo, hi)
+
+
+def _actions(es: Iterable[float], slot: SlotData) -> tuple[FollowerAction, ...]:
+    return tuple(FollowerAction(e=e, tp=fs.d + e - fs.rp)
+                 for e, fs in zip(es, slot.followers))
 
 
 def _comfort_box(t: float, fs: FollowerSlot,
@@ -138,124 +146,65 @@ def _solve_welfare_slot(state: SlotState, slot: SlotData,
                         pme_control: PmeControl) -> tuple[list[float], float]:
     """Joint minimizer of the cooperative drift-plus-penalty for one slot.
 
-    Block-coordinate descent with exact piecewise-quadratic sub-solvers from
-    several deterministic starts (at most 300 passes each, stopping once no
-    coordinate moves by 1e-8), followed by pairwise exchange moves that
-    fix the stall mode of coordinate descent on the shared settlement kink
-    (trades along the balanced-residual manifold keep the kink term frozen).
+    Up to a constant the objective is sum_j (q_j*x_j**2 + l_j*x_j) over the
+    draws and the charge, each in its box, plus the settlement of the
+    residual r = base + sum_j x_j, which is max(m_b*r, m_s*r).  So a single
+    multiplier lam in [m_b, m_s] decides the slot (the KKT argument of the
+    water-filling example, Boyd & Vandenberghe, Convex Optimization, 5.5):
+    each coordinate is clamp(-(l + lam)/(2q), lo, hi), and r(lam) is
+    nonincreasing and piecewise linear between the coordinates' breakpoints.
+    lam = m_s if r(m_s) >= 0, lam = m_b if r(m_b) <= 0, else r(lam) = 0.  A
+    flat coordinate (q = 0: a draw at gamma = 0, the charge at c_b = 0)
+    jumps from hi to lo at lam = -l; when the zero of r falls on such a
+    jump, the flat coordinates there fill the residual in index order
+    (draws, then the charge).
     """
-    n = len(ng_params)
-    boxes = [feasible_box(fs, p) for fs, p in zip(slot.followers, ng_params)]
-    m_s, m_b, g_t = slot.m_s, slot.m_b, slot.g_t
-    c_b = pme_params.c_b
-    b_scaled = state.b / pme_control.v_p
-
-    # Per-coordinate quadratic pieces: J_i(e) = quad*e^2 + lin*e + settlement.
-    quads = []
-    lins = []
+    coords = []  # (q, l, lo, hi): the draws, then the charge
     for h, t, fs, p, c in zip(state.h, state.t, slot.followers, ng_params,
                               ng_controls):
-        one = 1.0 - p.epsilon
-        quads.append(p.gamma * (one * p.eta) ** 2)
-        lins.append((p.epsilon * one * h / c.v_i
-                     + 2.0 * p.gamma * one
-                     * (one * fs.t_out + p.epsilon * t - fs.t_opt))
-                    * p.eta)
+        # Cooperative draw cost: the follower's price-free objective / v_i.
+        rule = follower_rule(h, t, fs, p, c)
+        coords.append((rule.vg * rule.oe * rule.oe / rule.v, rule.le / rule.v,
+                        rule.at_lo[0], rule.at_hi[0]))
+    coords.append((0.5 * pme_params.c_b, state.b / pme_control.v_p,
+                   -pme_params.u_dmax, pme_params.u_cmax))
+    base = math.fsum(fs.d - fs.rp for fs in slot.followers) - slot.g_t
 
-    def coordinate_min(i: int, es: list[float], y: float) -> float:
-        lo, hi = boxes[i]
-        rest = math.fsum(fs.d + e - fs.rp
-                         for j, (fs, e) in enumerate(zip(slot.followers, es))
-                         if j != i) - g_t + y
-        fs = slot.followers[i]
-        offset = rest + fs.d - fs.rp  # residual(e) = offset + e
-        quad, lin = quads[i], lins[i]
+    def at(lam: float, below: bool) -> tuple[list[float], float]:
+        # Coordinates at lam and their residual; a flat coordinate at its
+        # jump takes its limit from below (hi) or from above (lo).
+        xs = [clamp(-(l + lam) / (2.0 * q), lo, hi) if q > 0.0
+              else hi if l + lam < 0.0 or (below and l + lam == 0.0) else lo
+              for q, l, lo, hi in coords]
+        return xs, base + math.fsum(xs)
 
-        def value(e: float) -> float:
-            residual = offset + e
-            settle = m_s * residual if residual >= 0.0 else m_b * residual
-            return quad * e * e + lin * e + settle
-
-        candidates = [lo, hi]
-        kink = -offset
-        if lo < kink < hi:
-            candidates.append(kink)
-        if quad > 0.0:
-            candidates.append(clamp(-(lin + m_b) / (2.0 * quad), lo, hi))
-            candidates.append(clamp(-(lin + m_s) / (2.0 * quad), lo, hi))
-        best, best_val = lo, math.inf
-        for cand in sorted(candidates):
-            val = value(cand)
-            if val < best_val:
-                best, best_val = cand, val
-        return best
-
-    def descend(es: list[float], y: float) -> tuple[list[float], float]:
-        for _ in range(300):
-            moved = 0.0
-            for i in range(n):
-                new_e = coordinate_min(i, es, y)
-                moved = max(moved, abs(new_e - es[i]))
-                es[i] = new_e
-            tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
-            new_y = _argmin_charge(tps, b_scaled, g_t, m_s, m_b, 1.0, c_b,
-                                   -pme_params.u_dmax, pme_params.u_cmax)
-            moved = max(moved, abs(new_y - y))
-            y = new_y
-            if moved < 1e-8:
-                break
-        return es, y
-
-    def exchange(es: list[float], y: float) -> tuple[list[float], float]:
-        # Quadratic coefficients per coordinate, battery last.
-        q = quads + [0.5 * c_b]
-        lin_all = lins + [b_scaled]
-        x = es + [y]
-        lo_all = [b[0] for b in boxes] + [-pme_params.u_dmax]
-        hi_all = [b[1] for b in boxes] + [pme_params.u_cmax]
-        for _ in range(50):
-            improved = False
-            for a in range(n + 1):
-                for b_idx in range(a + 1, n + 1):
-                    qq = q[a] + q[b_idx]
-                    if qq <= 0.0:
-                        continue
-                    slope = (2.0 * q[a] * x[a] + lin_all[a]
-                             - 2.0 * q[b_idx] * x[b_idx] - lin_all[b_idx])
-                    delta = -slope / (2.0 * qq)
-                    d_lo = max(lo_all[a] - x[a], x[b_idx] - hi_all[b_idx])
-                    d_hi = min(hi_all[a] - x[a], x[b_idx] - lo_all[b_idx])
-                    delta = clamp(delta, d_lo, d_hi)
-                    if abs(delta) < 1e-12:
-                        continue
-                    gain = -(slope * delta + qq * delta * delta)
-                    if gain > 1e-12:
-                        x[a] += delta
-                        x[b_idx] -= delta
-                        improved = True
-            if not improved:
-                break
-        return x[:n], x[n]
-
-    starts: list[tuple[list[float], float]] = [
-        ([clamp(0.0, *boxes[i]) for i in range(n)], 0.0),
-        ([_tracking_draw(state.t[i], slot.followers[i], ng_params[i])
-          for i in range(n)], 0.0),
-        ([boxes[i][1] for i in range(n)], 0.0),
-    ]
-
-    best_val = math.inf
-    best: tuple[list[float], float] = starts[0]
-    for es0, y0 in starts:
-        es, y = descend(list(es0), y0)
-        es, y = exchange(es, y)
-        es, y = descend(es, y)
-        val = _welfare_objective(es, y, state, slot, ng_params, ng_controls,
-                                 pme_params, pme_control)
-        if val < best_val:
-            best_val = val
-            best = (es, y)
-    return best
+    m_s, m_b = slot.m_s, slot.m_b
+    kinks = []
+    for q, l, lo, hi in coords:
+        kinks += [-l - 2.0 * q * lo, -l - 2.0 * q * hi] if q > 0.0 else [-l]
+    pts = sorted({m_b, m_s, *(k for k in kinks if m_b < k < m_s)})
+    prev = r_prev = 0.0
+    for lam in pts:
+        xs, r = at(lam, below=False)
+        if r <= 0.0:
+            break
+        prev, r_prev = lam, r
+    else:  # r(m_s) > 0: lam = m_s
+        return xs[:-1], xs[-1]
+    r_below = at(lam, below=True)[1]
+    if lam == pts[0] or r_below >= 0.0:
+        # lam is the multiplier; the flat coordinates at their jump fill
+        # the residual (all of them up to hi when lam = m_b and r stays < 0).
+        for j, (q, l, lo, hi) in enumerate(coords):
+            if q == 0.0 and l + lam == 0.0 and r < 0.0:
+                step = min(hi - lo, -r)
+                xs[j] += step
+                r += step
+    else:
+        # r is linear between the last two breakpoints: interpolate its zero.
+        lam = prev + (lam - prev) * r_prev / (r_prev - r_below)
+        xs = at(lam, below=False)[0]
+    return xs[:-1], xs[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +227,31 @@ def run_case(case: CaseId, scenario: Scenario,
         return run(scenario, ng_params, ng_controls, pme_params, pme_control,
                    config, strict_bounds=True)
 
+    def tracking(state: SlotState,
+                 slot: SlotData) -> tuple[FollowerAction, ...]:
+        es = map(_tracking_draw, state.t, slot.followers, ng_params)
+        return _actions(es, slot)
+
     if case is CaseId.FIXED_POINT_FORECAST_PRICE:
         def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
-            followers = []
-            for i, (p, fs) in enumerate(zip(ng_params, slot.followers)):
-                e = _tracking_draw(state.t[i], fs, p)
-                followers.append(FollowerAction(e=e, tp=fs.d + e - fs.rp))
             leader = LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=0.0)
-            return SlotSolution(leader=leader, followers=tuple(followers),
+            return SlotSolution(leader=leader, followers=tracking(state, slot),
                                 trace=_EMPTY_TRACE)
 
     elif case is CaseId.FIXED_POINT_REAL_TIME_PRICE:
+        # The draws do not answer the prices, so the leader's optimum is the
+        # whole grid band and the exact charge against the fixed interchanges.
+        y_lo, y_hi = -pme_params.u_dmax, pme_params.u_cmax
+
         def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
-            es = [_tracking_draw(state.t[i], fs, p)
-                  for i, (p, fs) in enumerate(zip(ng_params, slot.followers))]
-            responder = FixedResponder(es)
-            return _solve_with_responder(responder, state.b, slot,
-                                         pme_params, pme_control, config)
+            followers = tracking(state, slot)
+            y = _argmin_charge([f.tp for f in followers], state.b, slot.g_t,
+                               slot.m_s, slot.m_b, pme_control.v_p,
+                               pme_params.c_b, y_lo, y_hi)
+            leader = _project(slot.m_s, slot.m_b, y, slot.m_s, slot.m_b, y_lo,
+                              y_hi, config.min_gap)
+            return SlotSolution(leader=leader, followers=followers,
+                                trace=_EMPTY_TRACE)
 
     elif case is CaseId.MYOPIC_GAME:
         def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
@@ -313,10 +270,7 @@ def run_case(case: CaseId, scenario: Scenario,
         def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
             es, y = _solve_welfare_slot(state, slot, ng_params, ng_controls,
                                         pme_params, pme_control)
-            followers = tuple(
-                FollowerAction(e=e, tp=fs.d + e - fs.rp)
-                for e, fs in zip(es, slot.followers)
-            )
+            followers = _actions(es, slot)
             # Bookkeeping prices at the grid pair; internal transfers cancel,
             # so the aggregate cost equals the social-cost total.
             leader = LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=y)

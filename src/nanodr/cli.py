@@ -562,7 +562,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser(_read_config_file(args, parser)).parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ScenarioError) as exc:
+    except (ConfigurationError, ScenarioError, OSError) as exc:
+        # OSError: an unreadable scenario or an unwritable ``--out``.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

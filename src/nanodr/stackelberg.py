@@ -171,22 +171,6 @@ class QueueResponder:
         return pts
 
 
-class FixedResponder:
-    """Price-insensitive followers with a pre-committed draw (inelastic demand)."""
-
-    def __init__(self, es: Sequence[float]):
-        self._es = list(es)
-
-    def respond_full(self, p_s: float, p_b: float) -> tuple[list[float], list[float]]:
-        return list(self._es), [0.0] * len(self._es)
-
-    def respond(self, p_s: float, p_b: float) -> list[float]:
-        return list(self._es)
-
-    def price_breakpoints(self) -> list[float]:
-        return []
-
-
 # ---------------------------------------------------------------------------
 # Exact one-dimensional refinements
 # ---------------------------------------------------------------------------

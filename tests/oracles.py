@@ -199,3 +199,56 @@ def reference_response(h, t, slot, p_s, p_b, params, control, box=None):
             best_e, best_slope, best_val = cand, cand_slope, val
     return best_e, best_slope
 
+
+
+def welfare_dual_bound(state, slot, ng_params, ng_controls, pme_params,
+                       pme_control):
+    """Weak-duality lower bound on one slot's cooperative objective.
+
+    The objective is restated from its definitions: per draw, the drift
+    pressure plus the discomfort of the next temperature, a quadratic
+    q*e**2 + l*e + c; the charge's drift and battery cost; and the
+    settlement of the residual, max over lam in [m_b, m_s] of lam*residual.
+    Swapping min and max gives the concave dual
+    g(lam) = lam*base + sum(c) + sum_j min over the box of q*x**2 + (l+lam)*x,
+    maximized here by bisection on its supergradient to ~1e-14 in lam.
+    Returns (bound, lam).
+    """
+    q, lin, lo, hi = [], [], [], []
+    const = 0.0
+    base = -slot.g_t
+    for h, t, fs, p, c in zip(state.h, state.t, slot.followers, ng_params,
+                              ng_controls):
+        one = 1.0 - p.epsilon
+        mismatch = p.epsilon * t + one * fs.t_out - fs.t_opt
+        q.append(p.gamma * (one * p.eta) ** 2)
+        lin.append(p.epsilon * one * h * p.eta / c.v_i
+                   + 2.0 * p.gamma * mismatch * one * p.eta)
+        const += p.gamma * mismatch ** 2
+        lo.append(max(-p.l_max - fs.d + fs.rp, 0.0))
+        hi.append(min(p.l_max - fs.d + fs.rp, p.e_max))
+        base += fs.d - fs.rp
+    q.append(0.5 * pme_params.c_b)
+    lin.append(state.b / pme_control.v_p)
+    lo.append(-pme_params.u_dmax)
+    hi.append(pme_params.u_cmax)
+    q, lin, lo, hi = map(np.array, (q, lin, lo, hi))
+    curved = q > 0.0
+    safe_q = np.where(curved, q, 1.0)
+
+    def inner(lam):
+        slope = lin + lam
+        x = np.where(curved, np.clip(-slope / (2.0 * safe_q), lo, hi),
+                     np.where(slope >= 0.0, lo, hi))
+        return x, lam * base + const + float(np.sum(q * x * x + slope * x))
+
+    a, b = slot.m_b, slot.m_s
+    while b - a > 1e-14 * max(1.0, abs(a)):
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            break
+        if base + inner(mid)[0].sum() > 0.0:
+            a = mid
+        else:
+            b = mid
+    return max((inner(lam)[1], lam) for lam in (slot.m_b, a, b, slot.m_s))

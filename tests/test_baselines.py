@@ -1,5 +1,7 @@
 """Comparison cases: transfer cancellation, welfare solver, case behavior."""
 
+import collections
+import dataclasses
 import random
 
 import pytest
@@ -7,14 +9,19 @@ import pytest
 from nanodr.baselines import (
     CaseId,
     _solve_welfare_slot,
+    _tracking_draw,
     _welfare_objective,
     run_case,
     social_welfare_cost,
 )
 from nanodr.domain import (
+    ConfigurationError,
     FollowerSlot,
     LeaderAction,
+    NanogridControl,
     NanogridParams,
+    PmeControl,
+    PmeParams,
     SlotData,
     SlotState,
     bilinear_trade_cost,
@@ -30,7 +37,9 @@ from nanodr.scenario_io import (
     synthetic_params,
 )
 from nanodr.simulator import run
-from nanodr.stackelberg import GameConfig, solve_slot
+from nanodr.stackelberg import GameConfig, _argmin_charge, solve_slot
+
+from oracles import welfare_dual_bound
 
 PME = default_pme_params()
 
@@ -101,29 +110,100 @@ def test_internal_transfers_cancel():
 # -- welfare solver ---------------------------------------------------------
 
 
-def test_welfare_solution_beats_equilibrium_pointwise():
+@pytest.mark.parametrize("c_b", [0.01, 0.0])
+@pytest.mark.parametrize("gamma", [0.01, 0.0])
+def test_welfare_solution_beats_equilibrium_pointwise(gamma, c_b):
     # At the same state, the cooperative minimizer cannot be worse than the
     # equilibrium actions under the same drift-plus-penalty.
-    scen, params, bundle = _setup(seed=2, slots=12, n=3)
+    scen, params, _ = _setup(seed=2, slots=12, n=3)
+    params = tuple(dataclasses.replace(p, gamma=gamma) for p in params)
+    pme = dataclasses.replace(PME, c_b=c_b)
+    bundle = default_policy(scen, params, pme)
     pmec = bundle.pme_control
     controls = bundle.ng_controls
     t = [0.5 * (p.t_min + p.t_max) for p in params]
-    e_batt = 0.5 * (PME.e_min + PME.e_max_cap)
+    e_batt = 0.5 * (pme.e_min + pme.e_max_cap)
     state = SlotState(t=tuple(t),
                       h=tuple(x + c.gamma_shift for x, c in zip(t, controls)),
                       e_batt=e_batt, b=e_batt + pmec.theta)
     cfg = GameConfig()
     for k in range(scen.slots):
         slot = scen.slot(k)
-        sol = solve_slot(state, slot, params, controls, PME, pmec, cfg)
+        sol = solve_slot(state, slot, params, controls, pme, pmec, cfg)
         es4 = [f.e for f in sol.followers]
-        es5, y5 = _solve_welfare_slot(state, slot, params, controls, PME,
+        es5, y5 = _solve_welfare_slot(state, slot, params, controls, pme,
                                       pmec)
         j4 = _welfare_objective(es4, sol.leader.y, state, slot, params,
-                                controls, PME, pmec)
-        j5 = _welfare_objective(es5, y5, state, slot, params, controls, PME,
+                                controls, pme, pmec)
+        j5 = _welfare_objective(es5, y5, state, slot, params, controls, pme,
                                 pmec)
         assert j5 <= j4 + 1e-9
+
+
+def _random_welfare_instance(rng):
+    """One cooperative slot: n in {0..5}, gamma and c_b sometimes zero, the
+    interchange limit often binding the draw box."""
+    params, controls, followers, ts = [], [], [], []
+    for _ in range(rng.choice([0, 1, 2, 3, 5])):
+        params.append(NanogridParams(
+            epsilon=rng.uniform(0.9, 0.985), eta=rng.uniform(8.0, 20.0),
+            e_max=rng.uniform(2.0, 8.0), t_min=60.0, t_max=85.0,
+            l_max=rng.uniform(5.5, 20.0),
+            gamma=rng.choice([0.0, rng.uniform(0.002, 0.08)])))
+        controls.append(NanogridControl(v_i=rng.uniform(0.05, 2.0),
+                                        gamma_shift=rng.uniform(-90.0, -40.0)))
+        ts.append(rng.uniform(62.0, 83.0))
+        followers.append(FollowerSlot(rp=rng.uniform(0.0, 5.0),
+                                      d=rng.uniform(0.0, 5.0),
+                                      t_out=rng.uniform(10.0, 60.0),
+                                      t_opt=rng.uniform(66.0, 78.0)))
+    m_b = rng.uniform(1.0, 6.0)
+    slot = SlotData(m_s=m_b + rng.uniform(0.5, 10.0), m_b=m_b,
+                    g_t=rng.uniform(-15.0, 15.0), followers=tuple(followers))
+    pme = PmeParams(e_min=0.0, e_max_cap=100.0, u_cmax=rng.uniform(1.0, 10.0),
+                    u_dmax=rng.uniform(1.0, 10.0),
+                    c_b=rng.choice([0.0, rng.uniform(0.01, 1.0)]))
+    pmec = PmeControl(v_p=rng.uniform(0.5, 5.0), theta=0.0)
+    state = SlotState(t=tuple(ts),
+                      h=tuple(t + c.gamma_shift for t, c in zip(ts, controls)),
+                      e_batt=50.0, b=rng.uniform(-60.0, 10.0))
+    return state, slot, params, controls, pme, pmec
+
+
+def test_welfare_solve_meets_the_dual_bound():
+    # Weak duality: no action beats the oracle's bound, so an action at the
+    # bound is optimal.  Branches are read off the oracle's multiplier.
+    rng = random.Random(5)
+    branches = collections.Counter()
+    binding = 0
+    for _ in range(1000):
+        inst = _random_welfare_instance(rng)
+        state, slot, params, controls, pme, pmec = inst
+        es, y = _solve_welfare_slot(*inst)
+        j = _welfare_objective(es, y, *inst)
+        bound, lam = welfare_dual_bound(*inst)
+        assert abs(j - bound) <= 1e-9 * (1.0 + abs(j))
+        assert len(es) == len(params)
+        for e, fs, p in zip(es, slot.followers, params):
+            hi = min(p.l_max - fs.d + fs.rp, p.e_max)
+            assert max(-p.l_max - fs.d + fs.rp, 0.0) <= e <= hi
+            binding += hi < p.e_max
+        assert -pme.u_dmax <= y <= pme.u_cmax
+        flats = [p.epsilon * (1.0 - p.epsilon) * h * p.eta / c.v_i
+                 for p, c, h in zip(params, controls, state.h)
+                 if p.gamma == 0.0]
+        if pme.c_b == 0.0:
+            flats.append(state.b / pmec.v_p)
+        if lam >= slot.m_s - 1e-9:
+            branches["m_s"] += 1
+        elif lam <= slot.m_b + 1e-9:
+            branches["m_b"] += 1
+        elif any(abs(lam + l) <= 1e-9 for l in flats):
+            branches["jump"] += 1
+        else:
+            branches["interior"] += 1
+    assert min(branches[k] for k in ("m_s", "m_b", "jump", "interior")) >= 20
+    assert binding >= 20
 
 
 # -- case behavior ----------------------------------------------------------
@@ -147,6 +227,43 @@ def test_real_time_pricing_case_beats_forecast_case_for_the_aggregator():
                    bundle.ng_controls, PME, bundle.pme_control, GameConfig())
     assert rtp.pme_profit_total >= base.pme_profit_total - 1e-9
     assert rtp.aggregate_cost <= base.aggregate_cost + 1e-9
+
+
+def test_real_time_pricing_case_is_the_closed_form():
+    # Fixed draws leave the leader the whole band and the exact charge.
+    scen, params, bundle = _setup(seed=4, slots=24, n=2)
+    pmec = bundle.pme_control
+    rep = run_case(CaseId.FIXED_POINT_REAL_TIME_PRICE, scen, params,
+                   bundle.ng_controls, PME, pmec, GameConfig())
+    t = [0.5 * (p.t_min + p.t_max) for p in params]
+    e_batt = 0.5 * (PME.e_min + PME.e_max_cap)
+    state = SlotState(t=tuple(t), h=tuple(x + c.gamma_shift for x, c
+                                          in zip(t, bundle.ng_controls)),
+                      e_batt=e_batt, b=e_batt + pmec.theta)
+    for k, o in enumerate(rep.outcomes):
+        slot = scen.slot(k)
+        es = [_tracking_draw(x, fs, p)
+              for x, fs, p in zip(state.t, slot.followers, params)]
+        assert [f.e for f in o.followers] == es
+        tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
+        y = _argmin_charge(tps, state.b, slot.g_t, slot.m_s, slot.m_b,
+                           pmec.v_p, PME.c_b, -PME.u_dmax, PME.u_cmax)
+        assert o.leader == LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=y)
+        state = o.next_state
+
+
+def test_real_time_pricing_case_checks_min_gap():
+    scen, params, bundle = _setup(seed=4, slots=24, n=2)
+    width = min(s - b for s, b in zip(scen.m_s, scen.m_b))
+
+    def run_with(gap):
+        return run_case(CaseId.FIXED_POINT_REAL_TIME_PRICE, scen, params,
+                        bundle.ng_controls, PME, bundle.pme_control,
+                        GameConfig(min_gap=gap))
+
+    assert run_with(width).p_b_series == scen.m_b
+    with pytest.raises(ConfigurationError, match="min_gap"):
+        run_with(width * (1.0 + 1e-6))
 
 
 def test_myopic_case_respects_hard_constraints():

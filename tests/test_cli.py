@@ -301,3 +301,20 @@ def test_scenario_error_is_actionable(tmp_path, capsys):
     rc = main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "missing columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("run", []),
+    ("compare", ["--cases", "1"]),
+    ("sweep", ["--param", "gamma", "--values", "0.01"]),
+    ("gen-scenario", []),
+])
+def test_unwritable_out_is_a_usage_error(verb, extra, tmp_path, monkeypatch,
+                                         capsys):
+    # An artifact path that cannot be created exits 2 with one error line,
+    # not a traceback under exit 1 (the bound-violation code).
+    monkeypatch.chdir(tmp_path)
+    rc = main([verb, "--slots", "4", "--followers", "1", "--out", ""] + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
