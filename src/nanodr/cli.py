@@ -423,7 +423,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"unsupported sweep parameter {args.param!r}; choose from {_SWEEPABLE}"
         )
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = []
+    for token in args.values.split(","):
+        if token.strip():
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ConfigurationError(
+                    f"sweep value {token.strip()!r} is not a number") from None
     if not values:
         raise ConfigurationError("empty sweep value list")
     os.makedirs(args.out, exist_ok=True)
@@ -434,7 +441,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.param == "n":
             if args.scenario:
                 raise ConfigurationError("the n sweep needs a synthetic scenario")
-            if value != int(value) or value < 0:
+            if not value.is_integer() or value < 0:
                 raise ConfigurationError(f"n must be a nonnegative integer, got {value}")
             sweep_args.followers = int(value)
         else:

@@ -26,7 +26,7 @@ and the battery capacity window without any forecast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 
@@ -47,6 +47,18 @@ class InvariantViolation(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _reject_nan(record: object) -> None:
+    """Raise ConfigurationError naming the first NaN field of a record.
+
+    Every range check is a comparison, and a comparison with NaN is false,
+    so without this a NaN would pass them all.
+    """
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, float) and math.isnan(value):
+            raise ConfigurationError(f"{field.name} must be a number, got nan")
+
+
 @dataclass(frozen=True, slots=True)
 class NanogridParams:
     """Physical constants of one nanogrid's HVAC and interconnection."""
@@ -60,6 +72,7 @@ class NanogridParams:
     gamma: float    # discomfort weight (cent / °F²)
 
     def __post_init__(self) -> None:
+        _reject_nan(self)
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.eta <= 0.0:
@@ -84,6 +97,7 @@ class NanogridControl:
     gamma_shift: float  # constant shift defining the virtual queue H = T + gamma_shift (°F)
 
     def __post_init__(self) -> None:
+        _reject_nan(self)
         if self.v_i <= 0.0:
             raise ConfigurationError(f"v_i must be positive, got {self.v_i}")
 
@@ -99,6 +113,7 @@ class PmeParams:
     c_b: float        # quadratic amortized battery-use cost coefficient (cent / kWh²)
 
     def __post_init__(self) -> None:
+        _reject_nan(self)
         if not self.e_min < self.e_max_cap:
             raise ConfigurationError(
                 f"battery window is empty: e_min={self.e_min} >= e_max_cap={self.e_max_cap}"
@@ -124,6 +139,7 @@ class PmeControl:
     theta: float  # constant shift defining the virtual queue B = E + theta (kWh)
 
     def __post_init__(self) -> None:
+        _reject_nan(self)
         if self.v_p <= 0.0:
             raise ConfigurationError(f"v_p must be positive, got {self.v_p}")
 

@@ -234,6 +234,71 @@ def respond(rules: Sequence[FollowerRule], p_s: float,
     return es, slopes
 
 
+def pinned_draw(rule: FollowerRule, m_b: float, m_s: float) -> float | None:
+    """The draw ``respond`` gives for every (p_s, p_b) in [m_b, m_s]², or None.
+
+    A returned draw comes with sensitivity 0.0 at every such price.  None
+    only means this certificate does not apply.  The proof follows
+    ``respond``'s rounded comparisons:
+
+    * Threshold candidate.  ``respond`` weighs it only strictly inside
+      (lo, hi), so it never competes when the open box is empty or when
+      gamma = 0 (no threshold candidate).  Otherwise v > 0, so the rounded
+      product v*p is nondecreasing in p.  If v*m_b > zero_level, then
+      v*p_b > zero_level at every p_b >= m_b and the candidate is 0.0 at
+      every price.  If v*m_s < rated_level, then v*p_s < rated_level at
+      every p_s <= m_s; and v*p_b <= v*m_s < rated_level <= zero_level,
+      because beta is alpha plus a nonnegative term and rounding keeps that
+      order, so the first test never fires and the candidate is e_max at
+      every price.  Either constant must lie outside (lo, hi).
+    * Fixed candidates (lo, kink, hi).  Each value
+      ``base + v*(hg*|tp| + hs*tp)`` is affine in (hg, hs) =
+      (½(p_s-p_b), ½(p_s+p_b)), hence in (p_s, p_b), so the exact gap
+      between two candidates over the square is smallest at one of its
+      four corners.  Let w be the first argmin at the corner (m_s, m_b).
+      Every candidate with another draw must exceed w at all four corners
+      by more than the margin: 1e-9 times the sum of both values' term
+      magnitudes at the band's largest |hg| and |hs|.  Each rounded
+      evaluation, here or in ``respond``, is off by a few units of 2**-53
+      of that sum, far below the margin, so ``respond``'s value of such a
+      candidate stays strictly above w's and it never wins.  A candidate
+      with w's draw has w's tuple (draw, value, tp, |tp|) bit for bit, so
+      it ties with w at every price and sits after w in the candidate
+      order; the draw returned is w's.
+    """
+    lo, hi = rule.at_lo[0], rule.at_hi[0]
+    if rule.has_vertex and lo < hi:
+        if rule.v * m_b > rule.zero_level:
+            constant = 0.0
+        elif rule.v * m_s < rule.rated_level:
+            constant = rule.e_max
+        else:
+            return None
+        if lo < constant < hi:
+            return None
+    v = rule.v
+    half_gap, half_sum = 0.5 * (m_s - m_b), 0.5 * (m_s + m_b)
+    corners = ((half_gap, half_sum), (-half_gap, half_sum), (0.0, m_s), (0.0, m_b))
+    reach_gap, reach_sum = abs(half_gap), max(abs(m_s), abs(m_b))
+
+    def value(c, hg, hs):  # as respond evaluates a fixed candidate
+        return c[1] + v * (hg * c[3] + hs * c[2])
+
+    def size(c):  # bound on its terms' magnitudes over the band
+        return abs(c[1]) + v * (reach_gap * c[3] + reach_sum * abs(c[2]))
+
+    candidates = (rule.at_lo, rule.at_kink, rule.at_hi)
+    best = min(candidates, key=lambda c: value(c, half_gap, half_sum))
+    for cand in candidates:
+        if cand[0] == best[0]:
+            continue
+        margin = 1e-9 * (size(best) + size(cand))
+        for hg, hs in corners:
+            if not value(cand, hg, hs) - value(best, hg, hs) > margin:
+                return None
+    return best[0]
+
+
 def p3_objective(e: float, h: float, t: float, slot: FollowerSlot,
                  leader: LeaderAction, params: NanogridParams,
                  control: NanogridControl) -> float:

@@ -119,20 +119,9 @@ def optimal_charge(b: float, m_price: float, control: PmeControl,
     return clamp(-coef / (control.v_p * params.c_b), -params.u_dmax, params.u_cmax)
 
 
-def subgradients(action: LeaderAction, tps: Sequence[float], b: float,
-                 g_t: float, m_s: float, m_b: float, control: PmeControl,
-                 params: PmeParams, hbars: Sequence[float]) -> SubgradientSet:
-    """Subgradients of the leader surrogate at the current iterate.
-
-    ``hbars`` holds each follower's price sensitivity at this iterate: the
-    hbar constant while the response sits strictly inside a price-responsive
-    branch, zero while it is pinned (then the price terms' derivative carries
-    no response correction).  Followers reporting a non-finite sensitivity
-    are treated as pinned.  The marginal grid price is m_s when the net
-    residual is positive and m_b otherwise (the exact-balance point is
-    assigned to the m_b branch).
-    """
-    v_p = control.v_p
+def interchange_sums(tps: Sequence[float]) -> tuple[float, float, float]:
+    """(total, buying total, selling total) of the interchanges, summed in
+    follower order."""
     total = 0.0
     buy_sum = 0.0
     sell_sum = 0.0
@@ -142,18 +131,52 @@ def subgradients(action: LeaderAction, tps: Sequence[float], b: float,
             buy_sum += tp
         else:
             sell_sum += tp
+    return total, buy_sum, sell_sum
+
+
+def subgradients(action: LeaderAction, tps: Sequence[float], b: float,
+                 g_t: float, m_s: float, m_b: float, control: PmeControl,
+                 params: PmeParams, hbars: Sequence[float], *,
+                 free: Sequence[int] | None = None,
+                 pinned: tuple[bool, bool] = (False, False),
+                 sums: tuple[float, float, float] | None = None) -> SubgradientSet:
+    """Subgradients of the leader surrogate at the current iterate.
+
+    ``hbars`` holds each follower's price sensitivity at this iterate: the
+    hbar constant while the response sits strictly inside a price-responsive
+    branch, zero while it is pinned (then the price terms' derivative carries
+    no response correction).  Followers reporting a non-finite sensitivity
+    are treated as pinned.  The marginal grid price is m_s when the net
+    residual is positive and m_b otherwise (the exact-balance point is
+    assigned to the m_b branch).
+
+    ``free`` restricts the sensitivity terms to those followers; the others
+    are pinned for the whole slot (sensitivity 0.0), and ``pinned`` says
+    whether one of them buys and whether one sells.  Their terms are all the
+    same signed zero, and a sequential sum ends at -0.0 only if it starts
+    there and every addend is -0.0, so one such term per side, added last,
+    gives the sum over every follower bit for bit.  ``sums`` is
+    ``interchange_sums(tps)`` when the caller already has it.
+    """
+    v_p = control.v_p
+    total, buy_sum, sell_sum = interchange_sums(tps) if sums is None else sums
     residual = total - g_t + action.y
     m = m_s if residual > 0.0 else m_b
 
     g_ps = -v_p * buy_sum
     g_pb = -v_p * sell_sum
-    for tp, hbar in zip(tps, hbars):
+    for i in range(len(tps)) if free is None else free:
+        hbar = hbars[i]
         if not math.isfinite(hbar):
             continue
-        if tp >= 0.0:
+        if tps[i] >= 0.0:
             g_ps += v_p * (action.p_s - m) * hbar
         else:
             g_pb += v_p * (action.p_b - m) * hbar
+    if pinned[0]:
+        g_ps += v_p * (action.p_s - m) * 0.0
+    if pinned[1]:
+        g_pb += v_p * (action.p_b - m) * 0.0
     g_y = b + params.c_b * v_p * action.y + v_p * m
     return SubgradientSet(g_ps=g_ps, g_pb=g_pb, g_y=g_y)
 

@@ -111,7 +111,7 @@ def update_queues(state: SlotState, followers: Sequence[FollowerAction],
         h_recursive = (p.epsilon * state.h[i]
                        + (1.0 - p.epsilon) * (c.gamma_shift + fs.t_out + p.eta * f.e))
         h_shifted = t_new + c.gamma_shift
-        if abs(h_recursive - h_shifted) > _IDENTITY_TOL:
+        if not abs(h_recursive - h_shifted) <= _IDENTITY_TOL:
             raise InvariantViolation(
                 f"temperature queue identity broke for nanogrid {i}: "
                 f"recursive {h_recursive} vs shifted {h_shifted}"
@@ -122,7 +122,7 @@ def update_queues(state: SlotState, followers: Sequence[FollowerAction],
     e_new = state.e_batt + leader.y
     b_recursive = state.b + leader.y
     b_shifted = e_new + pme_control.theta
-    if abs(b_recursive - b_shifted) > _IDENTITY_TOL:
+    if not abs(b_recursive - b_shifted) <= _IDENTITY_TOL:
         raise InvariantViolation(
             f"battery queue identity broke: recursive {b_recursive} "
             f"vs shifted {b_shifted}"

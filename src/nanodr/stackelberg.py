@@ -15,6 +15,12 @@ withstand unilateral-deviation equilibrium checks at tight tolerances.  The
 followers' responses do not depend on the charge, so the polish asks them
 once per price pair: it keeps the draws and trade sums of every pair it has
 evaluated, and the draws at its final point are the slot's follower actions.
+
+Every price either phase asks lies inside the slot's grid band [m_b, m_s].
+Once per slot the responder certifies the followers whose draw is the same
+at every price pair in that band (most of them, usually at rated power or
+idle); a broadcast evaluates only the others, and the interchanges and
+subgradient terms of the pinned ones come from a per-slot template.
 """
 
 from __future__ import annotations
@@ -33,11 +39,12 @@ from .domain import (
     PmeParams,
     SlotData,
     SlotState,
+    _reject_nan,
     _trade_sums,
     clamp,
 )
-from .nanogrid import follower_rule, respond
-from .pme import SubgradientSet, _close_pro_prime, subgradients
+from .nanogrid import follower_rule, pinned_draw, respond
+from .pme import SubgradientSet, _close_pro_prime, interchange_sums, subgradients
 
 
 # Step sizes at iteration m are scale / (STEP_C0 + STEP_C1*m): strictly
@@ -69,6 +76,7 @@ class GameConfig:
     polish: bool = True
 
     def __post_init__(self) -> None:
+        _reject_nan(self)
         if self.rho <= 0.0:
             raise ConfigurationError(f"rho must be positive, got {self.rho}")
         if self.max_iters < 1:
@@ -117,18 +125,6 @@ def _project(raw_ps: float, raw_pb: float, raw_y: float, m_s: float,
     return LeaderAction(p_s=p_s, p_b=p_b, y=y)
 
 
-def project_leader(raw_ps: float, raw_pb: float, raw_y: float,
-                   m_s: float, m_b: float, params: PmeParams,
-                   min_gap: float) -> LeaderAction:
-    """Clamp a raw update into the strict price band and the charge box.
-
-    The buying price is clamped first, then the selling price relative to it,
-    so the output always satisfies p_s - p_b >= min_gap.
-    """
-    return _project(raw_ps, raw_pb, raw_y, m_s, m_b, -params.u_dmax,
-                    params.u_cmax, min_gap)
-
-
 # ---------------------------------------------------------------------------
 # Follower response models
 # ---------------------------------------------------------------------------
@@ -141,6 +137,13 @@ class QueueResponder:
     overrides the draw intervals.  Each follower's price-free rule is built
     once per slot, here, from the frozen state and slot data; each price
     broadcast only evaluates it (``nanogrid.respond``).
+
+    Here too, once per slot, ``nanogrid.pinned_draw`` certifies the
+    followers whose draw is the same at every price pair in the slot's band
+    [m_b, m_s]².  Their draws, zero slopes and interchanges form a template;
+    ``free`` lists the other followers.  At in-band prices a broadcast
+    copies the template and evaluates only the free followers; elsewhere it
+    evaluates every follower.
     """
 
     def __init__(self, state: SlotState, slot: SlotData,
@@ -152,13 +155,46 @@ class QueueResponder:
         self._rules = tuple(map(
             follower_rule, (0.0,) * n if drop_queue else state.h, state.t,
             slot.followers, params, controls, (None,) * n if boxes is None else boxes))
+        self._band = (slot.m_b, slot.m_s)
+        pins = [pinned_draw(r, slot.m_b, slot.m_s) for r in self._rules]
+        self.free = tuple(i for i, e in enumerate(pins) if e is None)
+        self._free_rules = tuple(self._rules[i] for i in self.free)
+        self._free_slots = tuple((i, slot.followers[i]) for i in self.free)
+        self._draws = [0.0 if e is None else e for e in pins]
+        self._slopes = [0.0] * n
+        # The solver's form of the interchange, d + e - rp (not dr + e,
+        # which rounds differently).
+        self._tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, self._draws)]
+        pinned_tps = [tp for tp, e in zip(self._tps, pins) if e is not None]
+        # Whether some pinned follower buys, and whether one sells.
+        self.pinned = (any(tp >= 0.0 for tp in pinned_tps),
+                       any(tp < 0.0 for tp in pinned_tps))
+        # The interchanges never change when every follower is pinned.
+        self.sums = None if self.free else interchange_sums(self._tps)
 
     def respond_full(self, p_s: float, p_b: float) -> tuple[list[float], list[float]]:
         """Draws plus each follower's local price sensitivity at this iterate."""
-        return respond(self._rules, p_s, p_b)
+        m_b, m_s = self._band
+        if not (m_b <= p_s <= m_s and m_b <= p_b <= m_s):
+            return respond(self._rules, p_s, p_b)
+        es = self._draws.copy()
+        slopes = self._slopes.copy()
+        free_es, free_slopes = respond(self._free_rules, p_s, p_b)
+        for i, e, slope in zip(self.free, free_es, free_slopes):
+            es[i] = e
+            slopes[i] = slope
+        return es, slopes
 
     def respond(self, p_s: float, p_b: float) -> list[float]:
         return self.respond_full(p_s, p_b)[0]
+
+    def interchanges(self, es: Sequence[float]) -> list[float]:
+        """Interchanges d + e - rp of draws answered at in-band prices: the
+        template's, with only the free followers' recomputed."""
+        tps = self._tps.copy()
+        for i, fs in self._free_slots:
+            tps[i] = fs.d + es[i] - fs.rp
+        return tps
 
     def price_breakpoints(self) -> list[float]:
         """Price levels where some follower's response map changes branch."""
@@ -277,7 +313,7 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
         got = memo.get((ps, pb))
         if got is None:
             es = responder.respond(ps, pb)
-            tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
+            tps = responder.interchanges(es)
             got = memo[ps, pb] = (es, tps, *_trade_sums(ps, pb, tps),
                                   math.fsum(tps))
         return got
@@ -340,9 +376,10 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     for m in range(1, config.max_iters + 1):
         iterations = m
         es, slopes = responder.respond_full(chi.p_s, chi.p_b)
-        tps = [fs.d + e - fs.rp for e, fs in zip(es, slot.followers)]
+        tps = responder.interchanges(es)
         grad = subgradients(chi, tps, b, g_t, m_s, m_b, pme_control,
-                            pme_params, slopes)
+                            pme_params, slopes, free=responder.free,
+                            pinned=responder.pinned, sums=responder.sums)
         denom = STEP_C0 + STEP_C1 * m
         steps = (STEP_SCALE_S / denom, STEP_SCALE_B / denom,
                  STEP_SCALE_Y / denom)

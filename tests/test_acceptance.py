@@ -42,7 +42,7 @@ from nanodr.scenario_io import (
     synthetic_params,
 )
 from nanodr.simulator import run
-from nanodr.stackelberg import GameConfig, QueueResponder, project_leader
+from nanodr.stackelberg import GameConfig, QueueResponder, _project
 
 from oracles import (
     brute_force_charge,
@@ -276,8 +276,9 @@ def test_07_equilibrium_verification(desk):
         for dps, dpb, dy in ((config.rho, 0, 0), (-config.rho, 0, 0),
                              (0, config.rho, 0), (0, -config.rho, 0),
                              (0, 0, config.rho), (0, 0, -config.rho)):
-            pert = project_leader(act.p_s + dps, act.p_b + dpb, act.y + dy,
-                                  slot.m_s, slot.m_b, PME, config.min_gap)
+            pert = _project(act.p_s + dps, act.p_b + dpb, act.y + dy,
+                            slot.m_s, slot.m_b, -PME.u_dmax, PME.u_cmax,
+                            config.min_gap)
             gain = base - pro(pert.p_s, pert.p_b, pert.y)
             worst_gain = max(worst_gain, gain / (1.0 + abs(base)))
             assert gain <= tol

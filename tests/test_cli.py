@@ -191,6 +191,29 @@ def test_sweep_writes_rows_and_skips_bad_values(tmp_path, capsys):
     assert (out / "timing.csv").exists()
 
 
+@pytest.mark.parametrize("values, named", [
+    ("abc", "'abc'"),
+    ("0.01,x", "'x'"),
+])
+def test_sweep_non_numeric_value_is_a_usage_error(values, named, tmp_path,
+                                                  capsys):
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--slots", "4", "--followers", "1", "--param", "gamma",
+               "--values", values, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"sweep value {named} is not a number" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "2.5", "-1"])
+def test_n_sweep_rejects_a_non_count(value, tmp_path, capsys):
+    rc = main(["sweep", "--slots", "4", "--param", "n", "--values", value,
+               "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "n must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_sweep_artifact_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["sweep", "--slots", "12", "--followers", "2", "--param", "gamma",
@@ -318,3 +341,34 @@ def test_unwritable_out_is_a_usage_error(verb, extra, tmp_path, monkeypatch,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--theta", "theta"),
+    ("--v-p", "v_p"),
+    ("--gamma", "gamma"),
+    ("--epsilon", "epsilon"),
+    ("--l-max", "l_max"),
+    ("--c-b", "c_b"),
+    ("--batt-min", "e_min"),
+    ("--v-i", "v_i"),
+    ("--gamma-shift", "gamma_shift"),
+    ("--rho", "rho"),
+    ("--min-gap", "min_gap"),
+])
+def test_nan_override_is_a_usage_error(flag, field, tmp_path, capsys):
+    # Every range check is a comparison, which NaN passes; the records
+    # reject it by name before anything runs.
+    out = tmp_path / "o"
+    rc = main(["run", "--slots", "4", "--followers", "2", flag, "nan",
+               "--out", str(out)])
+    assert rc == 2
+    assert f"error: {field} must be a number, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_interchange_limit_still_runs(tmp_path):
+    out = tmp_path / "o"
+    assert main(["run", "--slots", "4", "--followers", "2", "--l-max", "inf",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["comfort_violations"] == 0

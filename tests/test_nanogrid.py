@@ -22,6 +22,7 @@ from nanodr.nanogrid import (
     compute_follower_bounds,
     compute_thresholds,
     feasible_box,
+    follower_rule,
     p3_objective,
     validate_control,
 )
@@ -323,6 +324,125 @@ def test_queue_responder_is_bit_exact_with_reference_rule(case):
             assert slopes == [s for _, s in expected]
             compared += len(group)
     assert compared > 10_000 and mixed > 20
+
+
+def _nudge(rng, x):
+    """``x`` moved by a few ULPs or by a few parts in 1e9 (about the
+    certificate's margin), either way."""
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(0, 3)):
+            x = math.nextafter(x, rng.choice([-math.inf, math.inf]))
+        return x
+    return x * (1.0 + rng.randint(-4, 4) * 1e-9)
+
+
+def _band_near_boundary(rng, rule):
+    """A price band that puts ``rule`` within a few margins of one of its
+    certificate's boundaries: a threshold test that flips at a band edge,
+    or two fixed candidates with different draws that tie at a corner."""
+    width = rng.uniform(0.5, 10.0)
+    kind = rng.choice(["zero", "rated", "tie", "tie"])
+    if kind == "zero" and rule.has_vertex:
+        m_b = _nudge(rng, rule.zero_level / rule.v)
+        return m_b, m_b + width
+    if kind == "rated" and rule.has_vertex:
+        m_s = _nudge(rng, rule.rated_level / rule.v)
+        return m_s - width, m_s
+    w, c = rng.sample([rule.at_lo, rule.at_kink, rule.at_hi], 2)
+    if w[0] == c[0]:
+        return None
+    db, da, dt = c[1] - w[1], c[3] - w[3], c[2] - w[2]
+    v = rule.v
+    corner = rng.choice(["gap", "-gap", "s", "b"])
+    if corner in ("s", "b"):  # p_s = p_b at the top or bottom edge
+        if dt == 0.0:
+            return None
+        edge = _nudge(rng, -db / (v * dt))
+        return (edge - width, edge) if corner == "s" else (edge, edge + width)
+    # (p_s, p_b) = (m_s, m_b) or (m_b, m_s): the gap in m_s at a fixed m_b.
+    m_b = rng.uniform(1.0, 6.0)
+    slope = 0.5 * v * (da + dt if corner == "gap" else dt - da)
+    if slope == 0.0:
+        return None
+    rest = db + 0.5 * v * m_b * (dt - da if corner == "gap" else dt + da)
+    return m_b, _nudge(rng, -rest / slope)
+
+
+def _corner_prices(m_b, m_s):
+    """The band's four corners and the point one ULP inside each."""
+    up = lambda x: math.nextafter(x, math.inf)
+    down = lambda x: math.nextafter(x, -math.inf)
+    return [(m_s, m_b), (m_b, m_s), (m_s, m_s), (m_b, m_b),
+            (down(m_s), up(m_b)), (up(m_b), down(m_s)),
+            (down(m_s), down(m_s)), (up(m_b), up(m_b))]
+
+
+@pytest.mark.parametrize("case", ["random", "binding_l_max", "myopic_boxes",
+                                  "near_boundary"])
+def test_pinned_followers_are_bit_exact_over_the_band(case):
+    # Followers the responder certifies as pinned skip evaluation at in-band
+    # prices; each answer must still equal the full rule's, bit for bit.
+    rng = random.Random({"random": 79, "binding_l_max": 83, "myopic_boxes": 89,
+                         "near_boundary": 97}[case])
+    myopic = case == "myopic_boxes"
+    size = 3 if case == "near_boundary" else 6
+    certified = uncertified = in_band = 0
+    for _ in range(400 if case == "near_boundary" else 150):
+        group = _instances(rng, size, binding_l_max=case == "binding_l_max")
+        boxes = None
+        if myopic:
+            boxes = []
+            for params, _, _, _, slot, _ in group:
+                lo, hi = feasible_box(slot, params)
+                sub_lo = lo + rng.choice([0.0, rng.random()]) * (hi - lo)
+                sub_hi = sub_lo + rng.choice([0.0, 1.0, rng.random()]) * (hi - sub_lo)
+                boxes.append((sub_lo, sub_hi))
+        m_b = rng.uniform(1.0, 6.0)
+        m_s = m_b + rng.uniform(0.5, 10.0)
+        if rng.random() < 0.5:
+            # Centre the band on one follower's price breakpoint instead.
+            i = rng.randrange(size)
+            params, control, t, h, fs, _ = group[i]
+            rule = follower_rule(0.0 if myopic else h, t, fs, params, control,
+                                 boxes[i] if myopic else None)
+            points = [rule.delta, rule.zero_level / rule.v,
+                      rule.rated_level / rule.v]
+            if math.isfinite(rule.hbar):
+                points += [(rule.vartheta - rule.at_lo[0]) / rule.hbar,
+                           (rule.vartheta - rule.at_hi[0]) / rule.hbar]
+            centre = rng.choice(points)
+            m_b, m_s = centre - rng.uniform(0.1, 5.0), centre + rng.uniform(0.1, 5.0)
+        if case == "near_boundary":
+            params, control, t, h, fs, _ = group[0]
+            band = _band_near_boundary(
+                rng, follower_rule(h, t, fs, params, control))
+            if band is None or not band[0] <= band[1]:
+                continue
+            m_b, m_s = band
+        state = SlotState(t=tuple(g[2] for g in group), h=tuple(g[3] for g in group),
+                          e_batt=0.0, b=0.0)
+        slot = SlotData(m_s=m_s, m_b=m_b, g_t=0.0,
+                        followers=tuple(g[4] for g in group))
+        responder = QueueResponder(state, slot, [g[0] for g in group],
+                                   [g[1] for g in group],
+                                   drop_queue=myopic, boxes=boxes)
+        uncertified += len(responder.free)
+        certified += size - len(responder.free)
+        prices = _corner_prices(m_b, m_s)
+        for _ in range(16):
+            prices.append((rng.uniform(m_b, m_s), rng.uniform(m_b, m_s)))
+        for p_s, p_b in prices:
+            expected = [
+                reference_response(0.0 if myopic else h, t, fs, p_s, p_b, params,
+                                   control, boxes[i] if myopic else None)
+                for i, (params, control, t, h, fs, _) in enumerate(group)
+            ]
+            es, slopes = responder.respond_full(p_s, p_b)
+            assert es == [e for e, _ in expected]
+            assert slopes == [s for _, s in expected]
+        in_band += 16
+    assert in_band >= 2000
+    assert certified >= 100 and uncertified >= 100
 
 
 def test_best_response_is_bit_exact_with_reference_rule():

@@ -150,6 +150,30 @@ def test_subgradient_sign_with_buyers():
     assert g.g_pb == 0.0
 
 
+def test_restricted_subgradients_keep_signed_zeros():
+    # Pinned followers (sensitivity 0.0) left out of the sensitivity loop
+    # and replaced by one term per side give the full sum bit for bit.
+    # Zero interchanges and prices at a band edge make the signed zeros
+    # that traces.csv prints as 0.0 or -0.0.
+    rng = random.Random(41)
+    zeros = 0
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        tps = [rng.choice([0.0, -0.0, 1.5, -2.0, 0.25]) for _ in range(n)]
+        hbars = [rng.choice([0.0, 0.0, 0.7]) for _ in range(n)]
+        free = [i for i in range(n) if hbars[i] != 0.0 or rng.random() < 0.3]
+        held = [tps[i] for i in range(n) if i not in free]
+        pinned = (any(tp >= 0.0 for tp in held), any(tp < 0.0 for tp in held))
+        action = LeaderAction(p_s=rng.choice([12.0, 8.0, 3.0]),
+                              p_b=rng.choice([3.0, 5.0, 12.0]), y=0.0)
+        g_t = rng.choice([-3.0, 0.0, 3.0])
+        args = (action, tps, -6.0, g_t, 12.0, 3.0, CONTROL, PME, hbars)
+        full = subgradients(*args)
+        assert repr(subgradients(*args, free=free, pinned=pinned)) == repr(full)
+        zeros += full.g_ps == 0.0 or full.g_pb == 0.0
+    assert zeros > 500
+
+
 def test_subgradients_match_finite_differences_at_interior_points():
     rng = random.Random(37)
     checked = 0

@@ -64,6 +64,20 @@ def test_update_queues_identities_hold():
     assert nxt.e_batt == state.e_batt + 0.5
 
 
+@pytest.mark.parametrize("queue", ["h", "b"])
+def test_nan_queue_breaks_the_identity_check(queue):
+    scen = _scenario_const()
+    state = _state()
+    if queue == "h":
+        state = SlotState(t=state.t, h=(math.nan,), e_batt=state.e_batt, b=state.b)
+    else:
+        state = SlotState(t=state.t, h=state.h, e_batt=state.e_batt, b=math.nan)
+    with pytest.raises(InvariantViolation, match="identity"):
+        update_queues(state, [FollowerAction(e=2.0, tp=2.0)],
+                      LeaderAction(p_s=10.0, p_b=5.0, y=0.5), scen.slot(0),
+                      [PARAMS], [CONTROL], PMEC)
+
+
 def test_idle_battery_keeps_queue():
     scen = _scenario_const()
     state = _state()

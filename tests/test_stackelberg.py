@@ -9,6 +9,7 @@ import pytest
 from nanodr.domain import (
     ConfigurationError,
     FollowerSlot,
+    LeaderAction,
     NanogridControl,
     NanogridParams,
     PmeControl,
@@ -17,7 +18,7 @@ from nanodr.domain import (
     SlotState,
 )
 from nanodr.nanogrid import best_response
-from nanodr.pme import _pro_prime, optimal_charge
+from nanodr.pme import _pro_prime, optimal_charge, subgradients
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
     SyntheticSpec,
@@ -33,7 +34,7 @@ from nanodr.stackelberg import (
     QueueResponder,
     _argmin_charge,
     _polish,
-    project_leader,
+    _project,
     solve_slot,
 )
 
@@ -68,37 +69,37 @@ def _desk_setup(n=3):
 
 
 def test_projection_identity_inside_box():
-    act = project_leader(8.0, 5.0, 0.5, 12.0, 3.0, PME, 0.01)
+    act = _project(8.0, 5.0, 0.5, 12.0, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
     assert (act.p_s, act.p_b, act.y) == (8.0, 5.0, 0.5)
 
 
 def test_projection_clamps_selling_price():
-    act = project_leader(15.0, 5.0, 0.0, 12.0, 3.0, PME, 0.01)
+    act = _project(15.0, 5.0, 0.0, 12.0, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
     assert act.p_s == 12.0
 
 
 def test_projection_restores_order_with_exact_gap():
-    act = project_leader(5.0, 9.0, 0.0, 12.0, 3.0, PME, 0.01)
+    act = _project(5.0, 9.0, 0.0, 12.0, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
     assert act.p_b == 9.0
     assert act.p_s == pytest.approx(9.01)
     assert act.p_s - act.p_b == pytest.approx(0.01)
 
 
 def test_projection_clamps_charge():
-    act = project_leader(8.0, 5.0, 7.0, 12.0, 3.0, PME, 0.01)
+    act = _project(8.0, 5.0, 7.0, 12.0, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
     assert act.y == PME.u_cmax
-    act = project_leader(8.0, 5.0, -7.0, 12.0, 3.0, PME, 0.01)
+    act = _project(8.0, 5.0, -7.0, 12.0, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
     assert act.y == -PME.u_dmax
 
 
 def test_projection_rejects_narrow_band():
     with pytest.raises(ConfigurationError, match="min_gap"):
-        project_leader(8.0, 5.0, 0.0, 3.005, 3.0, PME, 0.01)
+        _project(8.0, 5.0, 0.0, 3.005, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
 
 
 def test_projection_accepts_band_equal_to_gap():
     # 3.01 - 3.0 is a hair under 0.01 in floats; nominal equality must pass.
-    act = project_leader(8.0, 5.0, 0.0, 3.01, 3.0, PME, 0.01)
+    act = _project(8.0, 5.0, 0.0, 3.01, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
     assert act.p_b == 3.0
     assert act.p_s == 3.01
     assert act.p_s > act.p_b
@@ -247,8 +248,8 @@ def test_returned_action_is_unilaterally_stable():
     tol = 1e-6 * (1.0 + abs(base))
     for dps, dpb, dy in ((cfg.rho, 0, 0), (-cfg.rho, 0, 0), (0, cfg.rho, 0),
                          (0, -cfg.rho, 0), (0, 0, cfg.rho), (0, 0, -cfg.rho)):
-        pert = project_leader(act.p_s + dps, act.p_b + dpb, act.y + dy,
-                              slot.m_s, slot.m_b, PME, cfg.min_gap)
+        pert = _project(act.p_s + dps, act.p_b + dpb, act.y + dy,
+                        slot.m_s, slot.m_b, -PME.u_dmax, PME.u_cmax, cfg.min_gap)
         assert pro(pert.p_s, pert.p_b, pert.y) >= base - tol
     # Followers re-solved at the final prices reproduce the returned draws.
     for i, f in enumerate(sol.followers):
@@ -319,3 +320,32 @@ def test_polish_asks_each_price_pair_once(case):
     solved = solve_slot(state, slot, params, controls, pme, pmec, cfg)
     assert solved.leader == act
     assert [f.e for f in solved.followers] == es
+
+
+def test_most_followers_of_a_generated_slot_are_certified_pinned():
+    # The first slot of the seed-1 run at n=50.
+    params, controls, state, pmec, slot, pme = _generated_slot(k=0)
+    responder = QueueResponder(state, slot, params, controls)
+    assert len(responder.free) < len(params) / 2
+
+
+@pytest.mark.parametrize("k", [0, 18])
+def test_template_and_restricted_subgradients_are_bit_exact(k):
+    # Slot 0 has no free follower (sums once per slot), slot 18 no pinned
+    # one.  The template's interchanges and the restricted subgradients
+    # equal the full computations, bit for bit (signed zeros included).
+    params, controls, state, pmec, slot, pme = _generated_slot(k=k)
+    responder = QueueResponder(state, slot, params, controls)
+    rng = random.Random(5)
+    for _ in range(200):
+        act = LeaderAction(p_s=rng.uniform(slot.m_b, slot.m_s),
+                           p_b=rng.uniform(slot.m_b, slot.m_s),
+                           y=rng.uniform(-pme.u_dmax, pme.u_cmax))
+        es, slopes = responder.respond_full(act.p_s, act.p_b)
+        tps = responder.interchanges(es)
+        assert tps == [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
+        args = (act, tps, state.b, slot.g_t, slot.m_s, slot.m_b, pmec, pme,
+                slopes)
+        fast = subgradients(*args, free=responder.free,
+                            pinned=responder.pinned, sums=responder.sums)
+        assert repr(fast) == repr(subgradients(*args))
