@@ -44,10 +44,7 @@ from .domain import (
     ScenarioError,
     SlotData,
     SlotState,
-    battery_cost,
     clamp,
-    grid_settlement,
-    thermal_step,
 )
 from .nanogrid import feasible_box, follower_rule
 from .simulator import RunReport, run
@@ -70,7 +67,7 @@ class CaseId(enum.Enum):
     SOCIAL_WELFARE = 5
 
 
-_EMPTY_TRACE = IterationTrace(records=(), converged=True, iterations=0)
+_EMPTY_TRACE = IterationTrace(records=(), converged=True)
 
 
 def _tracking_draw(t: float, fs: FollowerSlot, params: NanogridParams) -> float:
@@ -106,37 +103,9 @@ def _comfort_box(t: float, fs: FollowerSlot,
     return lo, hi
 
 
-def social_welfare_cost(es: Sequence[float], y: float, ts: Sequence[float],
-                        slot: SlotData, ng_params: Sequence[NanogridParams],
-                        pme_params: PmeParams) -> float:
-    """Cooperative cost of a joint action: battery use + grid settlement +
-    total discomfort.  Internal payments between the parties cancel out."""
-    total_tp = 0.0
-    discomfort = 0.0
-    for e, t, fs, p in zip(es, ts, slot.followers, ng_params):
-        total_tp += fs.d + e - fs.rp
-        t_next = thermal_step(t, fs.t_out, e, p)
-        discomfort += p.gamma * (t_next - fs.t_opt) ** 2
-    residual = total_tp - slot.g_t + y
-    return (battery_cost(y, pme_params.c_b)
-            + grid_settlement(residual, slot.m_s, slot.m_b)
-            + discomfort)
-
-
 # ---------------------------------------------------------------------------
 # Case 5: cooperative per-slot minimization
 # ---------------------------------------------------------------------------
-
-
-def _welfare_objective(es: Sequence[float], y: float, state: SlotState,
-                       slot: SlotData, ng_params: Sequence[NanogridParams],
-                       ng_controls: Sequence[NanogridControl],
-                       pme_params: PmeParams, pme_control: PmeControl) -> float:
-    """Cooperative drift-plus-penalty: social cost plus per-agent-weighted drifts."""
-    drift = state.b * y / pme_control.v_p
-    for e, h, p, c in zip(es, state.h, ng_params, ng_controls):
-        drift += p.epsilon * (1.0 - p.epsilon) * h * (p.eta * e) / c.v_i
-    return drift + social_welfare_cost(es, y, state.t, slot, ng_params, pme_params)
 
 
 def _solve_welfare_slot(state: SlotState, slot: SlotData,

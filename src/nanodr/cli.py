@@ -343,9 +343,6 @@ def _print_bounds(setup: Setup) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     setup = Setup(args)
-    if args.check_bounds:
-        _print_bounds(setup)
-        return 0
     os.makedirs(args.out, exist_ok=True)
     report = setup.simulate(keep_traces=args.traces)
     _write_summary(report, setup, args.out)
@@ -525,9 +522,6 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p_run.add_argument("--out", default="out", help="artifact directory")
     p_run.add_argument("--traces", action="store_true",
                        help="also write per-iteration traces.csv")
-    p_run.add_argument("--check-bounds", dest="check_bounds",
-                       action="store_true",
-                       help="print certified tuning windows and exit")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run comparison cases")

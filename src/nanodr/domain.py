@@ -47,16 +47,22 @@ class InvariantViolation(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _reject_nan(record: object) -> None:
-    """Raise ConfigurationError naming the first NaN field of a record.
+def _reject_non_finite(record: object, infinite_ok: tuple[str, ...] = ()) -> None:
+    """Raise ConfigurationError naming the first field of a record that is
+    NaN, or infinite and not in ``infinite_ok``.
 
     Every range check is a comparison, and a comparison with NaN is false,
-    so without this a NaN would pass them all.
+    so without this a NaN would pass them all.  An infinite parameter or
+    control passes them too, and turns the certified windows derived from it
+    into nan.
     """
     for field in fields(record):
         value = getattr(record, field.name)
-        if isinstance(value, float) and math.isnan(value):
-            raise ConfigurationError(f"{field.name} must be a number, got nan")
+        if isinstance(value, float) and not math.isfinite(value):
+            if math.isnan(value):
+                raise ConfigurationError(f"{field.name} must be a number, got nan")
+            if field.name not in infinite_ok:
+                raise ConfigurationError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +78,8 @@ class NanogridParams:
     gamma: float    # discomfort weight (cent / °F²)
 
     def __post_init__(self) -> None:
-        _reject_nan(self)
+        # An infinite l_max is the documented "no interchange limit".
+        _reject_non_finite(self, infinite_ok=("l_max",))
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigurationError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.eta <= 0.0:
@@ -97,7 +104,7 @@ class NanogridControl:
     gamma_shift: float  # constant shift defining the virtual queue H = T + gamma_shift (°F)
 
     def __post_init__(self) -> None:
-        _reject_nan(self)
+        _reject_non_finite(self)
         if self.v_i <= 0.0:
             raise ConfigurationError(f"v_i must be positive, got {self.v_i}")
 
@@ -113,7 +120,7 @@ class PmeParams:
     c_b: float        # quadratic amortized battery-use cost coefficient (cent / kWh²)
 
     def __post_init__(self) -> None:
-        _reject_nan(self)
+        _reject_non_finite(self)
         if not self.e_min < self.e_max_cap:
             raise ConfigurationError(
                 f"battery window is empty: e_min={self.e_min} >= e_max_cap={self.e_max_cap}"
@@ -139,7 +146,7 @@ class PmeControl:
     theta: float  # constant shift defining the virtual queue B = E + theta (kWh)
 
     def __post_init__(self) -> None:
-        _reject_nan(self)
+        _reject_non_finite(self)
         if self.v_p <= 0.0:
             raise ConfigurationError(f"v_p must be positive, got {self.v_p}")
 
@@ -335,8 +342,10 @@ def check_assumption_envelope(params: NanogridParams, t_out_min: float,
 def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> None:
     """Check the comfort-guarantee assumptions for every nanogrid of a scenario.
 
-    Call this when binding a scenario to nanogrid parameters; the runtime
-    guarantees are void without it.
+    Besides (a)-(c) the certificate needs the interchange limit to leave the
+    draw box at [0, e_max]: l_max >= e_max + d - rp and l_max >= rp - d in
+    every slot.  Call this when binding a scenario to nanogrid parameters;
+    the runtime guarantees are void without it.
     """
     if len(params) != scenario.n:
         raise ConfigurationError(
@@ -345,6 +354,14 @@ def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> N
     for i, p in enumerate(params):
         check_assumption_envelope(p, scenario.t_out_min(i), scenario.t_out_max(i),
                                   label=f"nanogrid {i}")
+        for k in range(scenario.slots):
+            gap = scenario.rp[k][i] - scenario.d[k][i]
+            if p.l_max + gap < p.e_max or gap > p.l_max:
+                raise ConfigurationError(
+                    f"l_max={p.l_max} binds the draw box of nanogrid {i} at "
+                    f"slot {k}: the comfort certificate needs l_max >= "
+                    f"e_max + d - rp = {p.e_max - gap} and l_max >= rp - d = {gap}"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from typing import NamedTuple, Sequence
 
 from .domain import (
     ConfigurationError,
-    FollowerAction,
     FollowerSlot,
-    LeaderAction,
     NanogridControl,
     NanogridParams,
     ScenarioError,
@@ -299,39 +297,6 @@ def pinned_draw(rule: FollowerRule, m_b: float, m_s: float) -> float | None:
     return best[0]
 
 
-def p3_objective(e: float, h: float, t: float, slot: FollowerSlot,
-                 leader: LeaderAction, params: NanogridParams,
-                 control: NanogridControl) -> float:
-    """Relaxed per-slot cost of drawing ``e``: drift pressure + v_i * economics.
-
-    ``e`` must lie in the feasible draw box; violations raise ScenarioError
-    naming the broken bound.
-    """
-    r = follower_rule(h, t, slot, params, control)
-    lo, hi = r.at_lo[0], r.at_hi[0]
-    if e < lo - 1e-9:
-        raise ScenarioError(
-            f"draw e={e} below the feasible floor max(-l_max-d+rp, 0)={lo}")
-    if e > hi + 1e-9:
-        raise ScenarioError(
-            f"draw e={e} above the feasible ceiling min(l_max-d+rp, e_max)={hi}")
-    tp = r.dr + e
-    return (r.vg * (r.oe * e) ** 2 + r.le * e
-            + r.v * (0.5 * (leader.p_s - leader.p_b) * abs(tp)
-                     + 0.5 * (leader.p_s + leader.p_b) * tp))
-
-
-def best_response(h: float, t: float, slot: FollowerSlot, leader: LeaderAction,
-                  params: NanogridParams, control: NanogridControl) -> FollowerAction:
-    """Optimal HVAC draw and resulting interchange at the posted prices.
-
-    One follower's rule, built and evaluated once; see :func:`respond`.
-    """
-    es, _ = respond([follower_rule(h, t, slot, params, control)],
-                    leader.p_s, leader.p_b)
-    return FollowerAction(e=es[0], tp=slot.d + es[0] - slot.rp)
-
-
 def compute_follower_bounds(params: NanogridParams, v_i: float | None,
                             t_out_min: float, t_out_max: float,
                             t_opt: Sequence[float],
@@ -340,9 +305,11 @@ def compute_follower_bounds(params: NanogridParams, v_i: float | None,
 
     ``v_i=None`` evaluates the shift window at the maximum stabilizing weight
     (the default operating policy).  The windows guarantee the comfort band is
-    never left, provided the interchange limit never binds the draw box below
-    [0, e_max] (the synthetic generator maintains this; the simulator counts
-    violations regardless).
+    never left, provided the interchange limit leaves the draw box at
+    [0, e_max] in every slot: l_max >= e_max + d - rp and l_max >= rp - d.
+    This function sees only the envelope, so ``domain.check_assumptions``
+    checks that precondition per slot; ``policy.default_policy`` and
+    ``simulator.run`` call it.
 
     The shift floor guards the ceiling: rated-power draw can fire whenever the
     selling price is at the band floor, so the floor pairs the minimum buying

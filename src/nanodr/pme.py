@@ -1,10 +1,12 @@
 """Leader side: the relaxed per-slot pricing and battery-charging problem.
 
 The aggregator minimizes its drift-plus-penalty surrogate: the battery-queue
-pressure ``B*y`` minus ``v_p`` times the slot profit.  Given the nanogrids'
-interchanges, the charge ``y`` has a closed-form piecewise-quadratic
-minimizer; the prices are driven by subgradients that account for how
-interior-regime followers shift their draw when prices move.
+pressure ``B*y`` minus ``v_p`` times the slot profit.  The surrogate is the
+trade sums of ``domain._trade_sums`` (the same ones the profit uses) closed
+by ``_close_pro_prime``, its only part that depends on the charge ``y``.
+The prices are driven by subgradients that account for how interior-regime
+followers shift their draw when prices move; the exact charge step is
+``stackelberg._argmin_charge``.
 
 Also computes the certified tuning windows (theta, v_p) under which the
 battery energy provably stays inside [e_min, e_max_cap].
@@ -21,8 +23,6 @@ from .domain import (
     LeaderAction,
     PmeControl,
     PmeParams,
-    _trade_sums,
-    clamp,
 )
 
 
@@ -53,24 +53,6 @@ class SubgradientSet:
     g_y: float
 
 
-def _validate_action(action: LeaderAction, m_s: float, m_b: float,
-                     params: PmeParams) -> None:
-    tol = 1e-9
-    if action.p_b < m_b - tol:
-        raise ConfigurationError(f"p_b={action.p_b} below the grid buying price {m_b}")
-    if action.p_s > m_s + tol:
-        raise ConfigurationError(f"p_s={action.p_s} above the grid selling price {m_s}")
-    if not action.p_b < action.p_s:
-        raise ConfigurationError(
-            f"price band requires p_b < p_s, got p_b={action.p_b}, p_s={action.p_s}"
-        )
-    if action.y < -params.u_dmax - tol or action.y > params.u_cmax + tol:
-        raise ConfigurationError(
-            f"charge y={action.y} outside [-u_dmax, u_cmax] = "
-            f"[{-params.u_dmax}, {params.u_cmax}]"
-        )
-
-
 def _close_pro_prime(revenue: float, total: float, y: float, b: float,
                      g_t: float, m_s: float, m_b: float, v_p: float,
                      c_b: float) -> float:
@@ -78,45 +60,6 @@ def _close_pro_prime(revenue: float, total: float, y: float, b: float,
     residual = total - g_t + y
     settle = m_s * residual if residual >= 0.0 else m_b * residual
     return b * y - v_p * revenue + v_p * (settle + 0.5 * c_b * y * y)
-
-
-def _pro_prime(p_s: float, p_b: float, y: float, tps: Sequence[float],
-               b: float, g_t: float, m_s: float, m_b: float,
-               v_p: float, c_b: float) -> float:
-    """Leader surrogate value without feasibility checks (solver hot path)."""
-    revenue, total = _trade_sums(p_s, p_b, tps)
-    return _close_pro_prime(revenue, total, y, b, g_t, m_s, m_b, v_p, c_b)
-
-
-def p4_objective(action: LeaderAction, tps: Sequence[float], b: float,
-                 g_t: float, m_s: float, m_b: float,
-                 control: PmeControl, params: PmeParams) -> float:
-    """Battery-queue pressure B*y minus v_p times the slot profit.
-
-    The action must satisfy the price band and the charge box; violations
-    raise ConfigurationError.
-    """
-    _validate_action(action, m_s, m_b, params)
-    return _pro_prime(action.p_s, action.p_b, action.y, tps, b, g_t, m_s, m_b,
-                      control.v_p, params.c_b)
-
-
-def optimal_charge(b: float, m_price: float, control: PmeControl,
-                   params: PmeParams) -> float:
-    """Closed-form minimizer of (b + v_p*m)*y + 0.5*v_p*c_b*y² over the charge box.
-
-    ``m_price`` is the marginal grid price on the active residual branch.
-    With c_b == 0 the interior stationary point is undefined and the sign of
-    the linear coefficient picks an endpoint (zero when it vanishes exactly).
-    """
-    coef = b + control.v_p * m_price
-    if params.c_b == 0.0:
-        if coef > 0.0:
-            return -params.u_dmax
-        if coef < 0.0:
-            return params.u_cmax
-        return 0.0
-    return clamp(-coef / (control.v_p * params.c_b), -params.u_dmax, params.u_cmax)
 
 
 def interchange_sums(tps: Sequence[float]) -> tuple[float, float, float]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .domain import NanogridControl, NanogridParams, PmeControl, PmeParams, Scenario
+from .domain import check_assumptions
 from .nanogrid import FollowerBounds, compute_follower_bounds
 from .nanogrid import validate_control as validate_follower_control
 from .pme import LeaderBounds, compute_leader_bounds
@@ -37,9 +38,11 @@ def default_policy(scenario: Scenario, ng_params: Sequence[NanogridParams],
     """Assemble validated controls; every omitted knob takes its default.
 
     Defaults: v at the certified maximum, shift at the certified floor.
+    The scenario is first checked against the certificates' assumptions.
     Explicit overrides are validated against the certified windows and
     rejected with the violated bound named.
     """
+    check_assumptions(scenario, ng_params)
     ng_controls: list[NanogridControl] = []
     fbounds: list[FollowerBounds] = []
     for i, params in enumerate(ng_params):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

@@ -58,19 +58,13 @@ class SlotOutcome:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Aggregated economics and per-slot series over a whole horizon."""
+    """Aggregated economics over a whole horizon, with every slot's outcome."""
 
     pme_profit_total: float    # cent
     energy_cost_total: float   # cent, nanogrids' trading cost
     discomfort_total: float    # cent
     aggregate_cost: float      # discomfort + energy cost - profit
     tatd: float                # mean |T - target| over nanogrids and slots (°F)
-    temperatures: tuple[tuple[float, ...], ...]  # end-of-slot indoor T (°F)
-    battery: tuple[float, ...]                   # end-of-slot battery energy (kWh)
-    p_s_series: tuple[float, ...]
-    p_b_series: tuple[float, ...]
-    y_series: tuple[float, ...]
-    hvac: tuple[tuple[float, ...], ...]          # HVAC draw per slot/nanogrid (kWh)
     comfort_violations: int
     battery_violations: int
     outcomes: tuple[SlotOutcome, ...]
@@ -89,7 +83,7 @@ class RunReport:
 
     @property
     def total_hvac(self) -> float:
-        return math.fsum(e for row in self.hvac for e in row)
+        return math.fsum(f.e for o in self.outcomes for f in o.followers)
 
 
 def update_queues(state: SlotState, followers: Sequence[FollowerAction],
@@ -184,12 +178,6 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
 
     tol = 1e-9
     outcomes: list[SlotOutcome] = []
-    temperatures: list[tuple[float, ...]] = []
-    battery: list[float] = []
-    p_s_series: list[float] = []
-    p_b_series: list[float] = []
-    y_series: list[float] = []
-    hvac: list[tuple[float, ...]] = []
     profit_sum = 0.0
     energy_sum = 0.0
     discomfort_sum = 0.0
@@ -240,12 +228,6 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
             converged=sol.trace.converged, iterations=sol.trace.iterations,
             trace=sol.trace if keep_traces else None,
         ))
-        temperatures.append(next_state.t)
-        battery.append(next_state.e_batt)
-        p_s_series.append(leader.p_s)
-        p_b_series.append(leader.p_b)
-        y_series.append(leader.y)
-        hvac.append(tuple(f.e for f in followers))
 
         profit_sum += profit
         energy_sum += math.fsum(trade_costs)
@@ -262,12 +244,6 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
         discomfort_total=discomfort_sum,
         aggregate_cost=discomfort_sum + energy_sum - profit_sum,
         tatd=tatd,
-        temperatures=tuple(temperatures),
-        battery=tuple(battery),
-        p_s_series=tuple(p_s_series),
-        p_b_series=tuple(p_b_series),
-        y_series=tuple(y_series),
-        hvac=tuple(hvac),
         comfort_violations=comfort_violations,
         battery_violations=battery_violations,
         outcomes=tuple(outcomes),

@@ -39,7 +39,7 @@ from .domain import (
     PmeParams,
     SlotData,
     SlotState,
-    _reject_nan,
+    _reject_non_finite,
     _trade_sums,
     clamp,
 )
@@ -76,7 +76,9 @@ class GameConfig:
     polish: bool = True
 
     def __post_init__(self) -> None:
-        _reject_nan(self)
+        # Only NaN is refused: an infinite rho or min_gap has a meaning
+        # (stop after one step) or fails its own check (the band width).
+        _reject_non_finite(self, infinite_ok=("rho", "min_gap"))
         if self.rho <= 0.0:
             raise ConfigurationError(f"rho must be positive, got {self.rho}")
         if self.max_iters < 1:
@@ -100,8 +102,11 @@ class IterationRecord:
 class IterationTrace:
     records: tuple[IterationRecord, ...]
     converged: bool
-    iterations: int
     polish_sweeps: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -372,9 +377,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
 
     records: list[IterationRecord] = []
     converged = False
-    iterations = 0
     for m in range(1, config.max_iters + 1):
-        iterations = m
         es, slopes = responder.respond_full(chi.p_s, chi.p_b)
         tps = responder.interchanges(es)
         grad = subgradients(chi, tps, b, g_t, m_s, m_b, pme_control,
@@ -403,7 +406,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     final_followers = tuple(FollowerAction(e=e, tp=fs.d + e - fs.rp)
                             for e, fs in zip(es, slot.followers))
     trace = IterationTrace(records=tuple(records), converged=converged,
-                           iterations=iterations, polish_sweeps=sweeps)
+                           polish_sweeps=sweeps)
     return SlotSolution(leader=chi, followers=final_followers, trace=trace)
 
 

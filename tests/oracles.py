@@ -200,6 +200,36 @@ def reference_response(h, t, slot, p_s, p_b, params, control, box=None):
     return best_e, best_slope
 
 
+def social_cost(es, y, ts, slot, ng_params, pme_params):
+    """Cooperative cost of a joint action, restated from its definitions:
+    battery use, grid settlement of the residual and the discomfort of each
+    next temperature.  Internal payments between the parties cancel out."""
+    es, ts = np.asarray(es, dtype=float), np.asarray(ts, dtype=float)
+    eps = np.array([p.epsilon for p in ng_params])
+    eta = np.array([p.eta for p in ng_params])
+    gamma = np.array([p.gamma for p in ng_params])
+    t_out = np.array([fs.t_out for fs in slot.followers])
+    t_opt = np.array([fs.t_opt for fs in slot.followers])
+    net = np.array([fs.d - fs.rp for fs in slot.followers])
+    t_next = eps * ts + (1.0 - eps) * (t_out + eta * es)
+    residual = float(np.sum(net + es)) - slot.g_t + y
+    settle = slot.m_s * residual if residual >= 0.0 else slot.m_b * residual
+    return (0.5 * pme_params.c_b * y * y + settle
+            + float(np.sum(gamma * (t_next - t_opt) ** 2)))
+
+
+def welfare_objective(es, y, state, slot, ng_params, ng_controls, pme_params,
+                      pme_control):
+    """Cooperative drift-plus-penalty of a joint action: the social cost
+    plus every queue's drift term, each divided by its own agent's weight."""
+    eps = np.array([p.epsilon for p in ng_params])
+    eta = np.array([p.eta for p in ng_params])
+    v_i = np.array([c.v_i for c in ng_controls])
+    drift = (state.b * y / pme_control.v_p
+             + float(np.sum(eps * (1.0 - eps) * np.asarray(state.h, dtype=float)
+                            * eta * np.asarray(es, dtype=float) / v_i)))
+    return drift + social_cost(es, y, state.t, slot, ng_params, pme_params)
+
 
 def welfare_dual_bound(state, slot, ng_params, ng_controls, pme_params,
                        pme_control):

@@ -3,7 +3,8 @@
  1. Comfort certificate: 20 seeded scenarios, zero band violations.
  2. Battery certificate: same runs, zero window violations.
  3. Follower best response vs 1e5-point brute force, 1e3 instances.
- 4. Closed-form charge vs 1e5-point brute force, 1e3 instances.
+ 4. Exact charge step (the one every solve runs) vs 1e5-point brute force,
+    1e3 instances on both settlement branches and across the kink.
  5. Subgradients vs central finite differences at 100 differentiable points.
  6. Per-slot convergence on the reference scenario within 200 iterations.
  7. Equilibrium verification: re-solve and unilateral-deviation checks.
@@ -16,6 +17,7 @@
 Each criterion prints one PASS line (run with -s or -v to see them).
 """
 
+import collections
 import random
 import time
 from dataclasses import replace
@@ -26,14 +28,16 @@ import pytest
 from nanodr.baselines import CaseId, run_case
 from nanodr.cli import main as cli_main
 from nanodr.domain import (
+    FollowerAction,
     LeaderAction,
     PmeControl,
     SlotState,
+    _trade_sums,
     bilinear_trade_cost,
     pme_profit,
 )
-from nanodr.nanogrid import best_response, compute_thresholds, feasible_box, p3_objective
-from nanodr.pme import _pro_prime, optimal_charge, p4_objective, subgradients
+from nanodr.nanogrid import compute_thresholds, feasible_box, follower_rule, respond
+from nanodr.pme import _close_pro_prime, subgradients
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
     SyntheticSpec,
@@ -42,7 +46,7 @@ from nanodr.scenario_io import (
     synthetic_params,
 )
 from nanodr.simulator import run
-from nanodr.stackelberg import GameConfig, QueueResponder, _project
+from nanodr.stackelberg import GameConfig, QueueResponder, _argmin_charge, _project
 
 from oracles import (
     brute_force_charge,
@@ -53,6 +57,16 @@ from oracles import (
 )
 
 PME = default_pme_params()
+
+
+def _answers(folks, p_s, p_b):
+    """Each follower's action at the prices from the package's rule, built
+    and evaluated as a solve does; ``folks`` holds (params, control, t, h,
+    slot) per follower."""
+    rules = [follower_rule(h, t, slot, params, ctl)
+             for params, ctl, t, h, slot in folks]
+    es, _ = respond(rules, p_s, p_b)
+    return [FollowerAction(e=e, tp=f[4].d + e - f[4].rp) for e, f in zip(es, folks)]
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +102,8 @@ def test_01_comfort_certificate(certificate_runs):
     reports, elapsed = certificate_runs
     for params, report in reports:
         assert report.comfort_violations == 0
-        for row in report.temperatures:
-            for i, t in enumerate(row):
+        for o in report.outcomes:
+            for i, t in enumerate(o.next_state.t):
                 assert params[i].t_min <= t <= params[i].t_max
     assert elapsed < 60.0, f"certificate runs took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 PASS: comfort band held on 20 scenarios x 72 slots "
@@ -100,8 +114,8 @@ def test_02_battery_certificate(certificate_runs):
     reports, elapsed = certificate_runs
     for _, report in reports:
         assert report.battery_violations == 0
-        for e in report.battery:
-            assert PME.e_min <= e <= PME.e_max_cap
+        for o in report.outcomes:
+            assert PME.e_min <= o.next_state.e_batt <= PME.e_max_cap
     print("ACCEPTANCE 2 PASS: battery window held on the same 20 scenarios")
 
 
@@ -110,8 +124,9 @@ def test_03_follower_oracle_equivalence():
     threshold_hits = 0
     for _ in range(1000):
         params, control, t, h, slot, leader = random_follower_instance(rng)
-        act = best_response(h, t, slot, leader, params, control)
-        mine = p3_objective(act.e, h, t, slot, leader, params, control)
+        act, = _answers([(params, control, t, h, slot)], leader.p_s, leader.p_b)
+        mine = float(follower_objective_grid(act.e, h, t, slot, leader, params,
+                                             control))
         lo, hi = feasible_box(slot, params)
         grid = np.linspace(lo, hi, 100_000)
         values = follower_objective_grid(grid, h, t, slot, leader, params,
@@ -138,21 +153,47 @@ def test_03_follower_oracle_equivalence():
 
 
 def test_04_leader_oracle_equivalence():
+    # The charge step of the loop's polish and of comparison case 2: the
+    # exact minimizer over y of the surrogate with the interchanges fixed.
+    # The settlement kink y = g_t - sum(tps) sits below the charge box (the
+    # m_s branch throughout), above it (m_b) or inside it.
     rng = random.Random(103)
-    for _ in range(1000):
+    seen = collections.Counter()
+    for k in range(1000):
         b = rng.uniform(-25.0, 5.0)
-        m = rng.uniform(1.0, 15.0)
+        m_b = rng.uniform(1.0, 8.0)
+        m_s = m_b + rng.uniform(0.5, 8.0)
         v_p = rng.uniform(0.2, 2.0)
         c_b = rng.choice([0.0, rng.uniform(0.001, 0.2)])
-        params = replace(PME, u_cmax=rng.uniform(0.5, 3.0),
-                         u_dmax=rng.uniform(0.5, 3.0), c_b=c_b)
-        control = PmeControl(v_p=v_p, theta=-18.0)
-        y = optimal_charge(b, m, control, params)
-        mine = (b + v_p * m) * y + 0.5 * v_p * c_b * y * y
-        _, best_val = brute_force_charge(b, m, v_p, c_b, params.u_dmax,
-                                         params.u_cmax, points=100_000)
-        assert mine <= best_val + 1e-10
-    print("ACCEPTANCE 4 PASS: 1000 closed-form charges <= brute force + 1e-10")
+        y_lo, y_hi = -rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+        tps = [rng.uniform(-6.0, 6.0) for _ in range(rng.randrange(0, 5))]
+        branch = ("m_s", "m_b", "kink")[k % 3]
+        kink = {"m_s": y_lo - rng.uniform(0.01, 2.0),
+                "m_b": y_hi + rng.uniform(0.01, 2.0),
+                "kink": rng.uniform(y_lo, y_hi)}[branch]
+        g_t = kink + sum(tps)
+        y = _argmin_charge(tps, b, g_t, m_s, m_b, v_p, c_b, y_lo, y_hi)
+        assert y_lo <= y <= y_hi
+        # Brute force over the box (and the kink itself) from the
+        # surrogate's definition; the trade revenue is a constant in y.
+        grid = np.append(np.linspace(y_lo, y_hi, 100_000), min(max(kink, y_lo), y_hi))
+        surrogate = lambda ys: leader_surrogate(m_s, m_b, ys, tps, b, g_t, m_s,
+                                                m_b, v_p, c_b)
+        assert surrogate(y) <= float(np.min(surrogate(grid))) + 1e-10
+        if branch != "kink":
+            # One branch throughout: the closed charge objective's brute force.
+            m = m_s if branch == "m_s" else m_b
+            _, best_val = brute_force_charge(b, m, v_p, c_b, -y_lo, y_hi,
+                                             points=100_000)
+            assert (b + v_p * m) * y + 0.5 * v_p * c_b * y * y <= best_val + 1e-10
+        seen[branch, c_b > 0.0] += 1
+        seen["on the kink"] += branch == "kink" and abs(y - kink) <= 1e-12
+    assert min(seen[br, curved] for br in ("m_s", "m_b", "kink")
+               for curved in (False, True)) >= 100
+    assert seen["on the kink"] >= 40
+    print(f"ACCEPTANCE 4 PASS: 1000 exact charges (_argmin_charge) <= brute "
+          f"force + 1e-10 on both branches and across the kink "
+          f"({seen['on the kink']} at the kink)")
 
 
 def test_05_subgradient_finite_difference():
@@ -190,15 +231,10 @@ def test_05_subgradient_finite_difference():
         m_s, m_b = 14.0, 3.0
         action = LeaderAction(p_s=p_s, p_b=p_b, y=y)
 
-        def respond(ps, pb):
-            acts = []
-            for params, ctl, t, h, slot, _ in rebuilt:
-                acts.append(best_response(h, t, slot,
-                                          LeaderAction(p_s=ps, p_b=pb, y=y),
-                                          params, ctl))
-            return acts
+        def answer(ps, pb):
+            return _answers([f[:5] for f in rebuilt], ps, pb)
 
-        acts = respond(p_s, p_b)
+        acts = answer(p_s, p_b)
         tps = [a.tp for a in acts]
         # Differentiability filters: strict interior draws, clean residual.
         if not all(0.3 < a.e < 4.7 for a in acts):
@@ -208,15 +244,15 @@ def test_05_subgradient_finite_difference():
         if abs(residual) < 1.0:
             continue
         step = 1e-5
-        probe = respond(p_s + step, p_b) + respond(p_s - step, p_b) \
-            + respond(p_s, p_b + step) + respond(p_s, p_b - step)
+        probe = answer(p_s + step, p_b) + answer(p_s - step, p_b) \
+            + answer(p_s, p_b + step) + answer(p_s, p_b - step)
         if not all(0.0 < a.e < 5.0 for a in probe):
             continue
 
         slopes = [hbar for *_rest, hbar in rebuilt]
 
         def pro(ps, pb, yy):
-            a = respond(ps, pb)
+            a = answer(ps, pb)
             return leader_surrogate(ps, pb, yy, [x.tp for x in a], b, g_t,
                                     m_s, m_b, v_p, PME.c_b)
 
@@ -259,17 +295,17 @@ def test_07_equilibrium_verification(desk):
     for outcome in report.outcomes:
         slot = scenario.slot(outcome.slot)
         act = outcome.leader
-        for i, f in enumerate(outcome.followers):
-            redo = best_response(state.h[i], state.t[i], slot.followers[i],
-                                 act, params[i], controls[i])
-            worst_resolve = max(worst_resolve, abs(redo.e - f.e))
+        redo = _answers(list(zip(params, controls, state.t, state.h,
+                                 slot.followers)), act.p_s, act.p_b)
+        for f, again in zip(outcome.followers, redo):
+            worst_resolve = max(worst_resolve, abs(again.e - f.e))
         responder = QueueResponder(state, slot, params, controls)
 
         def pro(ps, pb, yy):
             es = responder.respond(ps, pb)
             tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
-            return _pro_prime(ps, pb, yy, tps, state.b, slot.g_t, slot.m_s,
-                              slot.m_b, pmec.v_p, PME.c_b)
+            return leader_surrogate(ps, pb, yy, tps, state.b, slot.g_t, slot.m_s,
+                                    slot.m_b, pmec.v_p, PME.c_b)
 
         base = pro(act.p_s, act.p_b, act.y)
         tol = 1e-6 * (1.0 + abs(base))
@@ -381,7 +417,8 @@ def test_10_identity_suite(desk):
         bq = rng.uniform(-20.0, 0.0)
         g_t = rng.uniform(-15.0, 25.0)
         action = LeaderAction(p_s=p_s, p_b=p_b, y=y)
-        surrogate = p4_objective(action, tps, bq, g_t, m_s, m_b, pmec, PME)
+        surrogate = _close_pro_prime(*_trade_sums(p_s, p_b, tps), y, bq, g_t,
+                                     m_s, m_b, pmec.v_p, PME.c_b)
         profit = pme_profit(action, tps, g_t, m_s, m_b, PME.c_b)
         assert abs(surrogate - (bq * y - pmec.v_p * profit)) \
             <= 1e-9 * max(1.0, abs(surrogate))

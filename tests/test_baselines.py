@@ -10,9 +10,7 @@ from nanodr.baselines import (
     CaseId,
     _solve_welfare_slot,
     _tracking_draw,
-    _welfare_objective,
     run_case,
-    social_welfare_cost,
 )
 from nanodr.domain import (
     ConfigurationError,
@@ -39,7 +37,7 @@ from nanodr.scenario_io import (
 from nanodr.simulator import run
 from nanodr.stackelberg import GameConfig, _argmin_charge, solve_slot
 
-from oracles import welfare_dual_bound
+from oracles import social_cost, welfare_dual_bound, welfare_objective
 
 PME = default_pme_params()
 
@@ -53,6 +51,9 @@ def _setup(seed=3, slots=24, n=3):
 
 
 # -- social cost ------------------------------------------------------------
+#
+# The package has no social-cost function: case 5 solves its own objective
+# in closed form.  These check the NumPy oracle the welfare tests lean on.
 
 
 def test_social_cost_zero_at_perfect_idle():
@@ -61,7 +62,7 @@ def test_social_cost_zero_at_perfect_idle():
     slot = SlotData(m_s=12.0, m_b=3.0, g_t=0.0,
                     followers=(FollowerSlot(rp=1.0, d=1.0, t_out=70.0,
                                             t_opt=70.0),))
-    got = social_welfare_cost([0.0], 0.0, [70.0], slot, params, PME)
+    got = social_cost([0.0], 0.0, [70.0], slot, params, PME)
     assert got == 0.0
 
 
@@ -73,7 +74,7 @@ def test_social_cost_quadratic_slice_in_charge():
                                             t_opt=70.0),))
     # With the residual pinned positive, the y-slice is settle-linear plus
     # the battery quadratic: its second difference recovers c_b exactly.
-    f = lambda y: social_welfare_cost([2.0], y, [70.0], slot, params, PME)
+    f = lambda y: social_cost([2.0], y, [70.0], slot, params, PME)
     h = 0.25
     second = (f(0.5 + h) - 2.0 * f(0.5) + f(0.5 - h)) / (h * h)
     assert second == pytest.approx(PME.c_b, rel=1e-9)
@@ -103,7 +104,7 @@ def test_internal_transfers_cancel():
         )
         profit = pme_profit(action, tps, slot.g_t, slot.m_s, slot.m_b, PME.c_b)
         aggregate = discomfort + trade - profit
-        social = social_welfare_cost(es, y, ts, slot, params, PME)
+        social = social_cost(es, y, ts, slot, params, PME)
         assert aggregate == pytest.approx(social, rel=1e-9, abs=1e-9)
 
 
@@ -133,10 +134,10 @@ def test_welfare_solution_beats_equilibrium_pointwise(gamma, c_b):
         es4 = [f.e for f in sol.followers]
         es5, y5 = _solve_welfare_slot(state, slot, params, controls, pme,
                                       pmec)
-        j4 = _welfare_objective(es4, sol.leader.y, state, slot, params,
-                                controls, pme, pmec)
-        j5 = _welfare_objective(es5, y5, state, slot, params, controls, pme,
-                                pmec)
+        j4 = welfare_objective(es4, sol.leader.y, state, slot, params,
+                               controls, pme, pmec)
+        j5 = welfare_objective(es5, y5, state, slot, params, controls, pme,
+                               pmec)
         assert j5 <= j4 + 1e-9
 
 
@@ -180,7 +181,7 @@ def test_welfare_solve_meets_the_dual_bound():
         inst = _random_welfare_instance(rng)
         state, slot, params, controls, pme, pmec = inst
         es, y = _solve_welfare_slot(*inst)
-        j = _welfare_objective(es, y, *inst)
+        j = welfare_objective(es, y, *inst)
         bound, lam = welfare_dual_bound(*inst)
         assert abs(j - bound) <= 1e-9 * (1.0 + abs(j))
         assert len(es) == len(params)
@@ -216,7 +217,7 @@ def test_tracking_case_pins_temperature():
     # Perfect tracking after the first approach slots: discomfort stays tiny.
     assert rep.tatd < 0.2
     assert rep.discomfort_total < 1.0
-    assert all(y == 0.0 for y in rep.y_series)
+    assert all(o.leader.y == 0.0 for o in rep.outcomes)
 
 
 def test_real_time_pricing_case_beats_forecast_case_for_the_aggregator():
@@ -261,7 +262,7 @@ def test_real_time_pricing_case_checks_min_gap():
                         bundle.ng_controls, PME, bundle.pme_control,
                         GameConfig(min_gap=gap))
 
-    assert run_with(width).p_b_series == scen.m_b
+    assert tuple(o.leader.p_b for o in run_with(width).outcomes) == scen.m_b
     with pytest.raises(ConfigurationError, match="min_gap"):
         run_with(width * (1.0 + 1e-6))
 
@@ -285,8 +286,8 @@ def test_welfare_case_blanks_nothing_in_report_but_balances():
     t = [0.5 * (p.t_min + p.t_max) for p in params]
     for o in rep.outcomes:
         slot = scen.slot(o.slot)
-        social += social_welfare_cost([f.e for f in o.followers], o.leader.y,
-                                      t, slot, params, PME)
+        social += social_cost([f.e for f in o.followers], o.leader.y, t,
+                              slot, params, PME)
         t = list(o.next_state.t)
     assert rep.aggregate_cost == pytest.approx(social, rel=1e-9, abs=1e-6)
 
@@ -298,4 +299,5 @@ def test_proposed_case_delegates_to_simulator():
     direct = run(scen, params, bundle.ng_controls, PME, bundle.pme_control,
                  GameConfig())
     assert via_case.aggregate_cost == direct.aggregate_cost
-    assert via_case.p_s_series == direct.p_s_series
+    assert ([o.leader for o in via_case.outcomes]
+            == [o.leader for o in direct.outcomes])

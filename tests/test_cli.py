@@ -114,14 +114,6 @@ def test_check_bounds_prints_without_artifacts(tmp_path, capsys):
     assert "theta_floor" in text
 
 
-def test_run_check_bounds_flag_skips_simulation(tmp_path, capsys):
-    out = tmp_path / "nothing"
-    rc = main(["run", "--slots", "12", "--check-bounds", "--out", str(out)])
-    assert rc == 0
-    assert "shift_floor" in capsys.readouterr().out
-    assert not out.exists()
-
-
 def test_n_sweep_profit_nondecreasing(tmp_path):
     out = tmp_path / "nsw"
     rc = main(["sweep", "--slots", "24", "--param", "n", "--values", "1,3,5",
@@ -265,11 +257,12 @@ def test_config_file_supplies_string_flags(tmp_path):
 
 def test_config_file_flag_and_bad_value(tmp_path, capsys):
     cfg = tmp_path / "flag.cfg"
-    cfg.write_text("check_bounds = true\nslots = 6\n")
+    cfg.write_text("traces = true\nslots = 2\nfollowers = 1\n")
+    traced = tmp_path / "traced"
+    assert main(["run", "--config", str(cfg), "--out", str(traced)]) == 0
+    assert (traced / "traces.csv").exists()
+    capsys.readouterr()
     out = tmp_path / "nothing"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert "shift_floor" in capsys.readouterr().out
-    assert not out.exists()
     # A value the flag's own type rejects is a usage error (exit 2).
     for text, named in (("gamma = abc\n", "--gamma"),
                         ("traces = maybe\n", "traces")):
@@ -372,3 +365,55 @@ def test_infinite_interchange_limit_still_runs(tmp_path):
     assert main(["run", "--slots", "4", "--followers", "2", "--l-max", "inf",
                  "--out", str(out)]) == 0
     assert json.loads((out / "summary.json").read_text())["comfort_violations"] == 0
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--v-p", "inf", "v_p"),
+    ("--v-p", "-inf", "v_p"),
+    ("--v-i", "inf", "v_i"),
+    ("--v-i", "-inf", "v_i"),
+    ("--c-b", "inf", "c_b"),
+    ("--gamma", "inf", "gamma"),
+    ("--batt-max", "inf", "e_max_cap"),
+    ("--batt-min", "-inf", "e_min"),
+    ("--t-max", "inf", "t_max"),
+    ("--t-min", "-inf", "t_min"),
+])
+def test_infinite_override_names_its_field(flag, value, field, tmp_path, capsys):
+    # An infinite value passes the range checks and would turn a derived
+    # window into nan; the record refuses it under the flag's own field.
+    # ``flag=value`` keeps argparse from reading "-inf" as an option.
+    out = tmp_path / "o"
+    rc = main(["run", "--slots", "2", "--followers", "2", f"{flag}={value}",
+               "--out", str(out)])
+    assert rc == 2
+    assert f"error: {field} must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("run", []),
+    ("compare", ["--cases", "1,4,5"]),
+    ("check-bounds", []),
+])
+def test_binding_interchange_limit_is_a_configuration_error(verb, extra, tmp_path,
+                                                            capsys):
+    # The comfort certificate needs l_max to leave the draw box at
+    # [0, e_max]; a binding limit is refused before anything runs.
+    out = ["--out", str(tmp_path / "o")] if verb != "check-bounds" else []
+    rc = main([verb, "--slots", "48", "--followers", "6", "--l-max", "2.5"]
+              + out + extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: l_max=2.5 binds the draw box of nanogrid 0 at slot ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_binding_interchange_limit_is_a_skipped_sweep_row(tmp_path, capsys):
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--slots", "48", "--followers", "6", "--param", "gamma",
+               "--values", "0.01", "--l-max", "2.5", "--out", str(out)])
+    assert rc == 0
+    with open(out / "sweep.csv") as fh:
+        row, = csv.DictReader(fh)
+    assert row["status"].startswith("skipped: l_max=2.5 binds the draw box")

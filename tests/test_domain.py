@@ -5,6 +5,9 @@ cost, the battery cost and the aggregator profit, plus the validation paths
 of every parameter record and the scenario container.
 """
 
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -233,3 +236,40 @@ def test_assumption_checks_name_the_assumption():
     )
     with pytest.raises(ConfigurationError, match=r"assumption \(c\)"):
         check_assumptions(mild, sluggish)
+
+
+def test_assumption_checks_refuse_a_binding_interchange_limit():
+    # The draw box must stay [0, e_max]: l_max >= e_max + d - rp (buying at
+    # rated power) and l_max >= rp - d (selling the surplus at zero draw).
+    scen = Scenario.from_series(
+        n=2, slots=3, rp=[[1.0, 1.0], [1.0, 1.0], [1.0, 9.0]],
+        d=[[1.0, 1.0], [1.0, 3.0], [1.0, 1.0]], t_out=[[40.0, 40.0]] * 3,
+        t_opt=[[70.0, 70.0]] * 3, m_s=[10.0] * 3, m_b=[3.0] * 3, g_t=[0.0] * 3,
+    )
+    with_limit = lambda l_max: [replace(PARAMS, l_max=l_max)] * 2
+    check_assumptions(scen, with_limit(8.0))  # both edges exactly met
+    check_assumptions(scen, with_limit(math.inf))
+    with pytest.raises(ConfigurationError,
+                       match=r"l_max=7\.5 binds the draw box of nanogrid 1 at "
+                             r"slot 2: .* rp - d = 8\.0$"):
+        check_assumptions(scen, with_limit(7.5))
+    with pytest.raises(ConfigurationError,
+                       match=r"nanogrid 1 at slot 1: .* e_max \+ d - rp = 7\.0 "):
+        check_assumptions(scen, with_limit(6.5))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: replace(PARAMS, gamma=math.inf),
+    lambda: replace(PARAMS, t_min=-math.inf),
+    lambda: NanogridControl(v_i=math.inf, gamma_shift=-75.0),
+    lambda: PmeParams(e_min=2.0, e_max_cap=math.inf, u_cmax=1.0, u_dmax=1.0,
+                      c_b=0.01),
+    lambda: PmeControl(v_p=1.0, theta=-math.inf),
+], ids=["gamma", "t_min", "v_i", "e_max_cap", "theta"])
+def test_records_refuse_infinite_values_by_name(make):
+    with pytest.raises(ConfigurationError, match=r"\w+ must be finite, got -?inf"):
+        make()
+
+
+def test_infinite_interchange_limit_is_allowed():
+    assert replace(PARAMS, l_max=math.inf).l_max == math.inf

@@ -18,21 +18,46 @@ from nanodr.domain import (
     thermal_step,
 )
 from nanodr.nanogrid import (
-    best_response,
     compute_follower_bounds,
     compute_thresholds,
     feasible_box,
     follower_rule,
-    p3_objective,
+    respond,
     validate_control,
 )
 from nanodr.stackelberg import QueueResponder
 
-from oracles import brute_force_follower, random_follower_instance, reference_response
+from oracles import (
+    brute_force_follower,
+    follower_objective_grid,
+    random_follower_instance,
+    reference_response,
+)
 
 PARAMS = NanogridParams(epsilon=0.95, eta=15.0, e_max=5.0, t_min=66.0,
                         t_max=77.0, l_max=10.0, gamma=0.01)
 CONTROL = NanogridControl(v_i=0.4, gamma_shift=-75.0)
+
+
+def _draw(h, t, slot, leader, params, control):
+    """The package's draw at the leader's prices: one rule, built and
+    evaluated as a solve does."""
+    es, _ = respond([follower_rule(h, t, slot, params, control)],
+                    leader.p_s, leader.p_b)
+    return es[0]
+
+
+def _rule_value(e, h, t, slot, leader, params, control):
+    """The package's objective at draw ``e``, as ``respond`` evaluates a
+    fixed candidate: the rule built on the one-point box [e, e]."""
+    r = follower_rule(h, t, slot, params, control, box=(e, e))
+    _, base, tp, abs_tp = r.at_lo
+    return base + r.v * (0.5 * (leader.p_s - leader.p_b) * abs_tp
+                         + 0.5 * (leader.p_s + leader.p_b) * tp)
+
+
+def _oracle_value(e, h, t, slot, leader, params, control):
+    return float(follower_objective_grid(e, h, t, slot, leader, params, control))
 
 
 # -- thresholds -------------------------------------------------------------
@@ -85,7 +110,7 @@ def test_delta_equals_scaled_vertex_to_kink_distance():
 def test_objective_zero_at_balanced_idle():
     slot = FollowerSlot(rp=2.0, d=2.0, t_out=30.0, t_opt=70.0)
     leader = LeaderAction(p_s=10.0, p_b=5.0, y=0.0)
-    assert p3_objective(0.0, 0.0, 70.0, slot, leader, PARAMS, CONTROL) == 0.0
+    assert _rule_value(0.0, 0.0, 70.0, slot, leader, PARAMS, CONTROL) == 0.0
 
 
 def test_objective_matches_term_by_term_restatement():
@@ -94,7 +119,7 @@ def test_objective_matches_term_by_term_restatement():
         params, control, t, h, slot, leader = random_follower_instance(rng)
         lo, hi = feasible_box(slot, params)
         e = rng.uniform(lo, hi)
-        got = p3_objective(e, h, t, slot, leader, params, control)
+        got = _rule_value(e, h, t, slot, leader, params, control)
         eps, one, eta, v = params.epsilon, 1.0 - params.epsilon, params.eta, control.v_i
         term_quad = v * params.gamma * one ** 2 * (eta * e) ** 2
         term_lin = (eps * one * h + 2.0 * v * params.gamma * one
@@ -116,8 +141,8 @@ def test_objective_increment_matches_drift_bound_form():
         if lo > 0.0:
             continue
         e = rng.uniform(lo, hi)
-        got = (p3_objective(e, h, t, slot, leader, params, control)
-               - p3_objective(0.0, h, t, slot, leader, params, control))
+        got = (_rule_value(e, h, t, slot, leader, params, control)
+               - _rule_value(0.0, h, t, slot, leader, params, control))
         eps, one, eta, v = params.epsilon, 1.0 - params.epsilon, params.eta, control.v_i
         t_with = thermal_step(t, slot.t_out, e, params)
         t_without = thermal_step(t, slot.t_out, 0.0, params)
@@ -129,15 +154,6 @@ def test_objective_increment_matches_drift_bound_form():
                      - (0.5 * (leader.p_s - leader.p_b) * abs(slot.d - slot.rp)
                         + 0.5 * (leader.p_s + leader.p_b) * (slot.d - slot.rp)))
         assert got == pytest.approx(drift + discomfort + trade, rel=1e-9, abs=1e-9)
-
-
-def test_objective_rejects_out_of_box_draw():
-    slot = FollowerSlot(rp=1.0, d=2.0, t_out=30.0, t_opt=70.0)
-    leader = LeaderAction(p_s=10.0, p_b=5.0, y=0.0)
-    with pytest.raises(ScenarioError, match="ceiling"):
-        p3_objective(6.0, -5.0, 70.0, slot, leader, PARAMS, CONTROL)
-    with pytest.raises(ScenarioError, match="floor"):
-        p3_objective(-0.5, -5.0, 70.0, slot, leader, PARAMS, CONTROL)
 
 
 def test_empty_box_is_a_scenario_error():
@@ -161,9 +177,7 @@ def test_zero_draw_threshold_case():
     th = compute_thresholds(h, t, slot, PARAMS, control)
     pressure = -PARAMS.epsilon * (1 - PARAMS.epsilon) * h * PARAMS.eta
     assert control.v_i * leader.p_b > pressure - th.alpha  # case fires
-    act = best_response(h, t, slot, leader, PARAMS, control)
-    assert act.e == 0.0
-    assert act.tp == pytest.approx(slot.d - slot.rp)
+    assert _draw(h, t, slot, leader, PARAMS, control) == 0.0
 
 
 def test_full_power_threshold_case():
@@ -176,8 +190,7 @@ def test_full_power_threshold_case():
     th = compute_thresholds(h, t, slot, PARAMS, control)
     pressure = -PARAMS.epsilon * (1 - PARAMS.epsilon) * h * PARAMS.eta
     assert control.v_i * leader.p_s < pressure - th.beta  # case fires
-    act = best_response(h, t, slot, leader, PARAMS, control)
-    assert act.e == PARAMS.e_max
+    assert _draw(h, t, slot, leader, PARAMS, control) == PARAMS.e_max
 
 
 def test_best_response_matches_brute_force():
@@ -185,8 +198,8 @@ def test_best_response_matches_brute_force():
     checked = 0
     for _ in range(200):
         params, control, t, h, slot, leader = random_follower_instance(rng)
-        act = best_response(h, t, slot, leader, params, control)
-        mine = p3_objective(act.e, h, t, slot, leader, params, control)
+        e = _draw(h, t, slot, leader, params, control)
+        mine = _oracle_value(e, h, t, slot, leader, params, control)
         _, best_val = brute_force_follower(h, t, slot, leader, params, control,
                                            points=20_001)
         assert mine <= best_val + 1e-8 * (1.0 + abs(best_val))
@@ -198,12 +211,12 @@ def test_best_response_monotone_in_prices():
     rng = random.Random(23)
     for _ in range(150):
         params, control, t, h, slot, leader = random_follower_instance(rng)
-        act = best_response(h, t, slot, leader, params, control)
+        e = _draw(h, t, slot, leader, params, control)
         bumped_s = LeaderAction(p_s=leader.p_s + 0.5, p_b=leader.p_b, y=0.0)
-        assert best_response(h, t, slot, bumped_s, params, control).e <= act.e + 1e-9
+        assert _draw(h, t, slot, bumped_s, params, control) <= e + 1e-9
         if leader.p_b + 0.5 < leader.p_s:
             bumped_b = LeaderAction(p_s=leader.p_s, p_b=leader.p_b + 0.5, y=0.0)
-            assert best_response(h, t, slot, bumped_b, params, control).e <= act.e + 1e-9
+            assert _draw(h, t, slot, bumped_b, params, control) <= e + 1e-9
 
 
 def test_gamma_zero_best_response_is_edge_or_kink():
@@ -212,11 +225,11 @@ def test_gamma_zero_best_response_is_edge_or_kink():
     rng = random.Random(29)
     for _ in range(100):
         _, control, t, h, slot, leader = random_follower_instance(rng)
-        act = best_response(h, t, slot, leader, params, control)
+        e = _draw(h, t, slot, leader, params, control)
         lo, hi = feasible_box(slot, params)
         kink = min(max(slot.rp - slot.d, lo), hi)
-        assert min(abs(act.e - lo), abs(act.e - hi), abs(act.e - kink)) < 1e-12
-        mine = p3_objective(act.e, h, t, slot, leader, params, control)
+        assert min(abs(e - lo), abs(e - hi), abs(e - kink)) < 1e-12
+        mine = _oracle_value(e, h, t, slot, leader, params, control)
         _, best_val = brute_force_follower(h, t, slot, leader, params, control,
                                            points=20_001)
         assert mine <= best_val + 1e-8 * (1.0 + abs(best_val))
@@ -246,7 +259,7 @@ def test_threshold_cases_agree_with_unclamped_argmin():
         grid_e, _ = brute_force_follower(h, t, slot, leader, wide, control,
                                          points=20_001)
         assert abs(grid_e - endpoint) <= wide.e_max / 20_000 + 1e-12
-        assert best_response(h, t, slot, leader, wide, control).e == endpoint
+        assert _draw(h, t, slot, leader, wide, control) == endpoint
         fired += 1
     assert fired > 50
 
@@ -450,7 +463,7 @@ def test_best_response_is_bit_exact_with_reference_rule():
     for params, control, t, h, slot, leader in _instances(rng, 500, False):
         e, _ = reference_response(h, t, slot, leader.p_s, leader.p_b, params,
                                   control)
-        assert best_response(h, t, slot, leader, params, control).e == e
+        assert _draw(h, t, slot, leader, params, control) == e
 
 
 # -- certified windows ------------------------------------------------------

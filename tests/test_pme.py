@@ -1,25 +1,27 @@
-"""Leader surrogate, closed-form charging, subgradients, certified windows."""
+"""Leader surrogate, exact charge step, subgradients, certified windows."""
 
 import random
 
+import numpy as np
 import pytest
 
 from nanodr.domain import (
     ConfigurationError,
+    FollowerAction,
     LeaderAction,
     PmeControl,
     PmeParams,
+    _trade_sums,
     pme_profit,
 )
-from nanodr.nanogrid import best_response, compute_thresholds
+from nanodr.nanogrid import compute_thresholds, follower_rule, respond
 from nanodr.pme import (
-    _pro_prime,
+    _close_pro_prime,
     compute_leader_bounds,
-    optimal_charge,
-    p4_objective,
     subgradients,
     validate_control,
 )
+from nanodr.stackelberg import _argmin_charge
 
 from oracles import (
     brute_force_charge,
@@ -32,12 +34,36 @@ PME = PmeParams(e_min=2.0, e_max_cap=16.0, u_cmax=1.0, u_dmax=1.0, c_b=0.01)
 CONTROL = PmeControl(v_p=1.0, theta=-18.0)
 
 
+def _surrogate(action, tps, b, g_t, m_s, m_b, v_p, c_b):
+    """The package's surrogate: its trade sums closed in y, as the solver
+    evaluates them."""
+    return _close_pro_prime(*_trade_sums(action.p_s, action.p_b, tps), action.y,
+                            b, g_t, m_s, m_b, v_p, c_b)
+
+
+def _charge(b, m, control, params):
+    """The exact charge step with the settlement residual positive over the
+    whole charge box, so ``m`` is the marginal grid price throughout."""
+    g_t = -params.u_dmax - 5.0  # residual = y - g_t > 0 for every y in the box
+    return _argmin_charge([], b, g_t, m, m - 1.0, control.v_p, params.c_b,
+                          -params.u_dmax, params.u_cmax)
+
+
+def _answers(folks, p_s, p_b):
+    """Each follower's action at the prices from the package's rule;
+    ``folks`` holds (params, control, t, h, slot) per follower."""
+    rules = [follower_rule(h, t, slot, params, ctl)
+             for params, ctl, t, h, slot in folks]
+    es, _ = respond(rules, p_s, p_b)
+    return [FollowerAction(e=e, tp=f[4].d + e - f[4].rp) for e, f in zip(es, folks)]
+
+
 # -- surrogate objective ----------------------------------------------------
 
 
 def test_surrogate_zero_at_idle():
     action = LeaderAction(p_s=10.0, p_b=5.0, y=0.0)
-    assert p4_objective(action, [0.0, 0.0], 0.0, 0.0, 12.0, 3.0, CONTROL, PME) == 0.0
+    assert _surrogate(action, [0.0, 0.0], 0.0, 0.0, 12.0, 3.0, 1.0, PME.c_b) == 0.0
 
 
 def test_surrogate_is_pressure_minus_weighted_profit():
@@ -54,9 +80,12 @@ def test_surrogate_is_pressure_minus_weighted_profit():
         g_t = rng.uniform(-15.0, 25.0)
         v_p = rng.uniform(0.2, 2.0)
         control = PmeControl(v_p=v_p, theta=-18.0)
-        surrogate = p4_objective(action, tps, b, g_t, m_s, m_b, control, PME)
+        surrogate = _surrogate(action, tps, b, g_t, m_s, m_b, control.v_p, PME.c_b)
         profit = pme_profit(action, tps, g_t, m_s, m_b, PME.c_b)
         assert surrogate == pytest.approx(b * y - v_p * profit, rel=1e-11, abs=1e-11)
+        assert surrogate == pytest.approx(
+            leader_surrogate(p_s, p_b, y, tps, b, g_t, m_s, m_b, v_p, PME.c_b),
+            rel=1e-11, abs=1e-11)
         assert profit == pytest.approx(
             profit_from_definition(p_s, p_b, y, tps, g_t, m_s, m_b, PME.c_b),
             rel=1e-11, abs=1e-11)
@@ -65,36 +94,23 @@ def test_surrogate_is_pressure_minus_weighted_profit():
 def test_surrogate_hand_computed_point():
     # One buyer of 2 kWh, balanced by own generation except the charge.
     action = LeaderAction(p_s=10.0, p_b=5.0, y=0.5)
-    got = p4_objective(action, [2.0], -6.0, 2.0, 12.0, 3.0,
-                       PmeControl(v_p=1.5, theta=-18.0), PME)
+    got = _surrogate(action, [2.0], -6.0, 2.0, 12.0, 3.0, 1.5, PME.c_b)
     # b*y - v*p_s*tp + v*(m_s*residual + 0.5*c_b*y^2), residual = 0.5
     want = -6.0 * 0.5 - 1.5 * 20.0 + 1.5 * (12.0 * 0.5 + 0.5 * 0.01 * 0.25)
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_surrogate_rejects_band_violations():
-    with pytest.raises(ConfigurationError):
-        p4_objective(LeaderAction(p_s=13.0, p_b=5.0, y=0.0), [0.0], 0.0, 0.0,
-                     12.0, 3.0, CONTROL, PME)
-    with pytest.raises(ConfigurationError):
-        p4_objective(LeaderAction(p_s=10.0, p_b=10.0, y=0.0), [0.0], 0.0, 0.0,
-                     12.0, 3.0, CONTROL, PME)
-    with pytest.raises(ConfigurationError):
-        p4_objective(LeaderAction(p_s=10.0, p_b=5.0, y=2.0), [0.0], 0.0, 0.0,
-                     12.0, 3.0, CONTROL, PME)
-
-
-# -- closed-form charge -----------------------------------------------------
+# -- exact charge step ------------------------------------------------------
 
 
 def test_charge_interior_zero():
     control = PmeControl(v_p=1.25, theta=-18.0)
-    assert optimal_charge(-1.25 * 8.0, 8.0, control, PME) == pytest.approx(0.0)
+    assert _charge(-1.25 * 8.0, 8.0, control, PME) == pytest.approx(0.0)
 
 
 def test_charge_saturates_on_pressure():
-    assert optimal_charge(50.0, 8.0, CONTROL, PME) == -PME.u_dmax
-    assert optimal_charge(-50.0, 8.0, CONTROL, PME) == PME.u_cmax
+    assert _charge(50.0, 8.0, CONTROL, PME) == -PME.u_dmax
+    assert _charge(-50.0, 8.0, CONTROL, PME) == PME.u_cmax
 
 
 def test_charge_matches_brute_force():
@@ -108,7 +124,7 @@ def test_charge_matches_brute_force():
                            u_cmax=rng.uniform(0.5, 3.0),
                            u_dmax=rng.uniform(0.5, 3.0), c_b=c_b)
         control = PmeControl(v_p=v_p, theta=-18.0)
-        y = optimal_charge(b, m, control, params)
+        y = _charge(b, m, control, params)
         mine = (b + v_p * m) * y + 0.5 * v_p * c_b * y * y
         _, best_val = brute_force_charge(b, m, v_p, c_b, params.u_dmax,
                                          params.u_cmax, points=20_001)
@@ -117,9 +133,29 @@ def test_charge_matches_brute_force():
 
 def test_charge_degenerate_cost_picks_endpoint_by_sign():
     params = PmeParams(e_min=2.0, e_max_cap=16.0, u_cmax=1.0, u_dmax=1.0, c_b=0.0)
-    assert optimal_charge(1.0, 8.0, CONTROL, params) == -1.0
-    assert optimal_charge(-20.0, 8.0, CONTROL, params) == 1.0
-    assert optimal_charge(-8.0, 8.0, CONTROL, params) == 0.0
+    assert _charge(1.0, 8.0, CONTROL, params) == -1.0
+    assert _charge(-20.0, 8.0, CONTROL, params) == 1.0
+    # A flat objective ties every charge; the smallest candidate wins.
+    assert _charge(-8.0, 8.0, CONTROL, params) == -1.0
+
+
+def test_charge_takes_the_kink_between_the_branches():
+    # Below the kink the grid buys back at m_b, above it sells at m_s: with
+    # b + v_p*m_b < 0 < b + v_p*m_s the surrogate bottoms out at the kink.
+    rng = random.Random(23)
+    for _ in range(200):
+        tps = [rng.uniform(-4.0, 4.0) for _ in range(3)]
+        kink = rng.uniform(-0.9, 0.9)
+        g_t = kink + sum(tps)
+        m_b, m_s, v_p = 3.0, 12.0, rng.uniform(0.5, 1.5)
+        b = -v_p * rng.uniform(m_b + 0.5, m_s - 0.5)
+        c_b = rng.choice([0.0, 0.01])
+        y = _argmin_charge(tps, b, g_t, m_s, m_b, v_p, c_b, -1.0, 1.0)
+        assert y == pytest.approx(kink, abs=1e-12)
+        grid = np.linspace(-1.0, 1.0, 20_001)
+        values = leader_surrogate(m_s, m_b, grid, tps, b, g_t, m_s, m_b, v_p, c_b)
+        mine = leader_surrogate(m_s, m_b, y, tps, b, g_t, m_s, m_b, v_p, c_b)
+        assert mine <= float(np.min(values)) + 1e-10
 
 
 # -- subgradients -----------------------------------------------------------
@@ -196,18 +232,12 @@ def test_subgradients_match_finite_differences_at_interior_points():
         m_s, m_b = 14.0, 3.0
         action = LeaderAction(p_s=p_s, p_b=p_b, y=y)
 
-        def respond(ps, pb):
-            es = []
-            slopes = []
-            for params, ctl, t, h, slot, _, _ in folks:
-                act = best_response(h, t, slot,
-                                    LeaderAction(p_s=ps, p_b=pb, y=y),
-                                    params, ctl)
-                es.append(act)
-                slopes.append(compute_thresholds(h, t, slot, params, ctl).hbar)
-            return es, slopes
+        def answer(ps, pb):
+            slopes = [compute_thresholds(h, t, slot, params, ctl).hbar
+                      for params, ctl, t, h, slot, _, _ in folks]
+            return _answers([f[:5] for f in folks], ps, pb), slopes
 
-        acts, slopes = respond(p_s, p_b)
+        acts, slopes = answer(p_s, p_b)
         tps = [a.tp for a in acts]
         # Keep only instances with a clean residual sign and stable regimes.
         g_t = sum(tps) + y - rng.choice([-8.0, 8.0])
@@ -217,12 +247,12 @@ def test_subgradients_match_finite_differences_at_interior_points():
         h_step = 1e-5
 
         def pro(ps, pb, yy):
-            a, _ = respond(ps, pb)
+            a, _ = answer(ps, pb)
             return leader_surrogate(ps, pb, yy, [x.tp for x in a], b, g_t,
                                     m_s, m_b, v_p, PME.c_b)
 
         base_acts = [a.e for a in acts]
-        moved = respond(p_s + h_step, p_b)[0]
+        moved = answer(p_s + h_step, p_b)[0]
         stable = all(abs(m.e - e0) < 1.0 and 0.0 < m.e < 5.0
                      for m, e0 in zip(moved, base_acts))
         if not stable:
@@ -247,8 +277,8 @@ def test_surrogate_strictly_convex_in_charge():
         v_p = rng.uniform(0.3, 1.5)
         y = rng.uniform(-0.7, 0.7)
         h = 0.05
-        f = lambda yy: _pro_prime(10.0, 5.0, yy, tps, b, g_t, 12.0, 3.0,
-                                  v_p, PME.c_b)
+        f = lambda yy: _surrogate(LeaderAction(p_s=10.0, p_b=5.0, y=yy), tps, b,
+                                  g_t, 12.0, 3.0, v_p, PME.c_b)
         second = f(y + h) - 2.0 * f(y) + f(y - h)
         assert second > 0.0
 
@@ -268,12 +298,10 @@ def test_price_hessian_positive_at_interior_regime():
         v_p = 1.0
         b = -10.0
 
-        def respond(ps, pb):
-            return [best_response(h, t, slot, LeaderAction(p_s=ps, p_b=pb, y=y),
-                                  params, ctl)
-                    for params, ctl, t, h, slot in folks]
+        def answer(ps, pb):
+            return _answers(folks, ps, pb)
 
-        acts = respond(p_s, p_b)
+        acts = answer(p_s, p_b)
         if not all(0.5 < a.e < 4.5 for a in acts):
             continue
         tps = [a.tp for a in acts]
@@ -281,11 +309,11 @@ def test_price_hessian_positive_at_interior_regime():
         step = 1e-4
 
         def pro(ps, pb):
-            a = respond(ps, pb)
+            a = answer(ps, pb)
             return leader_surrogate(ps, pb, y, [x.tp for x in a], b, g_t,
                                     14.0, 3.0, v_p, PME.c_b)
 
-        probe = [respond(p_s + s1, p_b + s2)
+        probe = [answer(p_s + s1, p_b + s2)
                  for s1 in (-step, step) for s2 in (-step, step)]
         if not all(0.0 < a.e < 5.0 for row in probe for a in row):
             continue

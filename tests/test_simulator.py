@@ -32,7 +32,7 @@ CONTROL = NanogridControl(v_i=0.35, gamma_shift=-76.0)
 PME = PmeParams(e_min=2.0, e_max_cap=16.0, u_cmax=1.0, u_dmax=1.0, c_b=0.01)
 PMEC = PmeControl(v_p=1.0, theta=-18.5)
 
-_EMPTY = IterationTrace(records=(), converged=True, iterations=0)
+_EMPTY = IterationTrace(records=(), converged=True)
 
 
 def _scenario_const(n=1, slots=3, t_out=30.0, m_s=12.0, m_b=3.0, g_t=0.0):
@@ -110,7 +110,7 @@ def test_single_slot_idle_run_is_neutral():
 
     rep = run(scen, [], [], PME, PMEC, GameConfig(), e0=9.0, slot_solver=idle)
     assert rep.pme_profit_total == 0.0
-    assert rep.battery == (9.0,)
+    assert [o.next_state.e_batt for o in rep.outcomes] == [9.0]
     assert rep.aggregate_cost == 0.0
     assert rep.tatd == 0.0
 
@@ -148,11 +148,10 @@ def test_standard_run_respects_both_bound_certificates():
               GameConfig(), strict_bounds=True)
     assert rep.comfort_violations == 0
     assert rep.battery_violations == 0
-    for k, row in enumerate(rep.temperatures):
-        for i, t in enumerate(row):
+    for o in rep.outcomes:
+        for i, t in enumerate(o.next_state.t):
             assert params[i].t_min <= t <= params[i].t_max
-    for e in rep.battery:
-        assert pme.e_min <= e <= pme.e_max_cap
+        assert pme.e_min <= o.next_state.e_batt <= pme.e_max_cap
 
 
 def test_time_average_charge_is_window_bounded():
@@ -165,7 +164,7 @@ def test_time_average_charge_is_window_bounded():
     bundle = default_policy(scen, params, pme)
     rep = run(scen, params, bundle.ng_controls, pme, bundle.pme_control,
               GameConfig())
-    total = math.fsum(rep.y_series)
+    total = math.fsum(o.leader.y for o in rep.outcomes)
     assert abs(total) <= pme.e_max_cap - pme.e_min + 1e-9
     assert abs(total / scen.slots) <= (pme.e_max_cap - pme.e_min) / scen.slots + 1e-9
 

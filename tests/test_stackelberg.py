@@ -17,8 +17,8 @@ from nanodr.domain import (
     SlotData,
     SlotState,
 )
-from nanodr.nanogrid import best_response
-from nanodr.pme import _pro_prime, optimal_charge, subgradients
+from nanodr.nanogrid import follower_rule, respond
+from nanodr.pme import subgradients
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
     SyntheticSpec,
@@ -212,8 +212,9 @@ def test_no_followers_reaches_closed_form_charge():
     pmec = PmeControl(v_p=1.0, theta=-18.5)
     sol = solve_slot(state, slot, [], [], PME, pmec, GameConfig())
     # Net residual is y + 5 > 0 for any feasible y: the selling price is
-    # marginal and the closed form applies directly.
-    want = optimal_charge(state.b, slot.m_s, pmec, PME)
+    # marginal and the charge is the clamped vertex of one quadratic.
+    vertex = -(state.b + pmec.v_p * slot.m_s) / (pmec.v_p * PME.c_b)
+    want = min(max(vertex, -PME.u_dmax), PME.u_cmax)
     assert sol.leader.y == pytest.approx(want, abs=1e-9)
 
 
@@ -240,8 +241,8 @@ def test_returned_action_is_unilaterally_stable():
     def pro(ps, pb, y):
         es = responder.respond(ps, pb)
         tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
-        return _pro_prime(ps, pb, y, tps, state.b, slot.g_t, slot.m_s,
-                          slot.m_b, pmec.v_p, PME.c_b)
+        return leader_surrogate(ps, pb, y, tps, state.b, slot.g_t, slot.m_s,
+                                slot.m_b, pmec.v_p, PME.c_b)
 
     act = sol.leader
     base = pro(act.p_s, act.p_b, act.y)
@@ -252,10 +253,10 @@ def test_returned_action_is_unilaterally_stable():
                         slot.m_s, slot.m_b, -PME.u_dmax, PME.u_cmax, cfg.min_gap)
         assert pro(pert.p_s, pert.p_b, pert.y) >= base - tol
     # Followers re-solved at the final prices reproduce the returned draws.
-    for i, f in enumerate(sol.followers):
-        redo = best_response(state.h[i], state.t[i], slot.followers[i],
-                             sol.leader, params[i], controls[i])
-        assert redo.e == pytest.approx(f.e, abs=1e-6)
+    rules = [follower_rule(h, t, fs, p, c) for h, t, fs, p, c
+             in zip(state.h, state.t, slot.followers, params, controls)]
+    redo, _ = respond(rules, sol.leader.p_s, sol.leader.p_b)
+    assert redo == pytest.approx([f.e for f in sol.followers], abs=1e-6)
 
 
 def test_non_convergence_is_flagged_not_raised():
