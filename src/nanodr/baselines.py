@@ -54,8 +54,8 @@ from .stackelberg import (
     QueueResponder,
     SlotSolution,
     _argmin_charge,
-    _project,
     _solve_with_responder,
+    check_band,
 )
 
 
@@ -65,6 +65,13 @@ class CaseId(enum.Enum):
     MYOPIC_GAME = 3
     PROPOSED = 4
     SOCIAL_WELFARE = 5
+
+    @property
+    def posts_prices(self) -> bool:
+        """Whether the aggregator posts prices inside the grid band; cases
+        1 and 5 only book the band's edges."""
+        return self in (CaseId.FIXED_POINT_REAL_TIME_PRICE, CaseId.MYOPIC_GAME,
+                        CaseId.PROPOSED)
 
 
 _EMPTY_TRACE = IterationTrace(records=(), converged=True)
@@ -217,8 +224,9 @@ def run_case(case: CaseId, scenario: Scenario,
             y = _argmin_charge([f.tp for f in followers], state.b, slot.g_t,
                                slot.m_s, slot.m_b, pme_control.v_p,
                                pme_params.c_b, y_lo, y_hi)
-            leader = _project(slot.m_s, slot.m_b, y, slot.m_s, slot.m_b, y_lo,
-                              y_hi, config.min_gap)
+            # The band edges and a charge in its box are already projected.
+            check_band(slot.m_s, slot.m_b, config.min_gap)
+            leader = LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=y)
             return SlotSolution(leader=leader, followers=followers,
                                 trace=_EMPTY_TRACE)
 

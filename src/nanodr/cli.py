@@ -47,7 +47,7 @@ from .scenario_io import (
     synthetic_params,
 )
 from .simulator import RunReport, run
-from .stackelberg import GameConfig
+from .stackelberg import GameConfig, check_band
 
 _CASE_BY_NUMBER = {c.value: c for c in CaseId}
 
@@ -177,9 +177,15 @@ def _build_game_config(args: argparse.Namespace) -> GameConfig:
 
 
 class Setup:
-    """Everything a command needs, assembled and validated."""
+    """Everything a command needs, assembled and validated.
 
-    def __init__(self, args: argparse.Namespace):
+    ``posts_prices`` says whether the command runs an aggregator that posts
+    prices; then every slot's grid price band must be at least ``min_gap``
+    wide, and this is checked before the certified windows are derived (a
+    flat envelope makes them infinite) and before any slot is solved.
+    """
+
+    def __init__(self, args: argparse.Namespace, posts_prices: bool = True):
         self.synthetic: SyntheticSpec | None = None
         if args.scenario:
             clashes = [flag for flag, val in (("--seed", args.seed),
@@ -197,6 +203,11 @@ class Setup:
             self.synthetic = _build_spec(args)
             self.scenario = generate_synthetic(self.synthetic)
             self.source = f"synthetic:seed={self.synthetic.seed}"
+        self.config = _build_game_config(args)
+        if posts_prices:
+            bands = zip(self.scenario.m_s, self.scenario.m_b)
+            for k, (m_s, m_b) in enumerate(bands):
+                check_band(m_s, m_b, self.config.min_gap, slot=k)
         self.ng_params = _build_params(args, self.scenario, self.synthetic)
         self.pme_params = _build_pme_params(args)
         n = self.scenario.n
@@ -206,7 +217,6 @@ class Setup:
             self.scenario, self.ng_params, self.pme_params,
             v_i=v_i, gamma_shift=shift, v_p=args.v_p, theta=args.theta,
         )
-        self.config = _build_game_config(args)
 
     def simulate(self, keep_traces: bool = False) -> RunReport:
         return run(self.scenario, self.ng_params, self.bundle.ng_controls,
@@ -304,12 +314,11 @@ def _write_traces(report: RunReport, setup: Setup, out_dir: str) -> None:
             text = steps[triple] = _cells(triple)
         return text
 
+    # A record's fields are the row's cells in order: p_s .. g_y, the step
+    # triple, dist_s .. dist_y, then the draws.
     _write_csv(os.path.join(out_dir, "traces.csv"), headers, (
-        (f"{o.slot},{m},"
-         + _cells((rec.action.p_s, rec.action.p_b, rec.action.y,
-                   rec.subgrad.g_ps, rec.subgrad.g_pb, rec.subgrad.g_y))
-         + "," + step_cells(rec.steps) + ","
-         + _cells((*rec.distance, *rec.es))
+        (f"{o.slot},{m},{_cells(rec[:6])},{step_cells(rec.steps)},"
+         f"{_cells(rec[7:10] + rec.es)}"
          for m, rec in enumerate(o.trace.records, start=1))
         for o in report.outcomes if o.trace is not None))
 
@@ -379,8 +388,8 @@ def _parse_cases(text: str) -> list[CaseId]:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    setup = Setup(args)
     cases = _parse_cases(args.cases)
+    setup = Setup(args, posts_prices=any(case.posts_prices for case in cases))
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for case in cases:

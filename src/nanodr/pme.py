@@ -18,12 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .domain import (
-    ConfigurationError,
-    LeaderAction,
-    PmeControl,
-    PmeParams,
-)
+from .domain import ConfigurationError, PmeControl, PmeParams
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,15 +37,6 @@ class LeaderBounds:
     c_min: float
     c_max: float
     drift_bound: float
-
-
-@dataclass(frozen=True, slots=True)
-class SubgradientSet:
-    """Subgradients of the leader surrogate at the current iterate."""
-
-    g_ps: float
-    g_pb: float
-    g_y: float
 
 
 def _close_pro_prime(revenue: float, total: float, y: float, b: float,
@@ -77,13 +63,16 @@ def interchange_sums(tps: Sequence[float]) -> tuple[float, float, float]:
     return total, buy_sum, sell_sum
 
 
-def subgradients(action: LeaderAction, tps: Sequence[float], b: float,
-                 g_t: float, m_s: float, m_b: float, control: PmeControl,
-                 params: PmeParams, hbars: Sequence[float], *,
+def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
+                 b: float, g_t: float, m_s: float, m_b: float,
+                 control: PmeControl, params: PmeParams,
+                 hbars: Sequence[float], *,
                  free: Sequence[int] | None = None,
                  pinned: tuple[bool, bool] = (False, False),
-                 sums: tuple[float, float, float] | None = None) -> SubgradientSet:
-    """Subgradients of the leader surrogate at the current iterate.
+                 sums: tuple[float, float, float] | None = None
+                 ) -> tuple[float, float, float]:
+    """Subgradients (g_ps, g_pb, g_y) of the leader surrogate at the iterate
+    (p_s, p_b, y).
 
     ``hbars`` holds each follower's price sensitivity at this iterate: the
     hbar constant while the response sits strictly inside a price-responsive
@@ -103,7 +92,7 @@ def subgradients(action: LeaderAction, tps: Sequence[float], b: float,
     """
     v_p = control.v_p
     total, buy_sum, sell_sum = interchange_sums(tps) if sums is None else sums
-    residual = total - g_t + action.y
+    residual = total - g_t + y
     m = m_s if residual > 0.0 else m_b
 
     g_ps = -v_p * buy_sum
@@ -113,15 +102,15 @@ def subgradients(action: LeaderAction, tps: Sequence[float], b: float,
         if not math.isfinite(hbar):
             continue
         if tps[i] >= 0.0:
-            g_ps += v_p * (action.p_s - m) * hbar
+            g_ps += v_p * (p_s - m) * hbar
         else:
-            g_pb += v_p * (action.p_b - m) * hbar
+            g_pb += v_p * (p_b - m) * hbar
     if pinned[0]:
-        g_ps += v_p * (action.p_s - m) * 0.0
+        g_ps += v_p * (p_s - m) * 0.0
     if pinned[1]:
-        g_pb += v_p * (action.p_b - m) * 0.0
-    g_y = b + params.c_b * v_p * action.y + v_p * m
-    return SubgradientSet(g_ps=g_ps, g_pb=g_pb, g_y=g_y)
+        g_pb += v_p * (p_b - m) * 0.0
+    g_y = b + params.c_b * v_p * y + v_p * m
+    return g_ps, g_pb, g_y
 
 
 def compute_leader_bounds(params: PmeParams, v_p: float | None,

@@ -6,6 +6,13 @@ projected subgradient step on its surrogate with harmonically decaying step
 sizes.  The loop stops when all three coordinates move less than ``rho``
 between consecutive iterates, or at the iteration cap (flagged, not fatal).
 
+The loop carries the iterate as three floats and keeps one flat
+``IterationRecord`` per iteration, which is one row of ``traces.csv``; the
+band, the projection's bounds and the responder's per-slot template are
+read once per slot, before it.  The band itself (at least ``min_gap`` wide)
+is checked once per slot here, and by the commands over every slot before
+any is solved.
+
 Because a diminishing-step subgradient iterate can stall a small distance
 away from a non-smooth minimizer, the returned action is then polished:
 exact coordinate-wise minimization of the surrogate (followers re-solved for
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .domain import (
     ConfigurationError,
@@ -44,7 +51,7 @@ from .domain import (
     clamp,
 )
 from .nanogrid import follower_rule, pinned_draw, respond
-from .pme import SubgradientSet, _close_pro_prime, interchange_sums, subgradients
+from .pme import _close_pro_prime, interchange_sums, subgradients
 
 
 # Step sizes at iteration m are scale / (STEP_C0 + STEP_C1*m): strictly
@@ -87,15 +94,27 @@ class GameConfig:
             raise ConfigurationError(f"min_gap must be positive, got {self.min_gap}")
 
 
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
-    """One loop iteration: the broadcast action and what it triggered."""
+class IterationRecord(NamedTuple):
+    """One loop iteration, flat: one ``traces.csv`` row after its slot and
+    iteration index.
 
-    action: LeaderAction
-    es: tuple[float, ...]  # follower draws at ``action``
-    subgrad: SubgradientSet
+    The broadcast iterate, the subgradients there, the step sizes, each
+    coordinate's distance to the next iterate, and the follower draws at the
+    iterate.  The step triple depends only on the iteration index, so every
+    slot's record at that index holds the same tuple.
+    """
+
+    p_s: float
+    p_b: float
+    y: float
+    g_ps: float
+    g_pb: float
+    g_y: float
     steps: tuple[float, float, float]
-    distance: tuple[float, float, float]  # to the next iterate
+    dist_s: float
+    dist_b: float
+    dist_y: float
+    es: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -116,18 +135,43 @@ class SlotSolution:
     trace: IterationTrace
 
 
-def _project(raw_ps: float, raw_pb: float, raw_y: float, m_s: float,
-             m_b: float, y_lo: float, y_hi: float, min_gap: float) -> LeaderAction:
+def check_band(m_s: float, m_b: float, min_gap: float,
+               slot: int | None = None) -> None:
+    """Refuse a grid price band [m_b, m_s] narrower than ``min_gap``: no
+    price pair in it keeps p_s - p_b >= min_gap.  ``slot`` names the slot."""
     # Representation slack so a band whose width nominally equals min_gap
     # is not rejected over the last float bit.
     if m_s - m_b < min_gap - 1e-12:
+        at = "" if slot is None else f" at slot {slot}"
         raise ConfigurationError(
-            f"grid price band [{m_b}, {m_s}] narrower than min_gap={min_gap}"
+            f"grid price band [{m_b}, {m_s}]{at} narrower than min_gap={min_gap}"
         )
-    p_b = clamp(raw_pb, m_b, max(m_s - min_gap, m_b))
-    p_s = clamp(raw_ps, min(p_b + min_gap, m_s), m_s)
-    y = clamp(raw_y, y_lo, y_hi)
-    return LeaderAction(p_s=p_s, p_b=p_b, y=y)
+
+
+def _project(raw_ps: float, raw_pb: float, raw_y: float, m_s: float,
+             m_b: float, pb_hi: float, y_lo: float, y_hi: float,
+             min_gap: float) -> tuple[float, float, float]:
+    """Projection onto the leader's feasible set, as (p_s, p_b, y).
+
+    p_b goes into [m_b, pb_hi], where ``pb_hi`` is max(m_s - min_gap, m_b)
+    (computed once per slot), then p_s into [min(p_b + min_gap, m_s), m_s],
+    then y into [y_lo, y_hi].  The band must pass ``check_band``.
+    """
+    p_b = m_b if raw_pb < m_b else pb_hi if raw_pb > pb_hi else raw_pb
+    ps_lo = min(p_b + min_gap, m_s)
+    p_s = ps_lo if raw_ps < ps_lo else m_s if raw_ps > m_s else raw_ps
+    return p_s, p_b, y_lo if raw_y < y_lo else y_hi if raw_y > y_hi else raw_y
+
+
+def _step_sizes(m: int) -> tuple[float, float, float]:
+    """The step sizes of iteration m for (p_s, p_b, y)."""
+    denom = STEP_C0 + STEP_C1 * m
+    return STEP_SCALE_S / denom, STEP_SCALE_B / denom, STEP_SCALE_Y / denom
+
+
+# The step triples of the iterations up to the default cap, built once so
+# the records of every slot share them.
+_STEP_TABLE = tuple(map(_step_sizes, range(1, GameConfig().max_iters + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +228,8 @@ class QueueResponder:
             return respond(self._rules, p_s, p_b)
         es = self._draws.copy()
         slopes = self._slopes.copy()
+        if not self.free:
+            return es, slopes
         free_es, free_slopes = respond(self._free_rules, p_s, p_b)
         for i, e, slope in zip(self.free, free_es, free_slopes):
             es[i] = e
@@ -253,32 +299,33 @@ def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
     the one extra kink inside a segment.  Between refined breakpoints the
     function is a true quadratic, so a three-point fit locates the vertex
     exactly.  Returns (argmin, value); ties resolve to the smaller argument.
+    Each distinct point is evaluated once.
     """
     pts = sorted(set(points))
-    refined: list[float] = []
-    for a, bpt in zip(pts, pts[1:]):
-        refined.append(a)
-        ra = evaluate(a)[1]
-        rb = evaluate(bpt)[1]
+    at = list(map(evaluate, pts))
+    refined = [pts[0]]
+    values = [at[0][0]]
+    for a, bpt, (_, ra), (fb, rb) in zip(pts, pts[1:], at, at[1:]):
         if (ra > 0.0) != (rb > 0.0) and ra != rb:
             cross = a + (bpt - a) * ra / (ra - rb)
             if a < cross < bpt:
                 refined.append(cross)
-    refined.append(pts[-1])
+                values.append(evaluate(cross)[0])
+        refined.append(bpt)
+        values.append(fb)
 
     best_x = refined[0]
-    best_val = evaluate(refined[0])[0]
-    for x in refined[1:]:
-        val = evaluate(x)[0]
+    best_val = values[0]
+    for x, val in zip(refined[1:], values[1:]):
         if val < best_val:
             best_val = val
             best_x = x
-    for a, bpt in zip(refined, refined[1:]):
+    for a, bpt, fa, fb in zip(refined, refined[1:], values, values[1:]):
         width = bpt - a
         if width < 1e-11:
             continue
         mid = 0.5 * (a + bpt)
-        fa, fm, fb = evaluate(a)[0], evaluate(mid)[0], evaluate(bpt)[0]
+        fm = evaluate(mid)[0]
         if fm < best_val:
             best_val = fm
             best_x = mid
@@ -288,7 +335,8 @@ def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
             continue
         slope = (fb - fa) / width
         vertex = mid - slope / (2.0 * curv)
-        if a < vertex < bpt:
+        # A vertex on the midpoint would only repeat its value.
+        if a < vertex < bpt and vertex != mid:
             val = evaluate(vertex)[0]
             if val < best_val:
                 best_val = val
@@ -367,42 +415,42 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
                           config: GameConfig,
                           y_box: tuple[float, float] | None = None) -> SlotSolution:
     m_s, m_b, g_t = slot.m_s, slot.m_b, slot.g_t
-    v_p = pme_control.v_p
-    if y_box is None:
-        y_box = (-pme_params.u_dmax, pme_params.u_cmax)
+    min_gap, rho = config.min_gap, config.rho
+    check_band(m_s, m_b, min_gap)
+    y_lo, y_hi = (-pme_params.u_dmax, pme_params.u_cmax) if y_box is None else y_box
+    pb_hi = max(m_s - min_gap, m_b)
+    respond_full, interchanges = responder.respond_full, responder.interchanges
+    free, pinned, sums = responder.free, responder.pinned, responder.sums
 
     mid = 0.5 * (m_s + m_b)
-    chi = _project(mid + 0.5 * config.min_gap, mid - 0.5 * config.min_gap,
-                   0.0, m_s, m_b, y_box[0], y_box[1], config.min_gap)
-
+    p_s, p_b, y = _project(mid + 0.5 * min_gap, mid - 0.5 * min_gap, 0.0,
+                           m_s, m_b, pb_hi, y_lo, y_hi, min_gap)
     records: list[IterationRecord] = []
     converged = False
     for m in range(1, config.max_iters + 1):
-        es, slopes = responder.respond_full(chi.p_s, chi.p_b)
-        tps = responder.interchanges(es)
-        grad = subgradients(chi, tps, b, g_t, m_s, m_b, pme_control,
-                            pme_params, slopes, free=responder.free,
-                            pinned=responder.pinned, sums=responder.sums)
-        denom = STEP_C0 + STEP_C1 * m
-        steps = (STEP_SCALE_S / denom, STEP_SCALE_B / denom,
-                 STEP_SCALE_Y / denom)
-        nxt = _project(chi.p_s - steps[0] * grad.g_ps,
-                       chi.p_b - steps[1] * grad.g_pb,
-                       chi.y - steps[2] * grad.g_y,
-                       m_s, m_b, y_box[0], y_box[1], config.min_gap)
-        distance = (abs(nxt.p_s - chi.p_s), abs(nxt.p_b - chi.p_b),
-                    abs(nxt.y - chi.y))
-        records.append(IterationRecord(chi, tuple(es), grad, steps, distance))
-        chi = nxt
-        if max(distance) < config.rho:
+        es, slopes = respond_full(p_s, p_b)
+        tps = interchanges(es)
+        g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
+                                       pme_control, pme_params, slopes,
+                                       free=free, pinned=pinned, sums=sums)
+        steps = _STEP_TABLE[m - 1] if m <= len(_STEP_TABLE) else _step_sizes(m)
+        n_s, n_b, n_y = _project(p_s - steps[0] * g_ps, p_b - steps[1] * g_pb,
+                                 y - steps[2] * g_y, m_s, m_b, pb_hi,
+                                 y_lo, y_hi, min_gap)
+        d_s, d_b, d_y = abs(n_s - p_s), abs(n_b - p_b), abs(n_y - y)
+        records.append(IterationRecord(p_s, p_b, y, g_ps, g_pb, g_y, steps,
+                                       d_s, d_b, d_y, tuple(es)))
+        p_s, p_b, y = n_s, n_b, n_y
+        if d_s < rho and d_b < rho and d_y < rho:
             converged = True
             break
 
+    chi = LeaderAction(p_s=p_s, p_b=p_b, y=y)
     if config.polish:
         chi, sweeps, es = _polish(chi, responder, b, slot, pme_params.c_b,
-                                  v_p, y_box, config)
+                                  pme_control.v_p, (y_lo, y_hi), config)
     else:
-        sweeps, es = 0, responder.respond(chi.p_s, chi.p_b)
+        sweeps, es = 0, responder.respond(p_s, p_b)
     final_followers = tuple(FollowerAction(e=e, tp=fs.d + e - fs.rp)
                             for e, fs in zip(es, slot.followers))
     trace = IterationTrace(records=tuple(records), converged=converged,

@@ -282,3 +282,123 @@ def welfare_dual_bound(state, slot, ng_params, ng_controls, pme_params,
         else:
             b = mid
     return max((inner(lam)[1], lam) for lam in (slot.m_b, a, b, slot.m_s))
+
+
+def reference_loop(state, slot, ng_params, ng_controls, pme_params,
+                   pme_control, config, drop_queue=False, boxes=None,
+                   y_box=None):
+    """The per-slot subgradient loop, restated plainly as a bit-exact
+    reference for the solver's loop (its records before the polish).
+    ``drop_queue``, ``boxes`` and ``y_box`` set up the myopic game.
+
+    Every iterate is a LeaderAction.  Each follower answers through
+    ``reference_response``; the subgradients are summed over every follower
+    in order; the steps are scale / (1 + 0.5*m); the projection clamps p_b
+    first, then p_s against the new p_b, then y; the loop stops once
+    max(distance) < rho.  Returns (rows, converged, last action), one row
+    per iteration in ``traces.csv`` order: p_s, p_b, y, g_ps, g_pb, g_y,
+    the three steps, the three distances and the draws.
+    """
+    m_s, m_b, g_t, gap = slot.m_s, slot.m_b, slot.g_t, config.min_gap
+    y_lo, y_hi = (-pme_params.u_dmax, pme_params.u_cmax) if y_box is None else y_box
+    v_p, c_b = pme_control.v_p, pme_params.c_b
+    # The myopic game zeroes both queue pressures.
+    b = 0.0 if drop_queue else state.b
+
+    def clip(x, lo, hi):
+        return lo if x < lo else hi if x > hi else x
+
+    def project(ps, pb, y):
+        p_b = clip(pb, m_b, max(m_s - gap, m_b))
+        p_s = clip(ps, min(p_b + gap, m_s), m_s)
+        return LeaderAction(p_s=p_s, p_b=p_b, y=clip(y, y_lo, y_hi))
+
+    n = len(slot.followers)
+    hs = (0.0,) * n if drop_queue else state.h
+    mid = 0.5 * (m_s + m_b)
+    chi = project(mid + 0.5 * gap, mid - 0.5 * gap, 0.0)
+    rows = []
+    for m in range(1, config.max_iters + 1):
+        answers = [reference_response(h, t, fs, chi.p_s, chi.p_b, p, c,
+                                      None if boxes is None else boxes[i])
+                   for i, (h, t, fs, p, c) in enumerate(
+                       zip(hs, state.t, slot.followers, ng_params, ng_controls))]
+        es = [e for e, _ in answers]
+        tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
+        total = buy = sell = 0.0
+        for tp in tps:
+            total += tp
+            if tp >= 0.0:
+                buy += tp
+            else:
+                sell += tp
+        price = m_s if total - g_t + chi.y > 0.0 else m_b
+        g_ps, g_pb = -v_p * buy, -v_p * sell
+        for tp, (_, hbar) in zip(tps, answers):
+            if tp >= 0.0:
+                g_ps += v_p * (chi.p_s - price) * hbar
+            else:
+                g_pb += v_p * (chi.p_b - price) * hbar
+        g_y = b + c_b * v_p * chi.y + v_p * price
+        denom = 1.0 + 0.5 * m
+        steps = (1e-3 / denom, 1e-3 / denom, 2e-3 / denom)
+        nxt = project(chi.p_s - steps[0] * g_ps, chi.p_b - steps[1] * g_pb,
+                      chi.y - steps[2] * g_y)
+        distance = (abs(nxt.p_s - chi.p_s), abs(nxt.p_b - chi.p_b),
+                    abs(nxt.y - chi.y))
+        rows.append((chi.p_s, chi.p_b, chi.y, g_ps, g_pb, g_y, *steps,
+                     *distance, *es))
+        chi = nxt
+        if max(distance) < config.rho:
+            return rows, True, chi
+    return rows, False, chi
+
+
+def reference_scan(evaluate, points):
+    """A piecewise-quadratic 1-D minimization by breakpoint scan, restated
+    as the bit-exact reference for ``stackelberg._scan_quadratic_segments``.
+
+    ``evaluate(x)`` gives (value, residual).  Each segment between sorted
+    breakpoints is split where the residual changes sign (linear
+    interpolation); then the refined breakpoints, each segment's midpoint
+    (segments of width >= 1e-11) and its fitted vertex (curvature above
+    1e-15, strictly inside) are compared in that order, the first strictly
+    smallest value winning.  ``evaluate`` is simply called again wherever a
+    point's value or residual is needed.
+    """
+    pts = sorted(set(points))
+    refined = []
+    for a, bpt in zip(pts, pts[1:]):
+        refined.append(a)
+        ra = evaluate(a)[1]
+        rb = evaluate(bpt)[1]
+        if (ra > 0.0) != (rb > 0.0) and ra != rb:
+            cross = a + (bpt - a) * ra / (ra - rb)
+            if a < cross < bpt:
+                refined.append(cross)
+    refined.append(pts[-1])
+
+    best_x = refined[0]
+    best_val = evaluate(refined[0])[0]
+    for x in refined[1:]:
+        val = evaluate(x)[0]
+        if val < best_val:
+            best_val, best_x = val, x
+    for a, bpt in zip(refined, refined[1:]):
+        width = bpt - a
+        if width < 1e-11:
+            continue
+        mid = 0.5 * (a + bpt)
+        fa, fm, fb = evaluate(a)[0], evaluate(mid)[0], evaluate(bpt)[0]
+        if fm < best_val:
+            best_val, best_x = fm, mid
+        half = 0.5 * width
+        curv = (fa - 2.0 * fm + fb) / (2.0 * half * half)
+        if curv <= 1e-15:
+            continue
+        vertex = mid - (fb - fa) / width / (2.0 * curv)
+        if a < vertex < bpt:
+            val = evaluate(vertex)[0]
+            if val < best_val:
+                best_val, best_x = val, vertex
+    return best_x, best_val

@@ -229,7 +229,6 @@ def test_05_subgradient_finite_difference():
         b = rng.uniform(-20.0, -5.0)
         y = rng.uniform(-0.8, 0.8)
         m_s, m_b = 14.0, 3.0
-        action = LeaderAction(p_s=p_s, p_b=p_b, y=y)
 
         def answer(ps, pb):
             return _answers([f[:5] for f in rebuilt], ps, pb)
@@ -256,13 +255,14 @@ def test_05_subgradient_finite_difference():
             return leader_surrogate(ps, pb, yy, [x.tp for x in a], b, g_t,
                                     m_s, m_b, v_p, PME.c_b)
 
-        g = subgradients(action, tps, b, g_t, m_s, m_b, control, PME, slopes)
+        g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
+                                       control, PME, slopes)
         fd_ps = (pro(p_s + step, p_b, y) - pro(p_s - step, p_b, y)) / (2 * step)
         fd_pb = (pro(p_s, p_b + step, y) - pro(p_s, p_b - step, y)) / (2 * step)
         fd_y = (pro(p_s, p_b, y + step) - pro(p_s, p_b, y - step)) / (2 * step)
-        assert abs(g.g_ps - fd_ps) <= 1e-4 * (1.0 + abs(fd_ps))
-        assert abs(g.g_pb - fd_pb) <= 1e-4 * (1.0 + abs(fd_pb))
-        assert abs(g.g_y - fd_y) <= 1e-4 * (1.0 + abs(fd_y))
+        assert abs(g_ps - fd_ps) <= 1e-4 * (1.0 + abs(fd_ps))
+        assert abs(g_pb - fd_pb) <= 1e-4 * (1.0 + abs(fd_pb))
+        assert abs(g_y - fd_y) <= 1e-4 * (1.0 + abs(fd_y))
         checked += 1
     assert checked == 100, f"only {checked} differentiable points reached"
     print("ACCEPTANCE 5 PASS: subgradients match central differences at "
@@ -313,9 +313,10 @@ def test_07_equilibrium_verification(desk):
                              (0, config.rho, 0), (0, -config.rho, 0),
                              (0, 0, config.rho), (0, 0, -config.rho)):
             pert = _project(act.p_s + dps, act.p_b + dpb, act.y + dy,
-                            slot.m_s, slot.m_b, -PME.u_dmax, PME.u_cmax,
-                            config.min_gap)
-            gain = base - pro(pert.p_s, pert.p_b, pert.y)
+                            slot.m_s, slot.m_b,
+                            max(slot.m_s - config.min_gap, slot.m_b),
+                            -PME.u_dmax, PME.u_cmax, config.min_gap)
+            gain = base - pro(*pert)
             worst_gain = max(worst_gain, gain / (1.0 + abs(base)))
             assert gain <= tol
         state = outcome.next_state

@@ -73,12 +73,10 @@ def _reference_csvs(report, out_dir):
         for o in report.outcomes:
             for m, rec in enumerate(o.trace.records, start=1):
                 writer.writerow(
-                    [str(o.slot), str(m), fmt(rec.action.p_s),
-                     fmt(rec.action.p_b), fmt(rec.action.y),
-                     fmt(rec.subgrad.g_ps), fmt(rec.subgrad.g_pb),
-                     fmt(rec.subgrad.g_y)]
+                    [str(o.slot), str(m), fmt(rec.p_s), fmt(rec.p_b),
+                     fmt(rec.y), fmt(rec.g_ps), fmt(rec.g_pb), fmt(rec.g_y)]
                     + [fmt(x) for x in rec.steps]
-                    + [fmt(x) for x in rec.distance]
+                    + [fmt(rec.dist_s), fmt(rec.dist_b), fmt(rec.dist_y)]
                     + [fmt(e) for e in rec.es])
 
 
@@ -417,3 +415,75 @@ def test_binding_interchange_limit_is_a_skipped_sweep_row(tmp_path, capsys):
     with open(out / "sweep.csv") as fh:
         row, = csv.DictReader(fh)
     assert row["status"].startswith("skipped: l_max=2.5 binds the draw box")
+
+
+def _scenario_with_band(tmp_path, width, slots=None):
+    """A generated 4-slot, 2-nanogrid scenario whose grid band is ``width``
+    wide at the listed slots (every slot when None)."""
+    path = tmp_path / "band.csv"
+    assert main(["gen-scenario", "--slots", "4", "--followers", "2", "--out",
+                 str(path)]) == 0
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    for k in range(4) if slots is None else slots:
+        row = lines[k + 1].split(",")
+        row[header.index("m_s")] = repr(float(row[header.index("m_b")]) + width)
+        lines[k + 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("run", ["--out", "o"]),
+    ("compare", ["--out", "o", "--cases", "1,2"]),
+    ("check-bounds", []),
+    ("sweep", ["--out", "o", "--param", "gamma", "--values", "0.01"]),
+])
+def test_band_narrower_than_min_gap_is_refused_before_any_slot(
+        verb, extra, tmp_path, monkeypatch, capsys):
+    # Only slot 2 is narrow: the error names it and min_gap, and nothing is
+    # solved first (the sweep skips its row instead).
+    path = _scenario_with_band(tmp_path, 0.005, slots=[2])
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slot was solved")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    monkeypatch.setattr(cli, "run_case", refuse)
+    rc = main([verb, "--scenario", str(path)] + extra)
+    want = "grid price band [3.0, 3.005] at slot 2 narrower than min_gap=0.01"
+    if verb == "sweep":
+        assert rc == 0
+        with open(tmp_path / "o" / "sweep.csv") as fh:
+            row, = csv.DictReader(fh)
+        assert row["status"] == f"skipped: {want}"
+    else:
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "o").exists()
+    # A synthetic scenario with a min_gap wider than every band: slot 0.
+    rc = main([verb, "--slots", "4", "--followers", "2", "--min-gap", "1000"]
+              + extra)
+    err = capsys.readouterr().err
+    assert rc == (0 if verb == "sweep" else 2)
+    assert "at slot 0 narrower than min_gap=1000.0" in err
+
+
+def test_cases_without_posted_prices_ignore_the_band(tmp_path, capsys):
+    path = _scenario_with_band(tmp_path, 0.005, slots=[2])
+    assert main(["compare", "--scenario", str(path), "--cases", "1,5",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert main(["compare", "--scenario", str(path), "--cases", "1,5,4",
+                 "--out", str(tmp_path / "o4")]) == 2
+    assert "at slot 2 narrower than min_gap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--gamma", "0"], ["--c-b", "0", "--v-i", "0.1"]])
+def test_flat_envelope_is_named_as_a_band(extra, tmp_path, capsys):
+    # m_s == m_b in every slot would make the certified weights infinite;
+    # the band check names the cause first.
+    path = _scenario_with_band(tmp_path, 0.0)
+    assert main(["check-bounds", "--scenario", str(path)] + extra) == 2
+    assert capsys.readouterr().err == (
+        "error: grid price band [3.0, 3.0] at slot 0 narrower than min_gap=0.01\n")

@@ -162,28 +162,27 @@ def test_charge_takes_the_kink_between_the_branches():
 
 
 def test_subgradients_empty_follower_set():
-    action = LeaderAction(p_s=10.0, p_b=5.0, y=0.3)
-    g = subgradients(action, [], -6.0, -2.0, 12.0, 3.0, CONTROL, PME, [])
-    assert g.g_ps == 0.0
-    assert g.g_pb == 0.0
+    g_ps, g_pb, g_y = subgradients(10.0, 5.0, 0.3, [], -6.0, -2.0, 12.0, 3.0,
+                                   CONTROL, PME, [])
+    assert g_ps == 0.0
+    assert g_pb == 0.0
     # Residual 0 - (-2) + 0.3 > 0 so the selling price is marginal.
-    assert g.g_y == pytest.approx(-6.0 + 0.01 * 1.0 * 0.3 + 1.0 * 12.0)
+    assert g_y == pytest.approx(-6.0 + 0.01 * 1.0 * 0.3 + 1.0 * 12.0)
 
 
 def test_subgradients_balance_point_uses_buying_price():
-    action = LeaderAction(p_s=10.0, p_b=5.0, y=0.0)
-    g = subgradients(action, [0.0], 0.0, 0.0, 12.0, 3.0, CONTROL, PME, [0.0])
-    assert g.g_y == pytest.approx(0.0 + 0.0 + 1.0 * 3.0)
+    _, _, g_y = subgradients(10.0, 5.0, 0.0, [0.0], 0.0, 0.0, 12.0, 3.0,
+                             CONTROL, PME, [0.0])
+    assert g_y == pytest.approx(0.0 + 0.0 + 1.0 * 3.0)
 
 
 def test_subgradient_sign_with_buyers():
     # Pinned buyers: raising the selling price only raises revenue.
-    action = LeaderAction(p_s=10.0, p_b=5.0, y=0.0)
-    g = subgradients(action, [2.0, 1.0], -6.0, 0.0, 12.0, 3.0, CONTROL, PME,
-                     [0.0, 0.0])
-    assert g.g_ps == pytest.approx(-1.0 * 3.0)
-    assert g.g_ps < 0.0
-    assert g.g_pb == 0.0
+    g_ps, g_pb, _ = subgradients(10.0, 5.0, 0.0, [2.0, 1.0], -6.0, 0.0, 12.0,
+                                 3.0, CONTROL, PME, [0.0, 0.0])
+    assert g_ps == pytest.approx(-1.0 * 3.0)
+    assert g_ps < 0.0
+    assert g_pb == 0.0
 
 
 def test_restricted_subgradients_keep_signed_zeros():
@@ -200,13 +199,13 @@ def test_restricted_subgradients_keep_signed_zeros():
         free = [i for i in range(n) if hbars[i] != 0.0 or rng.random() < 0.3]
         held = [tps[i] for i in range(n) if i not in free]
         pinned = (any(tp >= 0.0 for tp in held), any(tp < 0.0 for tp in held))
-        action = LeaderAction(p_s=rng.choice([12.0, 8.0, 3.0]),
-                              p_b=rng.choice([3.0, 5.0, 12.0]), y=0.0)
+        p_s = rng.choice([12.0, 8.0, 3.0])
+        p_b = rng.choice([3.0, 5.0, 12.0])
         g_t = rng.choice([-3.0, 0.0, 3.0])
-        args = (action, tps, -6.0, g_t, 12.0, 3.0, CONTROL, PME, hbars)
+        args = (p_s, p_b, 0.0, tps, -6.0, g_t, 12.0, 3.0, CONTROL, PME, hbars)
         full = subgradients(*args)
         assert repr(subgradients(*args, free=free, pinned=pinned)) == repr(full)
-        zeros += full.g_ps == 0.0 or full.g_pb == 0.0
+        zeros += full[0] == 0.0 or full[1] == 0.0
     assert zeros > 500
 
 
@@ -230,7 +229,6 @@ def test_subgradients_match_finite_differences_at_interior_points():
         b = rng.uniform(-20.0, -5.0)
         y = rng.uniform(-0.8, 0.8)
         m_s, m_b = 14.0, 3.0
-        action = LeaderAction(p_s=p_s, p_b=p_b, y=y)
 
         def answer(ps, pb):
             slopes = [compute_thresholds(h, t, slot, params, ctl).hbar
@@ -258,13 +256,14 @@ def test_subgradients_match_finite_differences_at_interior_points():
         if not stable:
             continue
 
-        g = subgradients(action, tps, b, g_t, m_s, m_b, control, PME, slopes)
+        g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
+                                       control, PME, slopes)
         fd_ps = (pro(p_s + h_step, p_b, y) - pro(p_s - h_step, p_b, y)) / (2 * h_step)
         fd_pb = (pro(p_s, p_b + h_step, y) - pro(p_s, p_b - h_step, y)) / (2 * h_step)
         fd_y = (pro(p_s, p_b, y + h_step) - pro(p_s, p_b, y - h_step)) / (2 * h_step)
-        assert g.g_ps == pytest.approx(fd_ps, rel=1e-4, abs=1e-6)
-        assert g.g_pb == pytest.approx(fd_pb, rel=1e-4, abs=1e-6)
-        assert g.g_y == pytest.approx(fd_y, rel=1e-4, abs=1e-6)
+        assert g_ps == pytest.approx(fd_ps, rel=1e-4, abs=1e-6)
+        assert g_pb == pytest.approx(fd_pb, rel=1e-4, abs=1e-6)
+        assert g_y == pytest.approx(fd_y, rel=1e-4, abs=1e-6)
         checked += 1
 
 

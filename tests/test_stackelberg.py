@@ -1,11 +1,15 @@
 """Per-slot equilibrium iteration: projection, schedule, determinism, quality."""
 
+import bisect
+import collections
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nanodr.baselines import _comfort_box
 from nanodr.domain import (
     ConfigurationError,
     FollowerSlot,
@@ -35,10 +39,13 @@ from nanodr.stackelberg import (
     _argmin_charge,
     _polish,
     _project,
+    _scan_quadratic_segments,
+    _solve_with_responder,
+    check_band,
     solve_slot,
 )
 
-from oracles import leader_surrogate
+from oracles import leader_surrogate, reference_loop, reference_scan
 
 PME = PmeParams(e_min=2.0, e_max_cap=16.0, u_cmax=1.0, u_dmax=1.0, c_b=0.01)
 
@@ -68,41 +75,57 @@ def _desk_setup(n=3):
 # -- projection -------------------------------------------------------------
 
 
+def _project_desk(raw_ps, raw_pb, raw_y, m_s=12.0, m_b=3.0, min_gap=0.01):
+    # The solver computes the upper end of the p_b interval once per slot.
+    return _project(raw_ps, raw_pb, raw_y, m_s, m_b, max(m_s - min_gap, m_b),
+                    -PME.u_dmax, PME.u_cmax, min_gap)
+
+
 def test_projection_identity_inside_box():
-    act = _project(8.0, 5.0, 0.5, 12.0, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
-    assert (act.p_s, act.p_b, act.y) == (8.0, 5.0, 0.5)
+    assert _project_desk(8.0, 5.0, 0.5) == (8.0, 5.0, 0.5)
 
 
 def test_projection_clamps_selling_price():
-    act = _project(15.0, 5.0, 0.0, 12.0, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
-    assert act.p_s == 12.0
+    p_s, _, _ = _project_desk(15.0, 5.0, 0.0)
+    assert p_s == 12.0
 
 
 def test_projection_restores_order_with_exact_gap():
-    act = _project(5.0, 9.0, 0.0, 12.0, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
-    assert act.p_b == 9.0
-    assert act.p_s == pytest.approx(9.01)
-    assert act.p_s - act.p_b == pytest.approx(0.01)
+    p_s, p_b, _ = _project_desk(5.0, 9.0, 0.0)
+    assert p_b == 9.0
+    assert p_s == pytest.approx(9.01)
+    assert p_s - p_b == pytest.approx(0.01)
 
 
 def test_projection_clamps_charge():
-    act = _project(8.0, 5.0, 7.0, 12.0, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
-    assert act.y == PME.u_cmax
-    act = _project(8.0, 5.0, -7.0, 12.0, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
-    assert act.y == -PME.u_dmax
+    assert _project_desk(8.0, 5.0, 7.0)[2] == PME.u_cmax
+    assert _project_desk(8.0, 5.0, -7.0)[2] == -PME.u_dmax
+
+
+# The band check is the projection's precondition: the commands run it over
+# every slot before solving any, and the solvers once per slot.
 
 
 def test_projection_rejects_narrow_band():
+    with pytest.raises(ConfigurationError,
+                       match=r"\[3.0, 3.005\] narrower than min_gap=0.01"):
+        check_band(3.005, 3.0, 0.01)
+    with pytest.raises(ConfigurationError,
+                       match=r"at slot 7 narrower than min_gap"):
+        check_band(3.005, 3.0, 0.01, slot=7)
+    params, controls, state, pmec = _desk_setup()
     with pytest.raises(ConfigurationError, match="min_gap"):
-        _project(8.0, 5.0, 0.0, 3.005, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
+        solve_slot(state, _desk_slot(m_s=3.005), params, controls, PME, pmec,
+                   GameConfig())
 
 
 def test_projection_accepts_band_equal_to_gap():
     # 3.01 - 3.0 is a hair under 0.01 in floats; nominal equality must pass.
-    act = _project(8.0, 5.0, 0.0, 3.01, 3.0, -PME.u_dmax, PME.u_cmax, 0.01)
-    assert act.p_b == 3.0
-    assert act.p_s == 3.01
-    assert act.p_s > act.p_b
+    check_band(3.01, 3.0, 0.01)
+    p_s, p_b, _ = _project_desk(8.0, 5.0, 0.0, m_s=3.01)
+    assert p_b == 3.0
+    assert p_s == 3.01
+    assert p_s > p_b
 
 
 # -- step schedule ----------------------------------------------------------
@@ -223,10 +246,9 @@ def test_trace_iterates_stay_feasible():
     slot = _desk_slot()
     sol = solve_slot(state, slot, params, controls, PME, pmec, GameConfig())
     for rec in sol.trace.records:
-        act = rec.action
-        assert slot.m_b <= act.p_b < act.p_s <= slot.m_s
-        assert act.p_s - act.p_b >= 0.01 - 1e-12
-        assert -PME.u_dmax <= act.y <= PME.u_cmax
+        assert slot.m_b <= rec.p_b < rec.p_s <= slot.m_s
+        assert rec.p_s - rec.p_b >= 0.01 - 1e-12
+        assert -PME.u_dmax <= rec.y <= PME.u_cmax
     assert sol.trace.iterations <= GameConfig().max_iters
     assert len(sol.trace.records) == sol.trace.iterations
 
@@ -249,9 +271,9 @@ def test_returned_action_is_unilaterally_stable():
     tol = 1e-6 * (1.0 + abs(base))
     for dps, dpb, dy in ((cfg.rho, 0, 0), (-cfg.rho, 0, 0), (0, cfg.rho, 0),
                          (0, -cfg.rho, 0), (0, 0, cfg.rho), (0, 0, -cfg.rho)):
-        pert = _project(act.p_s + dps, act.p_b + dpb, act.y + dy,
-                        slot.m_s, slot.m_b, -PME.u_dmax, PME.u_cmax, cfg.min_gap)
-        assert pro(pert.p_s, pert.p_b, pert.y) >= base - tol
+        pert = _project_desk(act.p_s + dps, act.p_b + dpb, act.y + dy,
+                             slot.m_s, slot.m_b, cfg.min_gap)
+        assert pro(*pert) >= base - tol
     # Followers re-solved at the final prices reproduce the returned draws.
     rules = [follower_rule(h, t, fs, p, c) for h, t, fs, p, c
              in zip(state.h, state.t, slot.followers, params, controls)]
@@ -283,11 +305,15 @@ class _RecordingResponder(QueueResponder):
         return super().respond(p_s, p_b)
 
 
-def _generated_slot(n=50, k=18):
-    spec = SyntheticSpec(n=n, slots=24, seed=1)
+def _generated_slot(n=50, k=18, seed=1, gamma=None, c_b=None):
+    spec = SyntheticSpec(n=n, slots=24, seed=seed)
     scenario = generate_synthetic(spec)
     params = synthetic_params(spec)
+    if gamma is not None:
+        params = [replace(p, gamma=gamma) for p in params]
     pme = default_pme_params()
+    if c_b is not None:
+        pme = replace(pme, c_b=c_b)
     bundle = default_policy(scenario, params, pme)
     t = tuple(0.5 * (p.t_min + p.t_max) for p in params)
     e_batt = 0.5 * (pme.e_min + pme.e_max_cap)
@@ -345,8 +371,133 @@ def test_template_and_restricted_subgradients_are_bit_exact(k):
         es, slopes = responder.respond_full(act.p_s, act.p_b)
         tps = responder.interchanges(es)
         assert tps == [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
-        args = (act, tps, state.b, slot.g_t, slot.m_s, slot.m_b, pmec, pme,
-                slopes)
+        args = (act.p_s, act.p_b, act.y, tps, state.b, slot.g_t, slot.m_s,
+                slot.m_b, pmec, pme, slopes)
         fast = subgradients(*args, free=responder.free,
                             pinned=responder.pinned, sums=responder.sums)
         assert repr(fast) == repr(subgradients(*args))
+
+
+# -- the loop against its plain restatement ---------------------------------
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return [float(x).hex() for x in values]
+
+
+_LOOP_CASES = {
+    "n1": dict(n=1, k=5),
+    "n5": dict(n=5, k=10, seed=2),
+    "n50": dict(n=50, k=18),
+    "n50-all-pinned": dict(n=50, k=0),
+    "gamma0": dict(n=5, k=10, gamma=0.0),
+    "c_b0": dict(n=5, k=10, c_b=0.0),
+    "band-equal-to-gap": dict(n=5, k=10, band=0.01),
+    "cap-hit": dict(n=5, k=10, max_iters=5),
+    # Past the shared step table of the default cap.
+    "cap-hit-at-600": dict(n=1, k=5, max_iters=600, rho=1e-300),
+    "myopic": dict(n=5, k=12, myopic=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+def test_loop_matches_the_reference_bit_for_bit(case):
+    # Every record, the converged flag and the last iterate equal the plain
+    # restatement's (a LeaderAction per iterate, subgradients summed over
+    # every follower), float for float and zero sign for zero sign.
+    opts = dict(_LOOP_CASES[case])
+    config = GameConfig(max_iters=opts.pop("max_iters", 500),
+                        rho=opts.pop("rho", 1e-3), polish=False)
+    band = opts.pop("band", None)
+    myopic = opts.pop("myopic", False)
+    params, controls, state, pmec, slot, pme = _generated_slot(**opts)
+    if band is not None:
+        slot = replace(slot, m_s=slot.m_b + band)
+    boxes = y_box = None
+    if myopic:
+        boxes = [_comfort_box(t, fs, p)
+                 for t, fs, p in zip(state.t, slot.followers, params)]
+        y_box = (max(-pme.u_dmax, pme.e_min - state.e_batt),
+                 min(pme.u_cmax, pme.e_max_cap - state.e_batt))
+    responder = QueueResponder(state, slot, params, controls,
+                               drop_queue=myopic, boxes=boxes)
+    if case == "n50-all-pinned":
+        assert not responder.free
+    if case == "n50":
+        assert len(responder.free) == 50
+    sol = _solve_with_responder(responder, 0.0 if myopic else state.b, slot,
+                                pme, pmec, config, y_box=y_box)
+    rows, converged, last = reference_loop(state, slot, params, controls, pme,
+                                           pmec, config, drop_queue=myopic,
+                                           boxes=boxes, y_box=y_box)
+    got = [(*rec[:6], *rec.steps, *rec[7:10], *rec.es)
+           for rec in sol.trace.records]
+    assert len(got) == len(rows)
+    for mine, ref in zip(got, rows):
+        assert mine == ref
+        assert _bits(mine) == _bits(ref)
+    assert sol.trace.converged is converged
+    assert converged is not case.startswith("cap-hit")
+    assert _bits((sol.leader.p_s, sol.leader.p_b, sol.leader.y)) == _bits(
+        (last.p_s, last.p_b, last.y))
+
+
+# -- the polish's scan against its plain restatement ------------------------
+
+
+def _random_piecewise(rng):
+    """A random piecewise-quadratic function with a residual whose sign
+    changes inside the range: (evaluate, breakpoints, kind)."""
+    lo = rng.uniform(0.0, 5.0)
+    narrow = rng.random() < 0.15
+    hi = lo + (rng.uniform(1e-12, 8e-12) if narrow else rng.uniform(0.5, 10.0))
+    knots = sorted(rng.uniform(lo, hi) for _ in range(rng.randint(0, 6)))
+    if knots and rng.random() < 0.3:
+        knots.append(knots[-1] + rng.uniform(0.0, 8e-12))  # a sliver segment
+    pieces = [(rng.choice([0.0, rng.uniform(0.0, 3.0)]), rng.uniform(lo, hi),
+               rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0))
+              for _ in range(len(knots) + 1)]
+    kind = rng.choice(["smooth", "flat", "ties"])
+    x0 = rng.uniform(lo, hi)
+    r_slope = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    kink = rng.uniform(0.0, 3.0)
+
+    def evaluate(x):
+        r = r_slope * (x - x0)
+        if kind == "flat":
+            return 1.0, r
+        a, c, lin, d = pieces[bisect.bisect_right(knots, x)]
+        val = a * (x - c) ** 2 + lin * x + d + kink * max(r, 0.0)
+        # Coarse rounding makes plateaus of exactly tied values.
+        return (round(val, 1) if kind == "ties" else val), r
+
+    return evaluate, [lo, hi] + knots, kind
+
+
+def test_scan_evaluates_each_point_once_and_matches_the_reference():
+    rng = random.Random(8)
+    seen = collections.Counter()
+    cases = [_random_piecewise(rng) for _ in range(3000)]
+    # A symmetric parabola: its fitted vertex is its segment's midpoint.
+    cases.append((lambda x: ((x - 2.0) ** 2, 1.0), [1.0, 3.0], "vertex-on-mid"))
+    for evaluate, points, kind in cases:
+        calls = collections.Counter()
+
+        def counted(x):
+            calls[x] += 1
+            return evaluate(x)
+
+        got = _scan_quadratic_segments(counted, points)
+        want = reference_scan(evaluate, points)
+        assert got == want
+        assert _bits(got) == _bits(want)
+        assert max(calls.values()) == 1, (kind, calls.most_common(1))
+        pts = sorted(set(points))
+        seen[kind] += 1
+        seen["crossing"] += any((evaluate(a)[1] > 0.0) != (evaluate(b)[1] > 0.0)
+                                for a, b in zip(pts, pts[1:]))
+        seen["sliver"] += any(b - a < 1e-11 for a, b in zip(pts, pts[1:]))
+        seen["tie"] += sum(evaluate(x)[0] == want[1] for x in calls) > 1
+    assert min(seen[k] for k in ("smooth", "flat", "ties", "crossing",
+                                 "sliver", "tie")) >= 100, seen
