@@ -209,7 +209,7 @@ def run_case(case: CaseId, scenario: Scenario,
         return _actions(es, slot)
 
     if case is CaseId.FIXED_POINT_FORECAST_PRICE:
-        def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
+        def solver(state: SlotState, slot: SlotData) -> SlotSolution:
             leader = LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=0.0)
             return SlotSolution(leader=leader, followers=tracking(state, slot),
                                 trace=_EMPTY_TRACE)
@@ -219,7 +219,7 @@ def run_case(case: CaseId, scenario: Scenario,
         # whole grid band and the exact charge against the fixed interchanges.
         y_lo, y_hi = -pme_params.u_dmax, pme_params.u_cmax
 
-        def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
+        def solver(state: SlotState, slot: SlotData) -> SlotSolution:
             followers = tracking(state, slot)
             y = _argmin_charge([f.tp for f in followers], state.b, slot.g_t,
                                slot.m_s, slot.m_b, pme_control.v_p,
@@ -231,7 +231,7 @@ def run_case(case: CaseId, scenario: Scenario,
                                 trace=_EMPTY_TRACE)
 
     elif case is CaseId.MYOPIC_GAME:
-        def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
+        def solver(state: SlotState, slot: SlotData) -> SlotSolution:
             boxes = [
                 _comfort_box(state.t[i], fs, p)
                 for i, (p, fs) in enumerate(zip(ng_params, slot.followers))
@@ -244,7 +244,7 @@ def run_case(case: CaseId, scenario: Scenario,
                                          pme_control, config, y_box=y_box)
 
     elif case is CaseId.SOCIAL_WELFARE:
-        def solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
+        def solver(state: SlotState, slot: SlotData) -> SlotSolution:
             es, y = _solve_welfare_slot(state, slot, ng_params, ng_controls,
                                         pme_params, pme_control)
             followers = _actions(es, slot)

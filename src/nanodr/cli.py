@@ -9,8 +9,10 @@ Verbs:
     gen-scenario  write a synthetic scenario CSV
 
 Scenario source is either ``--scenario FILE`` or the seeded synthetic
-generator (default).  A ``--config FILE`` of ``key=value`` lines (keys equal
-to long flag names, ``#`` comments) supplies defaults; explicit flags win.
+generator (default).  Each command takes only the flags it reads:
+``gen-scenario`` the generator's, ``check-bounds`` no solver knobs.  A
+``--config FILE`` of ``key=value`` lines (keys equal to the command's own
+long flag names, ``#`` comments) supplies defaults; explicit flags win.
 All result artifacts are deterministic for a fixed seed/config; wall-clock
 timings go to a separate ``timing.csv`` sidecar, which is the only
 non-deterministic output.
@@ -32,7 +34,6 @@ from .domain import (
     ConfigurationError,
     InvariantViolation,
     NanogridParams,
-    PmeParams,
     Scenario,
     ScenarioError,
 )
@@ -61,14 +62,19 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_scenario_args(p: argparse.ArgumentParser) -> None:
+def _add_scenario_args(p: argparse.ArgumentParser, model: bool = True,
+                       solver: bool = True) -> None:
+    """``--config`` and the generator's flags; with ``model`` the rest a
+    ``Setup`` reads; with ``solver`` the slot solver's knobs."""
     p.add_argument("--config", metavar="FILE",
-                   help="key=value defaults file (keys match long flags)")
-    p.add_argument("--scenario", metavar="FILE",
-                   help="scenario CSV; omit to use the synthetic generator")
+                   help="key=value defaults file (keys match the command's long flags)")
     p.add_argument("--seed", type=int, help="synthetic generator seed")
     p.add_argument("--slots", type=int, help="synthetic horizon length")
     p.add_argument("--followers", type=int, help="synthetic nanogrid count")
+    if not model:
+        return
+    p.add_argument("--scenario", metavar="FILE",
+                   help="scenario CSV; omit to use the synthetic generator")
     # Building parameter overrides (applied to every nanogrid).
     p.add_argument("--epsilon", type=float, help="thermal inertia for all nanogrids")
     p.add_argument("--eta", type=float)
@@ -88,11 +94,12 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-shift", dest="gamma_shift", type=float)
     p.add_argument("--v-p", dest="v_p", type=float)
     p.add_argument("--theta", type=float)
-    # Solver knobs.
-    p.add_argument("--rho", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
+    # The price band check reads min_gap.
     p.add_argument("--min-gap", dest="min_gap", type=float)
-    p.add_argument("--no-polish", dest="no_polish", action="store_true")
+    if solver:
+        p.add_argument("--rho", type=float)
+        p.add_argument("--max-iters", dest="max_iters", type=int)
+        p.add_argument("--no-polish", dest="no_polish", action="store_true")
 
 
 _ON_OFF = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -161,21 +168,6 @@ def _build_params(args: argparse.Namespace, scenario: Scenario,
     return params
 
 
-def _build_pme_params(args: argparse.Namespace) -> PmeParams:
-    pme = default_pme_params()
-    mapping = {"batt_min": "e_min", "batt_max": "e_max_cap", "u_cmax": "u_cmax",
-               "u_dmax": "u_dmax", "c_b": "c_b"}
-    overrides = {field: getattr(args, flag) for flag, field in mapping.items()
-                 if getattr(args, flag) is not None}
-    return replace(pme, **overrides) if overrides else pme
-
-
-def _build_game_config(args: argparse.Namespace) -> GameConfig:
-    knobs = {k: getattr(args, k) for k in ("rho", "max_iters", "min_gap")
-             if getattr(args, k) is not None}
-    return GameConfig(**knobs, polish=not args.no_polish)
-
-
 class Setup:
     """Everything a command needs, assembled and validated.
 
@@ -203,13 +195,20 @@ class Setup:
             self.synthetic = _build_spec(args)
             self.scenario = generate_synthetic(self.synthetic)
             self.source = f"synthetic:seed={self.synthetic.seed}"
-        self.config = _build_game_config(args)
+        # check-bounds takes no solver knobs.
+        knobs = {k: getattr(args, k) for k in ("rho", "max_iters", "min_gap")
+                 if getattr(args, k, None) is not None}
+        self.config = GameConfig(**knobs, polish=not getattr(args, "no_polish", False))
         if posts_prices:
             bands = zip(self.scenario.m_s, self.scenario.m_b)
             for k, (m_s, m_b) in enumerate(bands):
                 check_band(m_s, m_b, self.config.min_gap, slot=k)
         self.ng_params = _build_params(args, self.scenario, self.synthetic)
-        self.pme_params = _build_pme_params(args)
+        battery = {"batt_min": "e_min", "batt_max": "e_max_cap", "u_cmax": "u_cmax",
+                   "u_dmax": "u_dmax", "c_b": "c_b"}
+        self.pme_params = replace(default_pme_params(), **{
+            field: getattr(args, flag) for flag, field in battery.items()
+            if getattr(args, flag) is not None})
         n = self.scenario.n
         v_i = [args.v_i] * n if args.v_i is not None else None
         shift = [args.gamma_shift] * n if args.gamma_shift is not None else None
@@ -321,28 +320,6 @@ def _write_traces(report: RunReport, setup: Setup, out_dir: str) -> None:
          f"{_cells(rec[7:10] + rec.es)}"
          for m, rec in enumerate(o.trace.records, start=1))
         for o in report.outcomes if o.trace is not None))
-
-
-def _print_bounds(setup: Setup) -> None:
-    bundle = setup.bundle
-    for i, (bounds, control) in enumerate(zip(bundle.follower_bounds,
-                                              bundle.ng_controls)):
-        print(f"nanogrid {i}:")
-        print(f"  v_max       = {bounds.v_max!r}")
-        print(f"  shift_floor = {bounds.gamma_min!r}")
-        print(f"  shift_ceil  = {bounds.gamma_max!r}")
-        print(f"  opt_span    = {bounds.opt_span!r}")
-        print(f"  swing       = {bounds.swing!r}")
-        print(f"  drift_bound = {bounds.drift_bound!r}")
-        print(f"  using v_i={control.v_i!r} gamma_shift={control.gamma_shift!r}")
-    lb = bundle.leader_bounds
-    print("aggregator:")
-    print(f"  v_p_max     = {lb.v_p_max!r}")
-    print(f"  theta_floor = {lb.theta_min!r}")
-    print(f"  theta_ceil  = {lb.theta_max!r}")
-    print(f"  c_min/c_max = {lb.c_min!r} / {lb.c_max!r}")
-    print(f"  drift_bound = {lb.drift_bound!r}")
-    print(f"  using v_p={bundle.pme_control.v_p!r} theta={bundle.pme_control.theta!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +477,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_bounds(args: argparse.Namespace) -> int:
-    _print_bounds(Setup(args))
+    bundle = Setup(args).bundle
+    for i, (bounds, control) in enumerate(zip(bundle.follower_bounds,
+                                              bundle.ng_controls)):
+        print(f"nanogrid {i}:")
+        print(f"  v_max       = {bounds.v_max!r}")
+        print(f"  shift_floor = {bounds.gamma_min!r}")
+        print(f"  shift_ceil  = {bounds.gamma_max!r}")
+        print(f"  opt_span    = {bounds.opt_span!r}")
+        print(f"  swing       = {bounds.swing!r}")
+        print(f"  drift_bound = {bounds.drift_bound!r}")
+        print(f"  using v_i={control.v_i!r} gamma_shift={control.gamma_shift!r}")
+    lb = bundle.leader_bounds
+    print("aggregator:")
+    print(f"  v_p_max     = {lb.v_p_max!r}")
+    print(f"  theta_floor = {lb.theta_min!r}")
+    print(f"  theta_ceil  = {lb.theta_max!r}")
+    print(f"  c_min/c_max = {lb.c_min!r} / {lb.c_max!r}")
+    print(f"  drift_bound = {lb.drift_bound!r}")
+    print(f"  using v_p={bundle.pme_control.v_p!r} theta={bundle.pme_control.theta!r}")
     return 0
 
 
 def _cmd_gen_scenario(args: argparse.Namespace) -> int:
-    if args.scenario:
-        raise ConfigurationError("gen-scenario generates synthetic data; "
-                                 "--scenario is not applicable")
     spec = _build_spec(args)
     scenario = generate_synthetic(spec)
     out_dir = os.path.dirname(os.path.abspath(args.out))
@@ -550,11 +542,11 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
 
     p_chk = sub.add_parser("check-bounds",
                            help="print certified tuning windows")
-    _add_scenario_args(p_chk)
+    _add_scenario_args(p_chk, solver=False)
     p_chk.set_defaults(func=_cmd_check_bounds)
 
     p_gen = sub.add_parser("gen-scenario", help="write a synthetic scenario CSV")
-    _add_scenario_args(p_gen)
+    _add_scenario_args(p_gen, model=False)
     p_gen.add_argument("--out", default="scenario.csv", help="output CSV path")
     p_gen.set_defaults(func=_cmd_gen_scenario)
     if defaults:

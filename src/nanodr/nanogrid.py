@@ -33,28 +33,6 @@ from .domain import (
 
 
 @dataclass(frozen=True, slots=True)
-class FollowerThresholds:
-    """Closed-form constants of one nanogrid's per-slot decision rule.
-
-    alpha: price-equivalent marginal cost of the first unit of HVAC draw
-        (cent); the draw is zero whenever v_i*p_b exceeds the drift pressure
-        minus alpha.
-    beta: same at rated power (cent); alpha + 2*v_i*gamma*(1-eps)^2*eta^2*e_max.
-    vartheta: unpriced ideal draw (kWh); each branch vertex is vartheta
-        minus price times hbar.
-    delta: price level separating the buy/sell/balance regimes (cent/kWh).
-    hbar: price sensitivity of the draw, 1/(2*gamma*(1-eps)^2*eta^2)
-        (kWh per cent/kWh).
-    """
-
-    alpha: float
-    beta: float
-    vartheta: float
-    delta: float
-    hbar: float
-
-
-@dataclass(frozen=True, slots=True)
 class FollowerBounds:
     """Certified tuning windows and diagnostics for one nanogrid.
 
@@ -94,36 +72,6 @@ def feasible_box(slot: FollowerSlot, params: NanogridParams) -> tuple[float, flo
     return lo, hi
 
 
-def compute_thresholds(h: float, t: float, slot: FollowerSlot,
-                       params: NanogridParams,
-                       control: NanogridControl) -> FollowerThresholds:
-    """Evaluate the decision-rule constants at the current state and slot data.
-
-    With gamma == 0 the discomfort term vanishes: alpha and beta are zero,
-    hbar is infinite and delta keeps its finite limit (the pure drift-pressure
-    price level).
-    """
-    eps = params.epsilon
-    eta = params.eta
-    gam = params.gamma
-    v = control.v_i
-    one = 1.0 - eps
-    mismatch = one * slot.t_out + eps * t - slot.t_opt  # °F above target, pre-draw
-    if gam == 0.0:
-        vartheta = (-mismatch / (one * eta) if h == 0.0
-                    else -math.copysign(math.inf, h))
-        return FollowerThresholds(0.0, 0.0, vartheta, -eps * one * h * eta / v,
-                                  math.inf)
-    alpha = 2.0 * v * gam * one * eta * mismatch
-    beta = alpha + 2.0 * v * gam * one * one * eta * eta * params.e_max
-    hbar = 1.0 / (2.0 * gam * one * one * eta * eta)
-    vartheta = -mismatch / (one * eta) - eps * h / (2.0 * v * gam * one * eta)
-    delta = (-2.0 * gam * one * eta * mismatch
-             - eps * one * h * eta / v
-             - 2.0 * gam * one * one * eta * eta * (slot.rp - slot.d))
-    return FollowerThresholds(alpha, beta, vartheta, delta, hbar)
-
-
 class FollowerRule(NamedTuple):
     """The price-free part of one nanogrid's decision rule in one slot.
 
@@ -133,6 +81,15 @@ class FollowerRule(NamedTuple):
     price-free value, tp, |tp|).  With ``has_vertex`` (gamma > 0) a fourth
     competes: zero draw if v*p_b > zero_level, e_max if v*p_s < rated_level,
     else a branch vertex vartheta - price*hbar, else the kink.
+
+    zero_level and rated_level are the drift pressure -eps*(1-eps)*h*eta
+    minus alpha, the price-equivalent marginal cost of the first unit of
+    draw, and minus beta = alpha + 2*v*gamma*(1-eps)^2*eta^2*e_max, the same
+    at rated power (cent).  delta separates the buy/sell/balance price
+    regimes (cent/kWh), vartheta is the unpriced ideal draw (kWh) and
+    hbar = 1/(2*gamma*(1-eps)^2*eta^2) the draw's price sensitivity (kWh per
+    cent/kWh).  With gamma == 0 the discomfort term vanishes: alpha and beta
+    are zero, hbar is infinite and delta keeps its finite limit.
     """
 
     v: float
@@ -165,20 +122,32 @@ def follower_rule(h: float, t: float, slot: FollowerSlot,
     eps = params.epsilon
     one = 1.0 - eps
     eta = params.eta
+    gam = params.gamma
     v = control.v_i
-    vg = v * params.gamma
+    vg = v * gam
     oe = one * eta
-    le = (eps * one * h
-          + 2.0 * v * params.gamma * one * (one * slot.t_out + eps * t - slot.t_opt)
-          ) * eta
+    mismatch = one * slot.t_out + eps * t - slot.t_opt  # °F above target, pre-draw
+    le = (eps * one * h + 2.0 * v * gam * one * mismatch) * eta
     dr = slot.d - slot.rp
     fixed = [(e, vg * (oe * e) ** 2 + le * e, dr + e, abs(dr + e))
              for e in (lo, clamp(slot.rp - slot.d, lo, hi), hi)]
-    th = compute_thresholds(h, t, slot, params, control)
+    if gam == 0.0:
+        alpha = beta = 0.0
+        vartheta = (-mismatch / (one * eta) if h == 0.0
+                    else -math.copysign(math.inf, h))
+        delta = -eps * one * h * eta / v
+        hbar = math.inf
+    else:
+        alpha = 2.0 * v * gam * one * eta * mismatch
+        beta = alpha + 2.0 * v * gam * one * one * eta * eta * params.e_max
+        hbar = 1.0 / (2.0 * gam * one * one * eta * eta)
+        vartheta = -mismatch / (one * eta) - eps * h / (2.0 * v * gam * one * eta)
+        delta = (-2.0 * gam * one * eta * mismatch
+                 - eps * one * h * eta / v
+                 - 2.0 * gam * one * one * eta * eta * (slot.rp - slot.d))
     pressure = -eps * one * h * eta
-    return FollowerRule(v, *fixed, params.gamma != 0.0, pressure - th.alpha,
-                        pressure - th.beta, params.e_max, th.delta,
-                        th.vartheta, th.hbar, vg, oe, le, dr)
+    return FollowerRule(v, *fixed, gam != 0.0, pressure - alpha, pressure - beta,
+                        params.e_max, delta, vartheta, hbar, vg, oe, le, dr)
 
 
 def respond(rules: Sequence[FollowerRule], p_s: float,
@@ -361,23 +330,3 @@ def compute_follower_bounds(params: NanogridParams, v_i: float | None,
     )
     return FollowerBounds(gamma_min, gamma_max, v_max, opt_span, swing, drift_bound)
 
-
-def validate_control(control: NanogridControl, bounds: FollowerBounds,
-                     label: str = "nanogrid") -> None:
-    """Reject controls outside the certified windows, naming the bound."""
-    tol = 1e-9
-    if control.v_i > bounds.v_max * (1.0 + 1e-12) + tol:
-        raise ConfigurationError(
-            f"{label}: v_i={control.v_i} exceeds the maximum stabilizing "
-            f"weight v_max={bounds.v_max}"
-        )
-    if control.gamma_shift < bounds.gamma_min - tol:
-        raise ConfigurationError(
-            f"{label}: gamma_shift={control.gamma_shift} below the certified "
-            f"shift floor {bounds.gamma_min}"
-        )
-    if control.gamma_shift > bounds.gamma_max + tol:
-        raise ConfigurationError(
-            f"{label}: gamma_shift={control.gamma_shift} above the certified "
-            f"shift ceiling {bounds.gamma_max}"
-        )

@@ -74,13 +74,13 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
     """Subgradients (g_ps, g_pb, g_y) of the leader surrogate at the iterate
     (p_s, p_b, y).
 
-    ``hbars`` holds each follower's price sensitivity at this iterate: the
-    hbar constant while the response sits strictly inside a price-responsive
-    branch, zero while it is pinned (then the price terms' derivative carries
-    no response correction).  Followers reporting a non-finite sensitivity
-    are treated as pinned.  The marginal grid price is m_s when the net
-    residual is positive and m_b otherwise (the exact-balance point is
-    assigned to the m_b branch).
+    ``hbars`` holds each follower's price sensitivity at this iterate, as
+    ``nanogrid.respond`` gives it: the finite hbar constant while the
+    response sits strictly inside a price-responsive branch, zero while it
+    is pinned (then the price terms' derivative carries no response
+    correction).  The marginal grid price is m_s when the net residual is
+    positive and m_b otherwise (the exact-balance point is assigned to the
+    m_b branch).
 
     ``free`` restricts the sensitivity terms to those followers; the others
     are pinned for the whole slot (sensitivity 0.0), and ``pinned`` says
@@ -98,13 +98,10 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
     g_ps = -v_p * buy_sum
     g_pb = -v_p * sell_sum
     for i in range(len(tps)) if free is None else free:
-        hbar = hbars[i]
-        if not math.isfinite(hbar):
-            continue
         if tps[i] >= 0.0:
-            g_ps += v_p * (p_s - m) * hbar
+            g_ps += v_p * (p_s - m) * hbars[i]
         else:
-            g_pb += v_p * (p_b - m) * hbar
+            g_pb += v_p * (p_b - m) * hbars[i]
     if pinned[0]:
         g_ps += v_p * (p_s - m) * 0.0
     if pinned[1]:
@@ -136,22 +133,3 @@ def compute_leader_bounds(params: PmeParams, v_p: float | None,
     drift_bound = 0.5 * max(params.u_cmax ** 2, params.u_dmax ** 2)
     return LeaderBounds(theta_min, theta_max, v_p_max, c_min, c_max, drift_bound)
 
-
-def validate_control(control: PmeControl, bounds: LeaderBounds) -> None:
-    """Reject controls outside the certified windows, naming the bound."""
-    tol = 1e-9
-    if control.v_p > bounds.v_p_max * (1.0 + 1e-12) + tol:
-        raise ConfigurationError(
-            f"aggregator: v_p={control.v_p} exceeds the maximum stabilizing "
-            f"weight v_p_max={bounds.v_p_max}"
-        )
-    if control.theta < bounds.theta_min - tol:
-        raise ConfigurationError(
-            f"aggregator: theta={control.theta} below the certified shift floor "
-            f"{bounds.theta_min}"
-        )
-    if control.theta > bounds.theta_max + tol:
-        raise ConfigurationError(
-            f"aggregator: theta={control.theta} above the certified shift "
-            f"ceiling {bounds.theta_max}"
-        )

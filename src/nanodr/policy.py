@@ -8,15 +8,14 @@ temperature envelopes before the run starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .domain import NanogridControl, NanogridParams, PmeControl, PmeParams, Scenario
-from .domain import check_assumptions
+from .domain import ConfigurationError, check_assumptions
 from .nanogrid import FollowerBounds, compute_follower_bounds
-from .nanogrid import validate_control as validate_follower_control
 from .pme import LeaderBounds, compute_leader_bounds
-from .pme import validate_control as validate_leader_control
 
 
 @dataclass(frozen=True)
@@ -27,6 +26,43 @@ class PolicyBundle:
     pme_control: PmeControl
     follower_bounds: tuple[FollowerBounds, ...]
     leader_bounds: LeaderBounds
+
+
+def _control(make: Callable[[float, float], Any], label: str,
+             names: tuple[str, str, str], weight: float | None,
+             shift: float | None, weight_max: float, floor: float,
+             ceil: float) -> Any:
+    """``make(weight, shift)``, an omitted one at its default (the certified
+    maximum, the floor), checked against the certified windows; an error
+    names the bound.  ``names`` are the weight's, its maximum's and the
+    shift's.  The maximum is infinite only when its denominator is 0: a flat
+    price envelope with gamma = 0 (nanogrid) or c_b = 0 (aggregator)."""
+    weight_name, max_name, shift_name = names
+    if weight is None:
+        if math.isinf(weight_max):
+            raise ConfigurationError(
+                f"{label}: the price envelope is flat (every m_s and m_b "
+                f"equal), so the maximum stabilizing weight {max_name} is "
+                f"unbounded; set --{weight_name.replace('_', '-')}"
+            )
+        weight = weight_max
+    shift = floor if shift is None else shift
+    control = make(weight, shift)
+    tol = 1e-9
+    if weight > weight_max * (1.0 + 1e-12) + tol:
+        raise ConfigurationError(
+            f"{label}: {weight_name}={weight} exceeds the maximum stabilizing "
+            f"weight {max_name}={weight_max}"
+        )
+    if shift < floor - tol:
+        raise ConfigurationError(
+            f"{label}: {shift_name}={shift} below the certified shift floor {floor}"
+        )
+    if shift > ceil + tol:
+        raise ConfigurationError(
+            f"{label}: {shift_name}={shift} above the certified shift ceiling {ceil}"
+        )
+    return control
 
 
 def default_policy(scenario: Scenario, ng_params: Sequence[NanogridParams],
@@ -55,19 +91,17 @@ def default_policy(scenario: Scenario, ng_params: Sequence[NanogridParams],
             p_s_max=scenario.m_s_max(),
             p_b_min=scenario.m_b_min(),
         )
-        use_v = bounds.v_max if want_v is None else want_v
-        use_shift = bounds.gamma_min if gamma_shift is None else gamma_shift[i]
-        control = NanogridControl(v_i=use_v, gamma_shift=use_shift)
-        validate_follower_control(control, bounds, label=f"nanogrid {i}")
-        ng_controls.append(control)
+        ng_controls.append(_control(
+            NanogridControl, f"nanogrid {i}", ("v_i", "v_max", "gamma_shift"),
+            want_v, None if gamma_shift is None else gamma_shift[i],
+            bounds.v_max, bounds.gamma_min, bounds.gamma_max))
         fbounds.append(bounds)
 
     lbounds = compute_leader_bounds(pme_params, v_p, scenario.m_s_max(),
                                     scenario.m_b_min())
-    use_vp = lbounds.v_p_max if v_p is None else v_p
-    use_theta = lbounds.theta_min if theta is None else theta
-    pme_control = PmeControl(v_p=use_vp, theta=use_theta)
-    validate_leader_control(pme_control, lbounds)
+    pme_control = _control(PmeControl, "aggregator", ("v_p", "v_p_max", "theta"),
+                           v_p, theta, lbounds.v_p_max, lbounds.theta_min,
+                           lbounds.theta_max)
     return PolicyBundle(
         ng_controls=tuple(ng_controls),
         pme_control=pme_control,

@@ -124,20 +124,19 @@ def update_queues(state: SlotState, followers: Sequence[FollowerAction],
     return SlotState(t=tuple(t_next), h=tuple(h_next), e_batt=e_new, b=b_shifted)
 
 
-SlotSolver = Callable[[SlotState, SlotData, int], SlotSolution]
+SlotSolver = Callable[[SlotState, SlotData], SlotSolution]
 
 
 def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
         ng_controls: Sequence[NanogridControl], pme_params: PmeParams,
         pme_control: PmeControl, config: GameConfig = GameConfig(),
-        t0: Sequence[float] | None = None, e0: float | None = None,
         strict_bounds: bool = True, keep_traces: bool = False,
         slot_solver: SlotSolver | None = None) -> RunReport:
     """Simulate the whole horizon and aggregate the economics.
 
-    The comfort-guarantee assumptions are checked first.  Initial
-    temperatures default to each comfort band's midpoint and the
-    battery to the middle of its window.  With ``strict_bounds`` a comfort or
+    The comfort-guarantee assumptions are checked first.  Every run starts
+    with each temperature at the middle of its comfort band and the battery
+    at the middle of its window.  With ``strict_bounds`` a comfort or
     battery bound breach raises InvariantViolation naming the slot (it should
     be unreachable under certified controls); otherwise breaches are only
     counted.  ``slot_solver`` substitutes a different per-slot policy (used
@@ -150,30 +149,19 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
             f"{len(ng_params)} and {len(ng_controls)}"
         )
     check_assumptions(scenario, ng_params)
-    if t0 is None:
-        t0 = [0.5 * (p.t_min + p.t_max) for p in ng_params]
-    if e0 is None:
-        e0 = 0.5 * (pme_params.e_min + pme_params.e_max_cap)
-    if len(t0) != n:
-        raise ConfigurationError(f"need {n} initial temperatures, got {len(t0)}")
-    for i, (temp, p) in enumerate(zip(t0, ng_params)):
-        if not p.t_min <= temp <= p.t_max:
-            raise ConfigurationError(
-                f"initial temperature {temp} outside comfort band for nanogrid {i}"
-            )
-    if not pme_params.e_min <= e0 <= pme_params.e_max_cap:
-        raise ConfigurationError(f"initial battery energy {e0} outside window")
 
     if slot_solver is None:
-        def slot_solver(state: SlotState, slot: SlotData, k: int) -> SlotSolution:
+        def slot_solver(state: SlotState, slot: SlotData) -> SlotSolution:
             return solve_slot(state, slot, ng_params, ng_controls, pme_params,
                               pme_control, config)
 
+    t0 = tuple(0.5 * (p.t_min + p.t_max) for p in ng_params)
+    e0 = 0.5 * (pme_params.e_min + pme_params.e_max_cap)
     state = SlotState(
-        t=tuple(float(x) for x in t0),
-        h=tuple(float(x) + c.gamma_shift for x, c in zip(t0, ng_controls)),
-        e_batt=float(e0),
-        b=float(e0) + pme_control.theta,
+        t=t0,
+        h=tuple(t + c.gamma_shift for t, c in zip(t0, ng_controls)),
+        e_batt=e0,
+        b=e0 + pme_control.theta,
     )
 
     tol = 1e-9
@@ -187,7 +175,7 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
 
     for k in range(scenario.slots):
         slot = scenario.slot(k)
-        sol = slot_solver(state, slot, k)
+        sol = slot_solver(state, slot)
         leader, followers = sol.leader, sol.followers
 
         next_state = update_queues(state, followers, leader, slot, ng_params,

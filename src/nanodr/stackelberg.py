@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .domain import (
@@ -163,15 +164,12 @@ def _project(raw_ps: float, raw_pb: float, raw_y: float, m_s: float,
     return p_s, p_b, y_lo if raw_y < y_lo else y_hi if raw_y > y_hi else raw_y
 
 
+@lru_cache(maxsize=None)
 def _step_sizes(m: int) -> tuple[float, float, float]:
-    """The step sizes of iteration m for (p_s, p_b, y)."""
+    """The step sizes of iteration m for (p_s, p_b, y); cached, so every
+    slot's record at iteration m holds the same triple."""
     denom = STEP_C0 + STEP_C1 * m
     return STEP_SCALE_S / denom, STEP_SCALE_B / denom, STEP_SCALE_Y / denom
-
-
-# The step triples of the iterations up to the default cap, built once so
-# the records of every slot share them.
-_STEP_TABLE = tuple(map(_step_sizes, range(1, GameConfig().max_iters + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +188,10 @@ class QueueResponder:
     Here too, once per slot, ``nanogrid.pinned_draw`` certifies the
     followers whose draw is the same at every price pair in the slot's band
     [m_b, m_s]².  Their draws, zero slopes and interchanges form a template;
-    ``free`` lists the other followers.  At in-band prices a broadcast
-    copies the template and evaluates only the free followers; elsewhere it
-    evaluates every follower.
+    ``free`` lists the other followers.  A broadcast copies the template and
+    evaluates only the free followers, so both prices it is asked at must
+    lie in [m_b, m_s]: the loop's projection and the polish's scans never
+    leave the band.
     """
 
     def __init__(self, state: SlotState, slot: SlotData,
@@ -204,7 +203,6 @@ class QueueResponder:
         self._rules = tuple(map(
             follower_rule, (0.0,) * n if drop_queue else state.h, state.t,
             slot.followers, params, controls, (None,) * n if boxes is None else boxes))
-        self._band = (slot.m_b, slot.m_s)
         pins = [pinned_draw(r, slot.m_b, slot.m_s) for r in self._rules]
         self.free = tuple(i for i, e in enumerate(pins) if e is None)
         self._free_rules = tuple(self._rules[i] for i in self.free)
@@ -221,31 +219,25 @@ class QueueResponder:
         # The interchanges never change when every follower is pinned.
         self.sums = None if self.free else interchange_sums(self._tps)
 
-    def respond_full(self, p_s: float, p_b: float) -> tuple[list[float], list[float]]:
-        """Draws plus each follower's local price sensitivity at this iterate."""
-        m_b, m_s = self._band
-        if not (m_b <= p_s <= m_s and m_b <= p_b <= m_s):
-            return respond(self._rules, p_s, p_b)
+    def respond_full(self, p_s: float, p_b: float
+                     ) -> tuple[list[float], list[float], list[float]]:
+        """Draws, interchanges d + e - rp and each follower's local price
+        sensitivity at in-band prices (both in [m_b, m_s])."""
         es = self._draws.copy()
+        tps = self._tps.copy()
         slopes = self._slopes.copy()
         if not self.free:
-            return es, slopes
+            return es, tps, slopes
         free_es, free_slopes = respond(self._free_rules, p_s, p_b)
-        for i, e, slope in zip(self.free, free_es, free_slopes):
+        for (i, fs), e, slope in zip(self._free_slots, free_es, free_slopes):
             es[i] = e
+            tps[i] = fs.d + e - fs.rp
             slopes[i] = slope
-        return es, slopes
+        return es, tps, slopes
 
-    def respond(self, p_s: float, p_b: float) -> list[float]:
-        return self.respond_full(p_s, p_b)[0]
-
-    def interchanges(self, es: Sequence[float]) -> list[float]:
-        """Interchanges d + e - rp of draws answered at in-band prices: the
-        template's, with only the free followers' recomputed."""
-        tps = self._tps.copy()
-        for i, fs in self._free_slots:
-            tps[i] = fs.d + es[i] - fs.rp
-        return tps
+    def respond(self, p_s: float, p_b: float) -> tuple[list[float], list[float]]:
+        """Draws and interchanges at in-band prices."""
+        return self.respond_full(p_s, p_b)[:2]
 
     def price_breakpoints(self) -> list[float]:
         """Price levels where some follower's response map changes branch."""
@@ -346,14 +338,16 @@ def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
 
 def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
             c_b: float, v_p: float, y_box: tuple[float, float],
-            config: GameConfig) -> tuple[LeaderAction, int, list[float]]:
+            config: GameConfig
+            ) -> tuple[LeaderAction, int, list[float], list[float]]:
     """Coordinate-exact refinement of the leader action to a fixed point.
 
-    Returns the action, the sweeps made, and the follower draws at the
-    action.  The followers' responses do not depend on ``y``, so each price
-    pair is answered once per call: a memo keyed by the exact (p_s, p_b)
-    holds the draws, the interchanges and their trade sums, and a surrogate
-    evaluation at a known pair is only the closing arithmetic in ``y``.
+    Returns the action, the sweeps made, and the follower draws and
+    interchanges at the action.  The followers' responses do not depend on
+    ``y``, so each price pair is answered once per call: a memo keyed by the
+    exact (p_s, p_b) holds the draws, the interchanges and their trade sums,
+    and a surrogate evaluation at a known pair is only the closing
+    arithmetic in ``y``.
     """
     m_s, m_b, g_t = slot.m_s, slot.m_b, slot.g_t
     p_s, p_b, y = action.p_s, action.p_b, action.y
@@ -365,8 +359,7 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
         # (draws, interchanges, revenue, sequential total, exact total).
         got = memo.get((ps, pb))
         if got is None:
-            es = responder.respond(ps, pb)
-            tps = responder.interchanges(es)
+            es, tps = responder.respond(ps, pb)
             got = memo[ps, pb] = (es, tps, *_trade_sums(ps, pb, tps),
                                   math.fsum(tps))
         return got
@@ -402,7 +395,7 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
                 and abs(p_b - prev[1]) < POLISH_TOL
                 and abs(y - prev[2]) < POLISH_TOL):
             break
-    return LeaderAction(p_s=p_s, p_b=p_b, y=y), sweeps, trade(p_s, p_b)[0]
+    return (LeaderAction(p_s=p_s, p_b=p_b, y=y), sweeps, *trade(p_s, p_b)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +412,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     check_band(m_s, m_b, min_gap)
     y_lo, y_hi = (-pme_params.u_dmax, pme_params.u_cmax) if y_box is None else y_box
     pb_hi = max(m_s - min_gap, m_b)
-    respond_full, interchanges = responder.respond_full, responder.interchanges
+    respond_full = responder.respond_full
     free, pinned, sums = responder.free, responder.pinned, responder.sums
 
     mid = 0.5 * (m_s + m_b)
@@ -428,12 +421,11 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     records: list[IterationRecord] = []
     converged = False
     for m in range(1, config.max_iters + 1):
-        es, slopes = respond_full(p_s, p_b)
-        tps = interchanges(es)
+        es, tps, slopes = respond_full(p_s, p_b)
         g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
                                        pme_control, pme_params, slopes,
                                        free=free, pinned=pinned, sums=sums)
-        steps = _STEP_TABLE[m - 1] if m <= len(_STEP_TABLE) else _step_sizes(m)
+        steps = _step_sizes(m)
         n_s, n_b, n_y = _project(p_s - steps[0] * g_ps, p_b - steps[1] * g_pb,
                                  y - steps[2] * g_y, m_s, m_b, pb_hi,
                                  y_lo, y_hi, min_gap)
@@ -447,12 +439,12 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
 
     chi = LeaderAction(p_s=p_s, p_b=p_b, y=y)
     if config.polish:
-        chi, sweeps, es = _polish(chi, responder, b, slot, pme_params.c_b,
-                                  pme_control.v_p, (y_lo, y_hi), config)
+        chi, sweeps, es, tps = _polish(chi, responder, b, slot, pme_params.c_b,
+                                       pme_control.v_p, (y_lo, y_hi), config)
     else:
-        sweeps, es = 0, responder.respond(p_s, p_b)
-    final_followers = tuple(FollowerAction(e=e, tp=fs.d + e - fs.rp)
-                            for e, fs in zip(es, slot.followers))
+        sweeps = 0
+        es, tps = responder.respond(p_s, p_b)
+    final_followers = tuple(FollowerAction(e=e, tp=tp) for e, tp in zip(es, tps))
     trace = IterationTrace(records=tuple(records), converged=converged,
                            polish_sweeps=sweeps)
     return SlotSolution(leader=chi, followers=final_followers, trace=trace)

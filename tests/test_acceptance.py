@@ -36,7 +36,7 @@ from nanodr.domain import (
     bilinear_trade_cost,
     pme_profit,
 )
-from nanodr.nanogrid import compute_thresholds, feasible_box, follower_rule, respond
+from nanodr.nanogrid import feasible_box, follower_rule, respond
 from nanodr.pme import _close_pro_prime, subgradients
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
@@ -135,15 +135,14 @@ def test_03_follower_oracle_equivalence():
         best_val = float(values[idx])
         assert mine <= best_val + 1e-8 * (1.0 + abs(best_val))
         if params.gamma > 0.0:
-            th = compute_thresholds(h, t, slot, params, control)
-            pressure = -params.epsilon * (1 - params.epsilon) * h * params.eta
+            rule = follower_rule(h, t, slot, params, control)
             spacing = (hi - lo) / (len(grid) - 1)
-            if control.v_i * leader.p_b > pressure - th.alpha:
+            if control.v_i * leader.p_b > rule.zero_level:
                 expected = min(max(0.0, lo), hi)
                 assert abs(float(grid[idx]) - expected) <= spacing + 1e-12
                 assert act.e == expected
                 threshold_hits += 1
-            elif control.v_i * leader.p_s < pressure - th.beta:
+            elif control.v_i * leader.p_s < rule.rated_level:
                 expected = min(max(params.e_max, lo), hi)
                 assert abs(float(grid[idx]) - expected) <= spacing + 1e-12
                 assert act.e == expected
@@ -302,7 +301,7 @@ def test_07_equilibrium_verification(desk):
         responder = QueueResponder(state, slot, params, controls)
 
         def pro(ps, pb, yy):
-            es = responder.respond(ps, pb)
+            es = responder.respond(ps, pb)[0]
             tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
             return leader_surrogate(ps, pb, yy, tps, state.b, slot.g_t, slot.m_s,
                                     slot.m_b, pmec.v_p, PME.c_b)

@@ -487,3 +487,49 @@ def test_flat_envelope_is_named_as_a_band(extra, tmp_path, capsys):
     assert main(["check-bounds", "--scenario", str(path)] + extra) == 2
     assert capsys.readouterr().err == (
         "error: grid price band [3.0, 3.0] at slot 0 narrower than min_gap=0.01\n")
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--gamma", "0"], "nanogrid 0: the price envelope is flat (every m_s and "
+                       "m_b equal), so the maximum stabilizing weight v_max is "
+                       "unbounded; set --v-i"),
+    (["--c-b", "0", "--v-i", "0.1"],
+     "aggregator: the price envelope is flat (every m_s and m_b equal), so the "
+     "maximum stabilizing weight v_p_max is unbounded; set --v-p"),
+])
+def test_flat_envelope_default_weight_names_the_flag(extra, named, tmp_path,
+                                                     capsys):
+    # Cases 1 and 5 post no prices, so no band check runs; with gamma = 0
+    # (or c_b = 0) a flat envelope leaves the default weight unbounded.
+    path = _scenario_with_band(tmp_path, 0.0)
+    argv = ["compare", "--scenario", str(path), "--cases", "1,5"] + extra
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "o").exists()
+    # Explicit weights keep running.
+    weights = ["--v-i", "0.1"] if "--gamma" in extra else ["--v-p", "0.1"]
+    assert main(argv + weights + ["--out", str(tmp_path / "ok")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-scenario", "--gamma", "0.02"],
+    ["gen-scenario", "--scenario", "x.csv"],
+    ["check-bounds", "--rho", "0.1"],
+    ["gen-scenario", "--config", "gamma.cfg"],
+])
+def test_each_command_takes_only_the_flags_it_reads(argv, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gamma.cfg").write_text("gamma = 0.02\nslots = 4\nfollowers = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--slots", "4", "--followers", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    if "--config" in argv:
+        assert "unknown key 'gamma'" in err
+        # The same file is a valid run configuration.
+        assert main(["run", "--config", "gamma.cfg", "--out", "o"]) == 0
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["slots"] == 4
+    else:
+        assert f"unrecognized arguments: {argv[1]} {argv[2]}" in err
+    assert not (tmp_path / "scenario.csv").exists()

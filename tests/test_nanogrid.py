@@ -12,6 +12,7 @@ from nanodr.domain import (
     LeaderAction,
     NanogridControl,
     NanogridParams,
+    Scenario,
     ScenarioError,
     SlotData,
     SlotState,
@@ -19,12 +20,12 @@ from nanodr.domain import (
 )
 from nanodr.nanogrid import (
     compute_follower_bounds,
-    compute_thresholds,
     feasible_box,
     follower_rule,
     respond,
-    validate_control,
 )
+from nanodr.policy import default_policy
+from nanodr.scenario_io import default_pme_params
 from nanodr.stackelberg import QueueResponder
 
 from oracles import (
@@ -67,10 +68,13 @@ def test_thresholds_vanish_without_discomfort_weight():
     params = NanogridParams(epsilon=0.95, eta=15.0, e_max=5.0, t_min=66.0,
                             t_max=77.0, l_max=10.0, gamma=0.0)
     slot = FollowerSlot(rp=1.0, d=2.0, t_out=30.0, t_opt=70.0)
-    th = compute_thresholds(-5.0, 70.0, slot, params, CONTROL)
-    assert th.alpha == 0.0
-    assert th.beta == 0.0
-    assert math.isinf(th.hbar) and th.hbar > 0.0
+    rule = follower_rule(-5.0, 70.0, slot, params, CONTROL)
+    # alpha and beta are zero: both levels are the bare drift pressure.
+    pressure = -params.epsilon * (1 - params.epsilon) * -5.0 * params.eta
+    assert rule.zero_level == pressure
+    assert rule.rated_level == pressure
+    assert not rule.has_vertex
+    assert math.isinf(rule.hbar) and rule.hbar > 0.0
 
 
 def test_beta_alpha_identity_on_random_draws():
@@ -79,17 +83,19 @@ def test_beta_alpha_identity_on_random_draws():
         params, control, t, h, slot, _ = random_follower_instance(rng)
         if params.gamma == 0.0:
             continue
-        th = compute_thresholds(h, t, slot, params, control)
+        rule = follower_rule(h, t, slot, params, control)
         one = 1.0 - params.epsilon
         gap = 2.0 * control.v_i * params.gamma * one * one \
             * params.eta * params.eta * params.e_max
-        assert th.beta - th.alpha == pytest.approx(gap, rel=1e-12, abs=1e-12)
+        # beta - alpha, as the difference of the two levels.
+        assert rule.zero_level - rule.rated_level == pytest.approx(
+            gap, rel=1e-12, abs=1e-12)
 
 
 def test_vartheta_cancels_at_aligned_temperatures():
     slot = FollowerSlot(rp=1.0, d=2.0, t_out=70.0, t_opt=70.0)
-    th = compute_thresholds(0.0, 70.0, slot, PARAMS, CONTROL)
-    assert th.vartheta == pytest.approx(0.0, abs=1e-12)
+    rule = follower_rule(0.0, 70.0, slot, PARAMS, CONTROL)
+    assert rule.vartheta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_equals_scaled_vertex_to_kink_distance():
@@ -98,10 +104,10 @@ def test_delta_equals_scaled_vertex_to_kink_distance():
         params, control, t, h, slot, _ = random_follower_instance(rng)
         if params.gamma == 0.0:
             continue
-        th = compute_thresholds(h, t, slot, params, control)
+        rule = follower_rule(h, t, slot, params, control)
         kink = slot.rp - slot.d
-        assert th.delta == pytest.approx((th.vartheta - kink) / th.hbar,
-                                         rel=1e-9, abs=1e-9)
+        assert rule.delta == pytest.approx((rule.vartheta - kink) / rule.hbar,
+                                           rel=1e-9, abs=1e-9)
 
 
 # -- objective --------------------------------------------------------------
@@ -174,9 +180,8 @@ def test_zero_draw_threshold_case():
     t = 76.5
     h = t + control.gamma_shift
     leader = LeaderAction(p_s=10.0, p_b=5.0, y=0.0)
-    th = compute_thresholds(h, t, slot, PARAMS, control)
-    pressure = -PARAMS.epsilon * (1 - PARAMS.epsilon) * h * PARAMS.eta
-    assert control.v_i * leader.p_b > pressure - th.alpha  # case fires
+    rule = follower_rule(h, t, slot, PARAMS, control)
+    assert control.v_i * leader.p_b > rule.zero_level  # case fires
     assert _draw(h, t, slot, leader, PARAMS, control) == 0.0
 
 
@@ -187,9 +192,8 @@ def test_full_power_threshold_case():
     t = 66.2
     h = t + control.gamma_shift
     leader = LeaderAction(p_s=10.0, p_b=5.0, y=0.0)
-    th = compute_thresholds(h, t, slot, PARAMS, control)
-    pressure = -PARAMS.epsilon * (1 - PARAMS.epsilon) * h * PARAMS.eta
-    assert control.v_i * leader.p_s < pressure - th.beta  # case fires
+    rule = follower_rule(h, t, slot, PARAMS, control)
+    assert control.v_i * leader.p_s < rule.rated_level  # case fires
     assert _draw(h, t, slot, leader, PARAMS, control) == PARAMS.e_max
 
 
@@ -248,11 +252,10 @@ def test_threshold_cases_agree_with_unclamped_argmin():
                               e_max=params.e_max, t_min=params.t_min,
                               t_max=params.t_max, l_max=50.0,
                               gamma=params.gamma)
-        th = compute_thresholds(h, t, slot, wide, control)
-        pressure = -wide.epsilon * (1 - wide.epsilon) * h * wide.eta
-        if control.v_i * leader.p_b > pressure - th.alpha:
+        rule = follower_rule(h, t, slot, wide, control)
+        if control.v_i * leader.p_b > rule.zero_level:
             endpoint = 0.0
-        elif control.v_i * leader.p_s < pressure - th.beta:
+        elif control.v_i * leader.p_s < rule.rated_level:
             endpoint = wide.e_max
         else:
             continue
@@ -284,14 +287,14 @@ def _instances(rng, count, binding_l_max):
 
 
 def _prices_near_delta(rng, group, drop_queue):
-    """Each follower's own prices, plus p_s and then p_b at th.delta and a
-    few ULPs either side, where the branch vertex meets the kink."""
+    """Each follower's own prices, plus p_s and then p_b at its rule's delta
+    and a few ULPs either side, where the branch vertex meets the kink."""
     prices = [(leader.p_s, leader.p_b) for *_, leader in group]
     for params, control, t, h, slot, _ in group:
         if params.gamma == 0.0:
             continue
         h = 0.0 if drop_queue else h
-        delta = compute_thresholds(h, t, slot, params, control).delta
+        delta = follower_rule(h, t, slot, params, control).delta
         for k in range(-4, 5):
             p = delta
             for _ in range(abs(k)):
@@ -306,7 +309,7 @@ def _prices_near_delta(rng, group, drop_queue):
 def test_queue_responder_is_bit_exact_with_reference_rule(case):
     rng = random.Random({"random": 61, "binding_l_max": 67, "myopic_boxes": 71}[case])
     myopic = case == "myopic_boxes"  # queue term dropped, tightened boxes
-    compared = 0
+    compared = in_band = 0
     mixed = 0  # groups with both gamma == 0 and gamma > 0 followers
     for _ in range(30):
         group = _instances(rng, 8, binding_l_max=case == "binding_l_max")
@@ -326,17 +329,28 @@ def test_queue_responder_is_bit_exact_with_reference_rule(case):
         responder = QueueResponder(state, slot, [g[0] for g in group],
                                    [g[1] for g in group],
                                    drop_queue=myopic, boxes=boxes)
+        rules = [follower_rule(0.0 if myopic else h, t, fs, params, control,
+                               boxes[i] if myopic else None)
+                 for i, (params, control, t, h, fs, _) in enumerate(group)]
         for p_s, p_b in _prices_near_delta(rng, group, myopic):
             expected = [
                 reference_response(0.0 if myopic else h, t, fs, p_s, p_b, params,
                                    control, boxes[i] if myopic else None)
                 for i, (params, control, t, h, fs, _) in enumerate(group)
             ]
-            es, slopes = responder.respond_full(p_s, p_b)
+            if slot.m_b <= min(p_s, p_b) and max(p_s, p_b) <= slot.m_s:
+                es, tps, slopes = responder.respond_full(p_s, p_b)
+                assert tps == [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
+                in_band += 1
+            else:
+                # The responder answers in-band prices only; elsewhere the
+                # same rules are evaluated directly.
+                es, slopes = respond(rules, p_s, p_b)
             assert es == [e for e, _ in expected]
             assert slopes == [s for _, s in expected]
             compared += len(group)
     assert compared > 10_000 and mixed > 20
+    assert in_band > 250
 
 
 def _nudge(rng, x):
@@ -450,8 +464,9 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
                                    control, boxes[i] if myopic else None)
                 for i, (params, control, t, h, fs, _) in enumerate(group)
             ]
-            es, slopes = responder.respond_full(p_s, p_b)
+            es, tps, slopes = responder.respond_full(p_s, p_b)
             assert es == [e for e, _ in expected]
+            assert tps == [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
             assert slopes == [s for _, s in expected]
         in_band += 16
     assert in_band >= 2000
@@ -523,17 +538,29 @@ def test_window_nonempty_for_any_weight_below_max():
 
 
 def test_validate_control_names_violated_bound():
-    bounds = compute_follower_bounds(PARAMS, None, t_out_min=20.0, t_out_max=55.0,
-                                     t_opt=[70.0], p_s_max=14.0, p_b_min=3.0)
-    with pytest.raises(ConfigurationError, match="maximum stabilizing weight"):
-        validate_control(NanogridControl(v_i=bounds.v_max * 2.0,
-                                         gamma_shift=bounds.gamma_min), bounds)
-    with pytest.raises(ConfigurationError, match="shift floor"):
-        validate_control(NanogridControl(v_i=bounds.v_max,
-                                         gamma_shift=bounds.gamma_min - 1.0), bounds)
-    with pytest.raises(ConfigurationError, match="shift ceiling"):
-        validate_control(NanogridControl(v_i=bounds.v_max,
-                                         gamma_shift=bounds.gamma_max + 1.0), bounds)
+    # The policy checks each override against the certified windows.
+    scenario = Scenario.from_series(
+        n=1, slots=2, rp=[[1.0], [1.0]], d=[[1.0], [1.0]],
+        t_out=[[20.0], [55.0]], t_opt=[[70.0], [70.0]], m_s=[14.0, 14.0],
+        m_b=[3.0, 3.0], g_t=[0.0, 0.0])
+    pme = default_pme_params()
+    bounds = default_policy(scenario, [PARAMS], pme).follower_bounds[0]
+    assert bounds == compute_follower_bounds(
+        PARAMS, None, t_out_min=20.0, t_out_max=55.0, t_opt=[70.0, 70.0],
+        p_s_max=14.0, p_b_min=3.0)
+    v_i, low, high = bounds.v_max * 2.0, bounds.gamma_min - 1.0, bounds.gamma_max + 1.0
+    with pytest.raises(ConfigurationError) as exc:
+        default_policy(scenario, [PARAMS], pme, v_i=[v_i])
+    assert str(exc.value) == (f"nanogrid 0: v_i={v_i} exceeds the maximum "
+                              f"stabilizing weight v_max={bounds.v_max}")
+    with pytest.raises(ConfigurationError) as exc:
+        default_policy(scenario, [PARAMS], pme, gamma_shift=[low])
+    assert str(exc.value) == (f"nanogrid 0: gamma_shift={low} below the "
+                              f"certified shift floor {bounds.gamma_min}")
+    with pytest.raises(ConfigurationError) as exc:
+        default_policy(scenario, [PARAMS], pme, gamma_shift=[high])
+    assert str(exc.value) == (f"nanogrid 0: gamma_shift={high} above the "
+                              f"certified shift ceiling {bounds.gamma_max}")
 
 
 def test_bounds_reject_broken_assumptions():

@@ -11,16 +11,13 @@ from nanodr.domain import (
     LeaderAction,
     PmeControl,
     PmeParams,
+    Scenario,
     _trade_sums,
     pme_profit,
 )
-from nanodr.nanogrid import compute_thresholds, follower_rule, respond
-from nanodr.pme import (
-    _close_pro_prime,
-    compute_leader_bounds,
-    subgradients,
-    validate_control,
-)
+from nanodr.nanogrid import follower_rule, respond
+from nanodr.pme import _close_pro_prime, compute_leader_bounds, subgradients
+from nanodr.policy import default_policy
 from nanodr.stackelberg import _argmin_charge
 
 from oracles import (
@@ -231,7 +228,7 @@ def test_subgradients_match_finite_differences_at_interior_points():
         m_s, m_b = 14.0, 3.0
 
         def answer(ps, pb):
-            slopes = [compute_thresholds(h, t, slot, params, ctl).hbar
+            slopes = [follower_rule(h, t, slot, params, ctl).hbar
                       for params, ctl, t, h, slot, _, _ in folks]
             return _answers([f[:5] for f in folks], ps, pb), slopes
 
@@ -369,10 +366,23 @@ def test_theta_window_nonempty_below_v_p_max():
 
 
 def test_validate_leader_control_names_bound():
+    # The policy checks each override against the certified windows.
+    scenario = Scenario.from_series(n=0, slots=2, rp=[[], []], d=[[], []],
+                                    t_out=[[], []], t_opt=[[], []],
+                                    m_s=[14.0, 14.0], m_b=[3.0, 3.0],
+                                    g_t=[0.0, 0.0])
     bounds = compute_leader_bounds(PME, None, 14.0, 3.0)
-    with pytest.raises(ConfigurationError, match="maximum stabilizing weight"):
-        validate_control(PmeControl(v_p=bounds.v_p_max * 1.5,
-                                    theta=bounds.theta_min), bounds)
-    with pytest.raises(ConfigurationError, match="shift floor"):
-        validate_control(PmeControl(v_p=bounds.v_p_max,
-                                    theta=bounds.theta_min - 1.0), bounds)
+    assert default_policy(scenario, [], PME).leader_bounds == bounds
+    v_p, low, high = bounds.v_p_max * 1.5, bounds.theta_min - 1.0, bounds.theta_max + 1.0
+    with pytest.raises(ConfigurationError) as exc:
+        default_policy(scenario, [], PME, v_p=v_p)
+    assert str(exc.value) == (f"aggregator: v_p={v_p} exceeds the maximum "
+                              f"stabilizing weight v_p_max={bounds.v_p_max}")
+    with pytest.raises(ConfigurationError) as exc:
+        default_policy(scenario, [], PME, theta=low)
+    assert str(exc.value) == (f"aggregator: theta={low} below the certified "
+                              f"shift floor {bounds.theta_min}")
+    with pytest.raises(ConfigurationError) as exc:
+        default_policy(scenario, [], PME, theta=high)
+    assert str(exc.value) == (f"aggregator: theta={high} above the certified "
+                              f"shift ceiling {bounds.theta_max}")

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from nanodr.domain import (
-    ConfigurationError,
     FollowerAction,
     InvariantViolation,
     LeaderAction,
@@ -104,11 +103,12 @@ def test_single_slot_idle_run_is_neutral():
     scen = Scenario.from_series(n=0, slots=1, rp=[[]], d=[[]], t_out=[[]],
                                 t_opt=[[]], m_s=[12.0], m_b=[3.0], g_t=[0.0])
 
-    def idle(state, slot, k):
+    def idle(state, slot):
         return SlotSolution(leader=LeaderAction(p_s=12.0, p_b=3.0, y=0.0),
                             followers=(), trace=_EMPTY)
 
-    rep = run(scen, [], [], PME, PMEC, GameConfig(), e0=9.0, slot_solver=idle)
+    # The battery starts at the middle of its window, 9 kWh.
+    rep = run(scen, [], [], PME, PMEC, GameConfig(), slot_solver=idle)
     assert rep.pme_profit_total == 0.0
     assert [o.next_state.e_batt for o in rep.outcomes] == [9.0]
     assert rep.aggregate_cost == 0.0
@@ -172,19 +172,12 @@ def test_time_average_charge_is_window_bounded():
 def test_battery_bound_violation_raises_with_slot():
     scen = _scenario_const(slots=2, g_t=0.0)
 
-    def reckless(state, slot, k):
+    def reckless(state, slot):
         return SlotSolution(leader=LeaderAction(p_s=10.0, p_b=5.0, y=8.0),
                             followers=(FollowerAction(e=0.0, tp=0.0),),
                             trace=_EMPTY)
 
+    # From the middle of the window, 9 kWh, y = 8 ends slot 0 at 17 > 16.
     with pytest.raises(InvariantViolation, match="slot 0"):
-        run(scen, [PARAMS], [CONTROL], PME, PMEC, GameConfig(), e0=15.0,
+        run(scen, [PARAMS], [CONTROL], PME, PMEC, GameConfig(),
             slot_solver=reckless)
-
-
-def test_initial_condition_validation():
-    scen = _scenario_const()
-    with pytest.raises(ConfigurationError, match="initial temperature"):
-        run(scen, [PARAMS], [CONTROL], PME, PMEC, GameConfig(), t0=[50.0])
-    with pytest.raises(ConfigurationError, match="initial battery"):
-        run(scen, [PARAMS], [CONTROL], PME, PMEC, GameConfig(), e0=30.0)

@@ -5,6 +5,7 @@ import collections
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -261,7 +262,7 @@ def test_returned_action_is_unilaterally_stable():
     responder = QueueResponder(state, slot, params, controls)
 
     def pro(ps, pb, y):
-        es = responder.respond(ps, pb)
+        es = responder.respond(ps, pb)[0]
         tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
         return leader_surrogate(ps, pb, y, tps, state.b, slot.g_t, slot.m_s,
                                 slot.m_b, pmec.v_p, PME.c_b)
@@ -294,11 +295,18 @@ def test_non_convergence_is_flagged_not_raised():
 
 
 class _RecordingResponder(QueueResponder):
-    """Records every price pair the followers are asked to answer."""
+    """Records every price pair the followers are asked to answer: the
+    polish's asks (``respond``) in ``asked``, and every ask, the loop's
+    too, in ``asked_full`` (``respond`` answers through ``respond_full``)."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.asked = []
+        self.asked_full = []
+
+    def respond_full(self, p_s, p_b):
+        self.asked_full.append((p_s, p_b))
+        return super().respond_full(p_s, p_b)
 
     def respond(self, p_s, p_b):
         self.asked.append((p_s, p_b))
@@ -335,18 +343,19 @@ def test_polish_asks_each_price_pair_once(case):
     start = solve_slot(state, slot, params, controls, pme, pmec,
                        GameConfig(polish=False)).leader
     recorder = _RecordingResponder(state, slot, params, controls)
-    act, sweeps, es = _polish(start, recorder, state.b, slot, pme.c_b,
-                              pmec.v_p, (-pme.u_dmax, pme.u_cmax), cfg)
+    act, sweeps, es, tps = _polish(start, recorder, state.b, slot, pme.c_b,
+                                   pmec.v_p, (-pme.u_dmax, pme.u_cmax), cfg)
     # The confirming second sweep revisits the first sweep's pairs.
     assert sweeps >= 2
     assert len(recorder.asked) > 10
     assert len(set(recorder.asked)) == len(recorder.asked)
     fresh = QueueResponder(state, slot, params, controls)
-    assert es == fresh.respond(act.p_s, act.p_b)
+    assert (es, tps) == fresh.respond(act.p_s, act.p_b)
     # The memo changes no result: the full solve returns the same action.
     solved = solve_slot(state, slot, params, controls, pme, pmec, cfg)
     assert solved.leader == act
     assert [f.e for f in solved.followers] == es
+    assert [f.tp for f in solved.followers] == tps
 
 
 def test_most_followers_of_a_generated_slot_are_certified_pinned():
@@ -368,8 +377,7 @@ def test_template_and_restricted_subgradients_are_bit_exact(k):
         act = LeaderAction(p_s=rng.uniform(slot.m_b, slot.m_s),
                            p_b=rng.uniform(slot.m_b, slot.m_s),
                            y=rng.uniform(-pme.u_dmax, pme.u_cmax))
-        es, slopes = responder.respond_full(act.p_s, act.p_b)
-        tps = responder.interchanges(es)
+        es, tps, slopes = responder.respond_full(act.p_s, act.p_b)
         assert tps == [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
         args = (act.p_s, act.p_b, act.y, tps, state.b, slot.g_t, slot.m_s,
                 slot.m_b, pmec, pme, slopes)
@@ -395,20 +403,17 @@ _LOOP_CASES = {
     "c_b0": dict(n=5, k=10, c_b=0.0),
     "band-equal-to-gap": dict(n=5, k=10, band=0.01),
     "cap-hit": dict(n=5, k=10, max_iters=5),
-    # Past the shared step table of the default cap.
+    # Past the default cap of 500 iterations.
     "cap-hit-at-600": dict(n=1, k=5, max_iters=600, rho=1e-300),
     "myopic": dict(n=5, k=12, myopic=True),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_LOOP_CASES))
-def test_loop_matches_the_reference_bit_for_bit(case):
-    # Every record, the converged flag and the last iterate equal the plain
-    # restatement's (a LeaderAction per iterate, subgradients summed over
-    # every follower), float for float and zero sign for zero sign.
+def _loop_case(case, polish, responder=QueueResponder):
+    """A ``_LOOP_CASES`` slot: its setup, solver knobs and responder."""
     opts = dict(_LOOP_CASES[case])
     config = GameConfig(max_iters=opts.pop("max_iters", 500),
-                        rho=opts.pop("rho", 1e-3), polish=False)
+                        rho=opts.pop("rho", 1e-3), polish=polish)
     band = opts.pop("band", None)
     myopic = opts.pop("myopic", False)
     params, controls, state, pmec, slot, pme = _generated_slot(**opts)
@@ -420,17 +425,30 @@ def test_loop_matches_the_reference_bit_for_bit(case):
                  for t, fs, p in zip(state.t, slot.followers, params)]
         y_box = (max(-pme.u_dmax, pme.e_min - state.e_batt),
                  min(pme.u_cmax, pme.e_max_cap - state.e_batt))
-    responder = QueueResponder(state, slot, params, controls,
-                               drop_queue=myopic, boxes=boxes)
+    return SimpleNamespace(
+        params=params, controls=controls, state=state, pmec=pmec, slot=slot,
+        pme=pme, config=config, myopic=myopic, boxes=boxes, y_box=y_box,
+        b=0.0 if myopic else state.b,
+        responder=responder(state, slot, params, controls, drop_queue=myopic,
+                            boxes=boxes))
+
+
+@pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+def test_loop_matches_the_reference_bit_for_bit(case):
+    # Every record, the converged flag and the last iterate equal the plain
+    # restatement's (a LeaderAction per iterate, subgradients summed over
+    # every follower), float for float and zero sign for zero sign.
+    c = _loop_case(case, polish=False)
     if case == "n50-all-pinned":
-        assert not responder.free
+        assert not c.responder.free
     if case == "n50":
-        assert len(responder.free) == 50
-    sol = _solve_with_responder(responder, 0.0 if myopic else state.b, slot,
-                                pme, pmec, config, y_box=y_box)
-    rows, converged, last = reference_loop(state, slot, params, controls, pme,
-                                           pmec, config, drop_queue=myopic,
-                                           boxes=boxes, y_box=y_box)
+        assert len(c.responder.free) == 50
+    sol = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
+                                c.config, y_box=c.y_box)
+    rows, converged, last = reference_loop(c.state, c.slot, c.params,
+                                           c.controls, c.pme, c.pmec, c.config,
+                                           drop_queue=c.myopic, boxes=c.boxes,
+                                           y_box=c.y_box)
     got = [(*rec[:6], *rec.steps, *rec[7:10], *rec.es)
            for rec in sol.trace.records]
     assert len(got) == len(rows)
@@ -441,6 +459,36 @@ def test_loop_matches_the_reference_bit_for_bit(case):
     assert converged is not case.startswith("cap-hit")
     assert _bits((sol.leader.p_s, sol.leader.p_b, sol.leader.y)) == _bits(
         (last.p_s, last.p_b, last.y))
+
+
+@pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+def test_every_price_the_solver_asks_lies_in_the_band(case):
+    # The responder's per-slot template holds only inside the grid band, so
+    # the loop and the polish must ask the followers at prices in
+    # [m_b, m_s]² alone (n = 1, 5, 50, gamma = 0, a band exactly min_gap
+    # wide, case-3 myopic boxes, an iteration cap hit).
+    c = _loop_case(case, polish=True, responder=_RecordingResponder)
+    sol = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
+                                c.config, y_box=c.y_box)
+    asked = c.responder.asked_full
+    # One ask per loop iteration, then the polish's.
+    assert len(asked) > sol.trace.iterations and c.responder.asked
+    m_b, m_s = c.slot.m_b, c.slot.m_s
+    assert [(p_s, p_b) for p_s, p_b in asked
+            if not (m_b <= p_s <= m_s and m_b <= p_b <= m_s)] == []
+
+
+def test_step_triples_are_shared_across_slots():
+    # Past the default cap too, every slot's record at iteration m holds
+    # the same step triple object.
+    config = GameConfig(max_iters=600, rho=1e-300, polish=False)
+    traces = []
+    for k in (5, 6):
+        params, controls, state, pmec, slot, pme = _generated_slot(n=1, k=k)
+        traces.append(solve_slot(state, slot, params, controls, pme, pmec,
+                                 config).trace.records)
+    assert len(traces[0]) == len(traces[1]) == 600
+    assert all(a.steps is b.steps for a, b in zip(*traces))
 
 
 # -- the polish's scan against its plain restatement ------------------------
