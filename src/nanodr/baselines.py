@@ -46,7 +46,7 @@ from .domain import (
     SlotState,
     clamp,
 )
-from .nanogrid import feasible_box, follower_rule
+from .nanogrid import follower_rule
 from .simulator import RunReport, run
 from .stackelberg import (
     GameConfig,
@@ -79,11 +79,10 @@ _EMPTY_TRACE = IterationTrace(records=(), converged=True)
 
 def _tracking_draw(t: float, fs: FollowerSlot, params: NanogridParams) -> float:
     """Draw that lands the end-of-slot temperature exactly on the target,
-    clamped to the feasible box."""
+    clamped to the draw box [0, e_max]."""
     eps = params.epsilon
     needed = (fs.t_opt - eps * t) / (1.0 - eps) - fs.t_out
-    lo, hi = feasible_box(fs, params)
-    return clamp(needed / params.eta, lo, hi)
+    return clamp(needed / params.eta, 0.0, params.e_max)
 
 
 def _actions(es: Iterable[float], slot: SlotData) -> tuple[FollowerAction, ...]:
@@ -93,12 +92,12 @@ def _actions(es: Iterable[float], slot: SlotData) -> tuple[FollowerAction, ...]:
 
 def _comfort_box(t: float, fs: FollowerSlot,
                  params: NanogridParams) -> tuple[float, float]:
-    """Draw interval that also keeps the next temperature inside the band."""
-    lo, hi = feasible_box(fs, params)
+    """[0, e_max] tightened so the next temperature stays inside the band."""
     eps = params.epsilon
     floor_need = (params.t_min - eps * t) / (1.0 - eps) - fs.t_out
     ceil_need = (params.t_max - eps * t) / (1.0 - eps) - fs.t_out
-    lo, hi = max(lo, floor_need / params.eta), min(hi, ceil_need / params.eta)
+    lo = max(0.0, floor_need / params.eta)
+    hi = min(params.e_max, ceil_need / params.eta)
     if lo > hi:
         if lo - hi <= 1e-9:
             hi = lo

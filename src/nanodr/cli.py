@@ -251,8 +251,7 @@ def _write_summary(report: RunReport, setup: Setup, out_dir: str) -> None:
     pairs = _summary_pairs(report, setup)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         for key, value in pairs:
-            fh.write(f"{key} = {value!r}\n" if isinstance(value, float)
-                     else f"{key} = {value}\n")
+            fh.write(f"{key} = {value}\n")
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(dict(pairs), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -337,9 +336,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _write_traces(report, setup, args.out)
     for key, value in _summary_pairs(report, setup):
         print(f"{key} = {value}")
-    if report.comfort_violations or report.battery_violations:
-        print("bound violations detected", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -344,8 +344,10 @@ def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> N
 
     Besides (a)-(c) the certificate needs the interchange limit to leave the
     draw box at [0, e_max]: l_max >= e_max + d - rp and l_max >= rp - d in
-    every slot.  Call this when binding a scenario to nanogrid parameters;
-    the runtime guarantees are void without it.
+    every slot, tested as the box edges round, so an accepted l_max leaves
+    the box exactly [0, e_max] and the solvers take that box.  Call this
+    when binding a scenario to nanogrid parameters; the runtime guarantees
+    are void without it.
     """
     if len(params) != scenario.n:
         raise ConfigurationError(
@@ -355,8 +357,9 @@ def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> N
         check_assumption_envelope(p, scenario.t_out_min(i), scenario.t_out_max(i),
                                   label=f"nanogrid {i}")
         for k in range(scenario.slots):
-            gap = scenario.rp[k][i] - scenario.d[k][i]
-            if p.l_max + gap < p.e_max or gap > p.l_max:
+            rp, d = scenario.rp[k][i], scenario.d[k][i]
+            if p.l_max - d + rp < p.e_max or -p.l_max - d + rp > 0.0:
+                gap = rp - d
                 raise ConfigurationError(
                     f"l_max={p.l_max} binds the draw box of nanogrid {i} at "
                     f"slot {k}: the comfort certificate needs l_max >= "

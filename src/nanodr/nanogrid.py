@@ -26,7 +26,6 @@ from .domain import (
     FollowerSlot,
     NanogridControl,
     NanogridParams,
-    ScenarioError,
     check_assumption_envelope,
     clamp,
 )
@@ -50,26 +49,6 @@ class FollowerBounds:
     opt_span: float
     swing: float
     drift_bound: float
-
-
-def feasible_box(slot: FollowerSlot, params: NanogridParams) -> tuple[float, float]:
-    """HVAC draw interval allowed by the rated power and interchange limit.
-
-    Raises ScenarioError if the interval is empty (the interchange limit
-    cannot absorb the renewable surplus even at zero draw).
-    """
-    lo = max(-params.l_max - slot.d + slot.rp, 0.0)
-    hi = min(params.l_max - slot.d + slot.rp, params.e_max)
-    if lo > hi:
-        if lo - hi <= 1e-12:
-            hi = lo
-        else:
-            raise ScenarioError(
-                f"interchange limit l_max={params.l_max} too small for the "
-                f"renewable/base-load gap d-rp={slot.d - slot.rp}: "
-                f"draw box [{lo}, {hi}] is empty"
-            )
-    return lo, hi
 
 
 class FollowerRule(NamedTuple):
@@ -114,11 +93,11 @@ def follower_rule(h: float, t: float, slot: FollowerSlot,
                   box: tuple[float, float] | None = None) -> FollowerRule:
     """Build the decision rule at the current state and slot data.
 
-    ``box`` overrides the feasible draw interval (callers may tighten it
-    with extra per-slot constraints); an empty default box raises
-    ScenarioError.
+    The draw box is [0, e_max], which ``domain.check_assumptions`` proves
+    the interchange limit leaves whole; ``box`` replaces it (callers may
+    tighten it with extra per-slot constraints).
     """
-    lo, hi = feasible_box(slot, params) if box is None else box
+    lo, hi = (0.0, params.e_max) if box is None else box
     eps = params.epsilon
     one = 1.0 - eps
     eta = params.eta
@@ -277,8 +256,8 @@ def compute_follower_bounds(params: NanogridParams, v_i: float | None,
     never left, provided the interchange limit leaves the draw box at
     [0, e_max] in every slot: l_max >= e_max + d - rp and l_max >= rp - d.
     This function sees only the envelope, so ``domain.check_assumptions``
-    checks that precondition per slot; ``policy.default_policy`` and
-    ``simulator.run`` call it.
+    checks that precondition per slot, as the box edges round;
+    ``policy.default_policy`` and ``simulator.run`` call it.
 
     The shift floor guards the ceiling: rated-power draw can fire whenever the
     selling price is at the band floor, so the floor pairs the minimum buying

@@ -66,9 +66,8 @@ def interchange_sums(tps: Sequence[float]) -> tuple[float, float, float]:
 def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
                  b: float, g_t: float, m_s: float, m_b: float,
                  control: PmeControl, params: PmeParams,
-                 hbars: Sequence[float], *,
-                 free: Sequence[int] | None = None,
-                 pinned: tuple[bool, bool] = (False, False),
+                 hbars: Sequence[float], *, free: Sequence[int],
+                 pinned: tuple[bool, bool],
                  sums: tuple[float, float, float] | None = None
                  ) -> tuple[float, float, float]:
     """Subgradients (g_ps, g_pb, g_y) of the leader surrogate at the iterate
@@ -82,12 +81,12 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
     positive and m_b otherwise (the exact-balance point is assigned to the
     m_b branch).
 
-    ``free`` restricts the sensitivity terms to those followers; the others
-    are pinned for the whole slot (sensitivity 0.0), and ``pinned`` says
-    whether one of them buys and whether one sells.  Their terms are all the
-    same signed zero, and a sequential sum ends at -0.0 only if it starts
-    there and every addend is -0.0, so one such term per side, added last,
-    gives the sum over every follower bit for bit.  ``sums`` is
+    ``free`` lists the followers whose sensitivity terms are summed; the
+    others are pinned for the whole slot (sensitivity 0.0), and ``pinned``
+    says whether one of them buys and whether one sells.  Their terms are
+    all the same signed zero, and a sequential sum ends at -0.0 only if it
+    starts there and every addend is -0.0, so one such term per side, added
+    last, gives the sum over every follower bit for bit.  ``sums`` is
     ``interchange_sums(tps)`` when the caller already has it.
     """
     v_p = control.v_p
@@ -97,7 +96,7 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
 
     g_ps = -v_p * buy_sum
     g_pb = -v_p * sell_sum
-    for i in range(len(tps)) if free is None else free:
+    for i in free:
         if tps[i] >= 0.0:
             g_ps += v_p * (p_s - m) * hbars[i]
         else:

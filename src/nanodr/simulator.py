@@ -47,10 +47,8 @@ class SlotOutcome:
     leader: LeaderAction
     followers: tuple[FollowerAction, ...]
     next_state: SlotState
-    trade_costs: tuple[float, ...]       # per nanogrid, cent
-    discomfort_costs: tuple[float, ...]  # per nanogrid, cent
-    pme_profit: float                    # cent
-    grid_residual: float                 # kWh, sum(tp) - g_t + y
+    pme_profit: float     # cent
+    grid_residual: float  # kWh, sum(tp) - g_t + y
     converged: bool
     iterations: int
     trace: IterationTrace | None = None
@@ -180,13 +178,6 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
 
         next_state = update_queues(state, followers, leader, slot, ng_params,
                                    ng_controls, pme_control)
-        trade_costs = tuple(
-            bilinear_trade_cost(f.tp, leader.p_s, leader.p_b) for f in followers
-        )
-        discomfort_costs = tuple(
-            p.gamma * (next_state.t[i] - slot.followers[i].t_opt) ** 2
-            for i, p in enumerate(ng_params)
-        )
         tps = [f.tp for f in followers]
         profit = pme_profit(leader, tps, slot.g_t, slot.m_s, slot.m_b,
                             pme_params.c_b)
@@ -211,15 +202,19 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
 
         outcomes.append(SlotOutcome(
             slot=k, leader=leader, followers=followers, next_state=next_state,
-            trade_costs=trade_costs, discomfort_costs=discomfort_costs,
             pme_profit=profit, grid_residual=residual,
             converged=sol.trace.converged, iterations=sol.trace.iterations,
             trace=sol.trace if keep_traces else None,
         ))
 
         profit_sum += profit
-        energy_sum += math.fsum(trade_costs)
-        discomfort_sum += math.fsum(discomfort_costs)
+        energy_sum += math.fsum(
+            bilinear_trade_cost(f.tp, leader.p_s, leader.p_b) for f in followers
+        )
+        discomfort_sum += math.fsum(
+            p.gamma * (next_state.t[i] - slot.followers[i].t_opt) ** 2
+            for i, p in enumerate(ng_params)
+        )
         tatd_sum += math.fsum(
             abs(next_state.t[i] - slot.followers[i].t_opt) for i in range(n)
         )

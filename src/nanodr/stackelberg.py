@@ -458,8 +458,7 @@ def solve_slot(state: SlotState, slot: SlotData,
     """Solve one slot's leader/follower game.
 
     Non-convergence at the iteration cap is reported through the trace, not
-    raised; the last iterate is still polished and returned.  An infeasible
-    follower draw box raises ScenarioError.
+    raised; the last iterate is still polished and returned.
     """
     responder = QueueResponder(state, slot, ng_params, ng_controls)
     return _solve_with_responder(responder, state.b, slot, pme_params,

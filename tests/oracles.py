@@ -5,7 +5,9 @@ closed definitions (vectorized), deliberately sharing no code with the
 package's solvers.
 """
 
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +38,33 @@ def random_follower_instance(rng: random.Random):
     return params, control, t, h, slot, leader
 
 
+def interchange_box(slot, params):
+    """HVAC draw interval allowed by the rated power and the interchange
+    limit, each edge rounded as written: [max(-l_max - d + rp, 0),
+    min(l_max - d + rp, e_max)].  Empty when the limit cannot absorb the
+    renewable surplus even at zero draw."""
+    return (max(-params.l_max - slot.d + slot.rp, 0.0),
+            min(params.l_max - slot.d + slot.rp, params.e_max))
+
+
+def tightest_l_max(rp, d, e_max):
+    """The smallest l_max whose interchange box is exactly (0.0, e_max),
+    found one ulp at a time from max(e_max + d - rp, rp - d)."""
+    slot = FollowerSlot(rp=rp, d=d, t_out=0.0, t_opt=0.0)
+    params = NanogridParams(epsilon=0.5, eta=1.0, e_max=e_max, t_min=0.0,
+                            t_max=1.0, l_max=1.0, gamma=0.0)
+
+    def exact(l_max):
+        return interchange_box(slot, replace(params, l_max=l_max)) == (0.0, e_max)
+
+    l_max = max(e_max + d - rp, rp - d)
+    while not exact(l_max):
+        l_max = math.nextafter(l_max, math.inf)
+    while exact(below := math.nextafter(l_max, 0.0)):
+        l_max = below
+    return l_max
+
+
 def follower_objective_grid(e, h, t, slot, leader, params, control):
     """Vectorized re-statement of the follower's per-slot cost."""
     eps = params.epsilon
@@ -53,9 +82,8 @@ def follower_objective_grid(e, h, t, slot, leader, params, control):
 
 
 def brute_force_follower(h, t, slot, leader, params, control, points=100_000):
-    """Grid argmin of the follower cost over the feasible draw box."""
-    lo = max(-params.l_max - slot.d + slot.rp, 0.0)
-    hi = min(params.l_max - slot.d + slot.rp, params.e_max)
+    """Grid argmin of the follower cost over the interchange box."""
+    lo, hi = interchange_box(slot, params)
     grid = np.linspace(lo, hi, points)
     values = follower_objective_grid(grid, h, t, slot, leader, params, control)
     idx = int(np.argmin(values))
@@ -148,8 +176,7 @@ def reference_response(h, t, slot, p_s, p_b, params, control, box=None):
     gam = params.gamma
     v = control.v_i
     if box is None:
-        lo = max(-params.l_max - slot.d + slot.rp, 0.0)
-        hi = min(params.l_max - slot.d + slot.rp, params.e_max)
+        lo, hi = interchange_box(slot, params)
         if lo > hi and lo - hi <= 1e-12:
             hi = lo
     else:
@@ -255,8 +282,9 @@ def welfare_dual_bound(state, slot, ng_params, ng_controls, pme_params,
         lin.append(p.epsilon * one * h * p.eta / c.v_i
                    + 2.0 * p.gamma * mismatch * one * p.eta)
         const += p.gamma * mismatch ** 2
-        lo.append(max(-p.l_max - fs.d + fs.rp, 0.0))
-        hi.append(min(p.l_max - fs.d + fs.rp, p.e_max))
+        box = interchange_box(fs, p)
+        lo.append(box[0])
+        hi.append(box[1])
         base += fs.d - fs.rp
     q.append(0.5 * pme_params.c_b)
     lin.append(state.b / pme_control.v_p)

@@ -36,7 +36,7 @@ from nanodr.domain import (
     bilinear_trade_cost,
     pme_profit,
 )
-from nanodr.nanogrid import feasible_box, follower_rule, respond
+from nanodr.nanogrid import follower_rule, respond
 from nanodr.pme import _close_pro_prime, subgradients
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
@@ -51,6 +51,7 @@ from nanodr.stackelberg import GameConfig, QueueResponder, _argmin_charge, _proj
 from oracles import (
     brute_force_charge,
     follower_objective_grid,
+    interchange_box,
     interior_follower_instance,
     leader_surrogate,
     random_follower_instance,
@@ -124,10 +125,12 @@ def test_03_follower_oracle_equivalence():
     threshold_hits = 0
     for _ in range(1000):
         params, control, t, h, slot, leader = random_follower_instance(rng)
-        act, = _answers([(params, control, t, h, slot)], leader.p_s, leader.p_b)
-        mine = float(follower_objective_grid(act.e, h, t, slot, leader, params,
+        # The instance's l_max may bind: the rule gets the interchange box.
+        lo, hi = interchange_box(slot, params)
+        (e,), _ = respond([follower_rule(h, t, slot, params, control, (lo, hi))],
+                          leader.p_s, leader.p_b)
+        mine = float(follower_objective_grid(e, h, t, slot, leader, params,
                                              control))
-        lo, hi = feasible_box(slot, params)
         grid = np.linspace(lo, hi, 100_000)
         values = follower_objective_grid(grid, h, t, slot, leader, params,
                                          control)
@@ -140,12 +143,12 @@ def test_03_follower_oracle_equivalence():
             if control.v_i * leader.p_b > rule.zero_level:
                 expected = min(max(0.0, lo), hi)
                 assert abs(float(grid[idx]) - expected) <= spacing + 1e-12
-                assert act.e == expected
+                assert e == expected
                 threshold_hits += 1
             elif control.v_i * leader.p_s < rule.rated_level:
                 expected = min(max(params.e_max, lo), hi)
                 assert abs(float(grid[idx]) - expected) <= spacing + 1e-12
-                assert act.e == expected
+                assert e == expected
                 threshold_hits += 1
     print(f"ACCEPTANCE 3 PASS: 1000 best responses <= brute force + 1e-8 "
           f"({threshold_hits} threshold-case hits agreed)")
@@ -255,7 +258,8 @@ def test_05_subgradient_finite_difference():
                                     m_s, m_b, v_p, PME.c_b)
 
         g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
-                                       control, PME, slopes)
+                                       control, PME, slopes,
+                                       free=range(len(tps)), pinned=(False, False))
         fd_ps = (pro(p_s + step, p_b, y) - pro(p_s - step, p_b, y)) / (2 * step)
         fd_pb = (pro(p_s, p_b + step, y) - pro(p_s, p_b - step, y)) / (2 * step)
         fd_y = (pro(p_s, p_b, y + step) - pro(p_s, p_b, y - step)) / (2 * step)
@@ -427,8 +431,11 @@ def test_10_identity_suite(desk):
     t = [0.5 * (p.t_min + p.t_max) for p in params]
     for outcome in report.outcomes:
         slot = scenario.slot(outcome.slot)
-        trade = sum(outcome.trade_costs)
-        disc = sum(outcome.discomfort_costs)
+        trade = sum(bilinear_trade_cost(f.tp, outcome.leader.p_s,
+                                        outcome.leader.p_b)
+                    for f in outcome.followers)
+        disc = sum(p.gamma * (t_next - fs.t_opt) ** 2 for p, t_next, fs
+                   in zip(params, outcome.next_state.t, slot.followers))
         social = (0.5 * PME.c_b * outcome.leader.y ** 2
                   + (slot.m_s * outcome.grid_residual
                      if outcome.grid_residual >= 0

@@ -26,7 +26,6 @@ from nanodr.domain import (
     pme_profit,
     thermal_step,
 )
-from nanodr.nanogrid import feasible_box
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
     SyntheticSpec,
@@ -37,7 +36,13 @@ from nanodr.scenario_io import (
 from nanodr.simulator import run
 from nanodr.stackelberg import GameConfig, _argmin_charge, solve_slot
 
-from oracles import social_cost, welfare_dual_bound, welfare_objective
+from oracles import (
+    interchange_box,
+    social_cost,
+    tightest_l_max,
+    welfare_dual_bound,
+    welfare_objective,
+)
 
 PME = default_pme_params()
 
@@ -90,7 +95,7 @@ def test_internal_transfers_cancel():
         ts = [rng.uniform(p.t_min, p.t_max) for p in params]
         es = []
         for fs, p in zip(slot.followers, params):
-            lo, hi = feasible_box(fs, p)
+            lo, hi = interchange_box(fs, p)
             es.append(rng.uniform(lo, hi))
         y = rng.uniform(-PME.u_dmax, PME.u_cmax)
         p_b = rng.uniform(slot.m_b, slot.m_s - 0.02)
@@ -142,22 +147,26 @@ def test_welfare_solution_beats_equilibrium_pointwise(gamma, c_b):
 
 
 def _random_welfare_instance(rng):
-    """One cooperative slot: n in {0..5}, gamma and c_b sometimes zero, the
-    interchange limit often binding the draw box."""
+    """One cooperative slot: n in {0..5}, gamma and c_b sometimes zero, and
+    each interchange limit one that ``run`` accepts, half of them the
+    smallest."""
     params, controls, followers, ts = [], [], [], []
     for _ in range(rng.choice([0, 1, 2, 3, 5])):
+        e_max = rng.uniform(2.0, 8.0)
+        fs = FollowerSlot(rp=rng.uniform(0.0, 5.0), d=rng.uniform(0.0, 5.0),
+                          t_out=rng.uniform(10.0, 60.0),
+                          t_opt=rng.uniform(66.0, 78.0))
+        l_max = tightest_l_max(fs.rp, fs.d, e_max)
+        if rng.random() < 0.5:
+            l_max += rng.uniform(0.0, 10.0)
         params.append(NanogridParams(
             epsilon=rng.uniform(0.9, 0.985), eta=rng.uniform(8.0, 20.0),
-            e_max=rng.uniform(2.0, 8.0), t_min=60.0, t_max=85.0,
-            l_max=rng.uniform(5.5, 20.0),
+            e_max=e_max, t_min=60.0, t_max=85.0, l_max=l_max,
             gamma=rng.choice([0.0, rng.uniform(0.002, 0.08)])))
         controls.append(NanogridControl(v_i=rng.uniform(0.05, 2.0),
                                         gamma_shift=rng.uniform(-90.0, -40.0)))
         ts.append(rng.uniform(62.0, 83.0))
-        followers.append(FollowerSlot(rp=rng.uniform(0.0, 5.0),
-                                      d=rng.uniform(0.0, 5.0),
-                                      t_out=rng.uniform(10.0, 60.0),
-                                      t_opt=rng.uniform(66.0, 78.0)))
+        followers.append(fs)
     m_b = rng.uniform(1.0, 6.0)
     slot = SlotData(m_s=m_b + rng.uniform(0.5, 10.0), m_b=m_b,
                     g_t=rng.uniform(-15.0, 15.0), followers=tuple(followers))
@@ -176,7 +185,6 @@ def test_welfare_solve_meets_the_dual_bound():
     # bound is optimal.  Branches are read off the oracle's multiplier.
     rng = random.Random(5)
     branches = collections.Counter()
-    binding = 0
     for _ in range(1000):
         inst = _random_welfare_instance(rng)
         state, slot, params, controls, pme, pmec = inst
@@ -186,9 +194,8 @@ def test_welfare_solve_meets_the_dual_bound():
         assert abs(j - bound) <= 1e-9 * (1.0 + abs(j))
         assert len(es) == len(params)
         for e, fs, p in zip(es, slot.followers, params):
-            hi = min(p.l_max - fs.d + fs.rp, p.e_max)
-            assert max(-p.l_max - fs.d + fs.rp, 0.0) <= e <= hi
-            binding += hi < p.e_max
+            assert interchange_box(fs, p) == (0.0, p.e_max)
+            assert 0.0 <= e <= p.e_max
         assert -pme.u_dmax <= y <= pme.u_cmax
         flats = [p.epsilon * (1.0 - p.epsilon) * h * p.eta / c.v_i
                  for p, c, h in zip(params, controls, state.h)
@@ -204,7 +211,6 @@ def test_welfare_solve_meets_the_dual_bound():
         else:
             branches["interior"] += 1
     assert min(branches[k] for k in ("m_s", "m_b", "jump", "interior")) >= 20
-    assert binding >= 20
 
 
 # -- case behavior ----------------------------------------------------------

@@ -16,11 +16,12 @@ def _read(path):
         return fh.read()
 
 
-def test_run_writes_consistent_artifacts(tmp_path):
+def test_run_writes_consistent_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["run", "--slots", "24", "--out", str(out)])
     assert rc == 0
-    assert (out / "summary.txt").exists()
+    # stdout is summary.txt, byte for byte.
+    assert capsys.readouterr().out.encode() == _read(out / "summary.txt")
     assert (out / "summary.json").exists()
     assert (out / "series.csv").exists()
     summary = json.loads((out / "summary.json").read_text())

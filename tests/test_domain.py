@@ -6,6 +6,7 @@ of every parameter record and the scenario container.
 """
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from nanodr.domain import (
     ConfigurationError,
+    FollowerSlot,
     LeaderAction,
     NanogridControl,
     NanogridParams,
@@ -26,6 +28,8 @@ from nanodr.domain import (
     pme_profit,
     thermal_step,
 )
+
+from oracles import interchange_box, tightest_l_max
 
 PARAMS = NanogridParams(epsilon=0.95, eta=15.0, e_max=5.0, t_min=66.0,
                         t_max=77.0, l_max=10.0, gamma=0.01)
@@ -256,6 +260,35 @@ def test_assumption_checks_refuse_a_binding_interchange_limit():
     with pytest.raises(ConfigurationError,
                        match=r"nanogrid 1 at slot 1: .* e_max \+ d - rp = 7\.0 "):
         check_assumptions(scen, with_limit(6.5))
+
+
+def test_interchange_check_is_exact_at_the_edge():
+    # check_assumptions accepts an l_max exactly when the box edges, each
+    # rounded as written, give (0.0, e_max), so [0, e_max] is the draw box
+    # of every accepted input; one ulp below the smallest such l_max is
+    # refused by name.
+    rng = random.Random(113)
+    for _ in range(2000):
+        rp, d = rng.uniform(0.0, 12.0), rng.uniform(0.0, 6.0)
+        e_max = rng.uniform(1.0, 8.0)
+        slot = FollowerSlot(rp=rp, d=d, t_out=60.0, t_opt=70.0)
+        scen = Scenario.from_series(n=1, slots=1, rp=[[rp]], d=[[d]],
+                                    t_out=[[60.0]], t_opt=[[70.0]],
+                                    m_s=[10.0], m_b=[3.0], g_t=[0.0])
+        edge = tightest_l_max(rp, d, e_max)
+        start = max(e_max + d - rp, rp - d)
+        for l_max in {edge, math.nextafter(edge, 0.0), start,
+                      math.nextafter(start, 0.0), math.nextafter(start, math.inf)}:
+            params = replace(PARAMS, e_max=e_max, l_max=l_max)
+            box = interchange_box(slot, params)
+            if l_max >= edge:
+                check_assumptions(scen, [params])
+                assert repr(box) == repr((0.0, e_max))
+            else:
+                with pytest.raises(ConfigurationError,
+                                   match=rf"^l_max={l_max!r} binds the draw box"):
+                    check_assumptions(scen, [params])
+                assert box != (0.0, e_max)
 
 
 @pytest.mark.parametrize("make", [

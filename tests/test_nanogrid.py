@@ -13,14 +13,12 @@ from nanodr.domain import (
     NanogridControl,
     NanogridParams,
     Scenario,
-    ScenarioError,
     SlotData,
     SlotState,
     thermal_step,
 )
 from nanodr.nanogrid import (
     compute_follower_bounds,
-    feasible_box,
     follower_rule,
     respond,
 )
@@ -31,6 +29,7 @@ from nanodr.stackelberg import QueueResponder
 from oracles import (
     brute_force_follower,
     follower_objective_grid,
+    interchange_box,
     random_follower_instance,
     reference_response,
 )
@@ -42,8 +41,10 @@ CONTROL = NanogridControl(v_i=0.4, gamma_shift=-75.0)
 
 def _draw(h, t, slot, leader, params, control):
     """The package's draw at the leader's prices: one rule, built and
-    evaluated as a solve does."""
-    es, _ = respond([follower_rule(h, t, slot, params, control)],
+    evaluated as a solve does, on the box the oracles search (``l_max`` may
+    bind it)."""
+    box = interchange_box(slot, params)
+    es, _ = respond([follower_rule(h, t, slot, params, control, box)],
                     leader.p_s, leader.p_b)
     return es[0]
 
@@ -123,7 +124,7 @@ def test_objective_matches_term_by_term_restatement():
     rng = random.Random(3)
     for _ in range(100):
         params, control, t, h, slot, leader = random_follower_instance(rng)
-        lo, hi = feasible_box(slot, params)
+        lo, hi = interchange_box(slot, params)
         e = rng.uniform(lo, hi)
         got = _rule_value(e, h, t, slot, leader, params, control)
         eps, one, eta, v = params.epsilon, 1.0 - params.epsilon, params.eta, control.v_i
@@ -143,7 +144,7 @@ def test_objective_increment_matches_drift_bound_form():
     rng = random.Random(5)
     for _ in range(100):
         params, control, t, h, slot, leader = random_follower_instance(rng)
-        lo, hi = feasible_box(slot, params)
+        lo, hi = interchange_box(slot, params)
         if lo > 0.0:
             continue
         e = rng.uniform(lo, hi)
@@ -160,14 +161,6 @@ def test_objective_increment_matches_drift_bound_form():
                      - (0.5 * (leader.p_s - leader.p_b) * abs(slot.d - slot.rp)
                         + 0.5 * (leader.p_s + leader.p_b) * (slot.d - slot.rp)))
         assert got == pytest.approx(drift + discomfort + trade, rel=1e-9, abs=1e-9)
-
-
-def test_empty_box_is_a_scenario_error():
-    params = NanogridParams(epsilon=0.95, eta=15.0, e_max=5.0, t_min=66.0,
-                            t_max=77.0, l_max=1.0, gamma=0.01)
-    surplus = FollowerSlot(rp=8.0, d=1.0, t_out=30.0, t_opt=70.0)
-    with pytest.raises(ScenarioError, match="l_max"):
-        feasible_box(surplus, params)
 
 
 # -- best response ----------------------------------------------------------
@@ -230,7 +223,7 @@ def test_gamma_zero_best_response_is_edge_or_kink():
     for _ in range(100):
         _, control, t, h, slot, leader = random_follower_instance(rng)
         e = _draw(h, t, slot, leader, params, control)
-        lo, hi = feasible_box(slot, params)
+        lo, hi = interchange_box(slot, params)
         kink = min(max(slot.rp - slot.d, lo), hi)
         assert min(abs(e - lo), abs(e - hi), abs(e - kink)) < 1e-12
         mine = _oracle_value(e, h, t, slot, leader, params, control)
@@ -278,12 +271,24 @@ def _instances(rng, count, binding_l_max):
         params, control, t, h, slot, leader = random_follower_instance(rng)
         if binding_l_max:
             params = replace(params, l_max=rng.uniform(0.3, 3.0))
-            lo = max(-params.l_max - slot.d + slot.rp, 0.0)
-            hi = min(params.l_max - slot.d + slot.rp, params.e_max)
+            lo, hi = interchange_box(slot, params)
             if not (lo <= hi and (lo > 0.0 or hi < params.e_max)):
                 continue
         out.append((params, control, t, h, slot, leader))
     return out
+
+
+def _boxes(rng, group, myopic):
+    """Each follower's interchange box (``l_max`` may bind it), passed to
+    the package's rule explicitly; with ``myopic`` a random sub-box of it,
+    as the myopic game tightens its boxes."""
+    boxes = [interchange_box(slot, params) for params, _, _, _, slot, _ in group]
+    if myopic:
+        for i, (lo, hi) in enumerate(boxes):
+            sub_lo = lo + rng.choice([0.0, rng.random()]) * (hi - lo)
+            sub_hi = sub_lo + rng.choice([0.0, 1.0, rng.random()]) * (hi - sub_lo)
+            boxes[i] = (sub_lo, sub_hi)
+    return boxes
 
 
 def _prices_near_delta(rng, group, drop_queue):
@@ -314,14 +319,7 @@ def test_queue_responder_is_bit_exact_with_reference_rule(case):
     for _ in range(30):
         group = _instances(rng, 8, binding_l_max=case == "binding_l_max")
         mixed += 0 < sum(p.gamma == 0.0 for p, *_ in group) < len(group)
-        boxes = None
-        if myopic:
-            boxes = []
-            for params, _, _, _, slot, _ in group:
-                lo, hi = feasible_box(slot, params)
-                sub_lo = lo + rng.choice([0.0, rng.random()]) * (hi - lo)
-                sub_hi = sub_lo + rng.choice([0.0, 1.0, rng.random()]) * (hi - sub_lo)
-                boxes.append((sub_lo, sub_hi))
+        boxes = _boxes(rng, group, myopic)
         state = SlotState(t=tuple(g[2] for g in group), h=tuple(g[3] for g in group),
                           e_batt=0.0, b=0.0)
         slot = SlotData(m_s=20.0, m_b=1.0, g_t=0.0,
@@ -330,7 +328,7 @@ def test_queue_responder_is_bit_exact_with_reference_rule(case):
                                    [g[1] for g in group],
                                    drop_queue=myopic, boxes=boxes)
         rules = [follower_rule(0.0 if myopic else h, t, fs, params, control,
-                               boxes[i] if myopic else None)
+                               boxes[i])
                  for i, (params, control, t, h, fs, _) in enumerate(group)]
         for p_s, p_b in _prices_near_delta(rng, group, myopic):
             expected = [
@@ -416,14 +414,7 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
     certified = uncertified = in_band = 0
     for _ in range(400 if case == "near_boundary" else 150):
         group = _instances(rng, size, binding_l_max=case == "binding_l_max")
-        boxes = None
-        if myopic:
-            boxes = []
-            for params, _, _, _, slot, _ in group:
-                lo, hi = feasible_box(slot, params)
-                sub_lo = lo + rng.choice([0.0, rng.random()]) * (hi - lo)
-                sub_hi = sub_lo + rng.choice([0.0, 1.0, rng.random()]) * (hi - sub_lo)
-                boxes.append((sub_lo, sub_hi))
+        boxes = _boxes(rng, group, myopic)
         m_b = rng.uniform(1.0, 6.0)
         m_s = m_b + rng.uniform(0.5, 10.0)
         if rng.random() < 0.5:
@@ -431,7 +422,7 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
             i = rng.randrange(size)
             params, control, t, h, fs, _ = group[i]
             rule = follower_rule(0.0 if myopic else h, t, fs, params, control,
-                                 boxes[i] if myopic else None)
+                                 boxes[i])
             points = [rule.delta, rule.zero_level / rule.v,
                       rule.rated_level / rule.v]
             if math.isfinite(rule.hbar):
@@ -442,7 +433,7 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
         if case == "near_boundary":
             params, control, t, h, fs, _ = group[0]
             band = _band_near_boundary(
-                rng, follower_rule(h, t, fs, params, control))
+                rng, follower_rule(h, t, fs, params, control, boxes[0]))
             if band is None or not band[0] <= band[1]:
                 continue
             m_b, m_s = band

@@ -160,7 +160,8 @@ def test_charge_takes_the_kink_between_the_branches():
 
 def test_subgradients_empty_follower_set():
     g_ps, g_pb, g_y = subgradients(10.0, 5.0, 0.3, [], -6.0, -2.0, 12.0, 3.0,
-                                   CONTROL, PME, [])
+                                   CONTROL, PME, [], free=[],
+                                   pinned=(False, False))
     assert g_ps == 0.0
     assert g_pb == 0.0
     # Residual 0 - (-2) + 0.3 > 0 so the selling price is marginal.
@@ -169,14 +170,16 @@ def test_subgradients_empty_follower_set():
 
 def test_subgradients_balance_point_uses_buying_price():
     _, _, g_y = subgradients(10.0, 5.0, 0.0, [0.0], 0.0, 0.0, 12.0, 3.0,
-                             CONTROL, PME, [0.0])
+                             CONTROL, PME, [0.0], free=[0],
+                             pinned=(False, False))
     assert g_y == pytest.approx(0.0 + 0.0 + 1.0 * 3.0)
 
 
 def test_subgradient_sign_with_buyers():
     # Pinned buyers: raising the selling price only raises revenue.
     g_ps, g_pb, _ = subgradients(10.0, 5.0, 0.0, [2.0, 1.0], -6.0, 0.0, 12.0,
-                                 3.0, CONTROL, PME, [0.0, 0.0])
+                                 3.0, CONTROL, PME, [0.0, 0.0], free=[0, 1],
+                                 pinned=(False, False))
     assert g_ps == pytest.approx(-1.0 * 3.0)
     assert g_ps < 0.0
     assert g_pb == 0.0
@@ -200,7 +203,7 @@ def test_restricted_subgradients_keep_signed_zeros():
         p_b = rng.choice([3.0, 5.0, 12.0])
         g_t = rng.choice([-3.0, 0.0, 3.0])
         args = (p_s, p_b, 0.0, tps, -6.0, g_t, 12.0, 3.0, CONTROL, PME, hbars)
-        full = subgradients(*args)
+        full = subgradients(*args, free=range(len(tps)), pinned=(False, False))
         assert repr(subgradients(*args, free=free, pinned=pinned)) == repr(full)
         zeros += full[0] == 0.0 or full[1] == 0.0
     assert zeros > 500
@@ -254,7 +257,8 @@ def test_subgradients_match_finite_differences_at_interior_points():
             continue
 
         g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
-                                       control, PME, slopes)
+                                       control, PME, slopes,
+                                       free=range(len(tps)), pinned=(False, False))
         fd_ps = (pro(p_s + h_step, p_b, y) - pro(p_s - h_step, p_b, y)) / (2 * h_step)
         fd_pb = (pro(p_s, p_b + h_step, y) - pro(p_s, p_b - h_step, y)) / (2 * h_step)
         fd_y = (pro(p_s, p_b, y + h_step) - pro(p_s, p_b, y - h_step)) / (2 * h_step)

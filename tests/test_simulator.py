@@ -14,6 +14,7 @@ from nanodr.domain import (
     PmeParams,
     Scenario,
     SlotState,
+    bilinear_trade_cost,
 )
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
@@ -124,8 +125,15 @@ def test_run_totals_match_outcome_reaccumulation():
     rep = run(scen, params, bundle.ng_controls, pme, bundle.pme_control,
               GameConfig())
     profit = math.fsum(o.pme_profit for o in rep.outcomes)
-    energy = math.fsum(sum(o.trade_costs) for o in rep.outcomes)
-    discomfort = math.fsum(sum(o.discomfort_costs) for o in rep.outcomes)
+    # Each slot's costs, recomputed from its actions and the state it left.
+    energy = math.fsum(
+        sum(bilinear_trade_cost(f.tp, o.leader.p_s, o.leader.p_b)
+            for f in o.followers)
+        for o in rep.outcomes)
+    discomfort = math.fsum(
+        sum(p.gamma * (t - scen.t_opt[o.slot][i]) ** 2
+            for i, (p, t) in enumerate(zip(params, o.next_state.t)))
+        for o in rep.outcomes)
     assert rep.pme_profit_total == pytest.approx(profit, rel=1e-12, abs=1e-9)
     assert rep.energy_cost_total == pytest.approx(energy, rel=1e-12, abs=1e-9)
     assert rep.discomfort_total == pytest.approx(discomfort, rel=1e-12, abs=1e-9)
