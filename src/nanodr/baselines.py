@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from .domain import (
@@ -235,8 +236,9 @@ def run_case(case: CaseId, scenario: Scenario,
                 _comfort_box(state.t[i], fs, p)
                 for i, (p, fs) in enumerate(zip(ng_params, slot.followers))
             ]
-            responder = QueueResponder(state, slot, ng_params, ng_controls,
-                                       drop_queue=True, boxes=boxes)
+            # Myopic play: no queue pressure on the followers.
+            responder = QueueResponder(replace(state, h=(0.0,) * len(state.h)),
+                                       slot, ng_params, ng_controls, boxes=boxes)
             y_box = (max(-pme_params.u_dmax, pme_params.e_min - state.e_batt),
                      min(pme_params.u_cmax, pme_params.e_max_cap - state.e_batt))
             return _solve_with_responder(responder, 0.0, slot, pme_params,

@@ -295,75 +295,74 @@ class Scenario:
             ),
         )
 
-    # Envelope accessors used by the bound calculators.
-    def t_out_min(self, i: int) -> float:
-        return min(self.t_out[k][i] for k in range(self.slots))
 
-    def t_out_max(self, i: int) -> float:
-        return max(self.t_out[k][i] for k in range(self.slots))
-
-    def m_s_max(self) -> float:
-        return max(self.m_s)
-
-    def m_b_min(self) -> float:
-        return min(self.m_b)
+def _binds(l_max: float, e_max: float, rp: float, d: float) -> bool:
+    """Whether l_max narrows one slot's draw box below [0, e_max], tested as
+    the box edges round.  Monotone in l_max: rounding is."""
+    return l_max - d + rp < e_max or -l_max - d + rp > 0.0
 
 
-def check_assumption_envelope(params: NanogridParams, t_out_min: float,
-                              t_out_max: float, label: str = "nanogrid") -> None:
-    """Verify the three comfort-guarantee assumptions against an outdoor envelope.
-
-    (a) outdoor temperature never exceeds the comfort ceiling;
-    (b) full HVAC power can lift even the coldest outdoor air to the floor;
-    (c) the comfort band is wider than the worst one-slot temperature swing.
-
-    Raises ConfigurationError naming the violated assumption.
-    """
-    if t_out_max > params.t_max:
-        raise ConfigurationError(
-            f"assumption (a) violated for {label}: "
-            f"max outdoor temperature {t_out_max} > t_max {params.t_max}"
-        )
-    if params.eta * params.e_max + t_out_min < params.t_min:
-        raise ConfigurationError(
-            f"assumption (b) violated for {label}: "
-            f"eta*e_max + min outdoor temperature "
-            f"{params.eta * params.e_max + t_out_min} < t_min {params.t_min}"
-        )
-    swing = (1.0 - params.epsilon) * (t_out_max + params.eta * params.e_max - t_out_min)
-    if not params.t_max - params.t_min > swing:
-        raise ConfigurationError(
-            f"assumption (c) violated for {label}: comfort band "
-            f"{params.t_max - params.t_min} not wider than worst one-slot "
-            f"swing {swing}"
-        )
+def _tightest_l_max(e_max: float, rp: float, d: float) -> float:
+    """The smallest l_max that ``_binds`` accepts in one slot, by ulp steps."""
+    l_max = max(e_max + d - rp, rp - d)
+    while _binds(l_max, e_max, rp, d):
+        l_max = math.nextafter(l_max, math.inf)
+    while not _binds(below := math.nextafter(l_max, 0.0), e_max, rp, d):
+        l_max = below
+    return l_max
 
 
 def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> None:
     """Check the comfort-guarantee assumptions for every nanogrid of a scenario.
+
+    (a) outdoor temperature never exceeds the comfort ceiling;
+    (b) full HVAC power can lift even the coldest outdoor air to the floor;
+    (c) the comfort band is wider than the worst one-slot temperature swing.
 
     Besides (a)-(c) the certificate needs the interchange limit to leave the
     draw box at [0, e_max]: l_max >= e_max + d - rp and l_max >= rp - d in
     every slot, tested as the box edges round, so an accepted l_max leaves
     the box exactly [0, e_max] and the solvers take that box.  Call this
     when binding a scenario to nanogrid parameters; the runtime guarantees
-    are void without it.
+    are void without it.  Raises ConfigurationError naming the violated
+    assumption; a binding l_max is refused with the smallest one accepted.
     """
     if len(params) != scenario.n:
         raise ConfigurationError(
             f"got {len(params)} parameter sets for {scenario.n} nanogrids"
         )
     for i, p in enumerate(params):
-        check_assumption_envelope(p, scenario.t_out_min(i), scenario.t_out_max(i),
-                                  label=f"nanogrid {i}")
-        for k in range(scenario.slots):
-            rp, d = scenario.rp[k][i], scenario.d[k][i]
-            if p.l_max - d + rp < p.e_max or -p.l_max - d + rp > 0.0:
+        t_out_min = min(row[i] for row in scenario.t_out)
+        t_out_max = max(row[i] for row in scenario.t_out)
+        if t_out_max > p.t_max:
+            raise ConfigurationError(
+                f"assumption (a) violated for nanogrid {i}: "
+                f"max outdoor temperature {t_out_max} > t_max {p.t_max}"
+            )
+        if p.eta * p.e_max + t_out_min < p.t_min:
+            raise ConfigurationError(
+                f"assumption (b) violated for nanogrid {i}: "
+                f"eta*e_max + min outdoor temperature "
+                f"{p.eta * p.e_max + t_out_min} < t_min {p.t_min}"
+            )
+        swing = (1.0 - p.epsilon) * (t_out_max + p.eta * p.e_max - t_out_min)
+        if not p.t_max - p.t_min > swing:
+            raise ConfigurationError(
+                f"assumption (c) violated for nanogrid {i}: comfort band "
+                f"{p.t_max - p.t_min} not wider than worst one-slot "
+                f"swing {swing}"
+            )
+        cells = [(scenario.rp[k][i], scenario.d[k][i]) for k in range(scenario.slots)]
+        for k, (rp, d) in enumerate(cells):
+            if _binds(p.l_max, p.e_max, rp, d):
                 gap = rp - d
+                tightest = max(_tightest_l_max(p.e_max, *cell) for cell in cells)
                 raise ConfigurationError(
                     f"l_max={p.l_max} binds the draw box of nanogrid {i} at "
                     f"slot {k}: the comfort certificate needs l_max >= "
-                    f"e_max + d - rp = {p.e_max - gap} and l_max >= rp - d = {gap}"
+                    f"e_max + d - rp = {p.e_max - gap} and l_max >= rp - d = {gap}; "
+                    f"the smallest l_max accepted for nanogrid {i} in every "
+                    f"slot is {tightest}"
                 )
 
 

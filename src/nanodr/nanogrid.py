@@ -8,47 +8,17 @@ cost has one kink where the net interchange ``tp = d + e - rp`` changes
 sign, so the exact minimizer is one of four closed-form candidates: the
 box edges, the kink, and the branch pick of the price thresholds.  The
 price-free part of this rule is built once per slot (``follower_rule``) and
-evaluated at each price broadcast (``respond``).
-
-This module also computes the certified tuning windows for the queue shift
-and the trade-off weight under which the comfort band [t_min, t_max] is
-provably never left.
+evaluated at each price broadcast (``respond``); ``pinned_draw`` certifies
+once per slot the followers whose draw no in-band price moves.  The
+certified tuning windows live in ``policy``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .domain import (
-    ConfigurationError,
-    FollowerSlot,
-    NanogridControl,
-    NanogridParams,
-    check_assumption_envelope,
-    clamp,
-)
-
-
-@dataclass(frozen=True, slots=True)
-class FollowerBounds:
-    """Certified tuning windows and diagnostics for one nanogrid.
-
-    gamma_min/gamma_max: admissible queue-shift interval (°F).
-    v_max: largest trade-off weight keeping the comfort certificate valid.
-    opt_span: spread of the comfort-target series (°F).
-    swing: worst-case one-slot temperature movement (°F).
-    drift_bound: one-slot queue drift bound at the tightest shift (°F²),
-        diagnostic only.
-    """
-
-    gamma_min: float
-    gamma_max: float
-    v_max: float
-    opt_span: float
-    swing: float
-    drift_bound: float
+from .domain import FollowerSlot, NanogridControl, NanogridParams, clamp
 
 
 class FollowerRule(NamedTuple):
@@ -243,69 +213,3 @@ def pinned_draw(rule: FollowerRule, m_b: float, m_s: float) -> float | None:
             if not value(cand, hg, hs) - value(best, hg, hs) > margin:
                 return None
     return best[0]
-
-
-def compute_follower_bounds(params: NanogridParams, v_i: float | None,
-                            t_out_min: float, t_out_max: float,
-                            t_opt: Sequence[float],
-                            p_s_max: float, p_b_min: float) -> FollowerBounds:
-    """Certified (gamma_shift, v_i) windows from the scenario envelope.
-
-    ``v_i=None`` evaluates the shift window at the maximum stabilizing weight
-    (the default operating policy).  The windows guarantee the comfort band is
-    never left, provided the interchange limit leaves the draw box at
-    [0, e_max] in every slot: l_max >= e_max + d - rp and l_max >= rp - d.
-    This function sees only the envelope, so ``domain.check_assumptions``
-    checks that precondition per slot, as the box edges round;
-    ``policy.default_policy`` and ``simulator.run`` call it.
-
-    The shift floor guards the ceiling: rated-power draw can fire whenever the
-    selling price is at the band floor, so the floor pairs the minimum buying
-    price with the smallest rated-power threshold over the scenario.  The
-    shift ceiling symmetrically pairs the maximum selling price with the
-    largest zero-draw threshold.  Raises ConfigurationError when an assumption
-    fails or the window is empty despite v_i <= v_max.
-    """
-    check_assumption_envelope(params, t_out_min, t_out_max)
-    eps = params.epsilon
-    one = 1.0 - eps
-    eta = params.eta
-    gam = params.gamma
-    band = params.t_max - params.t_min
-    swing = one * (t_out_max + eta * params.e_max - t_out_min)
-    opt_hi = max(t_opt)
-    opt_lo = min(t_opt)
-    opt_span = opt_hi - opt_lo
-
-    denom = (p_s_max - p_b_min
-             + 2.0 * gam * one * eta * (swing + eps * band + opt_span))
-    v_max = math.inf if denom <= 0.0 else one * eta * (band - swing) / denom
-    if v_i is None:
-        v_i = v_max
-
-    coef = 2.0 * v_i * gam * one * eta
-    # Smallest rated-power threshold over the scenario: cold outdoors, indoor
-    # at the band floor, the highest comfort target.
-    beta_lo = (coef * (one * t_out_min + eps * params.t_min - opt_hi)
-               + 2.0 * v_i * gam * one * one * eta * eta * params.e_max)
-    # Largest zero-draw threshold: hot outdoors, indoor at the band ceiling,
-    # the lowest comfort target.
-    alpha_hi = coef * (one * t_out_max + eps * params.t_max - opt_lo)
-
-    scale = -eps * one * eta
-    gamma_min = ((v_i * p_b_min + beta_lo) / scale
-                 - (params.t_max - one * (t_out_max + eta * params.e_max)) / eps)
-    gamma_max = ((v_i * p_s_max + alpha_hi) / scale
-                 - (params.t_min - one * t_out_min) / eps)
-    if gamma_min > gamma_max + 1e-9 and v_i <= v_max * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"certified shift window is empty ([{gamma_min}, {gamma_max}]) "
-            f"although v_i={v_i} <= v_max={v_max}; envelope inconsistent"
-        )
-
-    drift_bound = 0.5 * one * one * max(
-        (gamma_min + t_out_min) ** 2,
-        (gamma_min + t_out_max + eta * params.e_max) ** 2,
-    )
-    return FollowerBounds(gamma_min, gamma_max, v_max, opt_span, swing, drift_bound)
-

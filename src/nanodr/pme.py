@@ -6,37 +6,15 @@ trade sums of ``domain._trade_sums`` (the same ones the profit uses) closed
 by ``_close_pro_prime``, its only part that depends on the charge ``y``.
 The prices are driven by subgradients that account for how interior-regime
 followers shift their draw when prices move; the exact charge step is
-``stackelberg._argmin_charge``.
-
-Also computes the certified tuning windows (theta, v_p) under which the
-battery energy provably stays inside [e_min, e_max_cap].
+``stackelberg._argmin_charge``.  The certified tuning windows live in
+``policy``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .domain import ConfigurationError, PmeControl, PmeParams
-
-
-@dataclass(frozen=True, slots=True)
-class LeaderBounds:
-    """Certified tuning windows and diagnostics for the aggregator.
-
-    theta_min/theta_max: admissible battery-queue shift interval (kWh).
-    v_p_max: largest profit weight keeping the battery certificate valid.
-    c_min/c_max: extreme marginal battery-use costs over one slot (cent/kWh).
-    drift_bound: one-slot battery-queue drift bound (kWh²), diagnostic only.
-    """
-
-    theta_min: float
-    theta_max: float
-    v_p_max: float
-    c_min: float
-    c_max: float
-    drift_bound: float
+from .domain import PmeControl, PmeParams
 
 
 def _close_pro_prime(revenue: float, total: float, y: float, b: float,
@@ -107,28 +85,3 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
         g_pb += v_p * (p_b - m) * 0.0
     g_y = b + params.c_b * v_p * y + v_p * m
     return g_ps, g_pb, g_y
-
-
-def compute_leader_bounds(params: PmeParams, v_p: float | None,
-                          m_s_max: float, m_b_min: float) -> LeaderBounds:
-    """Certified (theta, v_p) windows from the scenario's price envelope.
-
-    ``v_p=None`` evaluates the shift window at the maximum stabilizing weight.
-    """
-    if m_s_max < m_b_min:
-        raise ConfigurationError(
-            f"price envelope is empty: max selling price {m_s_max} below "
-            f"min buying price {m_b_min}"
-        )
-    c_min = min(params.c_b * params.u_cmax, -params.c_b * params.u_dmax)
-    c_max = max(params.c_b * params.u_cmax, -params.c_b * params.u_dmax)
-    gap = params.e_max_cap - params.e_min - (params.u_cmax + params.u_dmax)
-    denom = m_s_max - m_b_min + c_max - c_min
-    v_p_max = math.inf if denom <= 0.0 else gap / denom
-    if v_p is None:
-        v_p = v_p_max
-    theta_min = params.u_cmax - params.e_max_cap - v_p * m_b_min - v_p * c_min
-    theta_max = -params.u_dmax - params.e_min - v_p * m_s_max - v_p * c_max
-    drift_bound = 0.5 * max(params.u_cmax ** 2, params.u_dmax ** 2)
-    return LeaderBounds(theta_min, theta_max, v_p_max, c_min, c_max, drift_bound)
-

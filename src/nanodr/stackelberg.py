@@ -180,10 +180,10 @@ def _step_sizes(m: int) -> tuple[float, float, float]:
 class QueueResponder:
     """Followers solving their relaxed problem at the given queue pressure.
 
-    ``drop_queue=True`` zeroes the queue term (myopic play); ``boxes``
-    overrides the draw intervals.  Each follower's price-free rule is built
-    once per slot, here, from the frozen state and slot data; each price
-    broadcast only evaluates it (``nanogrid.respond``).
+    The rules read only ``state.h`` and ``state.t``; ``boxes`` overrides the
+    draw intervals.  Each follower's price-free rule is built once per slot,
+    here, from the frozen state and slot data; each price broadcast only
+    evaluates it (``nanogrid.respond``).
 
     Here too, once per slot, ``nanogrid.pinned_draw`` certifies the
     followers whose draw is the same at every price pair in the slot's band
@@ -197,11 +197,10 @@ class QueueResponder:
     def __init__(self, state: SlotState, slot: SlotData,
                  params: Sequence[NanogridParams],
                  controls: Sequence[NanogridControl],
-                 drop_queue: bool = False,
                  boxes: Sequence[tuple[float, float]] | None = None):
         n = len(state.h)
         self._rules = tuple(map(
-            follower_rule, (0.0,) * n if drop_queue else state.h, state.t,
+            follower_rule, state.h, state.t,
             slot.followers, params, controls, (None,) * n if boxes is None else boxes))
         pins = [pinned_draw(r, slot.m_b, slot.m_s) for r in self._rules]
         self.free = tuple(i for i, e in enumerate(pins) if e is None)

@@ -408,6 +408,21 @@ def test_binding_interchange_limit_is_a_configuration_error(verb, extra, tmp_pat
     assert not (tmp_path / "o").exists()
 
 
+def test_binding_interchange_limit_names_the_limit_that_runs(tmp_path, capsys):
+    # One ulp below the tightest limit of the seed-3 week, the refusal names
+    # that tightest limit, and run accepts it.
+    rc = main(["run", "--seed", "3", "--l-max", "6.358229958946733",
+               "--out", str(tmp_path / "below")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: l_max=6.358229958946733 binds the draw box "
+                          "of nanogrid 1 at slot 44: ")
+    assert err.endswith("; the smallest l_max accepted for nanogrid 1 in "
+                        "every slot is 6.358229958946734\n")
+    assert main(["run", "--seed", "3", "--l-max", "6.358229958946734",
+                 "--out", str(tmp_path / "edge")]) == 0
+
+
 def test_binding_interchange_limit_is_a_skipped_sweep_row(tmp_path, capsys):
     out = tmp_path / "sw"
     rc = main(["sweep", "--slots", "48", "--followers", "6", "--param", "gamma",

@@ -171,8 +171,6 @@ def test_scenario_valid_roundtrip_access():
     slot = scen.slot(1)
     assert slot.m_s == 10.0
     assert slot.followers[0].t_opt == 70.0
-    assert scen.t_out_min(0) == 30.0
-    assert scen.m_s_max() == 10.0
 
 
 def test_scenario_rejects_empty_price_band():
@@ -224,6 +222,15 @@ def test_assumption_checks_name_the_assumption():
     )
     with pytest.raises(ConfigurationError, match=r"assumption \(a\)"):
         check_assumptions(hot, params)
+    warm_spell = Scenario.from_series(
+        n=1, slots=2, rp=[[0.0], [0.0]], d=[[1.0], [1.0]],
+        t_out=[[30.0], [80.0]], t_opt=[[70.0], [70.0]], m_s=[14.0, 14.0],
+        m_b=[3.0, 3.0], g_t=[0.0, 0.0],
+    )
+    with pytest.raises(ConfigurationError,
+                       match=r"^assumption \(a\) violated for nanogrid 0: max "
+                             r"outdoor temperature 80\.0 > t_max 77\.0$"):
+        check_assumptions(warm_spell, params)
 
     frigid = Scenario.from_series(
         n=1, slots=1, rp=[[0.0]], d=[[1.0]], t_out=[[-20.0]], t_opt=[[70.0]],
@@ -253,12 +260,18 @@ def test_assumption_checks_refuse_a_binding_interchange_limit():
     with_limit = lambda l_max: [replace(PARAMS, l_max=l_max)] * 2
     check_assumptions(scen, with_limit(8.0))  # both edges exactly met
     check_assumptions(scen, with_limit(math.inf))
+    # The refusal names the smallest accepted l_max: one ulp below 8.0,
+    # -l_max - d rounds to -9.0, so the selling edge -l_max - d + rp is 0.0.
     with pytest.raises(ConfigurationError,
                        match=r"l_max=7\.5 binds the draw box of nanogrid 1 at "
-                             r"slot 2: .* rp - d = 8\.0$"):
+                             r"slot 2: .* rp - d = 8\.0; the smallest l_max "
+                             r"accepted for nanogrid 1 in every slot is "
+                             r"7\.999999999999999$"):
         check_assumptions(scen, with_limit(7.5))
     with pytest.raises(ConfigurationError,
-                       match=r"nanogrid 1 at slot 1: .* e_max \+ d - rp = 7\.0 "):
+                       match=r"nanogrid 1 at slot 1: .* e_max \+ d - rp = 7\.0 "
+                             r".*; the smallest l_max accepted for nanogrid 1 "
+                             r"in every slot is 7\.999999999999999$"):
         check_assumptions(scen, with_limit(6.5))
 
 
@@ -266,7 +279,7 @@ def test_interchange_check_is_exact_at_the_edge():
     # check_assumptions accepts an l_max exactly when the box edges, each
     # rounded as written, give (0.0, e_max), so [0, e_max] is the draw box
     # of every accepted input; one ulp below the smallest such l_max is
-    # refused by name.
+    # refused by name, and the refusal names that smallest l_max.
     rng = random.Random(113)
     for _ in range(2000):
         rp, d = rng.uniform(0.0, 12.0), rng.uniform(0.0, 6.0)
@@ -286,9 +299,14 @@ def test_interchange_check_is_exact_at_the_edge():
                 assert repr(box) == repr((0.0, e_max))
             else:
                 with pytest.raises(ConfigurationError,
-                                   match=rf"^l_max={l_max!r} binds the draw box"):
+                                   match=rf"^l_max={l_max!r} binds the draw box"
+                                   ) as exc:
                     check_assumptions(scen, [params])
                 assert box != (0.0, e_max)
+                # The refusal names the tightest l_max, which is accepted.
+                named = float(str(exc.value).rsplit(" ", 1)[1])
+                assert named == edge
+                check_assumptions(scen, [replace(params, l_max=named)])
 
 
 @pytest.mark.parametrize("make", [

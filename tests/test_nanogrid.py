@@ -17,12 +17,8 @@ from nanodr.domain import (
     SlotState,
     thermal_step,
 )
-from nanodr.nanogrid import (
-    compute_follower_bounds,
-    follower_rule,
-    respond,
-)
-from nanodr.policy import default_policy
+from nanodr.nanogrid import follower_rule, respond
+from nanodr.policy import _follower_bounds, default_policy
 from nanodr.scenario_io import default_pme_params
 from nanodr.stackelberg import QueueResponder
 
@@ -291,14 +287,14 @@ def _boxes(rng, group, myopic):
     return boxes
 
 
-def _prices_near_delta(rng, group, drop_queue):
+def _prices_near_delta(rng, group, myopic):
     """Each follower's own prices, plus p_s and then p_b at its rule's delta
     and a few ULPs either side, where the branch vertex meets the kink."""
     prices = [(leader.p_s, leader.p_b) for *_, leader in group]
     for params, control, t, h, slot, _ in group:
         if params.gamma == 0.0:
             continue
-        h = 0.0 if drop_queue else h
+        h = 0.0 if myopic else h
         delta = follower_rule(h, t, slot, params, control).delta
         for k in range(-4, 5):
             p = delta
@@ -324,9 +320,10 @@ def test_queue_responder_is_bit_exact_with_reference_rule(case):
                           e_batt=0.0, b=0.0)
         slot = SlotData(m_s=20.0, m_b=1.0, g_t=0.0,
                         followers=tuple(g[4] for g in group))
+        if myopic:  # as case 3 plays: no queue pressure
+            state = replace(state, h=(0.0,) * len(group))
         responder = QueueResponder(state, slot, [g[0] for g in group],
-                                   [g[1] for g in group],
-                                   drop_queue=myopic, boxes=boxes)
+                                   [g[1] for g in group], boxes=boxes)
         rules = [follower_rule(0.0 if myopic else h, t, fs, params, control,
                                boxes[i])
                  for i, (params, control, t, h, fs, _) in enumerate(group)]
@@ -441,9 +438,10 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
                           e_batt=0.0, b=0.0)
         slot = SlotData(m_s=m_s, m_b=m_b, g_t=0.0,
                         followers=tuple(g[4] for g in group))
+        if myopic:  # as case 3 plays: no queue pressure
+            state = replace(state, h=(0.0,) * len(group))
         responder = QueueResponder(state, slot, [g[0] for g in group],
-                                   [g[1] for g in group],
-                                   drop_queue=myopic, boxes=boxes)
+                                   [g[1] for g in group], boxes=boxes)
         uncertified += len(responder.free)
         certified += size - len(responder.free)
         prices = _corner_prices(m_b, m_s)
@@ -477,15 +475,15 @@ def test_best_response_is_bit_exact_with_reference_rule():
 
 def test_swing_formula_example():
     # (1-eps)*(t_out_max + eta*e_max - t_out_min) with a 20 degree span.
-    bounds = compute_follower_bounds(PARAMS, 0.3, t_out_min=30.0, t_out_max=50.0,
-                                     t_opt=[70.0, 71.0], p_s_max=14.0, p_b_min=3.0)
+    bounds = _follower_bounds(PARAMS, 0.3, t_out_min=30.0, t_out_max=50.0,
+                              t_opt=[70.0, 71.0], p_s_max=14.0, p_b_min=3.0)
     assert bounds.swing == pytest.approx(0.05 * 95.0, abs=1e-12)
 
 
 def test_constant_target_has_zero_span():
-    bounds = compute_follower_bounds(PARAMS, 0.3, t_out_min=30.0, t_out_max=50.0,
-                                     t_opt=[70.0, 70.0, 70.0], p_s_max=14.0,
-                                     p_b_min=3.0)
+    bounds = _follower_bounds(PARAMS, 0.3, t_out_min=30.0, t_out_max=50.0,
+                              t_opt=[70.0, 70.0, 70.0], p_s_max=14.0,
+                              p_b_min=3.0)
     assert bounds.opt_span == 0.0
 
 
@@ -493,9 +491,9 @@ def test_v_max_positive_for_standard_constants():
     for eps in (0.93, 0.95, 0.98):
         params = NanogridParams(epsilon=eps, eta=15.0, e_max=5.0, t_min=66.0,
                                 t_max=77.0, l_max=10.0, gamma=0.01)
-        bounds = compute_follower_bounds(params, None, t_out_min=20.0,
-                                         t_out_max=55.0, t_opt=[69.0, 73.0],
-                                         p_s_max=14.0, p_b_min=3.0)
+        bounds = _follower_bounds(params, None, t_out_min=20.0,
+                                  t_out_max=55.0, t_opt=[69.0, 73.0],
+                                  p_s_max=14.0, p_b_min=3.0)
         assert bounds.v_max > 0.0
         assert bounds.gamma_min <= bounds.gamma_max + 1e-9
 
@@ -520,11 +518,11 @@ def test_window_nonempty_for_any_weight_below_max():
         p_b_min = rng.uniform(1.0, 5.0)
         p_s_max = p_b_min + rng.uniform(0.5, 12.0)
         t_opt = [rng.uniform(66.0, 78.0) for _ in range(4)]
-        bounds = compute_follower_bounds(params, None, out_min, out_max, t_opt,
-                                         p_s_max, p_b_min)
+        bounds = _follower_bounds(params, None, out_min, out_max, t_opt,
+                                  p_s_max, p_b_min)
         frac = rng.uniform(0.05, 1.0)
-        scaled = compute_follower_bounds(params, frac * bounds.v_max, out_min,
-                                         out_max, t_opt, p_s_max, p_b_min)
+        scaled = _follower_bounds(params, frac * bounds.v_max, out_min,
+                                  out_max, t_opt, p_s_max, p_b_min)
         assert scaled.gamma_min <= scaled.gamma_max + 1e-9
 
 
@@ -536,7 +534,7 @@ def test_validate_control_names_violated_bound():
         m_b=[3.0, 3.0], g_t=[0.0, 0.0])
     pme = default_pme_params()
     bounds = default_policy(scenario, [PARAMS], pme).follower_bounds[0]
-    assert bounds == compute_follower_bounds(
+    assert bounds == _follower_bounds(
         PARAMS, None, t_out_min=20.0, t_out_max=55.0, t_opt=[70.0, 70.0],
         p_s_max=14.0, p_b_min=3.0)
     v_i, low, high = bounds.v_max * 2.0, bounds.gamma_min - 1.0, bounds.gamma_max + 1.0
@@ -552,9 +550,3 @@ def test_validate_control_names_violated_bound():
         default_policy(scenario, [PARAMS], pme, gamma_shift=[high])
     assert str(exc.value) == (f"nanogrid 0: gamma_shift={high} above the "
                               f"certified shift ceiling {bounds.gamma_max}")
-
-
-def test_bounds_reject_broken_assumptions():
-    with pytest.raises(ConfigurationError, match=r"assumption \(a\)"):
-        compute_follower_bounds(PARAMS, 0.3, t_out_min=30.0, t_out_max=80.0,
-                                t_opt=[70.0], p_s_max=14.0, p_b_min=3.0)

@@ -16,8 +16,8 @@ from nanodr.domain import (
     pme_profit,
 )
 from nanodr.nanogrid import follower_rule, respond
-from nanodr.pme import _close_pro_prime, compute_leader_bounds, subgradients
-from nanodr.policy import default_policy
+from nanodr.pme import _close_pro_prime, subgradients
+from nanodr.policy import _leader_bounds, default_policy
 from nanodr.stackelberg import _argmin_charge
 
 from oracles import (
@@ -335,7 +335,7 @@ def test_price_hessian_positive_at_interior_regime():
 
 
 def test_leader_bounds_standard_formula():
-    bounds = compute_leader_bounds(PME, 1.0, m_s_max=14.0, m_b_min=3.0)
+    bounds = _leader_bounds(PME, 1.0, m_s_max=14.0, m_b_min=3.0)
     spread = 14.0 - 3.0
     assert bounds.c_min == pytest.approx(-0.01)
     assert bounds.c_max == pytest.approx(0.01)
@@ -348,7 +348,7 @@ def test_leader_bounds_standard_formula():
 
 def test_leader_bounds_symmetric_without_use_cost():
     params = PmeParams(e_min=2.0, e_max_cap=16.0, u_cmax=1.0, u_dmax=1.0, c_b=0.0)
-    bounds = compute_leader_bounds(params, 1.0, 14.0, 3.0)
+    bounds = _leader_bounds(params, 1.0, 14.0, 3.0)
     assert bounds.c_min == -bounds.c_max == 0.0
 
 
@@ -363,9 +363,9 @@ def test_theta_window_nonempty_below_v_p_max():
                            u_cmax=u_c, u_dmax=u_d, c_b=rng.uniform(0.0, 0.2))
         m_b_min = rng.uniform(1.0, 6.0)
         m_s_max = m_b_min + rng.uniform(0.0, 12.0)
-        probe = compute_leader_bounds(params, 1.0, m_s_max, m_b_min)
+        probe = _leader_bounds(params, 1.0, m_s_max, m_b_min)
         v_p = rng.uniform(0.01, 1.0) * min(probe.v_p_max, 10.0)
-        bounds = compute_leader_bounds(params, v_p, m_s_max, m_b_min)
+        bounds = _leader_bounds(params, v_p, m_s_max, m_b_min)
         assert bounds.theta_min <= bounds.theta_max + 1e-9
 
 
@@ -375,7 +375,7 @@ def test_validate_leader_control_names_bound():
                                     t_out=[[], []], t_opt=[[], []],
                                     m_s=[14.0, 14.0], m_b=[3.0, 3.0],
                                     g_t=[0.0, 0.0])
-    bounds = compute_leader_bounds(PME, None, 14.0, 3.0)
+    bounds = _leader_bounds(PME, None, 14.0, 3.0)
     assert default_policy(scenario, [], PME).leader_bounds == bounds
     v_p, low, high = bounds.v_p_max * 1.5, bounds.theta_min - 1.0, bounds.theta_max + 1.0
     with pytest.raises(ConfigurationError) as exc:

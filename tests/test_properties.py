@@ -2,10 +2,12 @@
 
 Each example draws a seed, a size, the zero-weight extremes and an
 interchange limit (the smallest one ``run`` accepts, the default, or none),
-runs all five cases under the default policy's certified controls and
-checks the bounds, finiteness and determinism the certificates promise.
+runs all five cases under the default policy's certified controls and under
+drawn certified controls, and checks the bounds, finiteness and determinism
+the certificates promise.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -23,12 +25,35 @@ from nanodr.scenario_io import (
 from oracles import tightest_l_max
 
 
+def _drawn_policy(data, scenario, params, pme, bundle):
+    """Certified controls other than the defaults: each weight is u*v_max
+    with u in {1, U(0.01, 1)}, and each shift sits at the floor or the
+    ceiling of its window at that weight, or inside it."""
+    scale = st.one_of(st.just(1.0), st.floats(0.01, 1.0))
+    where = st.sampled_from(["floor", "ceiling", "inside"])
+    inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+    def shift(floor, ceil):
+        at = data.draw(where)
+        if at == "inside":
+            return floor + data.draw(inside) * (ceil - floor)
+        return floor if at == "floor" else ceil
+
+    v_i = [data.draw(scale) * b.v_max for b in bundle.follower_bounds]
+    v_p = data.draw(scale) * bundle.leader_bounds.v_p_max
+    windows = default_policy(scenario, params, pme, v_i=v_i, v_p=v_p)
+    gamma_shift = [shift(b.gamma_min, b.gamma_max)
+                   for b in windows.follower_bounds]
+    theta = shift(windows.leader_bounds.theta_min, windows.leader_bounds.theta_max)
+    return default_policy(scenario, params, pme, v_i, gamma_shift, v_p, theta)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(seed=st.integers(1, 2 ** 16), n=st.integers(1, 6),
        slots=st.integers(1, 24), gamma=st.sampled_from([0.0, 0.01]),
        c_b=st.sampled_from([0.0, 0.01]),
-       limit=st.sampled_from(["tightest", "default", "inf"]))
-def test_every_case_keeps_its_bounds(seed, n, slots, gamma, c_b, limit):
+       limit=st.sampled_from(["tightest", "default", "inf"]), data=st.data())
+def test_every_case_keeps_its_bounds(seed, n, slots, gamma, c_b, limit, data):
     spec = SyntheticSpec(n=n, slots=slots, seed=seed)
     scenario = generate_synthetic(spec)
     params = synthetic_params(spec)
@@ -40,9 +65,10 @@ def test_every_case_keeps_its_bounds(seed, n, slots, gamma, c_b, limit):
     params = [replace(p, gamma=gamma, l_max=l_max) for p in params]
     pme = replace(default_pme_params(), c_b=c_b)
     bundle = default_policy(scenario, params, pme)
-    controls = (bundle.ng_controls, pme, bundle.pme_control)
+    drawn = _drawn_policy(data, scenario, params, pme, bundle)
 
-    for case in CaseId:
+    for policy, case in itertools.product((bundle, drawn), CaseId):
+        controls = (policy.ng_controls, pme, policy.pme_control)
         report = run_case(case, scenario, params, *controls)
         assert report.comfort_violations == 0
         assert report.battery_violations == 0

@@ -102,7 +102,7 @@ def test_generated_series_respect_ranges_and_assumptions():
     # Must hold against the default building constants by construction.
     check_assumptions(scen, params)
     for i in range(scen.n):
-        assert scen.t_out_max(i) <= params[i].t_max
+        assert max(row[i] for row in scen.t_out) <= params[i].t_max
     # The interchange limit must never bind the draw box below [0, e_max].
     for k in range(scen.slots):
         for i in range(scen.n):

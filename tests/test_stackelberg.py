@@ -421,7 +421,9 @@ def _loop_case(case, polish, responder=QueueResponder):
     if band is not None:
         slot = replace(slot, m_s=slot.m_b + band)
     boxes = y_box = None
-    if myopic:
+    played = state
+    if myopic:  # as case 3 plays: no queue pressure on the followers
+        played = replace(state, h=(0.0,) * len(state.h))
         boxes = [_comfort_box(t, fs, p)
                  for t, fs, p in zip(state.t, slot.followers, params)]
         y_box = (max(-pme.u_dmax, pme.e_min - state.e_batt),
@@ -430,8 +432,7 @@ def _loop_case(case, polish, responder=QueueResponder):
         params=params, controls=controls, state=state, pmec=pmec, slot=slot,
         pme=pme, config=config, myopic=myopic, boxes=boxes, y_box=y_box,
         b=0.0 if myopic else state.b,
-        responder=responder(state, slot, params, controls, drop_queue=myopic,
-                            boxes=boxes))
+        responder=responder(played, slot, params, controls, boxes=boxes))
 
 
 @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
