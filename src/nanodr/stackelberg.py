@@ -23,6 +23,16 @@ followers' responses do not depend on the charge, so the polish asks them
 once per price pair: it keeps the draws and trade sums of every pair it has
 evaluated, and the draws at its final point are the slot's follower actions.
 
+Along a polish line the surrogate is piecewise quadratic in the scanned
+price.  The only followers that move with it sit at an interior branch
+vertex, and each adds 2*v_p*hbar to the surrogate's second derivative and
+-hbar to the net residual's slope, so on every segment f'' = -2*v_p*r'.
+When every free follower has a vertex (gamma > 0, continuous responses),
+the scan therefore bounds each segment from below by its end values and
+residuals alone, and skips the midpoint and vertex probes of a segment whose
+bound is above the running best: such a probe could not win, so the result
+is the full scan's, bit for bit.
+
 Every price either phase asks lies inside the slot's grid band [m_b, m_s].
 Once per slot the responder certifies the followers whose draw is the same
 at every price pair in that band (most of them, usually at rated power or
@@ -283,7 +293,8 @@ def _argmin_charge(tps: Sequence[float], b: float, g_t: float, m_s: float,
 
 
 def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
-                             points: list[float]) -> tuple[float, float]:
+                             points: list[float],
+                             v_p: float | None = None) -> tuple[float, float]:
     """Minimize a piecewise-quadratic 1-D function given its breakpoints.
 
     ``evaluate`` returns (value, residual); the residual's zero crossing is
@@ -291,29 +302,55 @@ def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
     function is a true quadratic, so a three-point fit locates the vertex
     exactly.  Returns (argmin, value); ties resolve to the smaller argument.
     Each distinct point is evaluated once.
+
+    With ``v_p``, the caller vouches that the function is the leader
+    surrogate along a price line whose moving followers all sit at branch
+    vertices: on every refined segment its second derivative is then -2*v_p
+    times the residual's slope (each such follower adds 2*v_p*hbar to the
+    one and -hbar to the other).  A convex quadratic on [a, b] stays above
+    min(fa, fb) - f''*width**2/8, which is
+    min(fa, fb) - 0.25*v_p*(ra - rb)*width.  A segment whose bound exceeds
+    the running best by more than a rounding margin, 1e-9*(1 + the largest
+    |value| at the refined points), cannot hold a strictly smaller value,
+    so its midpoint and vertex are not probed; the result is the one the
+    full scan returns, bit for bit.
     """
     pts = sorted(set(points))
     at = list(map(evaluate, pts))
+    # The refined points and their (value, residual) pairs.
     refined = [pts[0]]
-    values = [at[0][0]]
-    for a, bpt, (_, ra), (fb, rb) in zip(pts, pts[1:], at, at[1:]):
+    pairs = [at[0]]
+    for a, bpt, (_, ra), b_pair in zip(pts, pts[1:], at, at[1:]):
+        rb = b_pair[1]
         if (ra > 0.0) != (rb > 0.0) and ra != rb:
             cross = a + (bpt - a) * ra / (ra - rb)
             if a < cross < bpt:
                 refined.append(cross)
-                values.append(evaluate(cross)[0])
+                pairs.append(evaluate(cross))
         refined.append(bpt)
-        values.append(fb)
+        pairs.append(b_pair)
 
     best_x = refined[0]
-    best_val = values[0]
-    for x, val in zip(refined[1:], values[1:]):
+    best_val = worst = pairs[0][0]
+    for x, (val, _) in zip(refined[1:], pairs[1:]):
         if val < best_val:
             best_val = val
             best_x = x
-    for a, bpt, fa, fb in zip(refined, refined[1:], values, values[1:]):
+        elif val > worst:
+            worst = val
+    # A lone segment holds the best end, so it is never skipped.
+    prune = v_p is not None and len(refined) > 2
+    if prune:
+        margin = 1e-9 * (1.0 + max(worst, -best_val))  # 1e-9 * (1 + max |value|)
+    for a, bpt, (fa, ra), (fb, rb) in zip(refined, refined[1:], pairs, pairs[1:]):
         width = bpt - a
         if width < 1e-11:
+            continue
+        # Both ends above the cutoff is the cheap first test; the bound
+        # only subtracts from the smaller end.
+        if prune and fa > best_val + margin < fb and (
+                (fa if fa < fb else fb) - 0.25 * v_p * max(ra - rb, 0.0) * width
+                > best_val + margin):
             continue
         mid = 0.5 * (a + bpt)
         fm = evaluate(mid)[0]
@@ -351,6 +388,9 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
     m_s, m_b, g_t = slot.m_s, slot.m_b, slot.g_t
     p_s, p_b, y = action.p_s, action.p_b, action.y
     raw_pts = responder.price_breakpoints()
+    # With gamma = 0 a free follower's draw jumps at its breakpoints, so the
+    # scan's curvature bound holds only when every free one has a vertex.
+    bound_v_p = v_p if all(r.has_vertex for r in responder._free_rules) else None
     memo: dict[tuple[float, float], tuple] = {}
     sweeps = 0
 
@@ -376,14 +416,16 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
         lo_s, hi_s = p_b + config.min_gap, m_s
         if hi_s - lo_s > 1e-12:
             pts = [lo_s, hi_s] + [x for x in raw_pts if lo_s < x < hi_s]
-            cand, val = _scan_quadratic_segments(lambda x: evaluate(x, p_b), pts)
+            cand, val = _scan_quadratic_segments(lambda x: evaluate(x, p_b), pts,
+                                                 bound_v_p)
             if val < evaluate(p_s, p_b)[0]:
                 p_s = cand
 
         lo_b, hi_b = m_b, p_s - config.min_gap
         if hi_b - lo_b > 1e-12:
             pts = [lo_b, hi_b] + [x for x in raw_pts if lo_b < x < hi_b]
-            cand, val = _scan_quadratic_segments(lambda x: evaluate(p_s, x), pts)
+            cand, val = _scan_quadratic_segments(lambda x: evaluate(p_s, x), pts,
+                                                 bound_v_p)
             if val < evaluate(p_s, p_b)[0]:
                 p_b = cand
 

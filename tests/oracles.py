@@ -2,15 +2,19 @@
 
 The brute-force evaluators re-implement the objectives directly from their
 closed definitions (vectorized), deliberately sharing no code with the
-package's solvers.
+package's solvers.  ``shadowed_scans`` checks the polish's line scans
+against ``reference_scan`` in place, while a solve runs.
 """
 
+import contextlib
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
+from nanodr import stackelberg
 from nanodr.domain import FollowerSlot, LeaderAction, NanogridControl, NanogridParams
 
 
@@ -430,3 +434,40 @@ def reference_scan(evaluate, points):
             if val < best_val:
                 best_val, best_x = val, vertex
     return best_x, best_val
+
+
+class ScanShadow:
+    """Runs each line scan also through ``reference_scan``.
+
+    Called in place of ``stackelberg._scan_quadratic_segments``, it returns
+    the wrapped scan's result after asserting that the reference gives the
+    same (argmin, value) bits.  It counts the lines (``lines``), those
+    passed ``v_p`` (``pruning``), and those where ``v_p`` saved evaluations
+    against the same scan without it (``pruned``).
+    """
+
+    def __init__(self, scan):
+        self.scan = scan
+        self.lines = self.pruning = self.pruned = 0
+
+    def __call__(self, evaluate, points, v_p=None):
+        asked = set()
+        got = self.scan(lambda x: asked.add(x) or evaluate(x), points, v_p)
+        want = reference_scan(evaluate, points)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (got, want)
+        self.lines += 1
+        if v_p is not None:
+            self.pruning += 1
+            unpruned = set()
+            self.scan(lambda x: unpruned.add(x) or evaluate(x), points)
+            self.pruned += len(asked) < len(unpruned)
+        return got
+
+
+@contextlib.contextmanager
+def shadowed_scans():
+    """Patch ``stackelberg._scan_quadratic_segments`` with a ``ScanShadow``
+    for the block, and yield the shadow."""
+    shadow = ScanShadow(stackelberg._scan_quadratic_segments)
+    with mock.patch.object(stackelberg, "_scan_quadratic_segments", shadow):
+        yield shadow

@@ -4,7 +4,8 @@ Each example draws a seed, a size, the zero-weight extremes and an
 interchange limit (the smallest one ``run`` accepts, the default, or none),
 runs all five cases under the default policy's certified controls and under
 drawn certified controls, and checks the bounds, finiteness and determinism
-the certificates promise.
+the certificates promise.  Every line the polish scans is checked against
+``reference_scan`` on the way.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from nanodr.scenario_io import (
     synthetic_params,
 )
 
-from oracles import tightest_l_max
+from oracles import shadowed_scans, tightest_l_max
 
 
 def _drawn_policy(data, scenario, params, pme, bundle):
@@ -67,18 +68,21 @@ def test_every_case_keeps_its_bounds(seed, n, slots, gamma, c_b, limit, data):
     bundle = default_policy(scenario, params, pme)
     drawn = _drawn_policy(data, scenario, params, pme, bundle)
 
-    for policy, case in itertools.product((bundle, drawn), CaseId):
-        controls = (policy.ng_controls, pme, policy.pme_control)
-        report = run_case(case, scenario, params, *controls)
-        assert report.comfort_violations == 0
-        assert report.battery_violations == 0
-        assert all(map(math.isfinite, (
-            report.pme_profit_total, report.energy_cost_total,
-            report.discomfort_total, report.aggregate_cost, report.tatd)))
-        for o in report.outcomes:
-            assert math.isfinite(o.pme_profit) and math.isfinite(o.grid_residual)
-            for f, p in zip(o.followers, params):
-                assert 0.0 <= f.e <= p.e_max
-                assert abs(f.tp) <= l_max * (1.0 + 1e-12)
-        if case is CaseId.PROPOSED:
-            assert run_case(case, scenario, params, *controls) == report
+    with shadowed_scans() as shadow:
+        for policy, case in itertools.product((bundle, drawn), CaseId):
+            controls = (policy.ng_controls, pme, policy.pme_control)
+            report = run_case(case, scenario, params, *controls)
+            assert report.comfort_violations == 0
+            assert report.battery_violations == 0
+            assert all(map(math.isfinite, (
+                report.pme_profit_total, report.energy_cost_total,
+                report.discomfort_total, report.aggregate_cost, report.tatd)))
+            for o in report.outcomes:
+                assert math.isfinite(o.pme_profit) and math.isfinite(o.grid_residual)
+                for f, p in zip(o.followers, params):
+                    assert 0.0 <= f.e <= p.e_max
+                    assert abs(f.tp) <= l_max * (1.0 + 1e-12)
+            if case is CaseId.PROPOSED:
+                assert run_case(case, scenario, params, *controls) == report
+    # The polish scanned lines (cases 3 and 4), each checked in the shadow.
+    assert shadow.lines > 0

@@ -46,7 +46,12 @@ from nanodr.stackelberg import (
     solve_slot,
 )
 
-from oracles import leader_surrogate, reference_loop, reference_scan
+from oracles import (
+    leader_surrogate,
+    reference_loop,
+    reference_scan,
+    shadowed_scans,
+)
 
 PME = PmeParams(e_min=2.0, e_max_cap=16.0, u_cmax=1.0, u_dmax=1.0, c_b=0.01)
 
@@ -401,6 +406,7 @@ _LOOP_CASES = {
     "n50": dict(n=50, k=18),
     "n50-all-pinned": dict(n=50, k=0),
     "gamma0": dict(n=5, k=10, gamma=0.0),
+    "gamma0-free": dict(n=5, k=18, gamma=0.0),
     "c_b0": dict(n=5, k=10, c_b=0.0),
     "band-equal-to-gap": dict(n=5, k=10, band=0.01),
     "cap-hit": dict(n=5, k=10, max_iters=5),
@@ -480,6 +486,33 @@ def test_every_price_the_solver_asks_lies_in_the_band(case):
             if not (m_b <= p_s <= m_s and m_b <= p_b <= m_s)] == []
 
 
+@pytest.mark.parametrize("case", ["desk", "n50", "n50-all-pinned", "myopic",
+                                  "gamma0-free"])
+def test_every_polish_scan_matches_the_reference(case):
+    # Each line the polish scans gives the reference scan's (argmin, value)
+    # bits.  Pruning saves evaluations at n=50, where every follower is
+    # free, and is never asked for at gamma = 0, where free draws jump.  (An
+    # all-pinned line is linear; its only segment holds its best end.)
+    if case == "desk":
+        params, controls, state, pmec = _desk_setup()
+        slot, pme, b, y_box = _desk_slot(), PME, state.b, None
+        responder = QueueResponder(state, slot, params, controls)
+        config = GameConfig()
+    else:
+        c = _loop_case(case, polish=True)
+        responder, slot, pme, pmec, b, y_box, config = (
+            c.responder, c.slot, c.pme, c.pmec, c.b, c.y_box, c.config)
+    with shadowed_scans() as shadow:
+        _solve_with_responder(responder, b, slot, pme, pmec, config, y_box=y_box)
+    assert shadow.lines >= 2
+    if case == "n50":
+        assert shadow.pruned > 0
+    if case == "gamma0-free":
+        assert responder.free and shadow.pruning == 0
+    else:
+        assert shadow.pruning == shadow.lines
+
+
 def test_step_triples_are_shared_across_slots():
     # Past the default cap too, every slot's record at iteration m holds
     # the same step triple object.
@@ -496,15 +529,25 @@ def test_step_triples_are_shared_across_slots():
 # -- the polish's scan against its plain restatement ------------------------
 
 
-def _random_piecewise(rng):
+def _random_piecewise(rng, kind=None):
     """A random piecewise-quadratic function with a residual whose sign
-    changes inside the range: (evaluate, breakpoints, kind)."""
+    changes inside the range: (evaluate, breakpoints, kind, v_p).
+
+    ``v_p`` is None except for ``kind="surrogate"``, which has the leader
+    surrogate's shape along a price line (the scan may prune it): the
+    residual is continuous and decreasing, with slope -s on a piece whose
+    curvature is v_p*s (f'' = -2*v_p*r'), and the value is continuous with a
+    convex kink where the residual crosses 0.
+    """
     lo = rng.uniform(0.0, 5.0)
     narrow = rng.random() < 0.15
     hi = lo + (rng.uniform(1e-12, 8e-12) if narrow else rng.uniform(0.5, 10.0))
     knots = sorted(rng.uniform(lo, hi) for _ in range(rng.randint(0, 6)))
     if knots and rng.random() < 0.3:
         knots.append(knots[-1] + rng.uniform(0.0, 8e-12))  # a sliver segment
+    if kind == "surrogate":
+        v_p = rng.uniform(0.1, 3.0)
+        return _random_surrogate(rng, v_p, lo, hi, knots), [lo, hi] + knots, kind, v_p
     pieces = [(rng.choice([0.0, rng.uniform(0.0, 3.0)]), rng.uniform(lo, hi),
                rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0))
               for _ in range(len(knots) + 1)]
@@ -522,32 +565,69 @@ def _random_piecewise(rng):
         # Coarse rounding makes plateaus of exactly tied values.
         return (round(val, 1) if kind == "ties" else val), r
 
-    return evaluate, [lo, hi] + knots, kind
+    return evaluate, [lo, hi] + knots, kind, None
+
+
+def _random_surrogate(rng, v_p, lo, hi, knots):
+    """evaluate(x) -> (value, residual) of a "surrogate" piecewise function:
+    piece k starts at (lo, *knots)[k] and has residual slope -s[k], value
+    slope g[k] at its start and curvature v_p*s[k]; each piece starts where
+    the previous one ends, in value and in residual."""
+    starts = [lo, *knots]
+    s = [rng.choice([0.0, rng.uniform(0.0, 2.0)]) for _ in starts]
+    g = [rng.uniform(-3.0, 3.0) for _ in starts]
+    f0, r0 = [], []
+    f, r = rng.uniform(-2.0, 2.0), 0.0
+    for k, (start, end) in enumerate(zip(starts, [*knots, hi])):
+        f0.append(f)
+        r0.append(r)
+        w = end - start
+        f += g[k] * w + v_p * s[k] * w * w
+        r -= s[k] * w
+    # Shift the residual so that it mostly crosses 0 inside [lo, hi].
+    shift = rng.uniform(-0.2, 1.2) * -r
+    kink = rng.uniform(0.0, 3.0)
+
+    def evaluate(x):
+        k = bisect.bisect_right(knots, x)
+        dx = x - starts[k]
+        res = r0[k] + shift - s[k] * dx
+        return f0[k] + g[k] * dx + v_p * s[k] * dx * dx + kink * max(res, 0.0), res
+
+    return evaluate
 
 
 def test_scan_evaluates_each_point_once_and_matches_the_reference():
+    # The surrogate-shaped cases are scanned with v_p, the others without.
     rng = random.Random(8)
     seen = collections.Counter()
     cases = [_random_piecewise(rng) for _ in range(3000)]
+    cases += [_random_piecewise(rng, "surrogate") for _ in range(1000)]
     # A symmetric parabola: its fitted vertex is its segment's midpoint.
-    cases.append((lambda x: ((x - 2.0) ** 2, 1.0), [1.0, 3.0], "vertex-on-mid"))
-    for evaluate, points, kind in cases:
+    cases.append((lambda x: ((x - 2.0) ** 2, 1.0), [1.0, 3.0], "vertex-on-mid",
+                  None))
+    for evaluate, points, kind, v_p in cases:
         calls = collections.Counter()
 
         def counted(x):
             calls[x] += 1
             return evaluate(x)
 
-        got = _scan_quadratic_segments(counted, points)
+        got = _scan_quadratic_segments(counted, points, v_p)
         want = reference_scan(evaluate, points)
         assert got == want
         assert _bits(got) == _bits(want)
         assert max(calls.values()) == 1, (kind, calls.most_common(1))
+        if v_p is not None:
+            unpruned = set()
+            _scan_quadratic_segments(lambda x: unpruned.add(x) or evaluate(x),
+                                     points)
+            seen["pruned"] += len(calls) < len(unpruned)
         pts = sorted(set(points))
         seen[kind] += 1
         seen["crossing"] += any((evaluate(a)[1] > 0.0) != (evaluate(b)[1] > 0.0)
                                 for a, b in zip(pts, pts[1:]))
         seen["sliver"] += any(b - a < 1e-11 for a, b in zip(pts, pts[1:]))
         seen["tie"] += sum(evaluate(x)[0] == want[1] for x in calls) > 1
-    assert min(seen[k] for k in ("smooth", "flat", "ties", "crossing",
-                                 "sliver", "tie")) >= 100, seen
+    assert min(seen[k] for k in ("smooth", "flat", "ties", "surrogate",
+                                 "crossing", "sliver", "tie", "pruned")) >= 100, seen
