@@ -9,8 +9,9 @@ sign, so the exact minimizer is one of four closed-form candidates: the
 box edges, the kink, and the branch pick of the price thresholds.  The
 price-free part of this rule is built once per slot (``follower_rule``) and
 evaluated at each price broadcast (``respond``); ``pinned_draw`` certifies
-once per slot the followers whose draw no in-band price moves.  The
-certified tuning windows live in ``policy``.
+the followers whose draw no price in a given box moves (the slot's grid
+band, or a smaller box around the leader's iterate).  The certified tuning
+windows live in ``policy``.
 """
 
 from __future__ import annotations
@@ -150,31 +151,41 @@ def respond(rules: Sequence[FollowerRule], p_s: float,
     return es, slopes
 
 
-def pinned_draw(rule: FollowerRule, m_b: float, m_s: float) -> float | None:
-    """The draw ``respond`` gives for every (p_s, p_b) in [m_b, m_s]², or None.
+def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
+                pb_hi: float) -> float | None:
+    """The draw ``respond`` gives at every price pair (p_s, p_b) in the box
+    [ps_lo, ps_hi] × [pb_lo, pb_hi], or None.
 
-    A returned draw comes with sensitivity 0.0 at every such price.  None
-    only means this certificate does not apply.  The proof follows
-    ``respond``'s rounded comparisons:
+    The slot's grid band is the box [m_b, m_s]²; the loop certifies smaller
+    boxes around its iterate, and a line box (one side of zero width) is a
+    box too.  A returned draw comes with sensitivity 0.0 at every such
+    price.  None only means this certificate does not apply.  The proof
+    follows ``respond``'s rounded comparisons:
 
     * Threshold candidate.  ``respond`` weighs it only strictly inside
       (lo, hi), so it never competes when the open box is empty or when
-      gamma = 0 (no threshold candidate).  Otherwise v > 0, so the rounded
-      product v*p is nondecreasing in p.  If v*m_b > zero_level, then
-      v*p_b > zero_level at every p_b >= m_b and the candidate is 0.0 at
-      every price.  If v*m_s < rated_level, then v*p_s < rated_level at
-      every p_s <= m_s; and v*p_b <= v*m_s < rated_level <= zero_level,
-      because beta is alpha plus a nonnegative term and rounding keeps that
-      order, so the first test never fires and the candidate is e_max at
-      every price.  Either constant must lie outside (lo, hi).
+      gamma = 0 (no threshold candidate).  Otherwise v > 0 and hbar > 0, so
+      the rounded products v*p and p*hbar are nondecreasing in p, and the
+      rounded vertex vartheta - p*hbar is nonincreasing.  Each outcome the
+      threshold tests can reach somewhere in the box must be harmless:
+      0.0 (reachable when v*pb_hi > zero_level; the only one when
+      v*pb_lo > zero_level) and e_max (reachable when v*ps_lo <
+      rated_level; the only other one when v*ps_hi < rated_level) must lie
+      outside (lo, hi); the vertex at p_s (reachable when delta > ps_lo)
+      and at p_b (when delta < pb_hi) must be >= hi at the high end of its
+      price range or <= lo at the low end, so it stays outside the open box
+      over the whole range; and the kink is harmless by itself.  Its value
+      is computed by the same expression as the fixed kink candidate's, bit
+      for bit, so it never undercuts the fixed winner, and on a tie the
+      winner is the kink or a smaller draw, which ``respond`` keeps.
     * Fixed candidates (lo, kink, hi).  Each value
       ``base + v*(hg*|tp| + hs*tp)`` is affine in (hg, hs) =
       (½(p_s-p_b), ½(p_s+p_b)), hence in (p_s, p_b), so the exact gap
-      between two candidates over the square is smallest at one of its
-      four corners.  Let w be the first argmin at the corner (m_s, m_b).
+      between two candidates over the box is smallest at one of its four
+      corners.  Let w be the first argmin at the corner (ps_hi, pb_lo).
       Every candidate with another draw must exceed w at all four corners
       by more than the margin: 1e-9 times the sum of both values' term
-      magnitudes at the band's largest |hg| and |hs|.  Each rounded
+      magnitudes at the box's largest |hg| and |hs|.  Each rounded
       evaluation, here or in ``respond``, is off by a few units of 2**-53
       of that sum, far below the margin, so ``respond``'s value of such a
       candidate stays strictly above w's and it never wins.  A candidate
@@ -183,33 +194,46 @@ def pinned_draw(rule: FollowerRule, m_b: float, m_s: float) -> float | None:
       order; the draw returned is w's.
     """
     lo, hi = rule.at_lo[0], rule.at_hi[0]
-    if rule.has_vertex and lo < hi:
-        if rule.v * m_b > rule.zero_level:
-            constant = 0.0
-        elif rule.v * m_s < rule.rated_level:
-            constant = rule.e_max
-        else:
-            return None
-        if lo < constant < hi:
-            return None
     v = rule.v
-    half_gap, half_sum = 0.5 * (m_s - m_b), 0.5 * (m_s + m_b)
-    corners = ((half_gap, half_sum), (-half_gap, half_sum), (0.0, m_s), (0.0, m_b))
-    reach_gap, reach_sum = abs(half_gap), max(abs(m_s), abs(m_b))
+    if rule.has_vertex and lo < hi:
+        if v * pb_hi > rule.zero_level and lo < 0.0 < hi:
+            return None
+        if not v * pb_lo > rule.zero_level:
+            if v * ps_lo < rule.rated_level and lo < rule.e_max < hi:
+                return None
+            if not v * ps_hi < rule.rated_level:
+                vartheta, hbar = rule.vartheta, rule.hbar
+                for reached, p_lo, p_hi in ((rule.delta > ps_lo, ps_lo, ps_hi),
+                                            (rule.delta < pb_hi, pb_lo, pb_hi)):
+                    if reached and not (vartheta - p_hi * hbar >= hi
+                                        or vartheta - p_lo * hbar <= lo):
+                        return None
+    # (hg, hs) at the corners (ps_hi, pb_lo), (ps_hi, pb_hi), (ps_lo, pb_lo)
+    # and (ps_lo, pb_hi): |hg| is largest at the first or the last, |hs| at
+    # one of the middle two.
+    g0, s0 = 0.5 * (ps_hi - pb_lo), 0.5 * (ps_hi + pb_lo)
+    s1, s2 = 0.5 * (ps_hi + pb_hi), 0.5 * (ps_lo + pb_lo)
+    g3, s3 = 0.5 * (ps_lo - pb_hi), 0.5 * (ps_lo + pb_hi)
+    corners = ((g0, s0), (0.5 * (ps_hi - pb_hi), s1),
+               (0.5 * (ps_lo - pb_lo), s2), (g3, s3))
+    reach_gap, reach_sum = max(abs(g0), abs(g3)), max(abs(s1), abs(s2))
 
     def value(c, hg, hs):  # as respond evaluates a fixed candidate
         return c[1] + v * (hg * c[3] + hs * c[2])
 
-    def size(c):  # bound on its terms' magnitudes over the band
+    def size(c):  # bound on its terms' magnitudes over the box
         return abs(c[1]) + v * (reach_gap * c[3] + reach_sum * abs(c[2]))
 
     candidates = (rule.at_lo, rule.at_kink, rule.at_hi)
-    best = min(candidates, key=lambda c: value(c, half_gap, half_sum))
+    best = min(candidates, key=lambda c: value(c, g0, s0))
     for cand in candidates:
         if cand[0] == best[0]:
             continue
         margin = 1e-9 * (size(best) + size(cand))
-        for hg, hs in corners:
-            if not value(cand, hg, hs) - value(best, hg, hs) > margin:
+        _, c_base, c_tp, c_abs = cand
+        _, w_base, w_tp, w_abs = best
+        for hg, hs in corners:  # value() inlined
+            if not ((c_base + v * (hg * c_abs + hs * c_tp))
+                    - (w_base + v * (hg * w_abs + hs * w_tp)) > margin):
                 return None
     return best[0]

@@ -38,10 +38,22 @@ Once per slot the responder certifies the followers whose draw is the same
 at every price pair in that band (most of them, usually at rated power or
 idle); a broadcast evaluates only the others, and the interchanges and
 subgradient terms of the pinned ones come from a per-slot template.
+
+The loop narrows this further.  It keeps a trust box around its iterate,
+TRUST_HALF_WIDTH times the band width on each side of it in each price and
+clipped to the band, and certifies the followers still free on that box
+whenever the iterate leaves it (``QueueResponder.restrict``).  While a box
+has no free follower, every iteration in it skips the responder: its
+records share one draws tuple, and the subgradients read one interchange
+list and their sums, all fixed for the box.  A follower pinned on a box has
+slope 0.0 there, so the subgradients' signed-zero terms and therefore the
+records are those of the band responder, bit for bit.  The polish asks the
+band responder.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,6 +88,11 @@ STEP_SCALE_Y = 2e-3                 # kWh moved per unit subgradient at m=0
 # The polish stops after POLISH_PASSES sweeps, or after a sweep that moves
 # no coordinate by POLISH_TOL.
 POLISH_PASSES, POLISH_TOL = 25, 1e-11
+# The loop's trust box reaches this fraction of the band width either side
+# of its iterate in each price (clipped to the band), and is certified afresh
+# whenever the iterate leaves it: a wider box pins fewer followers, a
+# narrower one is left, and paid for, more often.
+TRUST_HALF_WIDTH = 0.05
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,13 +212,17 @@ class QueueResponder:
     here, from the frozen state and slot data; each price broadcast only
     evaluates it (``nanogrid.respond``).
 
-    Here too, once per slot, ``nanogrid.pinned_draw`` certifies the
-    followers whose draw is the same at every price pair in the slot's band
-    [m_b, m_s]².  Their draws, zero slopes and interchanges form a template;
-    ``free`` lists the other followers.  A broadcast copies the template and
-    evaluates only the free followers, so both prices it is asked at must
-    lie in [m_b, m_s]: the loop's projection and the polish's scans never
-    leave the band.
+    A responder answers only at prices in its price box ``box`` =
+    (ps_lo, ps_hi, pb_lo, pb_hi).  ``nanogrid.pinned_draw`` certifies the
+    followers whose draw is the same at every price pair in it; their
+    draws, zero slopes and interchanges form a template, and ``free`` lists
+    the other followers.  A broadcast copies the template and evaluates only
+    the free followers.  The responder built here has the slot's grid band
+    [m_b, m_s]² as its box: the loop's projection and the polish's scans
+    never leave the band.  ``restrict`` gives the responder of a smaller
+    box, which certifies only the followers still free.  ``pinned`` says
+    whether some pinned follower buys and whether one sells, and ``sums``
+    holds the interchange sums when nothing is free.
     """
 
     def __init__(self, state: SlotState, slot: SlotData,
@@ -212,27 +233,61 @@ class QueueResponder:
         self._rules = tuple(map(
             follower_rule, state.h, state.t,
             slot.followers, params, controls, (None,) * n if boxes is None else boxes))
-        pins = [pinned_draw(r, slot.m_b, slot.m_s) for r in self._rules]
-        self.free = tuple(i for i, e in enumerate(pins) if e is None)
-        self._free_rules = tuple(self._rules[i] for i in self.free)
-        self._free_slots = tuple((i, slot.followers[i]) for i in self.free)
-        self._draws = [0.0 if e is None else e for e in pins]
+        self._followers = slot.followers
+        self.free = tuple(range(n))
+        self.pinned = (False, False)
+        self._draws = (0.0,) * n
         self._slopes = [0.0] * n
         # The solver's form of the interchange, d + e - rp (not dr + e,
         # which rounds differently).
-        self._tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, self._draws)]
-        pinned_tps = [tp for tp, e in zip(self._tps, pins) if e is not None]
-        # Whether some pinned follower buys, and whether one sells.
-        self.pinned = (any(tp >= 0.0 for tp in pinned_tps),
-                       any(tp < 0.0 for tp in pinned_tps))
+        self._tps = [fs.d + 0.0 - fs.rp for fs in slot.followers]
+        self._certify(slot.m_b, slot.m_s, slot.m_b, slot.m_s)
+
+    def _certify(self, ps_lo: float, ps_hi: float, pb_lo: float,
+                 pb_hi: float) -> None:
+        """Set the box and move the free followers pinned on it into the
+        template."""
+        self.box = (ps_lo, ps_hi, pb_lo, pb_hi)
+        draws = list(self._draws)
+        tps = self._tps.copy()
+        buys, sells = self.pinned
+        free = []
+        for i in self.free:
+            e = pinned_draw(self._rules[i], ps_lo, ps_hi, pb_lo, pb_hi)
+            if e is None:
+                free.append(i)
+                continue
+            fs = self._followers[i]
+            draws[i] = e
+            tps[i] = tp = fs.d + e - fs.rp
+            buys = buys or tp >= 0.0
+            sells = sells or tp < 0.0
+        self.free = tuple(free)
+        self.pinned = (buys, sells)
+        self._draws = tuple(draws)
+        self._tps = tps
+        self._free_rules = tuple(self._rules[i] for i in free)
+        self._free_slots = tuple((i, self._followers[i]) for i in free)
         # The interchanges never change when every follower is pinned.
-        self.sums = None if self.free else interchange_sums(self._tps)
+        self.sums = None if free else interchange_sums(tps)
+
+    def restrict(self, ps_lo: float, ps_hi: float, pb_lo: float,
+                 pb_hi: float) -> QueueResponder:
+        """The responder of the price box [ps_lo, ps_hi] × [pb_lo, pb_hi],
+        which must lie inside this one's box.  A follower pinned here stays
+        pinned there, so only the free ones are certified; with none free
+        this responder already answers the smaller box and is returned."""
+        if not self.free:
+            return self
+        sub = copy.copy(self)
+        sub._certify(ps_lo, ps_hi, pb_lo, pb_hi)
+        return sub
 
     def respond_full(self, p_s: float, p_b: float
                      ) -> tuple[list[float], list[float], list[float]]:
         """Draws, interchanges d + e - rp and each follower's local price
-        sensitivity at in-band prices (both in [m_b, m_s])."""
-        es = self._draws.copy()
+        sensitivity at prices in ``box``."""
+        es = list(self._draws)
         tps = self._tps.copy()
         slopes = self._slopes.copy()
         if not self.free:
@@ -245,7 +300,7 @@ class QueueResponder:
         return es, tps, slopes
 
     def respond(self, p_s: float, p_b: float) -> tuple[list[float], list[float]]:
-        """Draws and interchanges at in-band prices."""
+        """Draws and interchanges at prices in ``box``."""
         return self.respond_full(p_s, p_b)[:2]
 
     def price_breakpoints(self) -> list[float]:
@@ -453,8 +508,10 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     check_band(m_s, m_b, min_gap)
     y_lo, y_hi = (-pme_params.u_dmax, pme_params.u_cmax) if y_box is None else y_box
     pb_hi = max(m_s - min_gap, m_b)
-    respond_full = responder.respond_full
-    free, pinned, sums = responder.free, responder.pinned, responder.sums
+    reach = TRUST_HALF_WIDTH * (m_s - m_b)
+    # The trust box (empty until the first iterate certifies one).
+    box_s_lo = box_b_lo = math.inf
+    box_s_hi = box_b_hi = -math.inf
 
     mid = 0.5 * (m_s + m_b)
     p_s, p_b, y = _project(mid + 0.5 * min_gap, mid - 0.5 * min_gap, 0.0,
@@ -462,7 +519,17 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     records: list[IterationRecord] = []
     converged = False
     for m in range(1, config.max_iters + 1):
-        es, tps, slopes = respond_full(p_s, p_b)
+        if not (box_s_lo <= p_s <= box_s_hi and box_b_lo <= p_b <= box_b_hi):
+            box_s_lo, box_s_hi = max(p_s - reach, m_b), min(p_s + reach, m_s)
+            box_b_lo, box_b_hi = max(p_b - reach, m_b), min(p_b + reach, m_s)
+            local = responder.restrict(box_s_lo, box_s_hi, box_b_lo, box_b_hi)
+            free, pinned, sums = local.free, local.pinned, local.sums
+            if not free:
+                # Every record of this box shares the template.
+                es, tps, slopes = local._draws, local._tps, local._slopes
+        if free:
+            es, tps, slopes = local.respond_full(p_s, p_b)
+            es = tuple(es)
         g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
                                        pme_control, pme_params, slopes,
                                        free=free, pinned=pinned, sums=sums)
@@ -472,7 +539,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
                                  y_lo, y_hi, min_gap)
         d_s, d_b, d_y = abs(n_s - p_s), abs(n_b - p_b), abs(n_y - y)
         records.append(IterationRecord(p_s, p_b, y, g_ps, g_pb, g_y, steps,
-                                       d_s, d_b, d_y, tuple(es)))
+                                       d_s, d_b, d_y, es))
         p_s, p_b, y = n_s, n_b, n_y
         if d_s < rho and d_b < rho and d_y < rho:
             converged = True

@@ -18,6 +18,7 @@ from nanodr.domain import (
     thermal_step,
 )
 from nanodr.nanogrid import follower_rule, respond
+from nanodr.pme import interchange_sums
 from nanodr.policy import _follower_bounds, default_policy
 from nanodr.scenario_io import default_pme_params
 from nanodr.stackelberg import QueueResponder
@@ -390,13 +391,73 @@ def _band_near_boundary(rng, rule):
     return m_b, _nudge(rng, -rest / slope)
 
 
-def _corner_prices(m_b, m_s):
-    """The band's four corners and the point one ULP inside each."""
-    up = lambda x: math.nextafter(x, math.inf)
-    down = lambda x: math.nextafter(x, -math.inf)
-    return [(m_s, m_b), (m_b, m_s), (m_s, m_s), (m_b, m_b),
-            (down(m_s), up(m_b)), (up(m_b), down(m_s)),
-            (down(m_s), down(m_s)), (up(m_b), up(m_b))]
+def _corner_prices(ps_lo, ps_hi, pb_lo, pb_hi):
+    """A price box's four corners and the point one ULP inside each (on a
+    side of zero width, the corner itself)."""
+    def inward(x, to):
+        return x if x == to else math.nextafter(x, to)
+    return [pair
+            for p_s, s_to in ((ps_hi, ps_lo), (ps_lo, ps_hi))
+            for p_b, b_to in ((pb_lo, pb_hi), (pb_hi, pb_lo))
+            for pair in ((p_s, p_b), (inward(p_s, s_to), inward(p_b, b_to)))]
+
+
+def _breakpoints(rule):
+    """The prices where ``rule``'s threshold tests flip: its zero and rated
+    levels, delta, and where its branch vertex crosses a draw-box edge."""
+    points = [rule.delta, rule.zero_level / rule.v, rule.rated_level / rule.v]
+    if math.isfinite(rule.hbar):
+        points += [(rule.vartheta - rule.at_lo[0]) / rule.hbar,
+                   (rule.vartheta - rule.at_hi[0]) / rule.hbar]
+    return points
+
+
+def _sub_boxes(rng, rules, m_b, m_s):
+    """Price boxes (ps_lo, ps_hi, pb_lo, pb_hi) inside the band [m_b, m_s]²:
+    a random one, a line box (one side, or both, of zero width), and two
+    with one edge on a follower's breakpoint in the band, nudged by a few
+    ULPs or parts in 1e9 half the time."""
+    def span():
+        return sorted((rng.uniform(m_b, m_s), rng.uniform(m_b, m_s)))
+
+    in_band = [p for r in rules for p in _breakpoints(r) if m_b <= p <= m_s]
+    boxes = []
+    for kind in ("random", "line", "breakpoint", "breakpoint"):
+        ps, pb = span(), span()
+        if kind == "line":
+            for side in rng.choice([[ps], [pb], [ps, pb]]):
+                side[1] = side[0]
+        elif kind == "breakpoint" and in_band:
+            edge = rng.choice(in_band)
+            if rng.random() < 0.5:
+                edge = min(max(_nudge(rng, edge), m_b), m_s)
+            side = rng.choice([ps, pb])
+            side[rng.randrange(2)] = edge
+            side.sort()
+        boxes.append((*ps, *pb))
+    return boxes
+
+
+def _hex(values):
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return [float(x).hex() for x in values]
+
+
+def _assert_matches_reference(responder, group, slot, boxes, myopic, prices):
+    """``responder``'s answers at ``prices`` are the reference rule's draws,
+    interchanges and slopes, bit for bit; returns the last interchanges."""
+    for p_s, p_b in prices:
+        expected = [
+            reference_response(0.0 if myopic else h, t, fs, p_s, p_b, params,
+                               control, boxes[i] if myopic else None)
+            for i, (params, control, t, h, fs, _) in enumerate(group)
+        ]
+        es, tps, slopes = responder.respond_full(p_s, p_b)
+        assert _hex(es) == _hex(e for e, _ in expected)
+        assert _hex(tps) == _hex(fs.d + e - fs.rp
+                                 for fs, (e, _) in zip(slot.followers, expected))
+        assert _hex(slopes) == _hex(s for _, s in expected)
+    return tps
 
 
 @pytest.mark.parametrize("case", ["random", "binding_l_max", "myopic_boxes",
@@ -404,33 +465,30 @@ def _corner_prices(m_b, m_s):
 def test_pinned_followers_are_bit_exact_over_the_band(case):
     # Followers the responder certifies as pinned skip evaluation at in-band
     # prices; each answer must still equal the full rule's, bit for bit.
-    rng = random.Random({"random": 79, "binding_l_max": 83, "myopic_boxes": 89,
-                         "near_boundary": 97}[case])
+    # So must the answers of the responder restricted to a sub-box of the
+    # band, which certifies the followers still free on that box.
+    seed = {"random": 79, "binding_l_max": 83, "myopic_boxes": 89,
+            "near_boundary": 97}[case]
+    rng = random.Random(seed)
+    box_rng = random.Random(seed + 1)  # leaves the band draws as they were
     myopic = case == "myopic_boxes"
     size = 3 if case == "near_boundary" else 6
     certified = uncertified = in_band = 0
+    box_certified = lines = 0
     for _ in range(400 if case == "near_boundary" else 150):
         group = _instances(rng, size, binding_l_max=case == "binding_l_max")
         boxes = _boxes(rng, group, myopic)
+        rules = [follower_rule(0.0 if myopic else h, t, fs, params, control,
+                               boxes[i])
+                 for i, (params, control, t, h, fs, _) in enumerate(group)]
         m_b = rng.uniform(1.0, 6.0)
         m_s = m_b + rng.uniform(0.5, 10.0)
         if rng.random() < 0.5:
             # Centre the band on one follower's price breakpoint instead.
-            i = rng.randrange(size)
-            params, control, t, h, fs, _ = group[i]
-            rule = follower_rule(0.0 if myopic else h, t, fs, params, control,
-                                 boxes[i])
-            points = [rule.delta, rule.zero_level / rule.v,
-                      rule.rated_level / rule.v]
-            if math.isfinite(rule.hbar):
-                points += [(rule.vartheta - rule.at_lo[0]) / rule.hbar,
-                           (rule.vartheta - rule.at_hi[0]) / rule.hbar]
-            centre = rng.choice(points)
+            centre = rng.choice(_breakpoints(rules[rng.randrange(size)]))
             m_b, m_s = centre - rng.uniform(0.1, 5.0), centre + rng.uniform(0.1, 5.0)
         if case == "near_boundary":
-            params, control, t, h, fs, _ = group[0]
-            band = _band_near_boundary(
-                rng, follower_rule(h, t, fs, params, control, boxes[0]))
+            band = _band_near_boundary(rng, rules[0])
             if band is None or not band[0] <= band[1]:
                 continue
             m_b, m_s = band
@@ -442,24 +500,35 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
             state = replace(state, h=(0.0,) * len(group))
         responder = QueueResponder(state, slot, [g[0] for g in group],
                                    [g[1] for g in group], boxes=boxes)
+        assert responder.box == (m_b, m_s, m_b, m_s)
         uncertified += len(responder.free)
         certified += size - len(responder.free)
-        prices = _corner_prices(m_b, m_s)
+        prices = _corner_prices(m_b, m_s, m_b, m_s)
         for _ in range(16):
             prices.append((rng.uniform(m_b, m_s), rng.uniform(m_b, m_s)))
-        for p_s, p_b in prices:
-            expected = [
-                reference_response(0.0 if myopic else h, t, fs, p_s, p_b, params,
-                                   control, boxes[i] if myopic else None)
-                for i, (params, control, t, h, fs, _) in enumerate(group)
-            ]
-            es, tps, slopes = responder.respond_full(p_s, p_b)
-            assert es == [e for e, _ in expected]
-            assert tps == [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
-            assert slopes == [s for _, s in expected]
+        _assert_matches_reference(responder, group, slot, boxes, myopic, prices)
         in_band += 16
+        if not responder.free:
+            continue
+        for box in _sub_boxes(box_rng, rules, m_b, m_s):
+            sub = responder.restrict(*box)
+            assert sub.box == box and set(sub.free) <= set(responder.free)
+            box_certified += len(responder.free) - len(sub.free)
+            lines += box[0] == box[1] or box[2] == box[3]
+            ps_lo, ps_hi, pb_lo, pb_hi = box
+            prices = _corner_prices(*box)
+            for _ in range(4):
+                prices.append((box_rng.uniform(ps_lo, ps_hi),
+                               box_rng.uniform(pb_lo, pb_hi)))
+            tps = _assert_matches_reference(sub, group, slot, boxes, myopic,
+                                            prices)
+            held = [tp for i, tp in enumerate(tps) if i not in sub.free]
+            assert sub.pinned == (any(tp >= 0.0 for tp in held),
+                                  any(tp < 0.0 for tp in held))
+            assert sub.sums == (None if sub.free else interchange_sums(tps))
     assert in_band >= 2000
     assert certified >= 100 and uncertified >= 100
+    assert box_certified >= 200 and lines >= 50
 
 
 def test_best_response_is_bit_exact_with_reference_rule():

@@ -5,7 +5,8 @@ interchange limit (the smallest one ``run`` accepts, the default, or none),
 runs all five cases under the default policy's certified controls and under
 drawn certified controls, and checks the bounds, finiteness and determinism
 the certificates promise.  Every line the polish scans is checked against
-``reference_scan`` on the way.
+``reference_scan`` on the way, and the proposed case's loop records in the
+first, middle and last slots against ``reference_loop``.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from nanodr.baselines import CaseId, run_case
+from nanodr.domain import SlotState
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
     SyntheticSpec,
@@ -22,8 +24,9 @@ from nanodr.scenario_io import (
     generate_synthetic,
     synthetic_params,
 )
+from nanodr.stackelberg import GameConfig, solve_slot
 
-from oracles import shadowed_scans, tightest_l_max
+from oracles import reference_loop, shadowed_scans, tightest_l_max
 
 
 def _drawn_policy(data, scenario, params, pme, bundle):
@@ -47,6 +50,29 @@ def _drawn_policy(data, scenario, params, pme, bundle):
                    for b in windows.follower_bounds]
     theta = shift(windows.leader_bounds.theta_min, windows.leader_bounds.theta_max)
     return default_policy(scenario, params, pme, v_i, gamma_shift, v_p, theta)
+
+
+def _check_loop_records(report, scenario, params, controls, pme, control):
+    """The proposed case's loop records in its first, middle and last slots
+    equal ``reference_loop``'s rows bit for bit (float.hex tells -0.0 from
+    0.0), and the solve ends where the run's did."""
+    t0 = tuple(0.5 * (p.t_min + p.t_max) for p in params)
+    e0 = 0.5 * (pme.e_min + pme.e_max_cap)
+    states = [SlotState(t=t0, h=tuple(t + c.gamma_shift for t, c in zip(t0, controls)),
+                        e_batt=e0, b=e0 + control.theta)]
+    states += [o.next_state for o in report.outcomes[:-1]]
+    for k in sorted({0, scenario.slots // 2, scenario.slots - 1}):
+        slot = scenario.slot(k)
+        sol = solve_slot(states[k], slot, params, controls, pme, control,
+                         GameConfig())
+        assert sol.leader == report.outcomes[k].leader
+        rows, converged, _ = reference_loop(states[k], slot, params, controls,
+                                            pme, control, GameConfig())
+        got = [(*rec[:6], *rec.steps, *rec[7:10], *rec.es)
+               for rec in sol.trace.records]
+        assert [list(map(float.hex, row)) for row in got] == [
+            list(map(float.hex, row)) for row in rows]
+        assert sol.trace.converged is converged
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -84,5 +110,6 @@ def test_every_case_keeps_its_bounds(seed, n, slots, gamma, c_b, limit, data):
                     assert abs(f.tp) <= l_max * (1.0 + 1e-12)
             if case is CaseId.PROPOSED:
                 assert run_case(case, scenario, params, *controls) == report
+                _check_loop_records(report, scenario, params, *controls)
     # The polish scanned lines (cases 3 and 4), each checked in the shadow.
     assert shadow.lines > 0

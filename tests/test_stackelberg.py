@@ -302,15 +302,23 @@ def test_non_convergence_is_flagged_not_raised():
 class _RecordingResponder(QueueResponder):
     """Records every price pair the followers are asked to answer: the
     polish's asks (``respond``) in ``asked``, and every ask, the loop's
-    too, in ``asked_full`` (``respond`` answers through ``respond_full``)."""
+    too, with the box of the responder that answered it, in ``asked_full``
+    (``respond`` answers through ``respond_full``).  The responders that
+    ``restrict`` returns share these lists and go into ``restricted``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.asked = []
         self.asked_full = []
+        self.restricted = []
+
+    def restrict(self, *box):
+        sub = super().restrict(*box)
+        self.restricted.append((box, sub))
+        return sub
 
     def respond_full(self, p_s, p_b):
-        self.asked_full.append((p_s, p_b))
+        self.asked_full.append((p_s, p_b, self.box))
         return super().respond_full(p_s, p_b)
 
     def respond(self, p_s, p_b):
@@ -364,10 +372,11 @@ def test_polish_asks_each_price_pair_once(case):
 
 
 def test_most_followers_of_a_generated_slot_are_certified_pinned():
-    # The first slot of the seed-1 run at n=50.
+    # The first slot of the seed-1 run at n=50: all of them, as before the
+    # certificate took boxes other than the band.
     params, controls, state, pmec, slot, pme = _generated_slot(k=0)
     responder = QueueResponder(state, slot, params, controls)
-    assert len(responder.free) < len(params) / 2
+    assert responder.free == ()
 
 
 @pytest.mark.parametrize("k", [0, 18])
@@ -377,6 +386,7 @@ def test_template_and_restricted_subgradients_are_bit_exact(k):
     # equal the full computations, bit for bit (signed zeros included).
     params, controls, state, pmec, slot, pme = _generated_slot(k=k)
     responder = QueueResponder(state, slot, params, controls)
+    assert responder.free == (() if k == 0 else tuple(range(50)))
     rng = random.Random(5)
     for _ in range(200):
         act = LeaderAction(p_s=rng.uniform(slot.m_b, slot.m_s),
@@ -413,7 +423,14 @@ _LOOP_CASES = {
     # Past the default cap of 500 iterations.
     "cap-hit-at-600": dict(n=1, k=5, max_iters=600, rho=1e-300),
     "myopic": dict(n=5, k=12, myopic=True),
+    # The iterate leaves its first trust box, where nothing is free, for one
+    # with free followers.
+    "trust-boxes": dict(n=20, k=18),
 }
+# The followers free on each case's band, as the band-only certificate found
+# them; the other cases have none.
+_BAND_FREE = {"n50": tuple(range(50)), "gamma0-free": tuple(range(5)),
+              "trust-boxes": tuple(range(20))}
 
 
 def _loop_case(case, polish, responder=QueueResponder):
@@ -446,11 +463,8 @@ def test_loop_matches_the_reference_bit_for_bit(case):
     # Every record, the converged flag and the last iterate equal the plain
     # restatement's (a LeaderAction per iterate, subgradients summed over
     # every follower), float for float and zero sign for zero sign.
-    c = _loop_case(case, polish=False)
-    if case == "n50-all-pinned":
-        assert not c.responder.free
-    if case == "n50":
-        assert len(c.responder.free) == 50
+    c = _loop_case(case, polish=False, responder=_RecordingResponder)
+    assert c.responder.free == _BAND_FREE.get(case, ())
     sol = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
                                 c.config, y_box=c.y_box)
     rows, converged, last = reference_loop(c.state, c.slot, c.params,
@@ -465,24 +479,37 @@ def test_loop_matches_the_reference_bit_for_bit(case):
         assert _bits(mine) == _bits(ref)
     assert sol.trace.converged is converged
     assert converged is not case.startswith("cap-hit")
+    if case == "trust-boxes":
+        # The loop certified two trust boxes or more: one with nothing
+        # free, and one with free followers.
+        frees = [sub.free for _, sub in c.responder.restricted]
+        assert len(frees) >= 2 and () in frees and any(frees)
     assert _bits((sol.leader.p_s, sol.leader.p_b, sol.leader.y)) == _bits(
         (last.p_s, last.p_b, last.y))
 
 
 @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
 def test_every_price_the_solver_asks_lies_in_the_band(case):
-    # The responder's per-slot template holds only inside the grid band, so
-    # the loop and the polish must ask the followers at prices in
-    # [m_b, m_s]² alone (n = 1, 5, 50, gamma = 0, a band exactly min_gap
-    # wide, case-3 myopic boxes, an iteration cap hit).
+    # A responder's template holds only inside its price box, so the loop
+    # and the polish must ask each responder at prices in its box alone,
+    # and every box the loop certifies must lie in the grid band [m_b, m_s]²
+    # (n = 1, 5, 20, 50, gamma = 0, a band exactly min_gap wide, case-3
+    # myopic boxes, an iteration cap hit).  An iteration whose trust box has
+    # nothing free asks nobody.
     c = _loop_case(case, polish=True, responder=_RecordingResponder)
-    sol = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
-                                c.config, y_box=c.y_box)
+    _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec, c.config,
+                          y_box=c.y_box)
     asked = c.responder.asked_full
-    # One ask per loop iteration, then the polish's.
-    assert len(asked) > sol.trace.iterations and c.responder.asked
+    assert asked and c.responder.asked
     m_b, m_s = c.slot.m_b, c.slot.m_s
-    assert [(p_s, p_b) for p_s, p_b in asked
+    boxes = [box for _, _, box in asked] + [
+        box for pair in c.responder.restricted for box in (pair[0], pair[1].box)]
+    assert [box for box in boxes
+            if not (m_b <= box[0] <= box[1] <= m_s
+                    and m_b <= box[2] <= box[3] <= m_s)] == []
+    assert [(p_s, p_b) for p_s, p_b, box in asked
+            if not (box[0] <= p_s <= box[1] and box[2] <= p_b <= box[3])] == []
+    assert [(p_s, p_b) for p_s, p_b, _ in asked
             if not (m_b <= p_s <= m_s and m_b <= p_b <= m_s)] == []
 
 
