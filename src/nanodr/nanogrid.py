@@ -6,12 +6,12 @@ pressure of its shifted temperature state plus its weighted economic cost
 (trade cost at the posted prices plus quadratic discomfort).  The trade
 cost has one kink where the net interchange ``tp = d + e - rp`` changes
 sign, so the exact minimizer is one of four closed-form candidates: the
-box edges, the kink, and the branch pick of the price thresholds.  The
-price-free part of this rule is built once per slot (``follower_rule``) and
-evaluated at each price broadcast (``respond``); ``pinned_draw`` certifies
-the followers whose draw no price in a given box moves (the slot's grid
-band, or a smaller box around the leader's iterate).  The certified tuning
-windows live in ``policy``.
+box edges, the kink, and the branch vertex the price thresholds pick.
+The price-free part of this rule is built once per slot
+(``follower_rule``) and evaluated at each price broadcast (``respond``);
+``pinned_draw`` certifies the followers whose draw no price in a given box
+moves (the slot's grid band, or a smaller box around the leader's
+iterate).  The certified tuning windows live in ``policy``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ class FollowerRule(NamedTuple):
     The objective at draw ``e`` is ``(vg*(oe*e)**2 + le*e) + v*trade`` with
     ``trade = 0.5*(p_s-p_b)*|tp| + 0.5*(p_s+p_b)*tp`` and ``tp = dr + e``.
     The fixed candidates (box edges, clamped kink) are held as (draw,
-    price-free value, tp, |tp|).  With ``has_vertex`` (gamma > 0) a fourth
-    competes: zero draw if v*p_b > zero_level, e_max if v*p_s < rated_level,
-    else a branch vertex vartheta - price*hbar, else the kink.
+    price-free value, tp, |tp|).  With ``has_vertex`` (gamma > 0) a branch
+    vertex vartheta - price*hbar may compete as a fourth (``respond``).
 
     zero_level and rated_level are the drift pressure -eps*(1-eps)*h*eta
     minus alpha, the price-equivalent marginal cost of the first unit of
@@ -49,7 +48,6 @@ class FollowerRule(NamedTuple):
     has_vertex: bool
     zero_level: float
     rated_level: float
-    e_max: float
     delta: float
     vartheta: float
     hbar: float
@@ -66,7 +64,10 @@ def follower_rule(h: float, t: float, slot: FollowerSlot,
 
     The draw box is [0, e_max], which ``domain.check_assumptions`` proves
     the interchange limit leaves whole; ``box`` replaces it (callers may
-    tighten it with extra per-slot constraints).
+    tighten it with extra per-slot constraints).  The contract for every
+    box: it lies inside [0, e_max] or is a single point, so neither 0.0 nor
+    e_max is ever strictly inside it.  ``respond`` and ``pinned_draw`` rely
+    on this.
     """
     lo, hi = (0.0, params.e_max) if box is None else box
     eps = params.epsilon
@@ -97,7 +98,7 @@ def follower_rule(h: float, t: float, slot: FollowerSlot,
                  - 2.0 * gam * one * one * eta * eta * (slot.rp - slot.d))
     pressure = -eps * one * h * eta
     return FollowerRule(v, *fixed, gam != 0.0, pressure - alpha, pressure - beta,
-                        params.e_max, delta, vartheta, hbar, vg, oe, le, dr)
+                        delta, vartheta, hbar, vg, oe, le, dr)
 
 
 def respond(rules: Sequence[FollowerRule], p_s: float,
@@ -105,12 +106,17 @@ def respond(rules: Sequence[FollowerRule], p_s: float,
     """Exact draws, and their local price sensitivities, at the posted prices.
 
     The argmin is among the rule's candidates.  The lowest value wins; ties
-    go to the smaller draw, then to the smaller sensitivity.  A threshold
-    candidate outside the open box would clamp onto an edge and only repeat
+    go to the smaller draw, then to the smaller sensitivity.  The price
+    thresholds add one, the branch vertex vartheta - p*hbar at p = p_s when
+    delta > p_s or at p = p_b when delta < p_b, unless a rate gate fires
+    (v*p_b > zero_level: idle; v*p_s < rated_level: rated power).  Idle,
+    rated power and the kink (p_b <= delta <= p_s) never change the answer:
+    by the box contract (``follower_rule``) 0.0 and e_max are never strictly
+    inside the box, and the kink is the fixed kink candidate, bit for bit.
+    A vertex outside the open box would clamp onto an edge and only repeat
     its draw, so only an interior one is evaluated.  The sensitivity is
-    hbar when a strictly interior branch vertex wins (the draw then moves by
-    -hbar per unit of that price), else zero: the draw is pinned at an edge,
-    a rate limit or the kink.
+    hbar when it wins (the draw moves by -hbar per unit of that price),
+    else zero: the draw is pinned at an edge, a rate limit or the kink.
     """
     half_gap = 0.5 * (p_s - p_b)
     half_sum = 0.5 * (p_s + p_b)
@@ -118,7 +124,7 @@ def respond(rules: Sequence[FollowerRule], p_s: float,
     slopes: list[float] = []
     for (v, (lo, base_lo, tp_lo, abs_lo), (kink, base_kink, tp_kink, abs_kink),
          (hi, base_hi, tp_hi, abs_hi), has_vertex, zero_level, rated_level,
-         e_max, delta, vartheta, hbar, vg, oe, le, dr) in rules:
+         delta, vartheta, hbar, vg, oe, le, dr) in rules:
         # Fixed candidates in ascending draw order; strict < keeps the first.
         e, best = lo, base_lo + v * (half_gap * abs_lo + half_sum * tp_lo)
         val = base_kink + v * (half_gap * abs_kink + half_sum * tp_kink)
@@ -128,24 +134,16 @@ def respond(rules: Sequence[FollowerRule], p_s: float,
         if val < best:
             e, best = hi, val
         slope = 0.0
-        if has_vertex:
-            if v * p_b > zero_level:
-                cand, cand_slope = 0.0, 0.0
-            elif v * p_s < rated_level:
-                cand, cand_slope = e_max, 0.0
-            elif delta > p_s:
-                cand, cand_slope = vartheta - p_s * hbar, hbar
-            elif delta < p_b:
-                cand, cand_slope = vartheta - p_b * hbar, hbar
-            else:
-                cand, cand_slope = kink, 0.0
+        if (has_vertex and (delta > p_s or delta < p_b)
+                and not (v * p_b > zero_level or v * p_s < rated_level)):
+            cand = vartheta - (p_s if delta > p_s else p_b) * hbar
             if lo < cand < hi:
                 tp = dr + cand
                 val = (vg * (oe * cand) ** 2 + le * cand
                        + v * (half_gap * abs(tp) + half_sum * tp))
                 # An equal draw is the kink's, whose zero sensitivity wins.
                 if val < best or (val == best and cand < e):
-                    e, slope = cand, cand_slope
+                    e, slope = cand, hbar
         es.append(e)
         slopes.append(slope)
     return es, slopes
@@ -162,22 +160,17 @@ def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
     price.  None only means this certificate does not apply.  The proof
     follows ``respond``'s rounded comparisons:
 
-    * Threshold candidate.  ``respond`` weighs it only strictly inside
-      (lo, hi), so it never competes when the open box is empty or when
-      gamma = 0 (no threshold candidate).  Otherwise v > 0 and hbar > 0, so
-      the rounded products v*p and p*hbar are nondecreasing in p, and the
-      rounded vertex vartheta - p*hbar is nonincreasing.  Each outcome the
-      threshold tests can reach somewhere in the box must be harmless:
-      0.0 (reachable when v*pb_hi > zero_level; the only one when
-      v*pb_lo > zero_level) and e_max (reachable when v*ps_lo <
-      rated_level; the only other one when v*ps_hi < rated_level) must lie
-      outside (lo, hi); the vertex at p_s (reachable when delta > ps_lo)
+    * Branch vertex.  ``respond`` weighs it only strictly inside (lo, hi),
+      so it never competes when the open box is empty or when gamma = 0
+      (no vertex).  Otherwise v > 0 and hbar > 0, so the rounded products
+      v*p and p*hbar are nondecreasing in p, and the rounded vertex
+      vartheta - p*hbar is nonincreasing.  A rate gate that fires at the
+      box's low p_b (v*pb_lo > zero_level) or high p_s (v*ps_hi <
+      rated_level) fires at every price in it, and then no vertex is
+      weighed.  Otherwise the vertex at p_s (reachable when delta > ps_lo)
       and at p_b (when delta < pb_hi) must be >= hi at the high end of its
       price range or <= lo at the low end, so it stays outside the open box
-      over the whole range; and the kink is harmless by itself.  Its value
-      is computed by the same expression as the fixed kink candidate's, bit
-      for bit, so it never undercuts the fixed winner, and on a tie the
-      winner is the kink or a smaller draw, which ``respond`` keeps.
+      over the whole range.
     * Fixed candidates (lo, kink, hi).  Each value
       ``base + v*(hg*|tp| + hs*tp)`` is affine in (hg, hs) =
       (½(p_s-p_b), ½(p_s+p_b)), hence in (p_s, p_b), so the exact gap
@@ -195,19 +188,14 @@ def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
     """
     lo, hi = rule.at_lo[0], rule.at_hi[0]
     v = rule.v
-    if rule.has_vertex and lo < hi:
-        if v * pb_hi > rule.zero_level and lo < 0.0 < hi:
-            return None
-        if not v * pb_lo > rule.zero_level:
-            if v * ps_lo < rule.rated_level and lo < rule.e_max < hi:
+    if (rule.has_vertex and lo < hi and not v * pb_lo > rule.zero_level
+            and not v * ps_hi < rule.rated_level):
+        vartheta, hbar = rule.vartheta, rule.hbar
+        for reached, p_lo, p_hi in ((rule.delta > ps_lo, ps_lo, ps_hi),
+                                    (rule.delta < pb_hi, pb_lo, pb_hi)):
+            if reached and not (vartheta - p_hi * hbar >= hi
+                                or vartheta - p_lo * hbar <= lo):
                 return None
-            if not v * ps_hi < rule.rated_level:
-                vartheta, hbar = rule.vartheta, rule.hbar
-                for reached, p_lo, p_hi in ((rule.delta > ps_lo, ps_lo, ps_hi),
-                                            (rule.delta < pb_hi, pb_lo, pb_hi)):
-                    if reached and not (vartheta - p_hi * hbar >= hi
-                                        or vartheta - p_lo * hbar <= lo):
-                        return None
     # (hg, hs) at the corners (ps_hi, pb_lo), (ps_hi, pb_hi), (ps_lo, pb_lo)
     # and (ps_lo, pb_hi): |hg| is largest at the first or the last, |hs| at
     # one of the middle two.

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .domain import PmeControl, PmeParams
+from .domain import PmeControl, PmeParams, battery_cost, grid_settlement
 
 
 def _close_pro_prime(revenue: float, total: float, y: float, b: float,
                      g_t: float, m_s: float, m_b: float, v_p: float,
                      c_b: float) -> float:
     """The surrogate from its trade sums: the only part that depends on y."""
-    residual = total - g_t + y
-    settle = m_s * residual if residual >= 0.0 else m_b * residual
-    return b * y - v_p * revenue + v_p * (settle + 0.5 * c_b * y * y)
+    settle = grid_settlement(total - g_t + y, m_s, m_b)
+    return b * y - v_p * revenue + v_p * (settle + battery_cost(y, c_b))
 
 
 def interchange_sums(tps: Sequence[float]) -> tuple[float, float, float]:
@@ -60,12 +59,13 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
     m_b branch).
 
     ``free`` lists the followers whose sensitivity terms are summed; the
-    others are pinned for the whole slot (sensitivity 0.0), and ``pinned``
-    says whether one of them buys and whether one sells.  Their terms are
-    all the same signed zero, and a sequential sum ends at -0.0 only if it
-    starts there and every addend is -0.0, so one such term per side, added
-    last, gives the sum over every follower bit for bit.  ``sums`` is
-    ``interchange_sums(tps)`` when the caller already has it.
+    others are pinned on the responder's price box (sensitivity 0.0 at
+    every price in it), and ``pinned`` says whether one of them buys and
+    whether one sells.  Their terms are all the same signed zero, and a
+    sequential sum ends at -0.0 only if it starts there and every addend is
+    -0.0, so one such term per side, added last, gives the sum over every
+    follower bit for bit.  ``sums`` is ``interchange_sums(tps)`` when the
+    caller already has it.
     """
     v_p = control.v_p
     total, buy_sum, sell_sum = interchange_sums(tps) if sums is None else sums

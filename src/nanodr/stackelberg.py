@@ -42,13 +42,14 @@ subgradient terms of the pinned ones come from a per-slot template.
 The loop narrows this further.  It keeps a trust box around its iterate,
 TRUST_HALF_WIDTH times the band width on each side of it in each price and
 clipped to the band, and certifies the followers still free on that box
-whenever the iterate leaves it (``QueueResponder.restrict``).  While a box
-has no free follower, every iteration in it skips the responder: its
-records share one draws tuple, and the subgradients read one interchange
-list and their sums, all fixed for the box.  A follower pinned on a box has
-slope 0.0 there, so the subgradients' signed-zero terms and therefore the
-records are those of the band responder, bit for bit.  The polish asks the
-band responder.
+whenever the iterate leaves it (``QueueResponder.restrict``); the box it
+keeps is the responder's own, so once the band has no free follower it is
+never restricted again.  Every iteration asks its box's responder; while
+the box has no free follower, the answer is the box's own draws tuple,
+interchange list and slopes, and the subgradients read the interchange
+sums fixed for the box.  A follower pinned on a box has slope 0.0 there,
+so the subgradients' signed-zero terms and therefore the records are those
+of the band responder, bit for bit.  The polish asks the band responder.
 """
 
 from __future__ import annotations
@@ -284,22 +285,24 @@ class QueueResponder:
         return sub
 
     def respond_full(self, p_s: float, p_b: float
-                     ) -> tuple[list[float], list[float], list[float]]:
-        """Draws, interchanges d + e - rp and each follower's local price
-        sensitivity at prices in ``box``."""
+                     ) -> tuple[tuple[float, ...], list[float], list[float]]:
+        """Draws (a tuple), interchanges d + e - rp and each follower's local
+        price sensitivity at prices in ``box``.  With nothing free these are
+        the box's own draws, interchange list and slopes, shared by every
+        call; callers do not modify them."""
+        if not self.free:
+            return self._draws, self._tps, self._slopes
         es = list(self._draws)
         tps = self._tps.copy()
         slopes = self._slopes.copy()
-        if not self.free:
-            return es, tps, slopes
         free_es, free_slopes = respond(self._free_rules, p_s, p_b)
         for (i, fs), e, slope in zip(self._free_slots, free_es, free_slopes):
             es[i] = e
             tps[i] = fs.d + e - fs.rp
             slopes[i] = slope
-        return es, tps, slopes
+        return tuple(es), tps, slopes
 
-    def respond(self, p_s: float, p_b: float) -> tuple[list[float], list[float]]:
+    def respond(self, p_s: float, p_b: float) -> tuple[tuple[float, ...], list[float]]:
         """Draws and interchanges at prices in ``box``."""
         return self.respond_full(p_s, p_b)[:2]
 
@@ -520,19 +523,14 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     converged = False
     for m in range(1, config.max_iters + 1):
         if not (box_s_lo <= p_s <= box_s_hi and box_b_lo <= p_b <= box_b_hi):
-            box_s_lo, box_s_hi = max(p_s - reach, m_b), min(p_s + reach, m_s)
-            box_b_lo, box_b_hi = max(p_b - reach, m_b), min(p_b + reach, m_s)
-            local = responder.restrict(box_s_lo, box_s_hi, box_b_lo, box_b_hi)
-            free, pinned, sums = local.free, local.pinned, local.sums
-            if not free:
-                # Every record of this box shares the template.
-                es, tps, slopes = local._draws, local._tps, local._slopes
-        if free:
-            es, tps, slopes = local.respond_full(p_s, p_b)
-            es = tuple(es)
+            local = responder.restrict(max(p_s - reach, m_b), min(p_s + reach, m_s),
+                                       max(p_b - reach, m_b), min(p_b + reach, m_s))
+            box_s_lo, box_s_hi, box_b_lo, box_b_hi = local.box
+        es, tps, slopes = local.respond_full(p_s, p_b)
         g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
                                        pme_control, pme_params, slopes,
-                                       free=free, pinned=pinned, sums=sums)
+                                       free=local.free, pinned=local.pinned,
+                                       sums=local.sums)
         steps = _step_sizes(m)
         n_s, n_b, n_y = _project(p_s - steps[0] * g_ps, p_b - steps[1] * g_pb,
                                  y - steps[2] * g_y, m_s, m_b, pb_hi,

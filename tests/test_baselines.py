@@ -8,6 +8,7 @@ import pytest
 
 from nanodr.baselines import (
     CaseId,
+    _comfort_box,
     _solve_welfare_slot,
     _tracking_draw,
     run_case,
@@ -20,12 +21,14 @@ from nanodr.domain import (
     NanogridParams,
     PmeControl,
     PmeParams,
+    ScenarioError,
     SlotData,
     SlotState,
     bilinear_trade_cost,
     pme_profit,
     thermal_step,
 )
+from nanodr.nanogrid import follower_rule
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
     SyntheticSpec,
@@ -281,6 +284,49 @@ def test_myopic_case_respects_hard_constraints():
     assert rep.battery_violations == 0
     # Myopic play hugs the cheap side of the band, far from the target.
     assert rep.tatd > 1.0
+
+
+def test_every_draw_box_keeps_the_box_contract():
+    # The follower rule relies on its box lying in [0, e_max] or being a
+    # single point (``follower_rule``).  The default box is (0.0, e_max);
+    # each case-3 comfort box is checked at random states whose floor draw
+    # is drawn around [0, e_max], and at the two snap edges: a floor need
+    # up to 1e-9 above e_max, and a ceiling need up to 1e-9 below zero.
+    rng = random.Random(101)
+    kinds = collections.Counter()
+    for _ in range(4000):
+        eps, eta = rng.uniform(0.9, 0.985), rng.uniform(8.0, 20.0)
+        e_max, t_min = rng.uniform(2.0, 8.0), rng.uniform(60.0, 70.0)
+        params = NanogridParams(epsilon=eps, eta=eta, e_max=e_max, t_min=t_min,
+                                t_max=t_min + rng.uniform(0.01, 2.0),
+                                l_max=20.0, gamma=rng.choice([0.0, 0.02]))
+        t = rng.uniform(params.t_min, params.t_max)
+        kind = rng.choice(["random", "random", "floor", "ceil"])
+        if kind == "ceil":  # (t_max - eps*t)/(1-eps) - t_out = -eta*x
+            t_out = ((params.t_max - eps * t) / (1.0 - eps)
+                     + eta * rng.uniform(0.0, 1e-9))
+        else:  # (t_min - eps*t)/(1-eps) - t_out = eta*x
+            x = (e_max + rng.uniform(0.0, 1e-9) if kind == "floor"
+                 else rng.uniform(-e_max, 2.0 * e_max))
+            t_out = (params.t_min - eps * t) / (1.0 - eps) - eta * x
+        fs = FollowerSlot(rp=1.0, d=2.0, t_out=t_out, t_opt=70.0)
+        rule = follower_rule(t - 50.0, t, fs, params,
+                             NanogridControl(v_i=1.0, gamma_shift=-50.0))
+        assert (rule.at_lo[0], rule.at_hi[0]) == (0.0, e_max)
+        try:
+            lo, hi = _comfort_box(t, fs, params)
+        except ScenarioError:
+            kinds["refused"] += 1
+            continue
+        assert 0.0 <= lo and (hi <= e_max or lo == hi), (lo, hi, e_max)
+        if lo == hi:
+            kinds[kind + (" above e_max" if lo > e_max else " point")] += 1
+        else:
+            kinds["open" if 0.0 < lo and hi < e_max else "edge"] += 1
+    # Snapped above e_max, snapped at zero, open, clamped at an edge, refused.
+    assert kinds["floor above e_max"] > 200 and kinds["ceil point"] > 200
+    assert kinds["open"] > 200 and kinds["edge"] > 200
+    assert kinds["refused"] > 100
 
 
 def test_welfare_case_blanks_nothing_in_report_but_balances():

@@ -367,7 +367,7 @@ def test_polish_asks_each_price_pair_once(case):
     # The memo changes no result: the full solve returns the same action.
     solved = solve_slot(state, slot, params, controls, pme, pmec, cfg)
     assert solved.leader == act
-    assert [f.e for f in solved.followers] == es
+    assert [f.e for f in solved.followers] == list(es)
     assert [f.tp for f in solved.followers] == tps
 
 
@@ -494,13 +494,14 @@ def test_every_price_the_solver_asks_lies_in_the_band(case):
     # and the polish must ask each responder at prices in its box alone,
     # and every box the loop certifies must lie in the grid band [m_b, m_s]²
     # (n = 1, 5, 20, 50, gamma = 0, a band exactly min_gap wide, case-3
-    # myopic boxes, an iteration cap hit).  An iteration whose trust box has
-    # nothing free asks nobody.
+    # myopic boxes, an iteration cap hit).  Every loop iteration asks its
+    # trust box's responder once, also when that box has nothing free.
     c = _loop_case(case, polish=True, responder=_RecordingResponder)
-    _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec, c.config,
-                          y_box=c.y_box)
+    sol = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
+                                c.config, y_box=c.y_box)
     asked = c.responder.asked_full
     assert asked and c.responder.asked
+    assert len(asked) == sol.trace.iterations + len(c.responder.asked)
     m_b, m_s = c.slot.m_b, c.slot.m_s
     boxes = [box for _, _, box in asked] + [
         box for pair in c.responder.restricted for box in (pair[0], pair[1].box)]
