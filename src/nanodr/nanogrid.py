@@ -11,7 +11,8 @@ The price-free part of this rule is built once per slot
 (``follower_rule``) and evaluated at each price broadcast (``respond``);
 ``pinned_draw`` certifies the followers whose draw no price in a given box
 moves (the slot's grid band, or a smaller box around the leader's
-iterate).  The certified tuning windows live in ``policy``.
+iterate, or a line the polish scans and the runs of points on it).  The
+certified tuning windows live in ``policy``.
 """
 
 from __future__ import annotations
@@ -155,7 +156,8 @@ def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
     [ps_lo, ps_hi] × [pb_lo, pb_hi], or None.
 
     The slot's grid band is the box [m_b, m_s]²; the loop certifies smaller
-    boxes around its iterate, and a line box (one side of zero width) is a
+    boxes around its iterate, and the polish the line it scans and the hulls
+    of runs of scan points on it: a line box (one side of zero width) is a
     box too.  A returned draw comes with sensitivity 0.0 at every such
     price.  None only means this certificate does not apply.  The proof
     follows ``respond``'s rounded comparisons:
@@ -186,42 +188,47 @@ def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
       it ties with w at every price and sits after w in the candidate
       order; the draw returned is w's.
     """
-    lo, hi = rule.at_lo[0], rule.at_hi[0]
-    v = rule.v
-    if (rule.has_vertex and lo < hi and not v * pb_lo > rule.zero_level
-            and not v * ps_hi < rule.rated_level):
-        vartheta, hbar = rule.vartheta, rule.hbar
-        for reached, p_lo, p_hi in ((rule.delta > ps_lo, ps_lo, ps_hi),
-                                    (rule.delta < pb_hi, pb_lo, pb_hi)):
-            if reached and not (vartheta - p_hi * hbar >= hi
-                                or vartheta - p_lo * hbar <= lo):
-                return None
+    (v, at_lo, at_kink, at_hi, has_vertex, zero_level, rated_level, delta,
+     vartheta, hbar, _, _, _, _) = rule
+    lo, hi = at_lo[0], at_hi[0]
+    if (has_vertex and lo < hi and not v * pb_lo > zero_level
+            and not v * ps_hi < rated_level):
+        if delta > ps_lo and not (vartheta - ps_hi * hbar >= hi
+                                  or vartheta - ps_lo * hbar <= lo):
+            return None
+        if delta < pb_hi and not (vartheta - pb_hi * hbar >= hi
+                                  or vartheta - pb_lo * hbar <= lo):
+            return None
     # (hg, hs) at the corners (ps_hi, pb_lo), (ps_hi, pb_hi), (ps_lo, pb_lo)
     # and (ps_lo, pb_hi): |hg| is largest at the first or the last, |hs| at
     # one of the middle two.
     g0, s0 = 0.5 * (ps_hi - pb_lo), 0.5 * (ps_hi + pb_lo)
-    s1, s2 = 0.5 * (ps_hi + pb_hi), 0.5 * (ps_lo + pb_lo)
+    g1, s1 = 0.5 * (ps_hi - pb_hi), 0.5 * (ps_hi + pb_hi)
+    g2, s2 = 0.5 * (ps_lo - pb_lo), 0.5 * (ps_lo + pb_lo)
     g3, s3 = 0.5 * (ps_lo - pb_hi), 0.5 * (ps_lo + pb_hi)
-    corners = ((g0, s0), (0.5 * (ps_hi - pb_hi), s1),
-               (0.5 * (ps_lo - pb_lo), s2), (g3, s3))
-    reach_gap, reach_sum = max(abs(g0), abs(g3)), max(abs(s1), abs(s2))
-
-    def value(c, hg, hs):  # as respond evaluates a fixed candidate
-        return c[1] + v * (hg * c[3] + hs * c[2])
-
-    def size(c):  # bound on its terms' magnitudes over the box
-        return abs(c[1]) + v * (reach_gap * c[3] + reach_sum * abs(c[2]))
-
-    candidates = (rule.at_lo, rule.at_kink, rule.at_hi)
-    best = min(candidates, key=lambda c: value(c, g0, s0))
-    for cand in candidates:
-        if cand[0] == best[0]:
+    reach_gap = abs(g0) if abs(g0) > abs(g3) else abs(g3)
+    reach_sum = abs(s1) if abs(s1) > abs(s2) else abs(s2)
+    # w: the first argmin at the first corner, as respond evaluates a fixed
+    # candidate; strict < keeps the earlier one.
+    w_e, w_base, w_tp, w_abs = at_lo
+    w0 = w_base + v * (g0 * w_abs + s0 * w_tp)
+    for c in (at_kink, at_hi):
+        val = c[1] + v * (g0 * c[3] + s0 * c[2])
+        if val < w0:
+            (w_e, w_base, w_tp, w_abs), w0 = c, val
+    w1 = w_base + v * (g1 * w_abs + s1 * w_tp)
+    w2 = w_base + v * (g2 * w_abs + s2 * w_tp)
+    w3 = w_base + v * (g3 * w_abs + s3 * w_tp)
+    # Bound on its terms' magnitudes over the box.
+    w_size = abs(w_base) + v * (reach_gap * w_abs + reach_sum * abs(w_tp))
+    for c_e, c_base, c_tp, c_abs in (at_lo, at_kink, at_hi):
+        if c_e == w_e:
             continue
-        margin = 1e-9 * (size(best) + size(cand))
-        _, c_base, c_tp, c_abs = cand
-        _, w_base, w_tp, w_abs = best
-        for hg, hs in corners:  # value() inlined
-            if not ((c_base + v * (hg * c_abs + hs * c_tp))
-                    - (w_base + v * (hg * w_abs + hs * w_tp)) > margin):
-                return None
-    return best[0]
+        margin = 1e-9 * (w_size + (abs(c_base) + v * (reach_gap * c_abs
+                                                     + reach_sum * abs(c_tp))))
+        if not (c_base + v * (g0 * c_abs + s0 * c_tp) - w0 > margin
+                and c_base + v * (g1 * c_abs + s1 * c_tp) - w1 > margin
+                and c_base + v * (g2 * c_abs + s2 * c_tp) - w2 > margin
+                and c_base + v * (g3 * c_abs + s3 * c_tp) - w3 > margin):
+            return None
+    return w_e

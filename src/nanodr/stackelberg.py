@@ -49,13 +49,23 @@ the box has no free follower, the answer is the box's own draws tuple,
 interchange list and slopes, and the subgradients read the interchange
 sums fixed for the box.  A follower pinned on a box has slope 0.0 there,
 so the subgradients' signed-zero terms and therefore the records are those
-of the band responder, bit for bit.  The polish asks the band responder.
+of the band responder, bit for bit.
+
+The polish narrows it along its lines.  A line with more than POLISH_CHUNK
+scan points is split into runs of POLISH_CHUNK consecutive points; a scan
+probe inside a run's hull asks the responder certified on that hull, one
+between two hulls the responder certified on the line, and a pair off the
+line the band responder.  Most scan probes land on a fixed point of the
+line, and a follower free on the line is pinned on every run that holds
+none of its breakpoints.  Every answer is the band responder's, bit for bit,
+so the memo and the scans see what they saw before.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -94,6 +104,11 @@ POLISH_PASSES, POLISH_TOL = 25, 1e-11
 # whenever the iterate leaves it: a wider box pins fewer followers, a
 # narrower one is left, and paid for, more often.
 TRUST_HALF_WIDTH = 0.05
+# A polish line with more than POLISH_CHUNK scan points is answered from
+# responders certified on runs of POLISH_CHUNK consecutive points (and on
+# the line): a longer run pins fewer followers, a shorter one pays for more
+# certificates.  A shorter line asks the band's responder.
+POLISH_CHUNK = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +236,9 @@ class QueueResponder:
     the free followers.  The responder built here has the slot's grid band
     [m_b, m_s]² as its box: the loop's projection and the polish's scans
     never leave the band.  ``restrict`` gives the responder of a smaller
-    box, which certifies only the followers still free.  ``pinned`` says
+    box, which certifies only the followers still free: the loop's trust
+    boxes, and the polish's lines and the runs of scan points on them
+    (``_line_router``).  ``pinned`` says
     whether some pinned follower buys and whether one sells, and ``sums``
     holds the interchange sums when nothing is free.
     """
@@ -430,6 +447,55 @@ def _scan_quadratic_segments(evaluate: Callable[[float], tuple[float, float]],
     return best_x, best_val
 
 
+def _line_router(responder: QueueResponder, along_s: bool, price: float,
+                 points: list[float]
+                 ) -> Callable[[float, float], QueueResponder] | None:
+    """Which responder answers a price pair while the polish scans a line.
+
+    The line is p_b = ``price`` (``along_s``) or p_s = ``price``, over the
+    scan points ``points``.  A line of more than POLISH_CHUNK distinct points
+    is split into runs of POLISH_CHUNK consecutive points.  A pair on the line
+    and inside a run's hull goes to the responder restricted to that hull,
+    one on the line between two hulls to the responder restricted to the
+    line, and any other pair to ``responder`` (the band's).  Each restricted
+    responder is certified when first asked, from the line's; its answers
+    are the band responder's, bit for bit.  None means ``responder`` answers
+    the whole line: it has at most POLISH_CHUNK distinct points, or the band
+    has nothing free.
+    """
+    # The distinct points, sorted, of a line that may need splitting.
+    pts = (sorted(set(points)) if len(points) > POLISH_CHUNK and responder.free
+           else ())
+    if len(pts) <= POLISH_CHUNK:
+        return None
+    lo, hi = pts[0], pts[-1]
+    starts = pts[::POLISH_CHUNK]
+    ends = pts[POLISH_CHUNK - 1::POLISH_CHUNK]
+    if len(pts) % POLISH_CHUNK:
+        ends.append(hi)
+    built: dict[int, QueueResponder] = {}
+
+    def restricted(run: int, a: float, b: float) -> QueueResponder:
+        # run -1 is the whole line, restricted from the band's responder.
+        got = built.get(run)
+        if got is None:
+            parent = responder if run < 0 else restricted(-1, lo, hi)
+            got = built[run] = (parent.restrict(a, b, price, price) if along_s
+                                else parent.restrict(price, price, a, b))
+        return got
+
+    def route(ps: float, pb: float) -> QueueResponder:
+        x, at = (ps, pb) if along_s else (pb, ps)
+        if at != price or not lo <= x <= hi:
+            return responder
+        run = bisect_right(starts, x) - 1
+        if x <= ends[run]:
+            return restricted(run, starts[run], ends[run])
+        return restricted(-1, lo, hi)
+
+    return route
+
+
 def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
             c_b: float, v_p: float, y_box: tuple[float, float],
             config: GameConfig
@@ -441,7 +507,9 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
     ``y``, so each price pair is answered once per call: a memo keyed by the
     exact (p_s, p_b) holds the draws, the interchanges and their trade sums,
     and a surrogate evaluation at a known pair is only the closing
-    arithmetic in ``y``.
+    arithmetic in ``y``.  ``responder`` is the band's; a pair missing from
+    the memo is answered by the responder ``_line_router`` picks for the
+    line being scanned, which gives the band responder's answer.
     """
     m_s, m_b, g_t = slot.m_s, slot.m_b, slot.g_t
     p_s, p_b, y = action.p_s, action.p_b, action.y
@@ -451,12 +519,14 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
     bound_v_p = v_p if all(r.has_vertex for r in responder._free_rules) else None
     memo: dict[tuple[float, float], tuple] = {}
     sweeps = 0
+    route = None  # the band's responder answers (_line_router)
 
     def trade(ps: float, pb: float) -> tuple:
         # (draws, interchanges, revenue, sequential total, exact total).
         got = memo.get((ps, pb))
         if got is None:
-            es, tps = responder.respond(ps, pb)
+            answerer = responder if route is None else route(ps, pb)
+            es, tps = answerer.respond(ps, pb)
             got = memo[ps, pb] = (es, tps, *_trade_sums(ps, pb, tps),
                                   math.fsum(tps))
         return got
@@ -474,6 +544,7 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
         lo_s, hi_s = p_b + config.min_gap, m_s
         if hi_s - lo_s > 1e-12:
             pts = [lo_s, hi_s] + [x for x in raw_pts if lo_s < x < hi_s]
+            route = _line_router(responder, True, p_b, pts)
             cand, val = _scan_quadratic_segments(lambda x: evaluate(x, p_b), pts,
                                                  bound_v_p)
             if val < evaluate(p_s, p_b)[0]:
@@ -482,6 +553,7 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
         lo_b, hi_b = m_b, p_s - config.min_gap
         if hi_b - lo_b > 1e-12:
             pts = [lo_b, hi_b] + [x for x in raw_pts if lo_b < x < hi_b]
+            route = _line_router(responder, False, p_s, pts)
             cand, val = _scan_quadratic_segments(lambda x: evaluate(p_s, x), pts,
                                                  bound_v_p)
             if val < evaluate(p_s, p_b)[0]:

@@ -440,6 +440,27 @@ def _sub_boxes(rng, rules, m_b, m_s):
     return boxes
 
 
+def _chunk_boxes(rng, rules, m_b, m_s):
+    """Line boxes shaped like the hulls of the polish's runs of scan points,
+    one along each price: both ends on in-band breakpoints with at least one
+    other breakpoint between them, at a fixed other price that keeps p_s
+    above p_b, as on the polish's lines."""
+    pts = sorted({p for r in rules for p in _breakpoints(r) if m_b < p < m_s})
+    if len(pts) < 3:
+        return []
+    boxes = []
+    for along_s in (True, False):
+        i = rng.randrange(len(pts) - 2)
+        a, b = pts[i], pts[rng.randrange(i + 2, len(pts))]
+        if along_s:
+            price = rng.uniform(m_b, a)
+            boxes.append((a, b, price, price))
+        else:
+            price = rng.uniform(b, m_s)
+            boxes.append((price, price, a, b))
+    return boxes
+
+
 def _hex(values):
     # float.hex tells -0.0 from 0.0, which == does not.
     return [float(x).hex() for x in values]
@@ -468,7 +489,8 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
     # Followers the responder certifies as pinned skip evaluation at in-band
     # prices; each answer must still equal the full rule's, bit for bit.
     # So must the answers of the responder restricted to a sub-box of the
-    # band, which certifies the followers still free on that box.
+    # band, which certifies the followers still free on that box; among
+    # them line boxes shaped like the polish's runs of scan points.
     seed = {"random": 79, "binding_l_max": 83, "myopic_boxes": 89,
             "near_boundary": 97}[case]
     rng = random.Random(seed)
@@ -476,7 +498,7 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
     myopic = case == "myopic_boxes"
     size = 3 if case == "near_boundary" else 6
     certified = uncertified = in_band = 0
-    box_certified = lines = 0
+    box_certified = lines = runs = runs_pinning = 0
     for _ in range(400 if case == "near_boundary" else 150):
         group = _instances(rng, size, binding_l_max=case == "binding_l_max")
         boxes = _boxes(rng, group, myopic)
@@ -512,11 +534,16 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
         in_band += 16
         if not responder.free:
             continue
-        for box in _sub_boxes(box_rng, rules, m_b, m_s):
+        sub_boxes = _sub_boxes(box_rng, rules, m_b, m_s)
+        chunks = _chunk_boxes(box_rng, rules, m_b, m_s)
+        for box in sub_boxes + chunks:
             sub = responder.restrict(*box)
             assert sub.box == box and set(sub.free) <= set(responder.free)
             box_certified += len(responder.free) - len(sub.free)
             lines += box[0] == box[1] or box[2] == box[3]
+            if box in chunks:
+                runs += 1
+                runs_pinning += len(sub.free) < len(responder.free)
             ps_lo, ps_hi, pb_lo, pb_hi = box
             prices = _corner_prices(*box)
             for _ in range(4):
@@ -531,6 +558,9 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
     assert in_band >= 2000
     assert certified >= 100 and uncertified >= 100
     assert box_certified >= 200 and lines >= 50
+    # Chunk-shaped lines: 108-152 per case, 74-141 of them pin a follower
+    # free on the band.
+    assert runs >= 100 and runs_pinning >= 60
 
 
 def test_best_response_is_bit_exact_with_reference_rule():

@@ -6,15 +6,20 @@ runs all five cases under the default policy's certified controls and under
 drawn certified controls, and checks the bounds, finiteness and determinism
 the certificates promise.  Every line the polish scans is checked against
 ``reference_scan`` on the way, and the proposed case's loop records in the
-first, middle and last slots against ``reference_loop``.
+first, middle and last slots against ``reference_loop``.  At n from 20 to
+50, where the polish answers its long lines from responders certified on
+runs of scan points, the proposed case's polished actions equal those of a
+polish that asks the band's responder alone, bit for bit.
 """
 
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from nanodr import stackelberg
 from nanodr.baselines import CaseId, run_case
 from nanodr.domain import SlotState
 from nanodr.policy import default_policy
@@ -113,3 +118,33 @@ def test_every_case_keeps_its_bounds(seed, n, slots, gamma, c_b, limit, data):
                 _check_loop_records(report, scenario, params, *controls)
     # The polish scanned lines (cases 3 and 4), each checked in the shadow.
     assert shadow.lines > 0
+
+
+def _hex_actions(report):
+    return [(*map(float.hex, (o.leader.p_s, o.leader.p_b, o.leader.y)),
+             *(float.hex(x) for f in o.followers for x in (f.e, f.tp)))
+            for o in report.outcomes]
+
+
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(seed=st.integers(1, 2 ** 16), n=st.integers(20, 50),
+       slots=st.integers(12, 24))
+def test_chunked_polish_matches_the_band_polish(seed, n, slots):
+    spec = SyntheticSpec(n=n, slots=slots, seed=seed)
+    scenario = generate_synthetic(spec)
+    params = synthetic_params(spec)
+    pme = default_pme_params()
+    bundle = default_policy(scenario, params, pme)
+    controls = (bundle.ng_controls, pme, bundle.pme_control)
+    with mock.patch.object(stackelberg, "_line_router",
+                           wraps=stackelberg._line_router) as router:
+        chunked = run_case(CaseId.PROPOSED, scenario, params, *controls)
+    # Some line was long enough, with followers free on the band, to be
+    # answered from its runs' responders.
+    assert any(len(pts) > stackelberg.POLISH_CHUNK and responder.free
+               for (responder, _, _, pts), _ in router.call_args_list)
+    # Runs longer than any line: every line asks the band's responder.
+    with mock.patch.object(stackelberg, "POLISH_CHUNK", 10 ** 9):
+        plain = run_case(CaseId.PROPOSED, scenario, params, *controls)
+    assert _hex_actions(chunked) == _hex_actions(plain)
+    assert chunked == plain

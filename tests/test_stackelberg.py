@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from nanodr import stackelberg
 from nanodr.baselines import _comfort_box
 from nanodr.domain import (
     ConfigurationError,
@@ -32,6 +33,7 @@ from nanodr.scenario_io import (
     synthetic_params,
 )
 from nanodr.stackelberg import (
+    POLISH_CHUNK,
     STEP_C0,
     STEP_C1,
     STEP_SCALE_S,
@@ -304,17 +306,26 @@ class _RecordingResponder(QueueResponder):
     polish's asks (``respond``) in ``asked``, and every ask, the loop's
     too, with the box of the responder that answered it, in ``asked_full``
     (``respond`` answers through ``respond_full``).  The responders that
-    ``restrict`` returns share these lists and go into ``restricted``."""
+    ``restrict`` returns share these lists and go into ``restricted``; the
+    polish's, restricted to a line box, go into ``lines`` when restricted
+    from a box that is not a line and into ``chunks`` (its runs of scan
+    points) when restricted from a line's."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.asked = []
         self.asked_full = []
         self.restricted = []
+        self.lines = []
+        self.chunks = []
 
     def restrict(self, *box):
         sub = super().restrict(*box)
         self.restricted.append((box, sub))
+        if _is_line(self.box):
+            self.chunks.append(sub)
+        elif _is_line(box):
+            self.lines.append(sub)
         return sub
 
     def respond_full(self, p_s, p_b):
@@ -324,6 +335,10 @@ class _RecordingResponder(QueueResponder):
     def respond(self, p_s, p_b):
         self.asked.append((p_s, p_b))
         return super().respond(p_s, p_b)
+
+
+def _is_line(box):
+    return box[0] == box[1] or box[2] == box[3]
 
 
 def _generated_slot(n=50, k=18, seed=1, gamma=None, c_b=None):
@@ -512,6 +527,49 @@ def test_every_price_the_solver_asks_lies_in_the_band(case):
             if not (box[0] <= p_s <= box[1] and box[2] <= p_b <= box[3])] == []
     assert [(p_s, p_b) for p_s, p_b, _ in asked
             if not (m_b <= p_s <= m_s and m_b <= p_b <= m_s)] == []
+    # The polish's long lines at n = 20 and 50 are answered by their runs'
+    # responders, and their probes between two runs by the line's.
+    answered = {box for _, _, box in asked}
+    lines = {sub.box for sub in c.responder.lines}
+    runs = {sub.box for sub in c.responder.chunks} - lines
+    if case in ("n50", "trust-boxes"):
+        assert answered & lines and answered & runs
+    else:
+        assert not lines and not runs
+
+
+@pytest.mark.parametrize("case", ["n50", "trust-boxes", "myopic",
+                                  "gamma0-free"])
+def test_chunked_polish_is_bit_exact(case, monkeypatch):
+    # The polish answers a long line from responders certified on runs of
+    # its scan points.  With runs longer than any line it asks the band
+    # responder alone; the action, the sweeps, the draws and the
+    # interchanges are the same, bit for bit, at the default run length and
+    # at runs of 1 and 3 points (short runs split gamma0-free's short lines
+    # too, and put most probes between two hulls; myopic's band has nothing
+    # free, so its band responder answers every line).
+    def polish(chunk):
+        monkeypatch.setattr(stackelberg, "POLISH_CHUNK", chunk)
+        c = _loop_case(case, polish=True, responder=_RecordingResponder)
+        start = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
+                                      replace(c.config, polish=False),
+                                      y_box=c.y_box).leader
+        y_box = c.y_box or (-c.pme.u_dmax, c.pme.u_cmax)
+        act, sweeps, es, tps = _polish(start, c.responder, c.b, c.slot,
+                                       c.pme.c_b, c.pmec.v_p, y_box, c.config)
+        got = (sweeps, _bits((act.p_s, act.p_b, act.y)), _bits(es), _bits(tps))
+        return got, c.responder
+
+    plain, _ = polish(10 ** 9)
+    for chunk in (POLISH_CHUNK, 1, 3):
+        got, responder = polish(chunk)
+        assert got == plain
+        chunks = responder.chunks
+        assert bool(chunks) is (bool(responder.free) and chunk <= 3
+                                or case in ("n50", "trust-boxes"))
+        if case == "n50" and chunk > 3:
+            assert sum(len(sub.free) for sub in chunks) < (
+                len(responder.free) * len(chunks))
 
 
 @pytest.mark.parametrize("case", ["desk", "n50", "n50-all-pinned", "myopic",
