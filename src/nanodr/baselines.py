@@ -101,7 +101,9 @@ def _comfort_box(t: float, fs: FollowerSlot,
     hi = min(params.e_max, ceil_need / params.eta)
     if lo > hi:
         if lo - hi <= 1e-9:
-            hi = lo
+            # Snap to a point of [0, e_max]: a floor need just above e_max
+            # snaps to e_max itself.
+            lo = hi = min(lo, params.e_max)
         else:
             raise ScenarioError(
                 f"comfort band cannot be held this slot: draw box "

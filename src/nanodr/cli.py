@@ -267,16 +267,14 @@ def _cells(values: Iterable[float]) -> str:
     return ",".join(map(repr, map(float, values)))
 
 
-def _write_csv(path: str, headers: Sequence[str],
-               slots: Iterable[Iterable[str]]) -> None:
-    """Write a CSV as ``csv.writer`` would, with one write per slot.
+def _write_csv(path: str, headers: Sequence[str], chunks: Iterable[str]) -> None:
+    """Write a CSV as ``csv.writer`` would, with one write per chunk.
 
-    ``slots`` yields each slot's rows, already joined into cells.
+    ``chunks`` yields the text of whole rows, each ending in CRLF.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(headers) + "\r\n")
-        for rows in slots:
-            fh.write("".join(row + "\r\n" for row in rows))
+        fh.writelines(chunks)
 
 
 def _write_series(report: RunReport, setup: Setup, out_dir: str) -> None:
@@ -287,13 +285,13 @@ def _write_series(report: RunReport, setup: Setup, out_dir: str) -> None:
                + [f"e_{i + 1}" for i in range(n)]
                + [f"tp_{i + 1}" for i in range(n)])
     _write_csv(os.path.join(out_dir, "series.csv"), headers, (
-        (",".join((str(o.slot),
-                   _cells((o.leader.p_s, o.leader.p_b, o.leader.y,
-                           o.next_state.e_batt, o.grid_residual, o.pme_profit)),
-                   str(int(o.converged)), str(o.iterations),
-                   *map(_fmt, o.next_state.t),
-                   *(_fmt(f.e) for f in o.followers),
-                   *(_fmt(f.tp) for f in o.followers))),)
+        ",".join((str(o.slot),
+                  _cells((o.leader.p_s, o.leader.p_b, o.leader.y,
+                          o.next_state.e_batt, o.grid_residual, o.pme_profit)),
+                  str(int(o.converged)), str(o.iterations),
+                  *map(_fmt, o.next_state.t),
+                  *(_fmt(f.e) for f in o.followers),
+                  *(_fmt(f.tp) for f in o.followers))) + "\r\n"
         for o in report.outcomes))
 
 
@@ -302,23 +300,29 @@ def _write_traces(report: RunReport, setup: Setup, out_dir: str) -> None:
     headers = (["slot", "iter", "p_s", "p_b", "y", "g_ps", "g_pb", "g_y",
                 "step_s", "step_b", "step_y", "dist_s", "dist_b", "dist_y"]
                + [f"e_{i + 1}" for i in range(n)])
-    # A step triple depends only on the iteration index, so each recurs in
-    # every slot: format each once.
-    steps: dict[tuple[float, float, float], str] = {}
+    # Records share tuples: every slot's record at an iteration index shares
+    # its step triple, and consecutive records of a trust box with nothing
+    # free share their draws tuple.  Format each once, matched by identity,
+    # as 0.0 == -0.0; a tuple's text leads with its comma (n = 0: no text).
+    cells = lambda values: "," + _cells(values) if values else ""
+    steps_text: dict[int, str] = {}
+    # A record's scalars are floats, so %r writes them as _fmt does.
+    row = "%d,%d,%r,%r,%r,%r,%r,%r%s,%r,%r,%r%s\r\n"
 
-    def step_cells(triple: tuple[float, float, float]) -> str:
-        text = steps.get(triple)
-        if text is None:
-            text = steps[triple] = _cells(triple)
-        return text
+    def slot_rows(o) -> Iterable[str]:
+        last = draws = None
+        for m, (p_s, p_b, y, g_ps, g_pb, g_y, steps, d_s, d_b, d_y,
+                es) in enumerate(o.trace.records, start=1):
+            if es is not last:
+                last, draws = es, cells(es)
+            step = steps_text.get(id(steps))
+            if step is None:
+                step = steps_text[id(steps)] = cells(steps)
+            yield row % (o.slot, m, p_s, p_b, y, g_ps, g_pb, g_y, step,
+                         d_s, d_b, d_y, draws)
 
-    # A record's fields are the row's cells in order: p_s .. g_y, the step
-    # triple, dist_s .. dist_y, then the draws.
     _write_csv(os.path.join(out_dir, "traces.csv"), headers, (
-        (f"{o.slot},{m},{_cells(rec[:6])},{step_cells(rec.steps)},"
-         f"{_cells(rec[7:10] + rec.es)}"
-         for m, rec in enumerate(o.trace.records, start=1))
-        for o in report.outcomes if o.trace is not None))
+        "".join(slot_rows(o)) for o in report.outcomes if o.trace is not None))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ and the battery capacity window without any forecast.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Sequence
 
 
@@ -255,6 +257,17 @@ class Scenario:
                 raise ScenarioError(
                     f"series {name!r} has {len(series)} slots, expected {self.slots}"
                 )
+        # Every cell finite, every band nonempty, no rp or d negative; only a
+        # scenario that fails is walked slot by slot, to name its first fault.
+        try:
+            ok = (all(map(math.isfinite, chain(self.m_s, self.m_b, self.g_t, *self.rp,
+                                               *self.d, *self.t_out, *self.t_opt)))
+                  and all(map(operator.le, self.m_b, self.m_s))
+                  and min(chain(*self.rp, *self.d), default=0.0) >= 0.0)
+        except TypeError:  # a cell that is no number: walk to the first fault
+            ok = False
+        if ok:
+            return
         for k in range(self.slots):
             for name in ("m_s", "m_b", "g_t"):
                 x = getattr(self, name)[k]
@@ -279,8 +292,8 @@ class Scenario:
     @classmethod
     def from_series(cls, n, slots, rp, d, t_out, t_opt, m_s, m_b, g_t) -> "Scenario":
         """Build a Scenario from any nested sequences, freezing them to tuples."""
-        grid = lambda s: tuple(tuple(float(x) for x in row) for row in s)
-        line = lambda s: tuple(float(x) for x in s)
+        grid = lambda s: tuple(tuple(map(float, row)) for row in s)
+        line = lambda s: tuple(map(float, s))
         return cls(n, slots, grid(rp), grid(d), grid(t_out), grid(t_opt),
                    line(m_s), line(m_b), line(g_t))
 

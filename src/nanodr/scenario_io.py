@@ -23,8 +23,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
+from operator import itemgetter
 
 from .domain import (
     NanogridParams,
@@ -89,6 +89,7 @@ def _bell(hour: float, center: float, width: float) -> float:
 
 def synthetic_params(spec: SyntheticSpec) -> tuple[NanogridParams, ...]:
     """Per-building parameters matching generate_synthetic for the same seed."""
+    import numpy as np  # only the generator needs NumPy: importing it is slow
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[0])
     eps = rng.uniform(spec.epsilon_low, spec.epsilon_high, size=spec.n)
     return tuple(default_nanogrid_params(float(e)) for e in eps)
@@ -104,26 +105,29 @@ def generate_synthetic(spec: SyntheticSpec) -> Scenario:
     a slight midday solar dip.  The generated series are validated against
     the default building parameters so the comfort certificates apply.
     """
+    import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[1])
     n, slots = spec.n, spec.slots
     hours = np.arange(slots) % 24
+    # A day shape: _bell on the 24 NumPy-int hours, looked up per slot; the
+    # same bits as on ``hours`` itself (Python ints would round apart).
+    shape = lambda c, w: np.array([_bell(h, c, w) for h in np.arange(24)])[hours]
 
     offsets = rng.uniform(-1.5, 1.5, size=n)
     phases = rng.uniform(-0.8, 0.8, size=n)
+    day = np.sin(2.0 * math.pi * (hours - 9.0) / 24.0)
+    solar = spec.rp_scale * shape(13.0, 3.5)
+    morning, evening = shape(8.0, 2.2), shape(19.0, 2.8)
 
     rp = np.zeros((slots, n))
     d = np.zeros((slots, n))
     t_out = np.zeros((slots, n))
     t_opt = np.zeros((slots, n))
     for i in range(n):
-        day = np.sin(2.0 * math.pi * (hours - 9.0) / 24.0)
         t_out[:, i] = (spec.t_out_base + offsets[i] + spec.t_out_amp * day
                        + rng.normal(0.0, spec.t_out_noise, size=slots))
-        solar = spec.rp_scale * np.array([_bell(h, 13.0, 3.5) for h in hours])
         wind = rng.uniform(0.0, 0.8, size=slots)
         rp[:, i] = solar * rng.uniform(0.7, 1.0, size=slots) + wind
-        morning = np.array([_bell(h, 8.0, 2.2) for h in hours])
-        evening = np.array([_bell(h, 19.0, 2.8) for h in hours])
         d[:, i] = (spec.d_base + 0.6 * morning + 0.9 * evening
                    + rng.normal(0.0, 0.08, size=slots))
         t_opt[:, i] = (spec.t_opt_center
@@ -139,9 +143,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Scenario:
     d = np.clip(d, 0.1, 2.5)
     t_opt = np.clip(t_opt, 68.0, 75.0)
 
-    evening_peak = np.array([_bell(h, 18.5, 1.8) for h in hours])
-    morning_peak = np.array([_bell(h, 8.0, 1.5) for h in hours])
-    midday_dip = np.array([_bell(h, 13.5, 2.5) for h in hours])
+    evening_peak, morning_peak = shape(18.5, 1.8), shape(8.0, 1.5)
+    midday_dip = shape(13.5, 2.5)
     m_s = (spec.m_s_night + spec.m_s_peak * evening_peak
            + spec.m_s_morning * morning_peak - spec.m_s_dip * midday_dip
            + rng.normal(0.0, 0.2, size=slots))
@@ -171,16 +174,15 @@ def _headers(n: int) -> list[str]:
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
-    """Write a scenario as CSV; numbers round-trip exactly through load."""
+    """Write a scenario as CSV, byte for byte as ``csv.writer`` would (no
+    ``repr`` needs quoting); numbers round-trip exactly through load."""
+    s = scenario
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_headers(scenario.n))
-        for k in range(scenario.slots):
-            row: list[str] = [str(k), repr(scenario.m_s[k]),
-                              repr(scenario.m_b[k]), repr(scenario.g_t[k])]
-            for series in (scenario.rp, scenario.d, scenario.t_out, scenario.t_opt):
-                row.extend(repr(series[k][i]) for i in range(scenario.n))
-            writer.writerow(row)
+        fh.write(",".join(_headers(s.n)) + "\r\n")
+        fh.writelines(
+            ",".join((str(k), *map(repr, chain((m_s, m_b, g_t), *grids)))) + "\r\n"
+            for k, (m_s, m_b, g_t, *grids) in enumerate(
+                zip(s.m_s, s.m_b, s.g_t, s.rp, s.d, s.t_out, s.t_opt)))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -230,23 +232,26 @@ def load_scenario(path: str) -> Scenario:
     slots = len(rows)
     if slots == 0:
         raise ScenarioError(f"{path}: no data rows")
-    rp, d, t_out, t_opt = [], [], [], []
-    m_s, m_b, g_t = [], [], []
+    # Parse a row's cells in ``expected`` order in one pass.  A row that
+    # fails is walked cell by cell, which names its first bad cell.
+    pick = itemgetter(*(index[h] for h in expected))
+    table = []
     for k, row in enumerate(rows):
         row_no = k + 2  # 1-based, after the header
-        slot_val = cell(row, row_no, "slot")
+        try:
+            vals = list(map(float, pick(row)))
+        except (IndexError, ValueError):
+            vals = []
+        slot_val = vals[0] if vals else cell(row, row_no, "slot")
         if slot_val != k:
             raise ScenarioError(
                 f"{path}: row {row_no}: slot index {slot_val} out of order, "
                 f"expected {k}"
             )
-        m_s.append(cell(row, row_no, "m_s"))
-        m_b.append(cell(row, row_no, "m_b"))
-        g_t.append(cell(row, row_no, "g_t"))
-        rp.append([cell(row, row_no, f"rp_{i + 1}") for i in range(n)])
-        d.append([cell(row, row_no, f"d_{i + 1}") for i in range(n)])
-        t_out.append([cell(row, row_no, f"t_out_{i + 1}") for i in range(n)])
-        t_opt.append([cell(row, row_no, f"t_opt_{i + 1}") for i in range(n)])
-
-    return Scenario.from_series(n=n, slots=slots, rp=rp, d=d, t_out=t_out,
-                                t_opt=t_opt, m_s=m_s, m_b=m_b, g_t=g_t)
+        table.append(vals or [cell(row, row_no, col) for col in expected])
+    del rows  # not kept alive beside the table and the frozen tuples
+    line = lambda j: [vals[j] for vals in table]
+    grid = lambda g: [vals[4 + g * n:4 + (g + 1) * n] for vals in table]
+    return Scenario.from_series(n=n, slots=slots, rp=grid(0), d=grid(1),
+                                t_out=grid(2), t_opt=grid(3), m_s=line(1),
+                                m_b=line(2), g_t=line(3))

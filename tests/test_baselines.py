@@ -288,10 +288,12 @@ def test_myopic_case_respects_hard_constraints():
 
 def test_every_draw_box_keeps_the_box_contract():
     # The follower rule relies on its box lying in [0, e_max] or being a
-    # single point (``follower_rule``).  The default box is (0.0, e_max);
-    # each case-3 comfort box is checked at random states whose floor draw
-    # is drawn around [0, e_max], and at the two snap edges: a floor need
-    # up to 1e-9 above e_max, and a ceiling need up to 1e-9 below zero.
+    # single point (``follower_rule``); every box here lies in [0, e_max],
+    # snapped points too.  The default box is (0.0, e_max); each case-3
+    # comfort box is checked at random states whose floor draw is drawn
+    # around [0, e_max], and at the two snap edges: a floor need up to 1e-9
+    # above e_max (snapped to e_max), and a ceiling need up to 1e-9 below
+    # zero (snapped to zero).
     rng = random.Random(101)
     kinds = collections.Counter()
     for _ in range(4000):
@@ -318,13 +320,13 @@ def test_every_draw_box_keeps_the_box_contract():
         except ScenarioError:
             kinds["refused"] += 1
             continue
-        assert 0.0 <= lo and (hi <= e_max or lo == hi), (lo, hi, e_max)
+        assert 0.0 <= lo <= hi <= e_max, (lo, hi, e_max)
         if lo == hi:
-            kinds[kind + (" above e_max" if lo > e_max else " point")] += 1
+            kinds[kind + (" at e_max" if lo == e_max else " point")] += 1
         else:
             kinds["open" if 0.0 < lo and hi < e_max else "edge"] += 1
-    # Snapped above e_max, snapped at zero, open, clamped at an edge, refused.
-    assert kinds["floor above e_max"] > 200 and kinds["ceil point"] > 200
+    # Snapped to e_max, snapped at zero, open, clamped at an edge, refused.
+    assert kinds["floor at e_max"] > 200 and kinds["ceil point"] > 200
     assert kinds["open"] > 200 and kinds["edge"] > 200
     assert kinds["refused"] > 100
 

@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -81,7 +83,8 @@ def _reference_csvs(report, out_dir):
                     + [fmt(e) for e in rec.es])
 
 
-def test_run_emits_traces_on_request(tmp_path, monkeypatch):
+def _traced_run(tmp_path, monkeypatch, flags):
+    """``run --traces`` with ``flags``: its report and its artifact directory."""
     reports = []
     simulate = cli.run
 
@@ -91,18 +94,46 @@ def test_run_emits_traces_on_request(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run", keep_report)
     out = tmp_path / "tr"
-    rc = main(["run", "--slots", "6", "--out", str(out), "--traces"])
-    assert rc == 0
+    assert main(["run", *flags, "--out", str(out), "--traces"]) == 0
+    return reports[0], out
+
+
+def _assert_reference_csvs(report, out, tmp_path):
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _reference_csvs(report, ref)
+    for name in ("series.csv", "traces.csv"):
+        assert _read(out / name) == _read(ref / name)
+
+
+def test_run_emits_traces_on_request(tmp_path, monkeypatch):
+    report, out = _traced_run(tmp_path, monkeypatch, ["--slots", "6"])
     with open(out / "traces.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows
     assert {"slot", "iter", "p_s", "g_ps", "dist_y"} <= set(rows[0])
     # Both files are byte-equal to the same rows written by csv.writer.
-    ref = tmp_path / "ref"
-    ref.mkdir()
-    _reference_csvs(reports[0], ref)
-    for name in ("series.csv", "traces.csv"):
-        assert _read(out / name) == _read(ref / name)
+    _assert_reference_csvs(report, out, tmp_path)
+
+
+def test_traces_match_the_reference_when_the_draws_change_mid_slot(tmp_path,
+                                                                   monkeypatch):
+    # At n=20 the loop re-certifies its trust box inside a slot: records of
+    # one box share a draws tuple, and the tuple changes between rows.
+    report, out = _traced_run(tmp_path, monkeypatch,
+                              ["--slots", "24", "--followers", "20"])
+    draws = [[id(rec.es) for rec in o.trace.records] for o in report.outcomes]
+    assert any(1 < len(set(ids)) < len(ids) for ids in draws)
+    _assert_reference_csvs(report, out, tmp_path)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, nanodr.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_check_bounds_prints_without_artifacts(tmp_path, capsys):

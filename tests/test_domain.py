@@ -204,6 +204,32 @@ def test_scenario_rejects_non_finite_values(bad):
         scenario(rp=[[bad, 1.0], [1.0, 1.0], [1.0, 1.0]])
 
 
+def test_scenario_reports_the_first_of_two_defects():
+    # The walk that names a defect goes slot by slot: finiteness, then the
+    # price band, then rp and d, so the earlier slot wins, and within a slot
+    # a non-finite cell wins over an empty band.
+    def scenario(**bad_series):
+        series = dict(rp=[[1.0]] * 3, d=[[1.0]] * 3, t_out=[[30.0]] * 3,
+                      t_opt=[[70.0]] * 3, m_s=[10.0] * 3, m_b=[3.0] * 3,
+                      g_t=[0.0] * 3)
+        series.update(bad_series)
+        return Scenario.from_series(n=1, slots=3, **series)
+
+    nan = float("nan")
+    with pytest.raises(ScenarioError) as exc:
+        scenario(rp=[[1.0], [-1.0], [1.0]], t_opt=[[70.0], [70.0], [nan]])
+    assert str(exc.value) == "rp negative at slot 1, nanogrid 0"
+    with pytest.raises(ScenarioError) as exc:
+        scenario(d=[[1.0], [nan], [1.0]], m_b=[3.0, 12.0, 3.0])
+    assert str(exc.value) == "series 'd' is not finite at slot 1, nanogrid 0: nan"
+    # A cell that is no number, in a later slot, does not hide the defect.
+    with pytest.raises(ScenarioError) as exc:
+        Scenario(1, 2, rp=((-1.0,), (1.0,)), d=((1.0,),) * 2, t_out=((30.0,),) * 2,
+                 t_opt=((70.0,),) * 2, m_s=(10.0, None), m_b=(3.0, 3.0),
+                 g_t=(0.0, 0.0))
+    assert str(exc.value) == "rp negative at slot 0, nanogrid 0"
+
+
 def test_scenario_rejects_ragged_rows():
     with pytest.raises(ScenarioError, match="row 1"):
         Scenario.from_series(

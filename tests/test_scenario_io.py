@@ -1,10 +1,12 @@
 """Scenario file format and the seeded synthetic generator."""
 
+import csv
 import os
+import random
 
 import pytest
 
-from nanodr.domain import ScenarioError, check_assumptions
+from nanodr.domain import Scenario, ScenarioError, check_assumptions
 from nanodr.scenario_io import (
     SyntheticSpec,
     default_nanogrid_params,
@@ -128,3 +130,89 @@ def test_golden_example_file_loads():
     assert scen.n == 2
     assert scen.slots == 24
     check_assumptions(scen, [default_nanogrid_params(0.95)] * scen.n)
+
+
+def _csv_writer_oracle(scen, path):
+    """The scenario CSV written cell by cell with csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["slot", "m_s", "m_b", "g_t"]
+                        + [f"{group}_{i + 1}"
+                           for group in ("rp", "d", "t_out", "t_opt")
+                           for i in range(scen.n)])
+        for k in range(scen.slots):
+            writer.writerow([str(k), repr(scen.m_s[k]), repr(scen.m_b[k]),
+                             repr(scen.g_t[k])]
+                            + [repr(series[k][i])
+                               for series in (scen.rp, scen.d, scen.t_out, scen.t_opt)
+                               for i in range(scen.n)])
+
+
+@pytest.mark.parametrize("n", [0, 2, 50])
+def test_save_writes_the_csv_writer_bytes(tmp_path, n):
+    scen = generate_synthetic(SyntheticSpec(seed=3, slots=30, n=n))
+    save_scenario(scen, str(tmp_path / "saved.csv"))
+    _csv_writer_oracle(scen, tmp_path / "oracle.csv")
+    assert (tmp_path / "saved.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert load_scenario(str(tmp_path / "saved.csv")) == scen
+
+
+def test_signed_zero_and_extreme_numbers_roundtrip(tmp_path):
+    # -0.0 == 0.0, so the repr of the whole scenario is compared too.
+    scen = Scenario.from_series(
+        n=1, slots=2, rp=[[-0.0], [5e-324]], d=[[1e22], [0.1]],
+        t_out=[[-0.0], [30.0]], t_opt=[[70.0], [1.7976931348623157e308]],
+        m_s=[10.0, 10.0], m_b=[-0.0, 3.0], g_t=[-1e-300, 0.0])
+    save_scenario(scen, str(tmp_path / "saved.csv"))
+    _csv_writer_oracle(scen, tmp_path / "oracle.csv")
+    assert (tmp_path / "saved.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert repr(load_scenario(str(tmp_path / "saved.csv"))) == repr(scen)
+
+
+def test_permuted_padded_columns_load_to_the_same_scenario(tmp_path):
+    scen = generate_synthetic(SyntheticSpec(seed=5, slots=6, n=3))
+    save_scenario(scen, str(tmp_path / "plain.csv"))
+    with open(tmp_path / "plain.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    order = list(range(len(rows[0])))
+    random.Random(7).shuffle(order)
+    with open(tmp_path / "permuted.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow([f" {row[j]}\t" if j % 2 else f"  {row[j]}" for j in order])
+    assert order[0] != 0
+    loaded = load_scenario(str(tmp_path / "permuted.csv"))
+    assert loaded == scen and repr(loaded) == repr(scen)
+
+
+def _load_error(path, text):
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(str(path))
+    return str(exc.value)
+
+
+def test_short_row_names_the_missing_column(tmp_path):
+    path = tmp_path / "short_row.csv"
+    message = _load_error(path, "slot,m_s,m_b,g_t,rp_1,d_1,t_out_1,t_opt_1\n"
+                                "0,10.0,3.0,0.0,1.0,2.0,30.0,70.0\n"
+                                "1,10.0,3.0,0.0,1.0\n")
+    assert message == f"{path}: row 3 is short, no column 'd_1'"
+
+
+def test_out_of_order_slot_is_reported_before_a_later_bad_cell(tmp_path):
+    path = tmp_path / "order.csv"
+    message = _load_error(path, "slot,m_s,m_b,g_t,rp_1,d_1,t_out_1,t_opt_1\n"
+                                "0,10.0,3.0,0.0,1.0,2.0,30.0,70.0\n"
+                                "5,10.0,3.0,0.0,1.0,oops,30.0\n")
+    assert message == f"{path}: row 3: slot index 5.0 out of order, expected 1"
+
+
+def test_bad_last_comfort_target_names_row_and_column(tmp_path):
+    path = tmp_path / "t_opt.csv"
+    header = "slot,m_s,m_b,g_t,rp_1,rp_2,d_1,d_2,t_out_1,t_out_2,t_opt_1,t_opt_2\n"
+    message = _load_error(path, header
+                          + "0,10.0,3.0,0.0,1.0,1.0,2.0,2.0,30.0,30.0,70.0,70.0\n"
+                          + "1,10.0,3.0,0.0,1.0,1.0,2.0,2.0,30.0,30.0,70.0, warm \n")
+    assert message == (f"{path}: row 3, column 't_opt_2': could not parse "
+                       f"'warm' as a number")
