@@ -173,20 +173,28 @@ def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
       and at p_b (when delta < pb_hi) must be >= hi at the high end of its
       price range or <= lo at the low end, so it stays outside the open box
       over the whole range.
-    * Fixed candidates (lo, kink, hi).  Each value
-      ``base + v*(hg*|tp| + hs*tp)`` is affine in (hg, hs) =
-      (½(p_s-p_b), ½(p_s+p_b)), hence in (p_s, p_b), so the exact gap
-      between two candidates over the box is smallest at one of its four
-      corners.  Let w be the first argmin at the corner (ps_hi, pb_lo).
-      Every candidate with another draw must exceed w at all four corners
-      by more than the margin: 1e-9 times the sum of both values' term
-      magnitudes at the box's largest |hg| and |hs|.  Each rounded
-      evaluation, here or in ``respond``, is off by a few units of 2**-53
-      of that sum, far below the margin, so ``respond``'s value of such a
-      candidate stays strictly above w's and it never wins.  A candidate
-      with w's draw has w's tuple (draw, value, tp, |tp|) bit for bit, so
-      it ties with w at every price and sits after w in the candidate
-      order; the draw returned is w's.
+    * Fixed candidates (lo, kink, hi).  With (hg, hs) = (½(p_s-p_b),
+      ½(p_s+p_b)) a value ``base + v*(hg*|tp| + hs*tp)`` is
+      ``base + v*(p_s*tp⁺ + p_b*min(tp, 0))``, so the exact gap between a
+      rival c and the winner w is
+      Δbase + v*(p_s*(tp_c⁺ - tp_w⁺) + p_b*(min(tp_c, 0) - min(tp_w, 0))).
+      Each tp is dr + e rounded, and rounding is monotone, so a larger draw
+      never has the smaller tp: when c's draw is larger than w's, both
+      coefficients are >= 0 and the exact gap over the box is smallest at
+      (ps_lo, pb_lo); when it is smaller, at (ps_hi, pb_hi).  Let w be the
+      first argmin at (ps_lo, pb_lo), as ``respond`` picks it (strict <).
+      Every candidate with another draw must exceed w at its deciding corner
+      by more than the margin 1e-9*(|base_w| + |base_c| + v*reach*(|tp_w| +
+      |tp_c|)), where reach, the largest |price| in the box, bounds
+      |hg| + |hs| = max(|p_s|, |p_b|) there.  Each rounded evaluation of a
+      value, here or in ``respond`` at any price in the box, is off the
+      exact one by a few units of 2**-53 of its |base| + v*reach*|tp|, far
+      below the margin.  So the exact gap is positive at the deciding
+      corner, hence over the whole box, and ``respond``'s rounded value of
+      such a candidate stays strictly above w's: it never wins.  A
+      candidate with w's draw has w's tuple (draw, value, tp, |tp|) bit for
+      bit, so it ties with w at every price and sits after w in the
+      candidate order; the draw returned is w's.
     """
     (v, at_lo, at_kink, at_hi, has_vertex, zero_level, rated_level, delta,
      vartheta, hbar, _, _, _, _) = rule
@@ -199,36 +207,24 @@ def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
         if delta < pb_hi and not (vartheta - pb_hi * hbar >= hi
                                   or vartheta - pb_lo * hbar <= lo):
             return None
-    # (hg, hs) at the corners (ps_hi, pb_lo), (ps_hi, pb_hi), (ps_lo, pb_lo)
-    # and (ps_lo, pb_hi): |hg| is largest at the first or the last, |hs| at
-    # one of the middle two.
-    g0, s0 = 0.5 * (ps_hi - pb_lo), 0.5 * (ps_hi + pb_lo)
-    g1, s1 = 0.5 * (ps_hi - pb_hi), 0.5 * (ps_hi + pb_hi)
-    g2, s2 = 0.5 * (ps_lo - pb_lo), 0.5 * (ps_lo + pb_lo)
-    g3, s3 = 0.5 * (ps_lo - pb_hi), 0.5 * (ps_lo + pb_hi)
-    reach_gap = abs(g0) if abs(g0) > abs(g3) else abs(g3)
-    reach_sum = abs(s1) if abs(s1) > abs(s2) else abs(s2)
-    # w: the first argmin at the first corner, as respond evaluates a fixed
+    # w: the first argmin at (ps_lo, pb_lo), as respond evaluates a fixed
     # candidate; strict < keeps the earlier one.
+    g_lo, s_lo = 0.5 * (ps_lo - pb_lo), 0.5 * (ps_lo + pb_lo)
     w_e, w_base, w_tp, w_abs = at_lo
-    w0 = w_base + v * (g0 * w_abs + s0 * w_tp)
+    w_lo = w_base + v * (g_lo * w_abs + s_lo * w_tp)
     for c in (at_kink, at_hi):
-        val = c[1] + v * (g0 * c[3] + s0 * c[2])
-        if val < w0:
-            (w_e, w_base, w_tp, w_abs), w0 = c, val
-    w1 = w_base + v * (g1 * w_abs + s1 * w_tp)
-    w2 = w_base + v * (g2 * w_abs + s2 * w_tp)
-    w3 = w_base + v * (g3 * w_abs + s3 * w_tp)
-    # Bound on its terms' magnitudes over the box.
-    w_size = abs(w_base) + v * (reach_gap * w_abs + reach_sum * abs(w_tp))
+        val = c[1] + v * (g_lo * c[3] + s_lo * c[2])
+        if val < w_lo:
+            (w_e, w_base, w_tp, w_abs), w_lo = c, val
+    g_hi, s_hi = 0.5 * (ps_hi - pb_hi), 0.5 * (ps_hi + pb_hi)
+    w_hi = w_base + v * (g_hi * w_abs + s_hi * w_tp)
+    reach = max(-ps_lo, ps_hi, -pb_lo, pb_hi)
     for c_e, c_base, c_tp, c_abs in (at_lo, at_kink, at_hi):
         if c_e == w_e:
             continue
-        margin = 1e-9 * (w_size + (abs(c_base) + v * (reach_gap * c_abs
-                                                     + reach_sum * abs(c_tp))))
-        if not (c_base + v * (g0 * c_abs + s0 * c_tp) - w0 > margin
-                and c_base + v * (g1 * c_abs + s1 * c_tp) - w1 > margin
-                and c_base + v * (g2 * c_abs + s2 * c_tp) - w2 > margin
-                and c_base + v * (g3 * c_abs + s3 * c_tp) - w3 > margin):
+        gap = (c_base + v * (g_lo * c_abs + s_lo * c_tp) - w_lo if c_e > w_e
+               else c_base + v * (g_hi * c_abs + s_hi * c_tp) - w_hi)
+        if not gap > 1e-9 * (abs(w_base) + abs(c_base)
+                             + v * reach * (w_abs + c_abs)):
             return None
     return w_e

@@ -50,13 +50,13 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
     """Subgradients (g_ps, g_pb, g_y) of the leader surrogate at the iterate
     (p_s, p_b, y).
 
-    ``hbars`` holds each follower's price sensitivity at this iterate, as
-    ``nanogrid.respond`` gives it: the finite hbar constant while the
-    response sits strictly inside a price-responsive branch, zero while it
-    is pinned (then the price terms' derivative carries no response
-    correction).  The marginal grid price is m_s when the net residual is
-    positive and m_b otherwise (the exact-balance point is assigned to the
-    m_b branch).
+    ``hbars`` holds each ``free`` follower's price sensitivity at this
+    iterate, in ``free`` order, as ``nanogrid.respond`` gives it: the finite
+    hbar constant while the response sits strictly inside a
+    price-responsive branch, zero while it is pinned (then the price terms'
+    derivative carries no response correction).  The marginal grid price is
+    m_s when the net residual is positive and m_b otherwise (the
+    exact-balance point is assigned to the m_b branch).
 
     ``free`` lists the followers whose sensitivity terms are summed; the
     others are pinned on the responder's price box (sensitivity 0.0 at
@@ -74,11 +74,12 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
 
     g_ps = -v_p * buy_sum
     g_pb = -v_p * sell_sum
-    for i in free:
-        if tps[i] >= 0.0:
-            g_ps += v_p * (p_s - m) * hbars[i]
-        else:
-            g_pb += v_p * (p_b - m) * hbars[i]
+    if free:  # most iterations have none, and an empty zip still costs a call
+        for i, hbar in zip(free, hbars):
+            if tps[i] >= 0.0:
+                g_ps += v_p * (p_s - m) * hbar
+            else:
+                g_pb += v_p * (p_b - m) * hbar
     if pinned[0]:
         g_ps += v_p * (p_s - m) * 0.0
     if pinned[1]:

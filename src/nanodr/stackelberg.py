@@ -36,8 +36,8 @@ is the full scan's, bit for bit.
 Every price either phase asks lies inside the slot's grid band [m_b, m_s].
 Once per slot the responder certifies the followers whose draw is the same
 at every price pair in that band (most of them, usually at rated power or
-idle); a broadcast evaluates only the others, and the interchanges and
-subgradient terms of the pinned ones come from a per-slot template.
+idle); a broadcast evaluates only the others, and the draws and
+interchanges of the pinned ones come from a per-slot template.
 
 The loop narrows this further.  It keeps a trust box around its iterate,
 TRUST_HALF_WIDTH times the band width on each side of it in each price and
@@ -45,11 +45,12 @@ clipped to the band, and certifies the followers still free on that box
 whenever the iterate leaves it (``QueueResponder.restrict``); the box it
 keeps is the responder's own, so once the band has no free follower it is
 never restricted again.  Every iteration asks its box's responder; while
-the box has no free follower, the answer is the box's own draws tuple,
-interchange list and slopes, and the subgradients read the interchange
-sums fixed for the box.  A follower pinned on a box has slope 0.0 there,
-so the subgradients' signed-zero terms and therefore the records are those
-of the band responder, bit for bit.
+the box has no free follower, the answer is the box's own draws tuple and
+interchange list, and the subgradients read the interchange sums fixed for
+the box.  The responder returns slopes for its free followers only: a
+follower pinned on a box has slope 0.0 there, which the subgradients add
+as one signed-zero term per side, so the records are those of the band
+responder, bit for bit.
 
 The polish narrows it along its lines.  A line with more than POLISH_CHUNK
 scan points is split into runs of POLISH_CHUNK consecutive points; a scan
@@ -230,15 +231,15 @@ class QueueResponder:
 
     A responder answers only at prices in its price box ``box`` =
     (ps_lo, ps_hi, pb_lo, pb_hi).  ``nanogrid.pinned_draw`` certifies the
-    followers whose draw is the same at every price pair in it; their
-    draws, zero slopes and interchanges form a template, and ``free`` lists
-    the other followers.  A broadcast copies the template and evaluates only
-    the free followers.  The responder built here has the slot's grid band
-    [m_b, m_s]² as its box: the loop's projection and the polish's scans
-    never leave the band.  ``restrict`` gives the responder of a smaller
-    box, which certifies only the followers still free: the loop's trust
-    boxes, and the polish's lines and the runs of scan points on them
-    (``_line_router``).  ``pinned`` says
+    followers whose draw is the same at every price pair in it (slope 0.0
+    there); their draws and interchanges form a template, and ``free``
+    lists the other followers.  A broadcast copies the template and
+    evaluates only the free followers, whose slopes it returns.  The
+    responder built here has the slot's grid band [m_b, m_s]² as its box:
+    the loop's projection and the polish's scans never leave the band.
+    ``restrict`` gives the responder of a smaller box, which certifies only
+    the followers still free: the loop's trust boxes, and the polish's lines
+    and the runs of scan points on them (``_line_router``).  ``pinned`` says
     whether some pinned follower buys and whether one sells, and ``sums``
     holds the interchange sums when nothing is free.
     """
@@ -255,7 +256,6 @@ class QueueResponder:
         self.free = tuple(range(n))
         self.pinned = (False, False)
         self._draws = (0.0,) * n
-        self._slopes = [0.0] * n
         # The solver's form of the interchange, d + e - rp (not dr + e,
         # which rounds differently).
         self._tps = [fs.d + 0.0 - fs.rp for fs in slot.followers]
@@ -302,21 +302,21 @@ class QueueResponder:
         return sub
 
     def respond_full(self, p_s: float, p_b: float
-                     ) -> tuple[tuple[float, ...], list[float], list[float]]:
-        """Draws (a tuple), interchanges d + e - rp and each follower's local
-        price sensitivity at prices in ``box``.  With nothing free these are
-        the box's own draws, interchange list and slopes, shared by every
-        call; callers do not modify them."""
+                     ) -> tuple[tuple[float, ...], list[float], Sequence[float]]:
+        """Draws (a tuple) and interchanges d + e - rp of every follower,
+        and the free followers' local price sensitivities in ``free`` order
+        (``nanogrid.respond``'s), at prices in ``box``; a pinned follower's
+        is 0.0.  With nothing free these are the box's own draws and
+        interchange list, shared by every call (callers do not modify them),
+        and ()."""
         if not self.free:
-            return self._draws, self._tps, self._slopes
+            return self._draws, self._tps, ()
         es = list(self._draws)
         tps = self._tps.copy()
-        slopes = self._slopes.copy()
-        free_es, free_slopes = respond(self._free_rules, p_s, p_b)
-        for (i, fs), e, slope in zip(self._free_slots, free_es, free_slopes):
+        free_es, slopes = respond(self._free_rules, p_s, p_b)
+        for (i, fs), e in zip(self._free_slots, free_es):
             es[i] = e
             tps[i] = fs.d + e - fs.rp
-            slopes[i] = slope
         return tuple(es), tps, slopes
 
     def respond(self, p_s: float, p_b: float) -> tuple[tuple[float, ...], list[float]]:

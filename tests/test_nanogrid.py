@@ -1,8 +1,10 @@
 """Follower decision rule: thresholds, objective, best response, windows."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +19,7 @@ from nanodr.domain import (
     SlotState,
     thermal_step,
 )
-from nanodr.nanogrid import follower_rule, respond
+from nanodr.nanogrid import follower_rule, pinned_draw, respond
 from nanodr.pme import interchange_sums
 from nanodr.policy import _follower_bounds, default_policy
 from nanodr.scenario_io import default_pme_params
@@ -339,13 +341,18 @@ def test_queue_responder_is_bit_exact_with_reference_rule(case):
             if slot.m_b <= min(p_s, p_b) and max(p_s, p_b) <= slot.m_s:
                 es, tps, slopes = responder.respond_full(p_s, p_b)
                 assert tps == [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
+                free = responder.free
                 in_band += 1
             else:
                 # The responder answers in-band prices only; elsewhere the
                 # same rules are evaluated directly.
                 es, slopes = respond(rules, p_s, p_b)
+                free = range(len(group))
             assert list(es) == [e for e, _ in expected]
-            assert slopes == [s for _, s in expected]
+            # Slopes come in ``free`` order; a pinned follower's is 0.0.
+            assert list(slopes) == [expected[i][1] for i in free]
+            assert all(s == 0.0 for i, (_, s) in enumerate(expected)
+                       if i not in free)
             compared += len(group)
     assert compared > 10_000 and mixed > 20
     assert in_band > 250
@@ -468,7 +475,9 @@ def _hex(values):
 
 def _assert_matches_reference(responder, group, slot, boxes, myopic, prices):
     """``responder``'s answers at ``prices`` are the reference rule's draws,
-    interchanges and slopes, bit for bit; returns the last interchanges."""
+    interchanges and slopes, bit for bit; returns the last interchanges.
+    The responder's slopes are the free followers', in ``free`` order; every
+    pinned follower's reference slope is 0.0."""
     for p_s, p_b in prices:
         expected = [
             reference_response(0.0 if myopic else h, t, fs, p_s, p_b, params,
@@ -479,7 +488,10 @@ def _assert_matches_reference(responder, group, slot, boxes, myopic, prices):
         assert _hex(es) == _hex(e for e, _ in expected)
         assert _hex(tps) == _hex(fs.d + e - fs.rp
                                  for fs, (e, _) in zip(slot.followers, expected))
-        assert _hex(slopes) == _hex(s for _, s in expected)
+        slopes_ref = _hex(s for _, s in expected)
+        assert _hex(slopes) == [slopes_ref[i] for i in responder.free]
+        assert all(s == (0.0).hex() for i, s in enumerate(slopes_ref)
+                   if i not in responder.free)
     return tps
 
 
@@ -561,6 +573,92 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
     # Chunk-shaped lines: 108-152 per case, 74-141 of them pin a follower
     # free on the band.
     assert runs >= 100 and runs_pinning >= 60
+
+
+def _signed_price_box(rng):
+    """A price box (ps_lo, ps_hi, pb_lo, pb_hi) whose prices may be negative
+    or cross zero (``Scenario`` asks only m_b <= m_s); each side has zero
+    width a quarter of the time."""
+    def side():
+        a = rng.uniform(-10.0, 10.0)
+        return (a, a) if rng.random() < 0.25 else sorted((a, rng.uniform(-10.0, 10.0)))
+    return (*side(), *side())
+
+
+def _exact_value(v, candidate, p_s, p_b):
+    # A fixed candidate's value at (p_s, p_b), with no rounding at all.
+    _, base, tp, abs_tp = map(Fraction, candidate)
+    return base + Fraction(v) * ((p_s - p_b) / 2 * abs_tp + (p_s + p_b) / 2 * tp)
+
+
+def test_fixed_candidate_gaps_are_smallest_at_the_deciding_corner():
+    # pinned_draw tests a rival fixed candidate c against the winner w at
+    # one corner of the price box: (ps_lo, pb_lo) when c's draw is larger,
+    # (ps_hi, pb_hi) when it is smaller.  In exact arithmetic that corner's
+    # gap is the smallest over the box, for every pair of fixed candidates
+    # with different draws: the box's four corners, since the gap is affine
+    # in the prices, and a few points inside as well.
+    rng = random.Random(103)
+    pairs = zero_gamma = lines = signed = 0
+    for _ in range(60):
+        myopic = rng.random() < 0.5
+        group = _instances(rng, 3, binding_l_max=rng.random() < 0.5)
+        boxes = _boxes(rng, group, myopic)
+        for i, (params, control, t, h, fs, _) in enumerate(group):
+            rule = follower_rule(0.0 if myopic else h, t, fs, params, control,
+                                 boxes[i])
+            zero_gamma += not rule.has_vertex
+            fixed = (rule.at_lo, rule.at_kink, rule.at_hi)
+            for _ in range(3):
+                ps_lo, ps_hi, pb_lo, pb_hi = box = _signed_price_box(rng)
+                lines += ps_lo == ps_hi or pb_lo == pb_hi
+                signed += min(box) < 0.0
+                ps_lo, ps_hi, pb_lo, pb_hi = map(Fraction, box)
+                points = [(ps_lo, pb_lo), (ps_lo, pb_hi), (ps_hi, pb_lo),
+                          (ps_hi, pb_hi)]
+                for _ in range(2):
+                    points.append(tuple(lo + (hi - lo) * Fraction(rng.random())
+                                        for lo, hi in ((ps_lo, ps_hi),
+                                                       (pb_lo, pb_hi))))
+                values = [[_exact_value(rule.v, c, *point) for point in points]
+                          for c in fixed]
+                for w, c in itertools.permutations(range(3), 2):
+                    if fixed[c][0] == fixed[w][0]:
+                        continue
+                    gaps = [vc - vw for vc, vw in zip(values[c], values[w])]
+                    deciding = 0 if fixed[c][0] > fixed[w][0] else 3
+                    assert gaps[deciding] == min(gaps)
+                    pairs += 1
+    assert pairs >= 1000 and zero_gamma >= 20 and lines >= 100 and signed >= 300
+
+
+@pytest.mark.parametrize("dominant", ["rival", "winner"])
+def test_margin_covers_each_candidates_trade_term(dominant):
+    # Idle (draw 0, interchange 0) against rated power (interchange e_max),
+    # whose base all but cancels its trade term v*p_s*e_max at a tiny p_s.
+    # With the band [m_b, m_s]² = [tiny, 10]², rated power is the rival and
+    # (m_b, m_b) its deciding corner; with [-10, tiny]², it is the winner
+    # and the rival's deciding corner is (m_s, m_s).  In both the exact gap
+    # at that corner is 1e-16, and the gap does not depend on p_b, but at
+    # p_b = ±10 respond's rounded half gap and half sum are off by up to
+    # half an ulp of 10, times v*e_max, which picks the other draw at some
+    # prices.  Only rated power's own v*reach*|tp| term in the margin keeps
+    # the certificate from pinning the draw.
+    rule = follower_rule(-5e-9, 70.0, FollowerSlot(rp=2.0, d=2.0, t_out=50.0,
+                                                    t_opt=70.0),
+                         replace(PARAMS, gamma=0.0), CONTROL)
+    assert rule.at_lo == rule.at_kink == (0.0, 0.0, 0.0, 0.0)
+    _, base, tp, _ = rule.at_hi
+    if dominant == "rival":
+        m_b, m_s = (1e-16 - base) / (rule.v * tp), 10.0
+        p_s = m_b
+    else:
+        m_b, m_s = -10.0, (-1e-16 - base) / (rule.v * tp)
+        p_s = m_s
+    draws = {respond([rule], p_s, m_b + (m_s - m_b) * j / 999)[0][0]
+             for j in range(1000)}
+    assert draws == {0.0, PARAMS.e_max}
+    assert pinned_draw(rule, m_b, m_s, m_b, m_s) is None
 
 
 def test_best_response_is_bit_exact_with_reference_rule():

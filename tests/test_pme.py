@@ -187,7 +187,9 @@ def test_subgradient_sign_with_buyers():
 
 def test_restricted_subgradients_keep_signed_zeros():
     # Pinned followers (sensitivity 0.0) left out of the sensitivity loop
-    # and replaced by one term per side give the full sum bit for bit.
+    # and replaced by one term per side give the full sum bit for bit; the
+    # restricted call takes the free followers' sensitivities in ``free``
+    # order.
     # Zero interchanges and prices at a band edge make the signed zeros
     # that traces.csv prints as 0.0 or -0.0.
     rng = random.Random(41)
@@ -202,9 +204,14 @@ def test_restricted_subgradients_keep_signed_zeros():
         p_s = rng.choice([12.0, 8.0, 3.0])
         p_b = rng.choice([3.0, 5.0, 12.0])
         g_t = rng.choice([-3.0, 0.0, 3.0])
-        args = (p_s, p_b, 0.0, tps, -6.0, g_t, 12.0, 3.0, CONTROL, PME, hbars)
-        full = subgradients(*args, free=range(len(tps)), pinned=(False, False))
-        assert repr(subgradients(*args, free=free, pinned=pinned)) == repr(full)
+        assert all(hbars[i].hex() == (0.0).hex() for i in range(n)
+                   if i not in free)
+        free_hbars = [hbars[i] for i in free]
+        args = (p_s, p_b, 0.0, tps, -6.0, g_t, 12.0, 3.0, CONTROL, PME)
+        full = subgradients(*args, hbars, free=range(len(tps)),
+                            pinned=(False, False))
+        restricted = subgradients(*args, free_hbars, free=free, pinned=pinned)
+        assert repr(restricted) == repr(full)
         zeros += full[0] == 0.0 or full[1] == 0.0
     assert zeros > 500
 

@@ -397,23 +397,35 @@ def test_most_followers_of_a_generated_slot_are_certified_pinned():
 @pytest.mark.parametrize("k", [0, 18])
 def test_template_and_restricted_subgradients_are_bit_exact(k):
     # Slot 0 has no free follower (sums once per slot), slot 18 no pinned
-    # one.  The template's interchanges and the restricted subgradients
-    # equal the full computations, bit for bit (signed zeros included).
+    # one.  The template's draws and interchanges, the free followers'
+    # slopes (in ``free`` order) and the restricted subgradients equal the
+    # full computations over every follower's rule, bit for bit (signed
+    # zeros included); every pinned follower's slope there is 0.0.
     params, controls, state, pmec, slot, pme = _generated_slot(k=k)
     responder = QueueResponder(state, slot, params, controls)
-    assert responder.free == (() if k == 0 else tuple(range(50)))
+    free = responder.free
+    assert free == (() if k == 0 else tuple(range(50)))
+    rules = [follower_rule(h, t, fs, p, c) for h, t, fs, p, c
+             in zip(state.h, state.t, slot.followers, params, controls)]
     rng = random.Random(5)
     for _ in range(200):
         act = LeaderAction(p_s=rng.uniform(slot.m_b, slot.m_s),
                            p_b=rng.uniform(slot.m_b, slot.m_s),
                            y=rng.uniform(-pme.u_dmax, pme.u_cmax))
         es, tps, slopes = responder.respond_full(act.p_s, act.p_b)
+        ref_es, ref_slopes = respond(rules, act.p_s, act.p_b)
+        assert _bits(es) == _bits(ref_es)
         assert tps == [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
+        ref_bits = _bits(ref_slopes)
+        assert _bits(slopes) == [ref_bits[i] for i in free]
+        assert all(s == (0.0).hex() for i, s in enumerate(ref_bits)
+                   if i not in free)
         args = (act.p_s, act.p_b, act.y, tps, state.b, slot.g_t, slot.m_s,
-                slot.m_b, pmec, pme, slopes)
-        fast = subgradients(*args, free=responder.free,
+                slot.m_b, pmec, pme)
+        fast = subgradients(*args, slopes, free=free,
                             pinned=responder.pinned, sums=responder.sums)
-        assert repr(fast) == repr(subgradients(*args, free=range(len(tps)),
+        assert repr(fast) == repr(subgradients(*args, ref_slopes,
+                                               free=range(len(tps)),
                                                pinned=(False, False)))
 
 
