@@ -11,7 +11,7 @@ The price-free part of this rule is built once per slot
 (``follower_rule``) and evaluated at each price broadcast (``respond``);
 ``pinned_draw`` certifies the followers whose draw no price in a given box
 moves (the slot's grid band, or a smaller box around the leader's
-iterate, or a line the polish scans and the runs of points on it).  The
+iterate, or a run of points on a line the polish scans).  The
 certified tuning windows live in ``policy``.
 """
 
@@ -156,23 +156,22 @@ def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
     [ps_lo, ps_hi] × [pb_lo, pb_hi], or None.
 
     The slot's grid band is the box [m_b, m_s]²; the loop certifies smaller
-    boxes around its iterate, and the polish the line it scans and the hulls
-    of runs of scan points on it: a line box (one side of zero width) is a
+    boxes around its iterate, and the polish the hulls of runs of scan
+    points on the lines it scans: a line box (one side of zero width) is a
     box too.  A returned draw comes with sensitivity 0.0 at every such
     price.  None only means this certificate does not apply.  The proof
     follows ``respond``'s rounded comparisons:
 
     * Branch vertex.  ``respond`` weighs it only strictly inside (lo, hi),
       so it never competes when the open box is empty or when gamma = 0
-      (no vertex).  Otherwise v > 0 and hbar > 0, so the rounded products
-      v*p and p*hbar are nondecreasing in p, and the rounded vertex
-      vartheta - p*hbar is nonincreasing.  A rate gate that fires at the
-      box's low p_b (v*pb_lo > zero_level) or high p_s (v*ps_hi <
-      rated_level) fires at every price in it, and then no vertex is
-      weighed.  Otherwise the vertex at p_s (reachable when delta > ps_lo)
-      and at p_b (when delta < pb_hi) must be >= hi at the high end of its
+      (no vertex).  Otherwise hbar > 0, so the rounded product p*hbar is
+      nondecreasing in p, and the rounded vertex vartheta - p*hbar is
+      nonincreasing.  The vertex at p_s (reachable when delta > ps_lo) and
+      at p_b (when delta < pb_hi) must be >= hi at the high end of its
       price range or <= lo at the low end, so it stays outside the open box
-      over the whole range.
+      over the whole range.  ``respond``'s rate gates only ever skip the
+      vertex, so leaving them out here can pin fewer followers, never a
+      wrong one.
     * Fixed candidates (lo, kink, hi).  With (hg, hs) = (½(p_s-p_b),
       ½(p_s+p_b)) a value ``base + v*(hg*|tp| + hs*tp)`` is
       ``base + v*(p_s*tp⁺ + p_b*min(tp, 0))``, so the exact gap between a
@@ -196,11 +195,10 @@ def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
       bit, so it ties with w at every price and sits after w in the
       candidate order; the draw returned is w's.
     """
-    (v, at_lo, at_kink, at_hi, has_vertex, zero_level, rated_level, delta,
-     vartheta, hbar, _, _, _, _) = rule
+    (v, at_lo, at_kink, at_hi, has_vertex, _, _, delta, vartheta, hbar,
+     _, _, _, _) = rule
     lo, hi = at_lo[0], at_hi[0]
-    if (has_vertex and lo < hi and not v * pb_lo > zero_level
-            and not v * ps_hi < rated_level):
+    if has_vertex and lo < hi:
         if delta > ps_lo and not (vartheta - ps_hi * hbar >= hi
                                   or vartheta - ps_lo * hbar <= lo):
             return None

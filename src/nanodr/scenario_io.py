@@ -200,6 +200,10 @@ def load_scenario(path: str) -> Scenario:
         rows = list(reader)
 
     header = [h.strip() for h in header]
+    # Before n is counted, or a doubled rp_1 would read as a missing rp_2.
+    if len(set(header)) < len(header):
+        duplicated = sorted({h for h in header if header.count(h) > 1})
+        raise ScenarioError(f"{path}: bad header (duplicated columns: {duplicated})")
     n = sum(1 for h in header if h.startswith("rp_"))
     expected = _headers(n)
     missing = [h for h in expected if h not in header]

@@ -53,13 +53,12 @@ as one signed-zero term per side, so the records are those of the band
 responder, bit for bit.
 
 The polish narrows it along its lines.  A line with more than POLISH_CHUNK
-scan points is split into runs of POLISH_CHUNK consecutive points; a scan
-probe inside a run's hull asks the responder certified on that hull, one
-between two hulls the responder certified on the line, and a pair off the
-line the band responder.  Most scan probes land on a fixed point of the
-line, and a follower free on the line is pinned on every run that holds
-none of its breakpoints.  Every answer is the band responder's, bit for bit,
-so the memo and the scans see what they saw before.
+scan points is split into runs of POLISH_CHUNK gaps whose hulls tile it,
+each run sharing its last point with the next one's first.  A scan probe on
+the line asks the responder certified on its run's hull (the later run's at
+a shared point), and a pair off the line the band responder.  Every answer
+is the band responder's, bit for bit, so the memo and the scans see what
+they saw before.
 """
 
 from __future__ import annotations
@@ -106,8 +105,8 @@ POLISH_PASSES, POLISH_TOL = 25, 1e-11
 # narrower one is left, and paid for, more often.
 TRUST_HALF_WIDTH = 0.05
 # A polish line with more than POLISH_CHUNK scan points is answered from
-# responders certified on runs of POLISH_CHUNK consecutive points (and on
-# the line): a longer run pins fewer followers, a shorter one pays for more
+# responders certified on runs spanning POLISH_CHUNK gaps between its
+# points: a longer run pins fewer followers, a shorter one pays for more
 # certificates.  A shorter line asks the band's responder.
 POLISH_CHUNK = 24
 
@@ -238,8 +237,8 @@ class QueueResponder:
     responder built here has the slot's grid band [m_b, m_s]² as its box:
     the loop's projection and the polish's scans never leave the band.
     ``restrict`` gives the responder of a smaller box, which certifies only
-    the followers still free: the loop's trust boxes, and the polish's lines
-    and the runs of scan points on them (``_line_router``).  ``pinned`` says
+    the followers still free: the loop's trust boxes, and the runs of scan
+    points on the polish's lines (``_line_router``).  ``pinned`` says
     whether some pinned follower buys and whether one sells, and ``sums``
     holds the interchange sums when nothing is free.
     """
@@ -454,14 +453,15 @@ def _line_router(responder: QueueResponder, along_s: bool, price: float,
 
     The line is p_b = ``price`` (``along_s``) or p_s = ``price``, over the
     scan points ``points``.  A line of more than POLISH_CHUNK distinct points
-    is split into runs of POLISH_CHUNK consecutive points.  A pair on the line
-    and inside a run's hull goes to the responder restricted to that hull,
-    one on the line between two hulls to the responder restricted to the
-    line, and any other pair to ``responder`` (the band's).  Each restricted
-    responder is certified when first asked, from the line's; its answers
-    are the band responder's, bit for bit.  None means ``responder`` answers
-    the whole line: it has at most POLISH_CHUNK distinct points, or the band
-    has nothing free.
+    is split into runs: run k spans the sorted points k*POLISH_CHUNK to
+    min((k+1)*POLISH_CHUNK, last), so consecutive hulls share an endpoint and
+    together cover the line.  A pair on the line goes to ``responder`` (the
+    band's) restricted to its run's hull, the later run's at a shared
+    endpoint, and any other pair to ``responder`` itself.  Each run's
+    responder is certified when first asked; its answers are the band
+    responder's, bit for bit.  None means ``responder`` answers the whole
+    line: it has at most POLISH_CHUNK distinct points, or the band has
+    nothing free.
     """
     # The distinct points, sorted, of a line that may need splitting.
     pts = (sorted(set(points)) if len(points) > POLISH_CHUNK and responder.free
@@ -469,29 +469,20 @@ def _line_router(responder: QueueResponder, along_s: bool, price: float,
     if len(pts) <= POLISH_CHUNK:
         return None
     lo, hi = pts[0], pts[-1]
-    starts = pts[::POLISH_CHUNK]
-    ends = pts[POLISH_CHUNK - 1::POLISH_CHUNK]
-    if len(pts) % POLISH_CHUNK:
-        ends.append(hi)
+    starts = pts[:-1:POLISH_CHUNK]
+    boxes = [(a, b, price, price) if along_s else (price, price, a, b)
+             for a, b in zip(starts, starts[1:] + [hi])]
     built: dict[int, QueueResponder] = {}
-
-    def restricted(run: int, a: float, b: float) -> QueueResponder:
-        # run -1 is the whole line, restricted from the band's responder.
-        got = built.get(run)
-        if got is None:
-            parent = responder if run < 0 else restricted(-1, lo, hi)
-            got = built[run] = (parent.restrict(a, b, price, price) if along_s
-                                else parent.restrict(price, price, a, b))
-        return got
 
     def route(ps: float, pb: float) -> QueueResponder:
         x, at = (ps, pb) if along_s else (pb, ps)
         if at != price or not lo <= x <= hi:
             return responder
         run = bisect_right(starts, x) - 1
-        if x <= ends[run]:
-            return restricted(run, starts[run], ends[run])
-        return restricted(-1, lo, hi)
+        got = built.get(run)
+        if got is None:
+            got = built[run] = responder.restrict(*boxes[run])
+        return got
 
     return route
 

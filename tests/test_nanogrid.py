@@ -19,7 +19,7 @@ from nanodr.domain import (
     SlotState,
     thermal_step,
 )
-from nanodr.nanogrid import follower_rule, pinned_draw, respond
+from nanodr.nanogrid import FollowerRule, follower_rule, pinned_draw, respond
 from nanodr.pme import interchange_sums
 from nanodr.policy import _follower_bounds, default_policy
 from nanodr.scenario_io import default_pme_params
@@ -187,6 +187,65 @@ def test_full_power_threshold_case():
     rule = follower_rule(h, t, slot, PARAMS, control)
     assert control.v_i * leader.p_s < rule.rated_level  # case fires
     assert _draw(h, t, slot, leader, PARAMS, control) == PARAMS.e_max
+
+
+def _hex_rule(v, at_lo, at_kink, at_hi, has_vertex, *rest):
+    """A ``FollowerRule`` from the ``float.hex`` strings of its fields."""
+    def fixed(c):
+        return tuple(map(float.fromhex, c))
+    return FollowerRule(float.fromhex(v), fixed(at_lo), fixed(at_kink),
+                        fixed(at_hi), has_vertex, *map(float.fromhex, rest))
+
+
+# Two rules of the seed-1 month at n = 5 (``run --slots 720``), at prices
+# the solver asked, where a rate gate fires and the vertex the thresholds
+# pick lies inside the box, one rounding away from an edge.  Its value
+# there beats the edge's, so without the gate ``respond`` would answer
+# 1.1368683772161603e-13 (idle) or 4.999999999999773 (rated power), with
+# slope hbar.
+_GATED = {
+    "idle": ("0x1.45139a940cf7cp+3", "0x1.587b56c430086p+2", 0.0, _hex_rule(
+        "0x1.4f439fd71c789p-2",
+        ("0x0.0p+0", "0x0.0p+0", "-0x1.21bbe3dba81b0p-4", "0x1.21bbe3dba81b0p-4"),
+        ("0x1.21bbe3dba81b0p-4", "-0x1.fe9274c623e02p-4", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.4000000000000p+2", "-0x1.193d6c9dc3563p+3", "0x1.3b791070915f9p+2",
+         "0x1.3b791070915f9p+2"),
+        True, "0x1.c32465e880fcdp+0", "0x1.c0d35c10567d7p+0",
+        "0x1.5874eec2fd320p+2", "0x1.e6de03642704ap+9", "0x1.69d02506d128ap+7",
+        "0x1.ad235bf49f52ap-9", "0x1.0d2bb53593b2ep-1", "-0x1.c32465e880fcdp+0",
+        "-0x1.21bbe3dba81b0p-4")),
+    "rated": ("0x1.634a6e2fde120p+3", "0x1.1fd70a3d70a3dp+3", 5.0, _hex_rule(
+        "0x1.5b401302af788p-2",
+        ("0x0.0p+0", "0x0.0p+0", "0x1.2ba4274bceca0p-3", "0x1.2ba4274bceca0p-3"),
+        ("0x0.0p+0", "0x0.0p+0", "0x1.2ba4274bceca0p-3", "0x1.2ba4274bceca0p-3"),
+        ("0x1.4000000000000p+2", "-0x1.2da490d23b1cap+4", "0x1.495d213a5e765p+2",
+         "0x1.495d213a5e765p+2"),
+        True, "0x1.e352ff14dbb19p+1", "0x1.e1eed058ae438p+1",
+        "0x1.6458b2fe1e2abp+3", "0x1.b239de6512f31p+10", "0x1.37f9a0c7c1057p+7",
+        "0x1.bc7af99d09900p-9", "0x1.21dfde28da88cp-1", "-0x1.e352ff14dbb19p+1",
+        "0x1.2ba4274bceca0p-3")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GATED))
+def test_rate_gates_keep_the_edge_draw(case):
+    # respond's rate gates are not restated by its lo < vertex < hi test:
+    # rounding can put the vertex just inside the box while the gate fires.
+    p_s, p_b, edge, rule = _GATED[case]
+    p_s, p_b = float.fromhex(p_s), float.fromhex(p_b)
+    v = rule.v
+    if case == "idle":
+        assert v * p_b > rule.zero_level
+        vertex = rule.vartheta - p_b * rule.hbar
+    else:
+        assert v * p_s < rule.rated_level
+        vertex = rule.vartheta - p_s * rule.hbar
+    assert rule.at_lo[0] < vertex < rule.at_hi[0]
+    es, slopes = respond([rule], p_s, p_b)
+    assert _hex(es) == [edge.hex()]
+    assert _hex(slopes) == [(0.0).hex()]
+    # pinned_draw leaves the gates out, so it declines to pin this draw.
+    assert pinned_draw(rule, p_s, p_s, p_b, p_b) is None
 
 
 def test_best_response_matches_brute_force():

@@ -200,6 +200,18 @@ def test_short_row_names_the_missing_column(tmp_path):
     assert message == f"{path}: row 3 is short, no column 'd_1'"
 
 
+@pytest.mark.parametrize("header", [
+    "slot,m_s,m_b,g_t,rp_1,d_1,t_out_1,t_opt_1,m_s",
+    # Not reported as a missing rp_2 of a two-nanogrid file.
+    "slot,m_s,m_b,g_t,rp_1,d_1,t_out_1,t_opt_1, rp_1",
+])
+def test_duplicated_column_is_rejected(tmp_path, header):
+    path = tmp_path / "twice.csv"
+    message = _load_error(path, header + "\n0,10.0,3.0,0.0,1.0,2.0,30.0,70.0,99.0\n")
+    dup = header.rsplit(",", 1)[1].strip()
+    assert message == f"{path}: bad header (duplicated columns: [{dup!r}])"
+
+
 def test_out_of_order_slot_is_reported_before_a_later_bad_cell(tmp_path):
     path = tmp_path / "order.csv"
     message = _load_error(path, "slot,m_s,m_b,g_t,rp_1,d_1,t_out_1,t_opt_1\n"

@@ -307,25 +307,21 @@ class _RecordingResponder(QueueResponder):
     too, with the box of the responder that answered it, in ``asked_full``
     (``respond`` answers through ``respond_full``).  The responders that
     ``restrict`` returns share these lists and go into ``restricted``; the
-    polish's, restricted to a line box, go into ``lines`` when restricted
-    from a box that is not a line and into ``chunks`` (its runs of scan
-    points) when restricted from a line's."""
+    polish's, restricted to a line box (a run of scan points), also go into
+    ``runs``, each with the box it was restricted from."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.asked = []
         self.asked_full = []
         self.restricted = []
-        self.lines = []
-        self.chunks = []
+        self.runs = []
 
     def restrict(self, *box):
         sub = super().restrict(*box)
         self.restricted.append((box, sub))
-        if _is_line(self.box):
-            self.chunks.append(sub)
-        elif _is_line(box):
-            self.lines.append(sub)
+        if _is_line(box):
+            self.runs.append((self.box, sub))
         return sub
 
     def respond_full(self, p_s, p_b):
@@ -540,14 +536,14 @@ def test_every_price_the_solver_asks_lies_in_the_band(case):
     assert [(p_s, p_b) for p_s, p_b, _ in asked
             if not (m_b <= p_s <= m_s and m_b <= p_b <= m_s)] == []
     # The polish's long lines at n = 20 and 50 are answered by their runs'
-    # responders, and their probes between two runs by the line's.
+    # responders, each restricted from the band's.
     answered = {box for _, _, box in asked}
-    lines = {sub.box for sub in c.responder.lines}
-    runs = {sub.box for sub in c.responder.chunks} - lines
+    runs = c.responder.runs
+    assert [parent for parent, _ in runs if parent != c.responder.box] == []
     if case in ("n50", "trust-boxes"):
-        assert answered & lines and answered & runs
+        assert answered & {sub.box for _, sub in runs}
     else:
-        assert not lines and not runs
+        assert not runs
 
 
 @pytest.mark.parametrize("case", ["n50", "trust-boxes", "myopic",
@@ -557,11 +553,21 @@ def test_chunked_polish_is_bit_exact(case, monkeypatch):
     # its scan points.  With runs longer than any line it asks the band
     # responder alone; the action, the sweeps, the draws and the
     # interchanges are the same, bit for bit, at the default run length and
-    # at runs of 1 and 3 points (short runs split gamma0-free's short lines
-    # too, and put most probes between two hulls; myopic's band has nothing
-    # free, so its band responder answers every line).
+    # at runs of 1 and 3 gaps (short runs split gamma0-free's short lines
+    # too; myopic's band has nothing free, so its band responder answers
+    # every line).
+    line_router = stackelberg._line_router
+
     def polish(chunk):
         monkeypatch.setattr(stackelberg, "POLISH_CHUNK", chunk)
+        routes = []
+
+        def router(*args):
+            route = line_router(*args)
+            routes.append((args, route))
+            return route
+
+        monkeypatch.setattr(stackelberg, "_line_router", router)
         c = _loop_case(case, polish=True, responder=_RecordingResponder)
         start = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
                                       replace(c.config, polish=False),
@@ -570,18 +576,43 @@ def test_chunked_polish_is_bit_exact(case, monkeypatch):
         act, sweeps, es, tps = _polish(start, c.responder, c.b, c.slot,
                                        c.pme.c_b, c.pmec.v_p, y_box, c.config)
         got = (sweeps, _bits((act.p_s, act.p_b, act.y)), _bits(es), _bits(tps))
-        return got, c.responder
+        return got, c.responder, routes
 
-    plain, _ = polish(10 ** 9)
+    plain, _, _ = polish(10 ** 9)
     for chunk in (POLISH_CHUNK, 1, 3):
-        got, responder = polish(chunk)
+        got, responder, routes = polish(chunk)
         assert got == plain
-        chunks = responder.chunks
-        assert bool(chunks) is (bool(responder.free) and chunk <= 3
-                                or case in ("n50", "trust-boxes"))
+        runs = [sub for _, sub in responder.runs]
+        assert bool(runs) is (bool(responder.free) and chunk <= 3
+                              or case in ("n50", "trust-boxes"))
         if case == "n50" and chunk > 3:
-            assert sum(len(sub.free) for sub in chunks) < (
-                len(responder.free) * len(chunks))
+            assert sum(len(sub.free) for sub in runs) < (
+                len(responder.free) * len(runs))
+        # Ask each split line's router at every scan point: the run hulls
+        # tile the line, consecutive ones sharing an endpoint, which goes
+        # to the later run.
+        asked = set()
+        for (_, along_s, price, points), route in routes:
+            if route is None:
+                continue
+            pts = sorted(set(points))
+            hulls = []
+            for x in pts:
+                sub = route(x, price) if along_s else route(price, x)
+                asked.add(id(sub))
+                hull, at = (sub.box[:2], sub.box[2:]) if along_s else (
+                    sub.box[2:], sub.box[:2])
+                assert at == (price, price)
+                assert hull[0] <= x < hull[1] or x == hull[1] == pts[-1]
+                if not hulls or hulls[-1] != hull:
+                    hulls.append(hull)
+            assert len(hulls) == -(-(len(pts) - 1) // chunk)
+            assert (hulls[0][0], hulls[-1][1]) == (pts[0], pts[-1])
+            assert all(a[1] == b[0] for a, b in zip(hulls, hulls[1:]))
+        # Every line-box responder is a run, restricted from the band's box:
+        # no line-wide responder is built beside them.
+        assert {id(sub) for _, sub in responder.runs} == asked
+        assert {parent for parent, _ in responder.runs} <= {responder.box}
 
 
 @pytest.mark.parametrize("case", ["desk", "n50", "n50-all-pinned", "myopic",
