@@ -26,8 +26,9 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .baselines import CaseId, run_case
 from .domain import (
@@ -47,8 +48,8 @@ from .scenario_io import (
     save_scenario,
     synthetic_params,
 )
-from .simulator import RunReport, run
-from .stackelberg import GameConfig, check_band
+from .simulator import RunReport, TraceSink, run
+from .stackelberg import GameConfig, IterationTrace, check_band
 
 _CASE_BY_NUMBER = {c.value: c for c in CaseId}
 
@@ -217,10 +218,10 @@ class Setup:
             v_i=v_i, gamma_shift=shift, v_p=args.v_p, theta=args.theta,
         )
 
-    def simulate(self, keep_traces: bool = False) -> RunReport:
+    def simulate(self, trace_sink: TraceSink | None = None) -> RunReport:
         return run(self.scenario, self.ng_params, self.bundle.ng_controls,
                    self.pme_params, self.bundle.pme_control, self.config,
-                   keep_traces=keep_traces)
+                   trace_sink=trace_sink)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +268,6 @@ def _cells(values: Iterable[float]) -> str:
     return ",".join(map(repr, map(float, values)))
 
 
-def _write_csv(path: str, headers: Sequence[str], chunks: Iterable[str]) -> None:
-    """Write a CSV as ``csv.writer`` would, with one write per chunk.
-
-    ``chunks`` yields the text of whole rows, each ending in CRLF.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(headers) + "\r\n")
-        fh.writelines(chunks)
-
-
 def _write_series(report: RunReport, setup: Setup, out_dir: str) -> None:
     n = setup.scenario.n
     headers = (["slot", "p_s", "p_b", "y", "e_batt", "residual", "profit",
@@ -284,18 +275,28 @@ def _write_series(report: RunReport, setup: Setup, out_dir: str) -> None:
                + [f"t_{i + 1}" for i in range(n)]
                + [f"e_{i + 1}" for i in range(n)]
                + [f"tp_{i + 1}" for i in range(n)])
-    _write_csv(os.path.join(out_dir, "series.csv"), headers, (
-        ",".join((str(o.slot),
-                  _cells((o.leader.p_s, o.leader.p_b, o.leader.y,
-                          o.next_state.e_batt, o.grid_residual, o.pme_profit)),
-                  str(int(o.converged)), str(o.iterations),
-                  *map(_fmt, o.next_state.t),
-                  *(_fmt(f.e) for f in o.followers),
-                  *(_fmt(f.tp) for f in o.followers))) + "\r\n"
-        for o in report.outcomes))
+    # As csv.writer writes it: one write per row, each ending in CRLF.
+    with open(os.path.join(out_dir, "series.csv"), "w", newline="") as fh:
+        fh.write(",".join(headers) + "\r\n")
+        fh.writelines(
+            ",".join((str(o.slot),
+                      _cells((o.leader.p_s, o.leader.p_b, o.leader.y,
+                              o.next_state.e_batt, o.grid_residual, o.pme_profit)),
+                      str(int(o.converged)), str(o.iterations),
+                      *map(_fmt, o.next_state.t),
+                      *(_fmt(f.e) for f in o.followers),
+                      *(_fmt(f.tp) for f in o.followers))) + "\r\n"
+            for o in report.outcomes)
 
 
-def _write_traces(report: RunReport, setup: Setup, out_dir: str) -> None:
+@contextmanager
+def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
+    """Stream ``traces.csv``, one write per slot, from the sink it yields.
+
+    The rows go to a temporary file in ``out_dir`` that replaces
+    ``traces.csv`` only when the body completes; on any exception it is
+    closed and removed, so a failed run leaves ``traces.csv`` as it was.
+    """
     n = setup.scenario.n
     headers = (["slot", "iter", "p_s", "p_b", "y", "g_ps", "g_pb", "g_y",
                 "step_s", "step_b", "step_y", "dist_s", "dist_b", "dist_y"]
@@ -304,25 +305,36 @@ def _write_traces(report: RunReport, setup: Setup, out_dir: str) -> None:
     # its step triple, and consecutive records of a trust box with nothing
     # free share their draws tuple.  Format each once, matched by identity,
     # as 0.0 == -0.0; a tuple's text leads with its comma (n = 0: no text).
+    # A step triple's id stays its own for the whole run, though its records
+    # die with their slot: stackelberg._step_sizes' lru_cache keeps every
+    # triple alive for the process.
     cells = lambda values: "," + _cells(values) if values else ""
     steps_text: dict[int, str] = {}
     # A record's scalars are floats, so %r writes them as _fmt does.
     row = "%d,%d,%r,%r,%r,%r,%r,%r%s,%r,%r,%r%s\r\n"
 
-    def slot_rows(o) -> Iterable[str]:
+    def slot_rows(k: int, trace: IterationTrace) -> Iterable[str]:
         last = draws = None
         for m, (p_s, p_b, y, g_ps, g_pb, g_y, steps, d_s, d_b, d_y,
-                es) in enumerate(o.trace.records, start=1):
+                es) in enumerate(trace.records, start=1):
             if es is not last:
                 last, draws = es, cells(es)
             step = steps_text.get(id(steps))
             if step is None:
                 step = steps_text[id(steps)] = cells(steps)
-            yield row % (o.slot, m, p_s, p_b, y, g_ps, g_pb, g_y, step,
+            yield row % (k, m, p_s, p_b, y, g_ps, g_pb, g_y, step,
                          d_s, d_b, d_y, draws)
 
-    _write_csv(os.path.join(out_dir, "traces.csv"), headers, (
-        "".join(slot_rows(o)) for o in report.outcomes if o.trace is not None))
+    tmp = os.path.join(out_dir, f".traces.csv.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(",".join(headers) + "\r\n")
+            yield lambda k, trace: fh.write("".join(slot_rows(k, trace)))
+        os.replace(tmp, os.path.join(out_dir, "traces.csv"))
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +345,10 @@ def _write_traces(report: RunReport, setup: Setup, out_dir: str) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     setup = Setup(args)
     os.makedirs(args.out, exist_ok=True)
-    report = setup.simulate(keep_traces=args.traces)
-    _write_summary(report, setup, args.out)
-    _write_series(report, setup, args.out)
-    if args.traces:
-        _write_traces(report, setup, args.out)
+    with _traces_csv(setup, args.out) if args.traces else nullcontext() as sink:
+        report = setup.simulate(sink)
+        _write_summary(report, setup, args.out)
+        _write_series(report, setup, args.out)
     for key, value in _summary_pairs(report, setup):
         print(f"{key} = {value}")
     return 0

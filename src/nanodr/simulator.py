@@ -51,7 +51,6 @@ class SlotOutcome:
     grid_residual: float  # kWh, sum(tp) - g_t + y
     converged: bool
     iterations: int
-    trace: IterationTrace | None = None
 
 
 @dataclass(frozen=True)
@@ -123,12 +122,13 @@ def update_queues(state: SlotState, followers: Sequence[FollowerAction],
 
 
 SlotSolver = Callable[[SlotState, SlotData], SlotSolution]
+TraceSink = Callable[[int, IterationTrace], None]
 
 
 def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
         ng_controls: Sequence[NanogridControl], pme_params: PmeParams,
         pme_control: PmeControl, config: GameConfig = GameConfig(),
-        strict_bounds: bool = True, keep_traces: bool = False,
+        strict_bounds: bool = True, trace_sink: TraceSink | None = None,
         slot_solver: SlotSolver | None = None) -> RunReport:
     """Simulate the whole horizon and aggregate the economics.
 
@@ -139,6 +139,8 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
     be unreachable under certified controls); otherwise breaches are only
     counted.  ``slot_solver`` substitutes a different per-slot policy (used
     by the comparison cases); the default is the equilibrium solve.
+    ``trace_sink(k, trace)`` gets each slot's ``IterationTrace`` once its
+    bounds pass, outside the solve; the run keeps no trace of its own.
     """
     n = scenario.n
     if len(ng_params) != n or len(ng_controls) != n:
@@ -199,12 +201,13 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
                     f"E={next_state.e_batt} outside "
                     f"[{pme_params.e_min}, {pme_params.e_max_cap}]"
                 )
+        if trace_sink is not None:
+            trace_sink(k, sol.trace)
 
         outcomes.append(SlotOutcome(
             slot=k, leader=leader, followers=followers, next_state=next_state,
             pme_profit=profit, grid_residual=residual,
             converged=sol.trace.converged, iterations=sol.trace.iterations,
-            trace=sol.trace if keep_traces else None,
         ))
 
         profit_sum += profit

@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from nanodr import cli
+from nanodr import cli, simulator
 from nanodr.cli import main
+from nanodr.domain import ConfigurationError, InvariantViolation
 
 
 def _read(path):
@@ -46,9 +48,9 @@ def test_run_writes_consistent_artifacts(tmp_path, capsys):
     assert summary["battery_violations"] == 0
 
 
-def _reference_csvs(report, out_dir):
+def _reference_csvs(report, traces, out_dir):
     """series.csv and traces.csv in their format, written row by row with
-    csv.writer from the report alone."""
+    csv.writer from the report and each slot's solver trace alone."""
     fmt = lambda x: repr(float(x))
     n = len(report.outcomes[0].followers)
     with open(out_dir / "series.csv", "w", newline="") as fh:
@@ -73,8 +75,8 @@ def _reference_csvs(report, out_dir):
                          "g_y", "step_s", "step_b", "step_y", "dist_s",
                          "dist_b", "dist_y"]
                         + [f"e_{i + 1}" for i in range(n)])
-        for o in report.outcomes:
-            for m, rec in enumerate(o.trace.records, start=1):
+        for o, trace in zip(report.outcomes, traces, strict=True):
+            for m, rec in enumerate(trace.records, start=1):
                 writer.writerow(
                     [str(o.slot), str(m), fmt(rec.p_s), fmt(rec.p_b),
                      fmt(rec.y), fmt(rec.g_ps), fmt(rec.g_pb), fmt(rec.g_y)]
@@ -84,47 +86,103 @@ def _reference_csvs(report, out_dir):
 
 
 def _traced_run(tmp_path, monkeypatch, flags):
-    """``run --traces`` with ``flags``: its report and its artifact directory."""
-    reports = []
-    simulate = cli.run
+    """``run --traces`` with ``flags``: its report, each slot's trace as the
+    solver returned it, and its artifact directory."""
+    reports, traces = [], []
+    simulate, solve = cli.run, simulator.solve_slot
 
     def keep_report(*args, **kwargs):
         reports.append(simulate(*args, **kwargs))
         return reports[-1]
 
+    def keep_trace(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        traces.append(solution.trace)
+        return solution
+
     monkeypatch.setattr(cli, "run", keep_report)
+    monkeypatch.setattr(simulator, "solve_slot", keep_trace)
     out = tmp_path / "tr"
     assert main(["run", *flags, "--out", str(out), "--traces"]) == 0
-    return reports[0], out
+    return reports[0], traces, out
 
 
-def _assert_reference_csvs(report, out, tmp_path):
+def _assert_reference_csvs(report, traces, out, tmp_path):
     ref = tmp_path / "ref"
     ref.mkdir()
-    _reference_csvs(report, ref)
+    _reference_csvs(report, traces, ref)
     for name in ("series.csv", "traces.csv"):
         assert _read(out / name) == _read(ref / name)
 
 
 def test_run_emits_traces_on_request(tmp_path, monkeypatch):
-    report, out = _traced_run(tmp_path, monkeypatch, ["--slots", "6"])
+    report, traces, out = _traced_run(tmp_path, monkeypatch, ["--slots", "6"])
     with open(out / "traces.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows
     assert {"slot", "iter", "p_s", "g_ps", "dist_y"} <= set(rows[0])
     # Both files are byte-equal to the same rows written by csv.writer.
-    _assert_reference_csvs(report, out, tmp_path)
+    _assert_reference_csvs(report, traces, out, tmp_path)
 
 
 def test_traces_match_the_reference_when_the_draws_change_mid_slot(tmp_path,
                                                                    monkeypatch):
     # At n=20 the loop re-certifies its trust box inside a slot: records of
     # one box share a draws tuple, and the tuple changes between rows.
-    report, out = _traced_run(tmp_path, monkeypatch,
-                              ["--slots", "24", "--followers", "20"])
-    draws = [[id(rec.es) for rec in o.trace.records] for o in report.outcomes]
+    report, traces, out = _traced_run(tmp_path, monkeypatch,
+                                      ["--slots", "24", "--followers", "20"])
+    draws = [[id(rec.es) for rec in trace.records] for trace in traces]
     assert any(1 < len(set(ids)) < len(ids) for ids in draws)
-    _assert_reference_csvs(report, out, tmp_path)
+    _assert_reference_csvs(report, traces, out, tmp_path)
+
+
+@pytest.mark.parametrize("error, code", [
+    (InvariantViolation("injected"), 3),
+    (ConfigurationError("injected"), 2),
+])
+def test_failed_traced_run_changes_no_artifact(error, code, tmp_path,
+                                               monkeypatch, capsys):
+    out = tmp_path / "tr"
+    assert main(["run", "--slots", "6", "--out", str(out), "--traces"]) == 0
+    before = {p.name: _read(p) for p in out.iterdir()}
+    solve, calls = simulator.solve_slot, []
+
+    def fail_mid_horizon(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise error
+        return solve(*args, **kwargs)
+
+    # Slots 0-2 reach the trace writer before slot 3 fails; another seed
+    # would write other rows.
+    monkeypatch.setattr(simulator, "solve_slot", fail_mid_horizon)
+    assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
+                 "--traces"]) == code
+    assert "injected" in capsys.readouterr().err
+    assert {p.name: _read(p) for p in out.iterdir()} == before
+
+
+def test_traced_run_memory_does_not_grow_with_the_horizon(tmp_path):
+    # The generator imports NumPy on first use; a warm-up run does that and
+    # fills the process's caches, so neither measured run pays for them.
+    import numpy  # noqa: F401
+
+    argv = ["run", "--followers", "5", "--slots", "120", "--out"]
+    assert main([*argv, str(tmp_path / "warm")]) == 0
+
+    def peak_mb(*extra):
+        tracemalloc.start()
+        try:
+            assert main([*argv, *extra]) == 0
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    untraced = peak_mb(str(tmp_path / "plain"))
+    traced = peak_mb(str(tmp_path / "traced"), "--traces")
+    # Holding the horizon's iteration records costs about 1.9 MB here;
+    # streaming each slot's rows costs about 0.01 MB.
+    assert traced - untraced < 0.5, (traced, untraced)
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

@@ -189,3 +189,34 @@ def test_battery_bound_violation_raises_with_slot():
     with pytest.raises(InvariantViolation, match="slot 0"):
         run(scen, [PARAMS], [CONTROL], PME, PMEC, GameConfig(),
             slot_solver=reckless)
+
+
+@pytest.mark.parametrize("strict, sunk", [(False, 3), (True, 2)])
+def test_trace_sink_gets_each_checked_slot_in_order(strict, sunk):
+    scen = _scenario_const(slots=3)
+    traces = [IterationTrace(records=(), converged=True) for _ in range(3)]
+    solved, calls = [], []
+
+    def charge_last(state, slot):
+        # y = 8 from the 9 kWh midpoint ends the last slot at 17 > 16.
+        k = len(solved)
+        solved.append(k)
+        return SlotSolution(leader=LeaderAction(p_s=10.0, p_b=5.0,
+                                                y=8.0 if k == 2 else 0.0),
+                            followers=(FollowerAction(e=0.0, tp=0.0),),
+                            trace=traces[k])
+
+    def simulate():
+        return run(scen, [PARAMS], [CONTROL], PME, PMEC, GameConfig(),
+                   strict_bounds=strict, slot_solver=charge_last,
+                   trace_sink=lambda k, trace: calls.append((k, trace)))
+
+    if strict:
+        with pytest.raises(InvariantViolation, match="slot 2"):
+            simulate()
+    else:
+        assert simulate().battery_violations == 1
+    # The solver's own trace objects, once per slot, in slot order; the
+    # slot whose bound check raises reaches no sink.
+    assert [k for k, _ in calls] == list(range(sunk))
+    assert all(trace is traces[k] for k, trace in calls)
