@@ -28,16 +28,10 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .baselines import CaseId, run_case
-from .domain import (
-    ConfigurationError,
-    InvariantViolation,
-    NanogridParams,
-    Scenario,
-    ScenarioError,
-)
+from .domain import ConfigurationError, InvariantViolation, ScenarioError
 from .policy import PolicyBundle, default_policy
 from .scenario_io import (
     SyntheticSpec,
@@ -63,43 +57,63 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _Flag(NamedTuple):
+    """The flag ``--name`` (``_`` written ``-``), with dest ``name``, that
+    sets the record field ``field`` (``name`` when None)."""
+
+    name: str
+    field: str | None = None
+    type: type = float
+    help: str | None = None
+
+
+# One table per record the flags set, in the parser's order.
+_SPEC_FLAGS = (_Flag("seed", type=int, help="synthetic generator seed"),
+               _Flag("slots", type=int, help="synthetic horizon length"),
+               _Flag("followers", "n", int, "synthetic nanogrid count"))
+# Building parameters, applied to every nanogrid.
+_NANOGRID_FLAGS = (_Flag("epsilon", help="thermal inertia for all nanogrids"),
+                   *map(_Flag, ("eta", "e_max", "t_min", "t_max", "l_max", "gamma")))
+_BATTERY_FLAGS = (_Flag("batt_min", "e_min"), _Flag("batt_max", "e_max_cap"),
+                  *map(_Flag, ("u_cmax", "u_dmax", "c_b")))
+# default_policy's keywords (defaults: weights at maximum, shifts at the
+# floor); the nanogrids' two take one value per nanogrid.
+_NANOGRID_CONTROL_FLAGS = tuple(map(_Flag, ("v_i", "gamma_shift")))
+_PME_CONTROL_FLAGS = tuple(map(_Flag, ("v_p", "theta")))
+# GameConfig's knobs.  min_gap comes first: check-bounds solves no slot and
+# takes it alone, for the price band check.
+_GAME_FLAGS = (_Flag("min_gap"), _Flag("rho"), _Flag("max_iters", type=int))
+
+
+def _option(flag: _Flag) -> str:
+    return "--" + flag.name.replace("_", "-")
+
+
+def _overrides(args: argparse.Namespace, table: Iterable[_Flag]) -> dict[str, object]:
+    """The table's flags that were given, keyed by the fields they set."""
+    return {flag.field or flag.name: value for flag in table
+            if (value := getattr(args, flag.name, None)) is not None}
+
+
+def _add_flags(p: argparse.ArgumentParser, flags: Iterable[_Flag]) -> None:
+    for flag in flags:
+        p.add_argument(_option(flag), dest=flag.name, type=flag.type, help=flag.help)
+
+
 def _add_scenario_args(p: argparse.ArgumentParser, model: bool = True,
                        solver: bool = True) -> None:
     """``--config`` and the generator's flags; with ``model`` the rest a
     ``Setup`` reads; with ``solver`` the slot solver's knobs."""
     p.add_argument("--config", metavar="FILE",
                    help="key=value defaults file (keys match the command's long flags)")
-    p.add_argument("--seed", type=int, help="synthetic generator seed")
-    p.add_argument("--slots", type=int, help="synthetic horizon length")
-    p.add_argument("--followers", type=int, help="synthetic nanogrid count")
+    _add_flags(p, _SPEC_FLAGS)
     if not model:
         return
     p.add_argument("--scenario", metavar="FILE",
                    help="scenario CSV; omit to use the synthetic generator")
-    # Building parameter overrides (applied to every nanogrid).
-    p.add_argument("--epsilon", type=float, help="thermal inertia for all nanogrids")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--e-max", dest="e_max", type=float)
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--l-max", dest="l_max", type=float)
-    p.add_argument("--gamma", type=float)
-    # Battery parameter overrides.
-    p.add_argument("--batt-min", dest="batt_min", type=float)
-    p.add_argument("--batt-max", dest="batt_max", type=float)
-    p.add_argument("--u-cmax", dest="u_cmax", type=float)
-    p.add_argument("--u-dmax", dest="u_dmax", type=float)
-    p.add_argument("--c-b", dest="c_b", type=float)
-    # Control overrides (defaults: weights at maximum, shifts at the floor).
-    p.add_argument("--v-i", dest="v_i", type=float)
-    p.add_argument("--gamma-shift", dest="gamma_shift", type=float)
-    p.add_argument("--v-p", dest="v_p", type=float)
-    p.add_argument("--theta", type=float)
-    # The price band check reads min_gap.
-    p.add_argument("--min-gap", dest="min_gap", type=float)
+    _add_flags(p, (*_NANOGRID_FLAGS, *_BATTERY_FLAGS, *_NANOGRID_CONTROL_FLAGS,
+                   *_PME_CONTROL_FLAGS, *(_GAME_FLAGS if solver else _GAME_FLAGS[:1])))
     if solver:
-        p.add_argument("--rho", type=float)
-        p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--no-polish", dest="no_polish", action="store_true")
 
 
@@ -122,6 +136,7 @@ def _read_config_file(args: argparse.Namespace,
         parser.error(f"cannot read config file: {exc}")
     keys = vars(args).keys() - {"command", "func", "config"}
     defaults: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     for no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -131,7 +146,11 @@ def _read_config_file(args: argparse.Namespace,
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
         if key not in keys:
-            parser.error(f"{args.config}: unknown key {key!r}")
+            parser.error(f"{args.config}:{no}: unknown key {key!r}")
+        if key in line_of:
+            parser.error(f"{args.config}:{no}: {key} given twice, on lines "
+                         f"{line_of[key]} and {no}")
+        line_of[key] = no
         if isinstance(getattr(args, key), bool):
             if value.lower() not in _ON_OFF:
                 parser.error(f"{args.config}:{no}: {key} takes true or false, "
@@ -140,33 +159,6 @@ def _read_config_file(args: argparse.Namespace,
         else:
             defaults[key] = value
     return defaults
-
-
-def _build_spec(args: argparse.Namespace) -> SyntheticSpec:
-    spec = SyntheticSpec()
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if args.slots is not None:
-        spec = replace(spec, slots=args.slots)
-    if args.followers is not None:
-        spec = replace(spec, n=args.followers)
-    return spec
-
-
-_PARAM_FIELDS = ("epsilon", "eta", "e_max", "t_min", "t_max", "l_max", "gamma")
-
-
-def _build_params(args: argparse.Namespace, scenario: Scenario,
-                  synthetic: SyntheticSpec | None) -> list[NanogridParams]:
-    if synthetic is not None:
-        params = list(synthetic_params(synthetic))
-    else:
-        params = [default_nanogrid_params(0.955) for _ in range(scenario.n)]
-    overrides = {f: getattr(args, f) for f in _PARAM_FIELDS
-                 if getattr(args, f) is not None}
-    if overrides:
-        params = [replace(p, **overrides) for p in params]
-    return params
 
 
 class Setup:
@@ -179,12 +171,9 @@ class Setup:
     """
 
     def __init__(self, args: argparse.Namespace, posts_prices: bool = True):
-        self.synthetic: SyntheticSpec | None = None
         if args.scenario:
-            clashes = [flag for flag, val in (("--seed", args.seed),
-                                              ("--slots", args.slots),
-                                              ("--followers", args.followers))
-                       if val is not None]
+            clashes = [_option(flag) for flag in _SPEC_FLAGS
+                       if getattr(args, flag.name) is not None]
             if clashes:
                 raise ConfigurationError(
                     f"exactly one scenario source: --scenario conflicts with "
@@ -192,31 +181,26 @@ class Setup:
                 )
             self.scenario = load_scenario(args.scenario)
             self.source = f"file:{args.scenario}"
+            params = [default_nanogrid_params(0.955) for _ in range(self.scenario.n)]
         else:
-            self.synthetic = _build_spec(args)
-            self.scenario = generate_synthetic(self.synthetic)
-            self.source = f"synthetic:seed={self.synthetic.seed}"
-        # check-bounds takes no solver knobs.
-        knobs = {k: getattr(args, k) for k in ("rho", "max_iters", "min_gap")
-                 if getattr(args, k, None) is not None}
-        self.config = GameConfig(**knobs, polish=not getattr(args, "no_polish", False))
+            spec = SyntheticSpec(**_overrides(args, _SPEC_FLAGS))
+            self.scenario = generate_synthetic(spec)
+            self.source = f"synthetic:seed={spec.seed}"
+            params = list(synthetic_params(spec))
+        self.config = GameConfig(**_overrides(args, _GAME_FLAGS),
+                                 polish=not getattr(args, "no_polish", False))
         if posts_prices:
             bands = zip(self.scenario.m_s, self.scenario.m_b)
             for k, (m_s, m_b) in enumerate(bands):
                 check_band(m_s, m_b, self.config.min_gap, slot=k)
-        self.ng_params = _build_params(args, self.scenario, self.synthetic)
-        battery = {"batt_min": "e_min", "batt_max": "e_max_cap", "u_cmax": "u_cmax",
-                   "u_dmax": "u_dmax", "c_b": "c_b"}
-        self.pme_params = replace(default_pme_params(), **{
-            field: getattr(args, flag) for flag, field in battery.items()
-            if getattr(args, flag) is not None})
-        n = self.scenario.n
-        v_i = [args.v_i] * n if args.v_i is not None else None
-        shift = [args.gamma_shift] * n if args.gamma_shift is not None else None
+        building = _overrides(args, _NANOGRID_FLAGS)
+        self.ng_params = [replace(p, **building) for p in params] if building else params
+        self.pme_params = replace(default_pme_params(), **_overrides(args, _BATTERY_FLAGS))
+        per_nanogrid = {key: [value] * self.scenario.n for key, value
+                        in _overrides(args, _NANOGRID_CONTROL_FLAGS).items()}
         self.bundle: PolicyBundle = default_policy(
-            self.scenario, self.ng_params, self.pme_params,
-            v_i=v_i, gamma_shift=shift, v_p=args.v_p, theta=args.theta,
-        )
+            self.scenario, self.ng_params, self.pme_params, **per_nanogrid,
+            **_overrides(args, _PME_CONTROL_FLAGS))
 
     def simulate(self, trace_sink: TraceSink | None = None) -> RunReport:
         return run(self.scenario, self.ng_params, self.bundle.ng_controls,
@@ -301,13 +285,11 @@ def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
     headers = (["slot", "iter", "p_s", "p_b", "y", "g_ps", "g_pb", "g_y",
                 "step_s", "step_b", "step_y", "dist_s", "dist_b", "dist_y"]
                + [f"e_{i + 1}" for i in range(n)])
-    # Records share tuples: every slot's record at an iteration index shares
-    # its step triple, and consecutive records of a trust box with nothing
-    # free share their draws tuple.  Format each once, matched by identity,
-    # as 0.0 == -0.0; a tuple's text leads with its comma (n = 0: no text).
-    # A step triple's id stays its own for the whole run, though its records
-    # die with their slot: stackelberg._step_sizes' lru_cache keeps every
-    # triple alive for the process.
+    # A record's step triple depends only on its iteration index, so its
+    # text is formatted once per index.  Consecutive records of a trust box
+    # with nothing free share their draws tuple, formatted once per run of
+    # them, matched by identity, as 0.0 == -0.0.  A tuple's text leads with
+    # its comma (n = 0: no text).
     cells = lambda values: "," + _cells(values) if values else ""
     steps_text: dict[int, str] = {}
     # A record's scalars are floats, so %r writes them as _fmt does.
@@ -319,9 +301,9 @@ def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
                 es) in enumerate(trace.records, start=1):
             if es is not last:
                 last, draws = es, cells(es)
-            step = steps_text.get(id(steps))
+            step = steps_text.get(m)
             if step is None:
-                step = steps_text[id(steps)] = cells(steps)
+                step = steps_text[m] = cells(steps)
             yield row % (k, m, p_s, p_b, y, g_ps, g_pb, g_y, step,
                          d_s, d_b, d_y, draws)
 
@@ -375,6 +357,17 @@ def _parse_cases(text: str) -> list[CaseId]:
     return cases
 
 
+# The compare and sweep tables' columns for a run's five totals.
+_ECONOMICS = ("trading_profit", "energy_cost", "discomfort_cost",
+              "aggregate_cost", "tatd")
+
+
+def _economics(report: RunReport) -> dict[str, str]:
+    return dict(zip(_ECONOMICS, map(_fmt, (
+        report.pme_profit_total, report.energy_cost_total,
+        report.discomfort_total, report.aggregate_cost, report.tatd))))
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     cases = _parse_cases(args.cases)
     setup = Setup(args, posts_prices=any(case.posts_prices for case in cases))
@@ -384,20 +377,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         report = run_case(case, setup.scenario, setup.ng_params,
                           setup.bundle.ng_controls, setup.pme_params,
                           setup.bundle.pme_control, setup.config)
-        # The cooperative case has no prices, so its internal transfer
-        # columns stay blank in the table.
-        blank = case is CaseId.SOCIAL_WELFARE
-        rows.append({
-            "case": case.value,
-            "name": case.name,
-            "trading_profit": "" if blank else _fmt(report.pme_profit_total),
-            "energy_cost": "" if blank else _fmt(report.energy_cost_total),
-            "discomfort_cost": _fmt(report.discomfort_total),
-            "aggregate_cost": _fmt(report.aggregate_cost),
-            "tatd": _fmt(report.tatd),
-        })
-    headers = ["case", "name", "trading_profit", "energy_cost",
-               "discomfort_cost", "aggregate_cost", "tatd"]
+        row = {"case": case.value, "name": case.name, **_economics(report)}
+        if case is CaseId.SOCIAL_WELFARE:
+            # The cooperative case has no prices, so its internal transfer
+            # columns (the first two) stay blank in the table.
+            row.update(dict.fromkeys(_ECONOMICS[:2], ""))
+        rows.append(row)
+    headers = ("case", "name", *_ECONOMICS)
     with open(os.path.join(args.out, "comparison.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=headers)
         writer.writeheader()
@@ -431,6 +417,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     timing = []
     for value in values:
+        point = {"param": args.param, "value": _fmt(value)}
         sweep_args = argparse.Namespace(**vars(args))
         if args.param == "n":
             if args.scenario:
@@ -445,33 +432,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             setup = Setup(sweep_args)
             report = setup.simulate()
         except (ConfigurationError, ScenarioError) as exc:
-            rows.append({"param": args.param, "value": _fmt(value),
-                         "status": f"skipped: {exc}", "trading_profit": "",
-                         "energy_cost": "", "discomfort_cost": "",
-                         "aggregate_cost": "", "tatd": "", "total_hvac": "",
-                         "median_iterations": ""})
+            rows.append({**point, "status": f"skipped: {exc}"})
             print(f"warning: {args.param}={value} skipped: {exc}", file=sys.stderr)
             continue
         elapsed = time.perf_counter() - started
-        rows.append({
-            "param": args.param, "value": _fmt(value), "status": "ok",
-            "trading_profit": _fmt(report.pme_profit_total),
-            "energy_cost": _fmt(report.energy_cost_total),
-            "discomfort_cost": _fmt(report.discomfort_total),
-            "aggregate_cost": _fmt(report.aggregate_cost),
-            "tatd": _fmt(report.tatd),
-            "total_hvac": _fmt(report.total_hvac),
-            "median_iterations": _fmt(report.median_iterations),
-        })
-        timing.append({"param": args.param, "value": _fmt(value),
-                       "wall_time_s": _fmt(elapsed),
+        rows.append({**point, "status": "ok", **_economics(report),
+                     "total_hvac": _fmt(report.total_hvac),
+                     "median_iterations": _fmt(report.median_iterations)})
+        timing.append({**point, "wall_time_s": _fmt(elapsed),
                        "slots": setup.scenario.slots,
                        "per_slot_ms": _fmt(1000.0 * elapsed / setup.scenario.slots)})
-    headers = ["param", "value", "status", "trading_profit", "energy_cost",
-               "discomfort_cost", "aggregate_cost", "tatd", "total_hvac",
-               "median_iterations"]
+    headers = ("param", "value", "status", *_ECONOMICS, "total_hvac",
+               "median_iterations")
     with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=headers)
+        # A skipped row has only its first three cells.
+        writer = csv.DictWriter(fh, fieldnames=headers, restval="")
         writer.writeheader()
         writer.writerows(rows)
     # Wall-clock sidecar: the single non-deterministic output, kept apart so
@@ -483,7 +458,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         writer.writerows(timing)
     for r in rows:
         print(f"{r['param']}={r['value']}: status={r['status']} "
-              f"aggregate={r['aggregate_cost']} tatd={r['tatd']}")
+              f"aggregate={r.get('aggregate_cost', '')} tatd={r.get('tatd', '')}")
     return 0
 
 
@@ -511,8 +486,7 @@ def _cmd_check_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_scenario(args: argparse.Namespace) -> int:
-    spec = _build_spec(args)
-    scenario = generate_synthetic(spec)
+    scenario = generate_synthetic(SyntheticSpec(**_overrides(args, _SPEC_FLAGS)))
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     save_scenario(scenario, args.out)
@@ -530,22 +504,19 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one scenario")
-    _add_scenario_args(p_run)
-    p_run.add_argument("--out", default="out", help="artifact directory")
+    p_cmp = sub.add_parser("compare", help="run comparison cases")
+    p_swp = sub.add_parser("sweep", help="sweep one parameter")
+    for p in (p_run, p_cmp, p_swp):
+        _add_scenario_args(p)
+        p.add_argument("--out", default="out", help="artifact directory")
     p_run.add_argument("--traces", action="store_true",
                        help="also write per-iteration traces.csv")
     p_run.set_defaults(func=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="run comparison cases")
-    _add_scenario_args(p_cmp)
-    p_cmp.add_argument("--out", default="out", help="artifact directory")
     p_cmp.add_argument("--cases", default="1,2,3,4,5",
                        help="comma list of case numbers or names")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_swp = sub.add_parser("sweep", help="sweep one parameter")
-    _add_scenario_args(p_swp)
-    p_swp.add_argument("--out", default="out", help="artifact directory")
     p_swp.add_argument("--param", required=True,
                        help=f"one of {', '.join(_SWEEPABLE)}")
     p_swp.add_argument("--values", required=True, help="comma list of values")

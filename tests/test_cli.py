@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, validation, determinism."""
 
+import argparse
 import csv
 import json
 import math
@@ -7,10 +8,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from nanodr import cli, simulator
+from nanodr import cli, simulator, stackelberg
 from nanodr.cli import main
 from nanodr.domain import ConfigurationError, InvariantViolation
 
@@ -87,7 +89,9 @@ def _reference_csvs(report, traces, out_dir):
 
 def _traced_run(tmp_path, monkeypatch, flags):
     """``run --traces`` with ``flags``: its report, each slot's trace as the
-    solver returned it, and its artifact directory."""
+    solver returned it (its records' step triples copied, so the solver's
+    own triples live no longer than the solver keeps them), and its
+    artifact directory."""
     reports, traces = [], []
     simulate, solve = cli.run, simulator.solve_slot
 
@@ -97,7 +101,8 @@ def _traced_run(tmp_path, monkeypatch, flags):
 
     def keep_trace(*args, **kwargs):
         solution = solve(*args, **kwargs)
-        traces.append(solution.trace)
+        traces.append(replace(solution.trace, records=tuple(
+            rec._replace(steps=list(rec.steps)) for rec in solution.trace.records)))
         return solution
 
     monkeypatch.setattr(cli, "run", keep_report)
@@ -133,6 +138,18 @@ def test_traces_match_the_reference_when_the_draws_change_mid_slot(tmp_path,
                                       ["--slots", "24", "--followers", "20"])
     draws = [[id(rec.es) for rec in trace.records] for trace in traces]
     assert any(1 < len(set(ids)) < len(ids) for ids in draws)
+    _assert_reference_csvs(report, traces, out, tmp_path)
+
+
+def test_traces_match_the_reference_when_no_step_triple_is_shared(tmp_path,
+                                                                  monkeypatch):
+    # A step triple depends only on its iteration index.  Give each
+    # iteration a fresh triple that dies with its slot's records, so a later
+    # slot's triple can reuse the id of one at another index.
+    monkeypatch.setattr(stackelberg, "_step_sizes",
+                        stackelberg._step_sizes.__wrapped__)
+    report, traces, out = _traced_run(tmp_path, monkeypatch,
+                                      ["--slots", "12"])
     _assert_reference_csvs(report, traces, out, tmp_path)
 
 
@@ -371,7 +388,24 @@ def test_cooling_mode_is_refused(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
-    assert "unknown key 'mode'" in capsys.readouterr().err
+    assert f"{cfg}:1: unknown key 'mode'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("slots = 4\nfollowers = 1\nslots = 6\n", "slots"),
+    # Both spellings name the same key.
+    ("no-polish = true\n# again\nno_polish = false\n", "no_polish"),
+], ids=["slots", "no_polish"])
+def test_config_key_given_twice_is_refused(text, key, tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: {cfg}:3: {key} given twice, on lines 1 and 3\n")
+    assert not out.exists()
 
 
 def test_non_finite_scenario_value_is_a_scenario_error(tmp_path, capsys):
@@ -631,10 +665,55 @@ def test_each_command_takes_only_the_flags_it_reads(argv, tmp_path,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     if "--config" in argv:
-        assert "unknown key 'gamma'" in err
+        assert "gamma.cfg:1: unknown key 'gamma'" in err
         # The same file is a valid run configuration.
         assert main(["run", "--config", "gamma.cfg", "--out", "o"]) == 0
         assert json.loads((tmp_path / "o" / "summary.json").read_text())["slots"] == 4
     else:
         assert f"unrecognized arguments: {argv[1]} {argv[2]}" in err
     assert not (tmp_path / "scenario.csv").exists()
+
+
+def _store(option, type_=float, default=None, required=False):
+    return (option,), option[2:].replace("-", "_"), type_, default, "_StoreAction", required
+
+
+_GENERATOR_FLAGS = [
+    (("-h", "--help"), "help", None, argparse.SUPPRESS, "_HelpAction", False),
+    _store("--config", None), _store("--seed", int), _store("--slots", int),
+    _store("--followers", int),
+]
+_MODEL_FLAGS = [_store("--scenario", None)] + [_store(option) for option in (
+    "--epsilon", "--eta", "--e-max", "--t-min", "--t-max",
+    "--l-max", "--gamma", "--batt-min", "--batt-max", "--u-cmax", "--u-dmax",
+    "--c-b", "--v-i", "--gamma-shift", "--v-p", "--theta", "--min-gap")]
+_SOLVER_FLAGS = [
+    _store("--rho"), _store("--max-iters", int),
+    (("--no-polish",), "no_polish", None, False, "_StoreTrueAction", False),
+]
+_OUT = _store("--out", None, "out")
+
+
+_FLAGS = {
+    "run": _GENERATOR_FLAGS + _MODEL_FLAGS + _SOLVER_FLAGS + [
+        _OUT, (("--traces",), "traces", None, False, "_StoreTrueAction", False)],
+    "compare": _GENERATOR_FLAGS + _MODEL_FLAGS + _SOLVER_FLAGS + [
+        _OUT, _store("--cases", None, "1,2,3,4,5")],
+    "sweep": _GENERATOR_FLAGS + _MODEL_FLAGS + _SOLVER_FLAGS + [
+        _OUT, _store("--param", None, required=True),
+        _store("--values", None, required=True)],
+    "check-bounds": _GENERATOR_FLAGS + _MODEL_FLAGS,
+    "gen-scenario": _GENERATOR_FLAGS + [_store("--out", None, "scenario.csv")],
+}
+
+
+@pytest.mark.parametrize("command", _FLAGS)
+def test_each_command_keeps_its_flags(command):
+    # Option strings, dest, type, default, action and whether required, in
+    # the parser's order (which is also --help's).
+    sub, = (action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_FLAGS)
+    assert [(tuple(a.option_strings), a.dest, a.type, a.default,
+             type(a).__name__, a.required)
+            for a in sub.choices[command]._actions] == _FLAGS[command]
