@@ -6,8 +6,8 @@ Five cases share the simulator loop and differ only in the per-slot policy:
    no battery play (a perfect-price-forecast upper baseline).
 2. The same inelastic comfort tracking, but the aggregator optimizes its
    prices and battery against it in real time.  The draws do not answer the
-   prices, so this is a closed form: the grid band's edges and the exact
-   charge; the solver knobs other than ``min_gap`` do not apply.
+   prices, so this is the solver's closed form against fixed draws (an
+   untraded price at the loop's start); only ``min_gap`` applies.
 3. The myopic game: the same leader/follower iteration with both queue
    pressures zeroed.  Dropping the future coupling does not drop the hard
    constraints, which are enforceable slot by slot: each draw box is
@@ -50,13 +50,12 @@ from .domain import (
 from .nanogrid import follower_rule
 from .simulator import RunReport, run
 from .stackelberg import (
+    _EMPTY_TRACE,
     GameConfig,
-    IterationTrace,
     QueueResponder,
     SlotSolution,
-    _argmin_charge,
+    _against_fixed_draws,
     _solve_with_responder,
-    check_band,
 )
 
 
@@ -73,9 +72,6 @@ class CaseId(enum.Enum):
         1 and 5 only book the band's edges."""
         return self in (CaseId.FIXED_POINT_REAL_TIME_PRICE, CaseId.MYOPIC_GAME,
                         CaseId.PROPOSED)
-
-
-_EMPTY_TRACE = IterationTrace(records=(), converged=True)
 
 
 def _tracking_draw(t: float, fs: FollowerSlot, params: NanogridParams) -> float:
@@ -217,20 +213,11 @@ def run_case(case: CaseId, scenario: Scenario,
                                 trace=_EMPTY_TRACE)
 
     elif case is CaseId.FIXED_POINT_REAL_TIME_PRICE:
-        # The draws do not answer the prices, so the leader's optimum is the
-        # whole grid band and the exact charge against the fixed interchanges.
-        y_lo, y_hi = -pme_params.u_dmax, pme_params.u_cmax
-
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:
-            followers = tracking(state, slot)
-            y = _argmin_charge([f.tp for f in followers], state.b, slot.g_t,
-                               slot.m_s, slot.m_b, pme_control.v_p,
-                               pme_params.c_b, y_lo, y_hi)
-            # The band edges and a charge in its box are already projected.
-            check_band(slot.m_s, slot.m_b, config.min_gap)
-            leader = LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=y)
-            return SlotSolution(leader=leader, followers=followers,
-                                trace=_EMPTY_TRACE)
+            return _against_fixed_draws(tracking(state, slot), state.b, slot,
+                                        pme_params.c_b, pme_control.v_p,
+                                        (-pme_params.u_dmax, pme_params.u_cmax),
+                                        config.min_gap)
 
     elif case is CaseId.MYOPIC_GAME:
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:

@@ -43,7 +43,7 @@ from .scenario_io import (
     synthetic_params,
 )
 from .simulator import RunReport, TraceSink, run
-from .stackelberg import GameConfig, IterationTrace, check_band
+from .stackelberg import GameConfig, IterationTrace, _step_sizes, check_band
 
 _CASE_BY_NUMBER = {c.value: c for c in CaseId}
 
@@ -285,11 +285,11 @@ def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
     headers = (["slot", "iter", "p_s", "p_b", "y", "g_ps", "g_pb", "g_y",
                 "step_s", "step_b", "step_y", "dist_s", "dist_b", "dist_y"]
                + [f"e_{i + 1}" for i in range(n)])
-    # A record's step triple depends only on its iteration index, so its
-    # text is formatted once per index.  Consecutive records of a trust box
-    # with nothing free share their draws tuple, formatted once per run of
-    # them, matched by identity, as 0.0 == -0.0.  A tuple's text leads with
-    # its comma (n = 0: no text).
+    # The step triple depends only on the iteration index, so its text is
+    # formatted once per index.  Consecutive records of a trust box with
+    # nothing free share their draws tuple, formatted once per run of them,
+    # matched by identity, as 0.0 == -0.0.  A tuple's text leads with its
+    # comma (n = 0: no text).
     cells = lambda values: "," + _cells(values) if values else ""
     steps_text: dict[int, str] = {}
     # A record's scalars are floats, so %r writes them as _fmt does.
@@ -297,13 +297,13 @@ def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
 
     def slot_rows(k: int, trace: IterationTrace) -> Iterable[str]:
         last = draws = None
-        for m, (p_s, p_b, y, g_ps, g_pb, g_y, steps, d_s, d_b, d_y,
+        for m, (p_s, p_b, y, g_ps, g_pb, g_y, d_s, d_b, d_y,
                 es) in enumerate(trace.records, start=1):
             if es is not last:
                 last, draws = es, cells(es)
             step = steps_text.get(m)
             if step is None:
-                step = steps_text[m] = cells(steps)
+                step = steps_text[m] = cells(_step_sizes(m))
             yield row % (k, m, p_s, p_b, y, g_ps, g_pb, g_y, step,
                          d_s, d_b, d_y, draws)
 
@@ -413,6 +413,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     f"sweep value {token.strip()!r} is not a number") from None
     if not values:
         raise ConfigurationError("empty sweep value list")
+    if args.param == "n":
+        if args.scenario:
+            raise ConfigurationError("the n sweep needs a synthetic scenario")
+        for value in values:
+            if not value.is_integer() or value < 0:
+                raise ConfigurationError(f"n must be a nonnegative integer, got {value}")
     os.makedirs(args.out, exist_ok=True)
     rows = []
     timing = []
@@ -420,10 +426,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         point = {"param": args.param, "value": _fmt(value)}
         sweep_args = argparse.Namespace(**vars(args))
         if args.param == "n":
-            if args.scenario:
-                raise ConfigurationError("the n sweep needs a synthetic scenario")
-            if not value.is_integer() or value < 0:
-                raise ConfigurationError(f"n must be a nonnegative integer, got {value}")
             sweep_args.followers = int(value)
         else:
             setattr(sweep_args, args.param, value)

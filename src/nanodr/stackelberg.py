@@ -5,6 +5,8 @@ nanogrid replies with its exact best response, and the aggregator takes a
 projected subgradient step on its surrogate with harmonically decaying step
 sizes.  The loop stops when all three coordinates move less than ``rho``
 between consecutive iterates, or at the iteration cap (flagged, not fatal).
+With the polish on, a slot whose band pins every follower runs neither: the
+point where the polish would end has a closed form (``_against_fixed_draws``).
 
 The loop carries the iterate as three floats and keeps one flat
 ``IterationRecord`` per iteration, which is one row of ``traces.csv``; the
@@ -67,7 +69,6 @@ import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .domain import (
@@ -142,10 +143,9 @@ class IterationRecord(NamedTuple):
     """One loop iteration, flat: one ``traces.csv`` row after its slot and
     iteration index.
 
-    The broadcast iterate, the subgradients there, the step sizes, each
-    coordinate's distance to the next iterate, and the follower draws at the
-    iterate.  The step triple depends only on the iteration index, so every
-    slot's record at that index holds the same tuple.
+    The broadcast iterate, the subgradients there, each coordinate's
+    distance to the next iterate, and the follower draws at the iterate.
+    The step sizes depend only on the iteration index (``_step_sizes``).
     """
 
     p_s: float
@@ -154,7 +154,6 @@ class IterationRecord(NamedTuple):
     g_ps: float
     g_pb: float
     g_y: float
-    steps: tuple[float, float, float]
     dist_s: float
     dist_b: float
     dist_y: float
@@ -164,12 +163,15 @@ class IterationRecord(NamedTuple):
 @dataclass(frozen=True)
 class IterationTrace:
     records: tuple[IterationRecord, ...]
-    converged: bool
+    converged: bool  # the stop rule fired; with no records, the action is exact
     polish_sweeps: int = 0
 
     @property
     def iterations(self) -> int:
         return len(self.records)
+
+
+_EMPTY_TRACE = IterationTrace(records=(), converged=True)
 
 
 @dataclass(frozen=True)
@@ -207,10 +209,8 @@ def _project(raw_ps: float, raw_pb: float, raw_y: float, m_s: float,
     return p_s, p_b, y_lo if raw_y < y_lo else y_hi if raw_y > y_hi else raw_y
 
 
-@lru_cache(maxsize=None)
 def _step_sizes(m: int) -> tuple[float, float, float]:
-    """The step sizes of iteration m for (p_s, p_b, y); cached, so every
-    slot's record at iteration m holds the same triple."""
+    """The step sizes of iteration m for (p_s, p_b, y)."""
     denom = STEP_C0 + STEP_C1 * m
     return STEP_SCALE_S / denom, STEP_SCALE_B / denom, STEP_SCALE_Y / denom
 
@@ -460,12 +460,10 @@ def _line_router(responder: QueueResponder, along_s: bool, price: float,
     endpoint, and any other pair to ``responder`` itself.  Each run's
     responder is certified when first asked; its answers are the band
     responder's, bit for bit.  None means ``responder`` answers the whole
-    line: it has at most POLISH_CHUNK distinct points, or the band has
-    nothing free.
+    line: it has at most POLISH_CHUNK distinct points.
     """
     # The distinct points, sorted, of a line that may need splitting.
-    pts = (sorted(set(points)) if len(points) > POLISH_CHUNK and responder.free
-           else ())
+    pts = sorted(set(points)) if len(points) > POLISH_CHUNK else ()
     if len(pts) <= POLISH_CHUNK:
         return None
     lo, hi = pts[0], pts[-1]
@@ -565,23 +563,52 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
 # ---------------------------------------------------------------------------
 
 
+def _start(m_s: float, m_b: float, min_gap: float, y_lo: float,
+           y_hi: float) -> tuple[float, float, float]:
+    """The loop's first iterate: mid-band prices ``min_gap`` apart, y = 0."""
+    mid = 0.5 * (m_s + m_b)
+    return _project(mid + 0.5 * min_gap, mid - 0.5 * min_gap, 0.0, m_s, m_b,
+                    max(m_s - min_gap, m_b), y_lo, y_hi, min_gap)
+
+
+def _against_fixed_draws(followers: tuple[FollowerAction, ...], b: float,
+                         slot: SlotData, c_b: float, v_p: float,
+                         y_box: tuple[float, float], min_gap: float) -> SlotSolution:
+    """The leader's exact optimum against draws no price moves, with the
+    empty trace.  The surrogate is linear in each price (Labbé, Marcotte &
+    Savard 1998): p_s = m_s if some interchange is >= 0, p_b = m_b if some
+    is < 0.  A price nobody trades on changes no payoff, so it is not
+    identified; it is posted at the loop's start.  y is the exact charge."""
+    m_s, m_b = slot.m_s, slot.m_b
+    check_band(m_s, m_b, min_gap)
+    tps = [f.tp for f in followers]
+    p_s, p_b, _ = _start(m_s, m_b, min_gap, *y_box)
+    leader = LeaderAction(
+        p_s=m_s if any(tp >= 0.0 for tp in tps) else p_s,
+        p_b=m_b if any(tp < 0.0 for tp in tps) else p_b,
+        y=_argmin_charge(tps, b, slot.g_t, m_s, m_b, v_p, c_b, *y_box))
+    return SlotSolution(leader=leader, followers=followers, trace=_EMPTY_TRACE)
+
+
 def _solve_with_responder(responder, b: float, slot: SlotData,
                           pme_params: PmeParams, pme_control: PmeControl,
                           config: GameConfig,
                           y_box: tuple[float, float] | None = None) -> SlotSolution:
     m_s, m_b, g_t = slot.m_s, slot.m_b, slot.g_t
     min_gap, rho = config.min_gap, config.rho
+    y_lo, y_hi = y_box = y_box or (-pme_params.u_dmax, pme_params.u_cmax)
+    if config.polish and not responder.free:
+        es, tps = responder.respond(m_s, m_b)
+        return _against_fixed_draws(tuple(map(FollowerAction, es, tps)), b, slot,
+                                    pme_params.c_b, pme_control.v_p, y_box, min_gap)
     check_band(m_s, m_b, min_gap)
-    y_lo, y_hi = (-pme_params.u_dmax, pme_params.u_cmax) if y_box is None else y_box
     pb_hi = max(m_s - min_gap, m_b)
     reach = TRUST_HALF_WIDTH * (m_s - m_b)
     # The trust box (empty until the first iterate certifies one).
     box_s_lo = box_b_lo = math.inf
     box_s_hi = box_b_hi = -math.inf
 
-    mid = 0.5 * (m_s + m_b)
-    p_s, p_b, y = _project(mid + 0.5 * min_gap, mid - 0.5 * min_gap, 0.0,
-                           m_s, m_b, pb_hi, y_lo, y_hi, min_gap)
+    p_s, p_b, y = _start(m_s, m_b, min_gap, y_lo, y_hi)
     records: list[IterationRecord] = []
     converged = False
     for m in range(1, config.max_iters + 1):
@@ -599,7 +626,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
                                  y - steps[2] * g_y, m_s, m_b, pb_hi,
                                  y_lo, y_hi, min_gap)
         d_s, d_b, d_y = abs(n_s - p_s), abs(n_b - p_b), abs(n_y - y)
-        records.append(IterationRecord(p_s, p_b, y, g_ps, g_pb, g_y, steps,
+        records.append(IterationRecord(p_s, p_b, y, g_ps, g_pb, g_y,
                                        d_s, d_b, d_y, es))
         p_s, p_b, y = n_s, n_b, n_y
         if d_s < rho and d_b < rho and d_y < rho:
@@ -609,7 +636,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     chi = LeaderAction(p_s=p_s, p_b=p_b, y=y)
     if config.polish:
         chi, sweeps, es, tps = _polish(chi, responder, b, slot, pme_params.c_b,
-                                       pme_control.v_p, (y_lo, y_hi), config)
+                                       pme_control.v_p, y_box, config)
     else:
         sweeps = 0
         es, tps = responder.respond(p_s, p_b)

@@ -116,6 +116,32 @@ def leader_surrogate(p_s, p_b, y, tps, b, g_t, m_s, m_b, v_p, c_b):
     return b * y - v_p * revenue + v_p * (settle + 0.5 * c_b * y * y)
 
 
+def brute_force_fixed_draws(tps, b, g_t, m_s, m_b, v_p, c_b, y_lo, y_hi,
+                            min_gap, points=401):
+    """Smallest ``leader_surrogate`` value over a grid, the interchanges
+    ``tps`` held fixed: p_s and p_b each on ``points`` points of the band
+    [m_b, m_s], in pairs with p_s - p_b >= min_gap (the pair of band edges
+    always), and y on 20,001 points of [y_lo, y_hi] plus the settlement kink
+    and each branch's vertex inside it.  With the interchanges fixed the
+    surrogate is a price term plus a charge term, so the grid's minimum is
+    the charge grid's minimum at one price pair plus the price grid's
+    minimum at that charge."""
+    ys = np.linspace(y_lo, y_hi, 20_001)
+    extra = [g_t - math.fsum(tps)]
+    if c_b > 0.0:
+        extra += [-(b + v_p * m) / (v_p * c_b) for m in (m_s, m_b)]
+    ys = np.append(ys, [x for x in extra if y_lo < x < y_hi])
+    charge = leader_surrogate(m_s, m_b, ys, tps, b, g_t, m_s, m_b, v_p, c_b)
+    y = float(ys[int(np.argmin(charge))])
+    grid = np.linspace(m_b, m_s, points)
+    p_s, p_b = np.meshgrid(grid, grid, indexing="ij")
+    keep = p_s - p_b >= min_gap - 1e-12
+    p_s = np.append(p_s[keep], m_s)
+    p_b = np.append(p_b[keep], m_b)
+    return float(np.min(leader_surrogate(p_s, p_b, y, tps, b, g_t, m_s, m_b,
+                                         v_p, c_b)))
+
+
 def profit_from_definition(p_s, p_b, y, tps, g_t, m_s, m_b, c_b):
     revenue = sum(p_s * max(tp, 0.0) + p_b * min(tp, 0.0) for tp in tps)
     residual = sum(tps) - g_t + y
@@ -384,6 +410,21 @@ def reference_loop(state, slot, ng_params, ng_controls, pme_params,
         if max(distance) < config.rho:
             return rows, True, chi
     return rows, False, chi
+
+
+def fixed_draws_rule(tps, b, slot, v_p, c_b, y_box, min_gap):
+    """The leader action against interchanges ``tps`` that no price moves,
+    as (p_s, p_b, y): p_s = m_s if some interchange is >= 0 and p_b = m_b
+    if some is < 0; an untraded price is the loop's projected start, as
+    ``reference_loop`` computes it; y is the package's exact charge
+    (``stackelberg._argmin_charge``, checked against a grid elsewhere)."""
+    m_s, m_b = slot.m_s, slot.m_b
+    mid = 0.5 * (m_s + m_b)
+    start_b = min(max(mid - 0.5 * min_gap, m_b), max(m_s - min_gap, m_b))
+    start_s = min(max(mid + 0.5 * min_gap, min(start_b + min_gap, m_s)), m_s)
+    y = stackelberg._argmin_charge(tps, b, slot.g_t, m_s, m_b, v_p, c_b, *y_box)
+    return (m_s if any(tp >= 0.0 for tp in tps) else start_s,
+            m_b if any(tp < 0.0 for tp in tps) else start_b, y)
 
 
 def reference_scan(evaluate, points):

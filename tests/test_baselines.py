@@ -37,9 +37,10 @@ from nanodr.scenario_io import (
     synthetic_params,
 )
 from nanodr.simulator import run
-from nanodr.stackelberg import GameConfig, _argmin_charge, solve_slot
+from nanodr.stackelberg import GameConfig, solve_slot
 
 from oracles import (
+    fixed_draws_rule,
     interchange_box,
     social_cost,
     tightest_l_max,
@@ -239,27 +240,45 @@ def test_real_time_pricing_case_beats_forecast_case_for_the_aggregator():
     assert rtp.aggregate_cost <= base.aggregate_cost + 1e-9
 
 
-def test_real_time_pricing_case_is_the_closed_form():
-    # Fixed draws leave the leader the whole band and the exact charge.
-    scen, params, bundle = _setup(seed=4, slots=24, n=2)
+def _check_real_time_actions(rep, scen, params, bundle, min_gap):
+    """Every slot's draws are the tracking draws, and its leader action is
+    the closed form against them: a traded price at its band edge (p_s if
+    some interchange is >= 0, p_b if some is < 0), an untraded one at the
+    loop's projected start, and the exact charge.  Returns the number of
+    slots with no buyer and with no seller."""
     pmec = bundle.pme_control
-    rep = run_case(CaseId.FIXED_POINT_REAL_TIME_PRICE, scen, params,
-                   bundle.ng_controls, PME, pmec, GameConfig())
     t = [0.5 * (p.t_min + p.t_max) for p in params]
     e_batt = 0.5 * (PME.e_min + PME.e_max_cap)
     state = SlotState(t=tuple(t), h=tuple(x + c.gamma_shift for x, c
                                           in zip(t, bundle.ng_controls)),
                       e_batt=e_batt, b=e_batt + pmec.theta)
+    untraded = collections.Counter()
     for k, o in enumerate(rep.outcomes):
         slot = scen.slot(k)
         es = [_tracking_draw(x, fs, p)
               for x, fs, p in zip(state.t, slot.followers, params)]
         assert [f.e for f in o.followers] == es
         tps = [fs.d + e - fs.rp for fs, e in zip(slot.followers, es)]
-        y = _argmin_charge(tps, state.b, slot.g_t, slot.m_s, slot.m_b,
-                           pmec.v_p, PME.c_b, -PME.u_dmax, PME.u_cmax)
-        assert o.leader == LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=y)
+        untraded["p_s"] += all(tp < 0.0 for tp in tps)
+        untraded["p_b"] += all(tp >= 0.0 for tp in tps)
+        want = fixed_draws_rule(tps, state.b, slot, pmec.v_p, PME.c_b,
+                                (-PME.u_dmax, PME.u_cmax), min_gap)
+        got = (o.leader.p_s, o.leader.p_b, o.leader.y)
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
         state = o.next_state
+    return untraded
+
+
+def test_real_time_pricing_case_is_the_closed_form():
+    # Fixed draws leave the leader a linear problem in each price.  This
+    # run has slots with a seller and slots without one; every slot has a
+    # buyer, as in every generated scenario.
+    scen, params, bundle = _setup(seed=4, slots=24, n=3)
+    rep = run_case(CaseId.FIXED_POINT_REAL_TIME_PRICE, scen, params,
+                   bundle.ng_controls, PME, bundle.pme_control, GameConfig())
+    untraded = _check_real_time_actions(rep, scen, params, bundle,
+                                        GameConfig().min_gap)
+    assert 0 < untraded["p_b"] < 24 and untraded["p_s"] == 0, untraded
 
 
 def test_real_time_pricing_case_checks_min_gap():
@@ -271,7 +290,9 @@ def test_real_time_pricing_case_checks_min_gap():
                         bundle.ng_controls, PME, bundle.pme_control,
                         GameConfig(min_gap=gap))
 
-    assert tuple(o.leader.p_b for o in run_with(width).outcomes) == scen.m_b
+    # A band exactly min_gap wide is accepted, and the untraded prices
+    # start from the gap given.
+    _check_real_time_actions(run_with(width), scen, params, bundle, width)
     with pytest.raises(ConfigurationError, match="min_gap"):
         run_with(width * (1.0 + 1e-6))
 

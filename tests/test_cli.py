@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -82,16 +81,14 @@ def _reference_csvs(report, traces, out_dir):
                 writer.writerow(
                     [str(o.slot), str(m), fmt(rec.p_s), fmt(rec.p_b),
                      fmt(rec.y), fmt(rec.g_ps), fmt(rec.g_pb), fmt(rec.g_y)]
-                    + [fmt(x) for x in rec.steps]
+                    + [fmt(x) for x in stackelberg._step_sizes(m)]
                     + [fmt(rec.dist_s), fmt(rec.dist_b), fmt(rec.dist_y)]
                     + [fmt(e) for e in rec.es])
 
 
 def _traced_run(tmp_path, monkeypatch, flags):
     """``run --traces`` with ``flags``: its report, each slot's trace as the
-    solver returned it (its records' step triples copied, so the solver's
-    own triples live no longer than the solver keeps them), and its
-    artifact directory."""
+    solver returned it, and its artifact directory."""
     reports, traces = [], []
     simulate, solve = cli.run, simulator.solve_slot
 
@@ -101,8 +98,7 @@ def _traced_run(tmp_path, monkeypatch, flags):
 
     def keep_trace(*args, **kwargs):
         solution = solve(*args, **kwargs)
-        traces.append(replace(solution.trace, records=tuple(
-            rec._replace(steps=list(rec.steps)) for rec in solution.trace.records)))
+        traces.append(solution.trace)
         return solution
 
     monkeypatch.setattr(cli, "run", keep_report)
@@ -138,18 +134,6 @@ def test_traces_match_the_reference_when_the_draws_change_mid_slot(tmp_path,
                                       ["--slots", "24", "--followers", "20"])
     draws = [[id(rec.es) for rec in trace.records] for trace in traces]
     assert any(1 < len(set(ids)) < len(ids) for ids in draws)
-    _assert_reference_csvs(report, traces, out, tmp_path)
-
-
-def test_traces_match_the_reference_when_no_step_triple_is_shared(tmp_path,
-                                                                  monkeypatch):
-    # A step triple depends only on its iteration index.  Give each
-    # iteration a fresh triple that dies with its slot's records, so a later
-    # slot's triple can reuse the id of one at another index.
-    monkeypatch.setattr(stackelberg, "_step_sizes",
-                        stackelberg._step_sizes.__wrapped__)
-    report, traces, out = _traced_run(tmp_path, monkeypatch,
-                                      ["--slots", "12"])
     _assert_reference_csvs(report, traces, out, tmp_path)
 
 
@@ -305,10 +289,23 @@ def test_sweep_non_numeric_value_is_a_usage_error(values, named, tmp_path,
 
 @pytest.mark.parametrize("value", ["nan", "inf", "2.5", "-1"])
 def test_n_sweep_rejects_a_non_count(value, tmp_path, capsys):
-    rc = main(["sweep", "--slots", "4", "--param", "n", "--values", value,
+    # A valid value first: every value is checked before any is run.
+    rc = main(["sweep", "--slots", "4", "--param", "n", "--values", f"1,{value}",
                "--out", str(tmp_path / "sw")])
     assert rc == 2
     assert "n must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_n_sweep_on_a_scenario_file_makes_no_directory(tmp_path, capsys):
+    scenario = tmp_path / "scen.csv"
+    assert main(["gen-scenario", "--slots", "4", "--followers", "2",
+                 "--out", str(scenario)]) == 0
+    rc = main(["sweep", "--scenario", str(scenario), "--param", "n",
+               "--values", "1", "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "the n sweep needs a synthetic scenario" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_artifact_deterministic(tmp_path):

@@ -6,7 +6,9 @@ runs all five cases under the default policy's certified controls and under
 drawn certified controls, and checks the bounds, finiteness and determinism
 the certificates promise.  Every line the polish scans is checked against
 ``reference_scan`` on the way, and the proposed case's loop records in the
-first, middle and last slots against ``reference_loop``.  At n from 20 to
+first, middle and last slots against ``reference_loop`` (with
+``polish=False`` where the band pins every follower, whose default action
+is checked against ``fixed_draws_rule``).  At n from 20 to
 50, where the polish answers its long lines from responders certified on
 runs of scan points, the proposed case's polished actions equal those of a
 polish that asks the band's responder alone, bit for bit.
@@ -29,9 +31,9 @@ from nanodr.scenario_io import (
     generate_synthetic,
     synthetic_params,
 )
-from nanodr.stackelberg import GameConfig, solve_slot
+from nanodr.stackelberg import GameConfig, QueueResponder, _step_sizes, solve_slot
 
-from oracles import reference_loop, shadowed_scans, tightest_l_max
+from oracles import fixed_draws_rule, reference_loop, shadowed_scans, tightest_l_max
 
 
 def _drawn_policy(data, scenario, params, pme, bundle):
@@ -58,9 +60,12 @@ def _drawn_policy(data, scenario, params, pme, bundle):
 
 
 def _check_loop_records(report, scenario, params, controls, pme, control):
-    """The proposed case's loop records in its first, middle and last slots
-    equal ``reference_loop``'s rows bit for bit (float.hex tells -0.0 from
-    0.0), and the solve ends where the run's did."""
+    """In the proposed case's first, middle and last slots the solve ends
+    where the run's did.  Where the band leaves a follower free, the loop
+    records equal ``reference_loop``'s rows bit for bit (float.hex tells
+    -0.0 from 0.0).  Where it pins every follower, the solve has no records
+    and is converged, its action is ``fixed_draws_rule``'s, and the loop
+    that ``polish=False`` runs there equals the reference."""
     t0 = tuple(0.5 * (p.t_min + p.t_max) for p in params)
     e0 = 0.5 * (pme.e_min + pme.e_max_cap)
     states = [SlotState(t=t0, h=tuple(t + c.gamma_shift for t, c in zip(t0, controls)),
@@ -71,10 +76,19 @@ def _check_loop_records(report, scenario, params, controls, pme, control):
         sol = solve_slot(states[k], slot, params, controls, pme, control,
                          GameConfig())
         assert sol.leader == report.outcomes[k].leader
+        if not QueueResponder(states[k], slot, params, controls).free:
+            assert sol.trace.records == () and sol.trace.converged
+            want = fixed_draws_rule([f.tp for f in sol.followers], states[k].b,
+                                    slot, control.v_p, pme.c_b,
+                                    (-pme.u_dmax, pme.u_cmax), GameConfig().min_gap)
+            assert list(map(float.hex, want)) == list(map(float.hex, (
+                sol.leader.p_s, sol.leader.p_b, sol.leader.y)))
+            sol = solve_slot(states[k], slot, params, controls, pme, control,
+                             GameConfig(polish=False))
         rows, converged, _ = reference_loop(states[k], slot, params, controls,
                                             pme, control, GameConfig())
-        got = [(*rec[:6], *rec.steps, *rec[7:10], *rec.es)
-               for rec in sol.trace.records]
+        got = [(*rec[:6], *_step_sizes(m), *rec[6:9], *rec.es)
+               for m, rec in enumerate(sol.trace.records, start=1)]
         assert [list(map(float.hex, row)) for row in got] == [
             list(map(float.hex, row)) for row in rows]
         assert sol.trace.converged is converged

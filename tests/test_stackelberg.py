@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nanodr import stackelberg
-from nanodr.baselines import _comfort_box
+from nanodr import baselines, stackelberg
+from nanodr.baselines import CaseId, _comfort_box, run_case
 from nanodr.domain import (
     ConfigurationError,
     FollowerSlot,
@@ -49,6 +49,7 @@ from nanodr.stackelberg import (
 )
 
 from oracles import (
+    brute_force_fixed_draws,
     leader_surrogate,
     reference_loop,
     reference_scan,
@@ -446,6 +447,9 @@ _LOOP_CASES = {
     # Past the default cap of 500 iterations.
     "cap-hit-at-600": dict(n=1, k=5, max_iters=600, rho=1e-300),
     "myopic": dict(n=5, k=12, myopic=True),
+    # Case 3 with followers free on the band: the generated weights pin
+    # every one of them, a stiffer discomfort weight does not.
+    "myopic-free": dict(n=5, k=0, myopic=True, gamma=1.0),
     # The iterate leaves its first trust box, where nothing is free, for one
     # with free followers.
     "trust-boxes": dict(n=20, k=18),
@@ -453,7 +457,7 @@ _LOOP_CASES = {
 # The followers free on each case's band, as the band-only certificate found
 # them; the other cases have none.
 _BAND_FREE = {"n50": tuple(range(50)), "gamma0-free": tuple(range(5)),
-              "trust-boxes": tuple(range(20))}
+              "myopic-free": (1, 3, 4), "trust-boxes": tuple(range(20))}
 
 
 def _loop_case(case, polish, responder=QueueResponder):
@@ -494,8 +498,8 @@ def test_loop_matches_the_reference_bit_for_bit(case):
                                            c.controls, c.pme, c.pmec, c.config,
                                            drop_queue=c.myopic, boxes=c.boxes,
                                            y_box=c.y_box)
-    got = [(*rec[:6], *rec.steps, *rec[7:10], *rec.es)
-           for rec in sol.trace.records]
+    got = [(*rec[:6], *stackelberg._step_sizes(m), *rec[6:9], *rec.es)
+           for m, rec in enumerate(sol.trace.records, start=1)]
     assert len(got) == len(rows)
     for mine, ref in zip(got, rows):
         assert mine == ref
@@ -517,45 +521,48 @@ def test_every_price_the_solver_asks_lies_in_the_band(case):
     # and the polish must ask each responder at prices in its box alone,
     # and every box the loop certifies must lie in the grid band [m_b, m_s]²
     # (n = 1, 5, 20, 50, gamma = 0, a band exactly min_gap wide, case-3
-    # myopic boxes, an iteration cap hit).  Every loop iteration asks its
-    # trust box's responder once, also when that box has nothing free.
-    c = _loop_case(case, polish=True, responder=_RecordingResponder)
-    sol = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
-                                c.config, y_box=c.y_box)
-    asked = c.responder.asked_full
-    assert asked and c.responder.asked
-    assert len(asked) == sol.trace.iterations + len(c.responder.asked)
-    m_b, m_s = c.slot.m_b, c.slot.m_s
-    boxes = [box for _, _, box in asked] + [
-        box for pair in c.responder.restricted for box in (pair[0], pair[1].box)]
-    assert [box for box in boxes
-            if not (m_b <= box[0] <= box[1] <= m_s
-                    and m_b <= box[2] <= box[3] <= m_s)] == []
-    assert [(p_s, p_b) for p_s, p_b, box in asked
-            if not (box[0] <= p_s <= box[1] and box[2] <= p_b <= box[3])] == []
-    assert [(p_s, p_b) for p_s, p_b, _ in asked
-            if not (m_b <= p_s <= m_s and m_b <= p_b <= m_s)] == []
-    # The polish's long lines at n = 20 and 50 are answered by their runs'
-    # responders, each restricted from the band's.
-    answered = {box for _, _, box in asked}
-    runs = c.responder.runs
-    assert [parent for parent, _ in runs if parent != c.responder.box] == []
-    if case in ("n50", "trust-boxes"):
-        assert answered & {sub.box for _, sub in runs}
-    else:
-        assert not runs
+    # myopic boxes, an iteration cap hit), with the polish and without it.
+    # Every loop iteration asks its trust box's responder once, also when
+    # that box has nothing free; with the polish on, a band with nothing
+    # free is asked once and runs no loop.
+    for polish in (True, False):
+        c = _loop_case(case, polish=polish, responder=_RecordingResponder)
+        sol = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
+                                    c.config, y_box=c.y_box)
+        asked = c.responder.asked_full
+        assert asked and c.responder.asked
+        assert len(asked) == sol.trace.iterations + len(c.responder.asked)
+        assert (sol.trace.iterations == 0) is (polish and not c.responder.free)
+        m_b, m_s = c.slot.m_b, c.slot.m_s
+        boxes = [box for _, _, box in asked] + [
+            box for pair in c.responder.restricted for box in (pair[0], pair[1].box)]
+        assert [box for box in boxes
+                if not (m_b <= box[0] <= box[1] <= m_s
+                        and m_b <= box[2] <= box[3] <= m_s)] == []
+        assert [(p_s, p_b) for p_s, p_b, box in asked
+                if not (box[0] <= p_s <= box[1] and box[2] <= p_b <= box[3])] == []
+        assert [(p_s, p_b) for p_s, p_b, _ in asked
+                if not (m_b <= p_s <= m_s and m_b <= p_b <= m_s)] == []
+        # The polish's long lines at n = 20 and 50 are answered by their
+        # runs' responders, each restricted from the band's.
+        answered = {box for _, _, box in asked}
+        runs = c.responder.runs
+        assert [parent for parent, _ in runs if parent != c.responder.box] == []
+        if polish and case in ("n50", "trust-boxes"):
+            assert answered & {sub.box for _, sub in runs}
+        else:
+            assert not runs
 
 
-@pytest.mark.parametrize("case", ["n50", "trust-boxes", "myopic",
+@pytest.mark.parametrize("case", ["n50", "trust-boxes", "myopic-free",
                                   "gamma0-free"])
 def test_chunked_polish_is_bit_exact(case, monkeypatch):
     # The polish answers a long line from responders certified on runs of
     # its scan points.  With runs longer than any line it asks the band
     # responder alone; the action, the sweeps, the draws and the
     # interchanges are the same, bit for bit, at the default run length and
-    # at runs of 1 and 3 gaps (short runs split gamma0-free's short lines
-    # too; myopic's band has nothing free, so its band responder answers
-    # every line).
+    # at runs of 1 and 3 gaps (short runs split the short lines of
+    # gamma0-free and of case 3's myopic-free too).
     line_router = stackelberg._line_router
 
     def polish(chunk):
@@ -616,12 +623,14 @@ def test_chunked_polish_is_bit_exact(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["desk", "n50", "n50-all-pinned", "myopic",
-                                  "gamma0-free"])
+                                  "myopic-free", "gamma0-free"])
 def test_every_polish_scan_matches_the_reference(case):
     # Each line the polish scans gives the reference scan's (argmin, value)
     # bits.  Pruning saves evaluations at n=50, where every follower is
-    # free, and is never asked for at gamma = 0, where free draws jump.  (An
-    # all-pinned line is linear; its only segment holds its best end.)
+    # free, and is never asked for at gamma = 0, where free draws jump.  The
+    # solver does not polish a band with nothing free, so the all-pinned
+    # cases polish the loop's last iterate directly.  (An all-pinned line is
+    # linear; its only segment holds its best end.)
     if case == "desk":
         params, controls, state, pmec = _desk_setup()
         slot, pme, b, y_box = _desk_slot(), PME, state.b, None
@@ -632,7 +641,11 @@ def test_every_polish_scan_matches_the_reference(case):
         responder, slot, pme, pmec, b, y_box, config = (
             c.responder, c.slot, c.pme, c.pmec, c.b, c.y_box, c.config)
     with shadowed_scans() as shadow:
-        _solve_with_responder(responder, b, slot, pme, pmec, config, y_box=y_box)
+        if responder.free:
+            _solve_with_responder(responder, b, slot, pme, pmec, config,
+                                  y_box=y_box)
+        else:
+            _polished_loop(responder, b, slot, pme, pmec, config, y_box)
     assert shadow.lines >= 2
     if case == "n50":
         assert shadow.pruned > 0
@@ -642,17 +655,100 @@ def test_every_polish_scan_matches_the_reference(case):
         assert shadow.pruning == shadow.lines
 
 
-def test_step_triples_are_shared_across_slots():
-    # Past the default cap too, every slot's record at iteration m holds
-    # the same step triple object.
-    config = GameConfig(max_iters=600, rho=1e-300, polish=False)
-    traces = []
-    for k in (5, 6):
-        params, controls, state, pmec, slot, pme = _generated_slot(n=1, k=k)
-        traces.append(solve_slot(state, slot, params, controls, pme, pmec,
-                                 config).trace.records)
-    assert len(traces[0]) == len(traces[1]) == 600
-    assert all(a.steps is b.steps for a, b in zip(*traces))
+# -- bands with nothing free: the closed form --------------------------------
+
+
+def _polished_loop(responder, b, slot, pme, pmec, config, y_box=None):
+    """``_polish`` applied to the ``polish=False`` loop's last iterate, the
+    path the solver took before it answered a band with nothing free in
+    closed form: (action, draws, interchanges)."""
+    start = _solve_with_responder(responder, b, slot, pme, pmec,
+                                  replace(config, polish=False),
+                                  y_box=y_box).leader
+    act, _, es, tps = _polish(start, responder, b, slot, pme.c_b, pmec.v_p,
+                              y_box or (-pme.u_dmax, pme.u_cmax), config)
+    return act, es, tps
+
+
+def _closed_form_slots(monkeypatch, n, slots, seed=1,
+                       cases=(CaseId.PROPOSED,)):
+    """Runs ``cases`` on a generated scenario under the default policy and
+    returns every slot solve whose band has nothing free, as
+    (responder, b, slot, pme, pmec, config, y_box, solution)."""
+    spec = SyntheticSpec(n=n, slots=slots, seed=seed)
+    scenario, params = generate_synthetic(spec), synthetic_params(spec)
+    pme = default_pme_params()
+    bundle = default_policy(scenario, params, pme)
+    solve, got = stackelberg._solve_with_responder, []
+
+    def spy(responder, b, slot, pme, pmec, config, y_box=None):
+        sol = solve(responder, b, slot, pme, pmec, config, y_box=y_box)
+        if not responder.free:
+            got.append((responder, b, slot, pme, pmec, config, y_box, sol))
+        return sol
+
+    monkeypatch.setattr(stackelberg, "_solve_with_responder", spy)
+    monkeypatch.setattr(baselines, "_solve_with_responder", spy)
+    for case in cases:
+        run_case(case, scenario, params, bundle.ng_controls, pme,
+                 bundle.pme_control)
+    monkeypatch.undo()
+    return got
+
+
+# The desk (the reference week), no nanogrids, and seed 1 of the benchmark's
+# workloads: month5, cluster50 and compare5 (cases 3 and 4 only).
+_CLOSED_FORM_RUNS = {
+    "desk": dict(n=5, slots=72),
+    "n0": dict(n=0, slots=48),
+    "month5": dict(n=5, slots=720),
+    "cluster50": dict(n=50, slots=100),
+    "compare5": dict(n=5, slots=240,
+                     cases=(CaseId.MYOPIC_GAME, CaseId.PROPOSED)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_CLOSED_FORM_RUNS))
+def test_closed_form_is_the_polished_loop_bit_for_bit(run, monkeypatch):
+    # In every slot whose band pins every follower, the default's leader
+    # action, draws and interchanges equal, by float.hex, the polish of the
+    # polish=False loop's last iterate.  Its trace has no records and is
+    # converged, and without the polish the same slot runs the loop.
+    slots = _closed_form_slots(monkeypatch, **_CLOSED_FORM_RUNS[run])
+    assert slots
+    for responder, b, slot, pme, pmec, config, y_box, sol in slots:
+        assert sol.trace.records == () and sol.trace.converged
+        assert sol.trace.polish_sweeps == 0
+        act, es, tps = _polished_loop(responder, b, slot, pme, pmec, config,
+                                      y_box)
+        assert _bits((sol.leader.p_s, sol.leader.p_b, sol.leader.y)) == _bits(
+            (act.p_s, act.p_b, act.y))
+        assert _bits(f.e for f in sol.followers) == _bits(es)
+        assert _bits(f.tp for f in sol.followers) == _bits(tps)
+    loop = _solve_with_responder(responder, b, slot, pme, pmec,
+                                 replace(config, polish=False), y_box=y_box)
+    assert loop.trace.iterations >= 1
+    if run == "compare5":
+        # Case 3 reached the closed form too: its charge box is narrowed.
+        assert any(y_box is not None for *_, y_box, _ in slots)
+
+
+@pytest.mark.parametrize("run", ["desk", "n0", "cluster50"])
+def test_no_grid_point_beats_the_closed_form(run, monkeypatch):
+    # Against fixed draws no (p_s, p_b, y) on a dense grid of the leader's
+    # feasible set has a surrogate value below the closed form's by more
+    # than 1e-9*(1 + |value|).
+    for responder, b, slot, pme, pmec, config, y_box, sol in _closed_form_slots(
+            monkeypatch, **_CLOSED_FORM_RUNS[run]):
+        tps = [f.tp for f in sol.followers]
+        y_lo, y_hi = y_box or (-pme.u_dmax, pme.u_cmax)
+        best = brute_force_fixed_draws(tps, b, slot.g_t, slot.m_s, slot.m_b,
+                                       pmec.v_p, pme.c_b, y_lo, y_hi,
+                                       config.min_gap)
+        act = sol.leader
+        val = float(leader_surrogate(act.p_s, act.p_b, act.y, tps, b, slot.g_t,
+                                     slot.m_s, slot.m_b, pmec.v_p, pme.c_b))
+        assert val <= best + 1e-9 * (1.0 + abs(best)), (slot, act, val, best)
 
 
 # -- the polish's scan against its plain restatement ------------------------
