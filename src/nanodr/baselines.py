@@ -201,20 +201,19 @@ def run_case(case: CaseId, scenario: Scenario,
         return run(scenario, ng_params, ng_controls, pme_params, pme_control,
                    config, strict_bounds=True)
 
-    def tracking(state: SlotState,
-                 slot: SlotData) -> tuple[FollowerAction, ...]:
-        es = map(_tracking_draw, state.t, slot.followers, ng_params)
-        return _actions(es, slot)
-
     if case is CaseId.FIXED_POINT_FORECAST_PRICE:
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:
             leader = LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=0.0)
-            return SlotSolution(leader=leader, followers=tracking(state, slot),
+            es = map(_tracking_draw, state.t, slot.followers, ng_params)
+            return SlotSolution(leader=leader, followers=_actions(es, slot),
                                 trace=_EMPTY_TRACE)
 
     elif case is CaseId.FIXED_POINT_REAL_TIME_PRICE:
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:
-            return _against_fixed_draws(tracking(state, slot), state.b, slot,
+            es = tuple(map(_tracking_draw, state.t, slot.followers, ng_params))
+            tps = [fs.d + e - fs.rp for e, fs in zip(es, slot.followers)]
+            trades = (any(tp >= 0.0 for tp in tps), any(tp < 0.0 for tp in tps))
+            return _against_fixed_draws(es, tps, trades, state.b, slot,
                                         pme_params.c_b, pme_control.v_p,
                                         (-pme_params.u_dmax, pme_params.u_cmax),
                                         config.min_gap)

@@ -343,15 +343,18 @@ def _parse_cases(text: str) -> list[CaseId]:
         if not token:
             continue
         try:
-            cases.append(_CASE_BY_NUMBER[int(token)])
+            case = _CASE_BY_NUMBER[int(token)]
         except (ValueError, KeyError):
             try:
-                cases.append(CaseId[token.upper()])
+                case = CaseId[token.upper()]
             except KeyError:
                 raise ConfigurationError(
                     f"unknown case {token!r}; use 1-5 or names "
                     f"{[c.name for c in CaseId]}"
                 ) from None
+        if case in cases:
+            raise ConfigurationError(f"case {case.value} ({case.name}) named twice")
+        cases.append(case)
     if not cases:
         raise ConfigurationError("empty case list")
     return cases

@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class ConfigurationError(ValueError):
@@ -158,17 +158,16 @@ class PmeControl:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class LeaderAction:
-    """Aggregator decision for one slot: both prices and battery charge."""
+class LeaderAction(NamedTuple):
+    """Aggregator decision for one slot: both prices and battery charge.
+    Tuple-backed, as is FollowerAction: a dataclass sets each field by call."""
 
     p_s: float  # selling price (cent/kWh)
     p_b: float  # buying price (cent/kWh)
     y: float    # battery charge (+) / discharge (−) amount (kWh)
 
 
-@dataclass(frozen=True, slots=True)
-class FollowerAction:
+class FollowerAction(NamedTuple):
     """Nanogrid decision for one slot."""
 
     e: float   # HVAC consumption (kWh)
@@ -325,6 +324,12 @@ def _tightest_l_max(e_max: float, rp: float, d: float) -> float:
     return l_max
 
 
+# The last scenario and parameters check_assumptions passed: a command binds
+# the pair for its policy and for each run.  Both are frozen; the scenario is
+# matched by identity, as hashing it would read every series.
+_checked: tuple[Scenario | None, tuple[NanogridParams, ...]] = (None, ())
+
+
 def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> None:
     """Check the comfort-guarantee assumptions for every nanogrid of a scenario.
 
@@ -340,6 +345,9 @@ def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> N
     are void without it.  Raises ConfigurationError naming the violated
     assumption; a binding l_max is refused with the smallest one accepted.
     """
+    global _checked
+    if _checked[0] is scenario and _checked[1] == tuple(params):
+        return
     if len(params) != scenario.n:
         raise ConfigurationError(
             f"got {len(params)} parameter sets for {scenario.n} nanogrids"
@@ -377,6 +385,7 @@ def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> N
                     f"the smallest l_max accepted for nanogrid {i} in every "
                     f"slot is {tightest}"
                 )
+    _checked = (scenario, tuple(params))
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,11 @@ def follower_rule(h: float, t: float, slot: FollowerSlot,
     mismatch = one * slot.t_out + eps * t - slot.t_opt  # °F above target, pre-draw
     le = (eps * one * h + 2.0 * v * gam * one * mismatch) * eta
     dr = slot.d - slot.rp
-    fixed = [(e, vg * (oe * e) ** 2 + le * e, dr + e, abs(dr + e))
-             for e in (lo, clamp(slot.rp - slot.d, lo, hi), hi)]
+    # The fixed candidates, written out: a comprehension is a nested call.
+    kink = clamp(slot.rp - slot.d, lo, hi)
+    at_lo = (lo, vg * (oe * lo) ** 2 + le * lo, dr + lo, abs(dr + lo))
+    at_kink = (kink, vg * (oe * kink) ** 2 + le * kink, dr + kink, abs(dr + kink))
+    at_hi = (hi, vg * (oe * hi) ** 2 + le * hi, dr + hi, abs(dr + hi))
     if gam == 0.0:
         alpha = beta = 0.0
         vartheta = (-mismatch / (one * eta) if h == 0.0
@@ -98,8 +101,8 @@ def follower_rule(h: float, t: float, slot: FollowerSlot,
                  - eps * one * h * eta / v
                  - 2.0 * gam * one * one * eta * eta * (slot.rp - slot.d))
     pressure = -eps * one * h * eta
-    return FollowerRule(v, *fixed, gam != 0.0, pressure - alpha, pressure - beta,
-                        delta, vartheta, hbar, vg, oe, le, dr)
+    return FollowerRule(v, at_lo, at_kink, at_hi, gam != 0.0, pressure - alpha,
+                        pressure - beta, delta, vartheta, hbar, vg, oe, le, dr)
 
 
 def respond(rules: Sequence[FollowerRule], p_s: float,

@@ -6,7 +6,8 @@ projected subgradient step on its surrogate with harmonically decaying step
 sizes.  The loop stops when all three coordinates move less than ``rho``
 between consecutive iterates, or at the iteration cap (flagged, not fatal).
 With the polish on, a slot whose band pins every follower runs neither: the
-point where the polish would end has a closed form (``_against_fixed_draws``).
+point where the polish would end has a closed form (``_against_fixed_draws``)
+read from the band certificate's template and flags, asking no responder.
 
 The loop carries the iterate as three floats and keeps one flat
 ``IterationRecord`` per iteration, which is one row of ``traces.csv``; the
@@ -174,8 +175,9 @@ class IterationTrace:
 _EMPTY_TRACE = IterationTrace(records=(), converged=True)
 
 
-@dataclass(frozen=True)
-class SlotSolution:
+class SlotSolution(NamedTuple):
+    """One slot's answer; tuple-backed like its actions (``domain``)."""
+
     leader: LeaderAction
     followers: tuple[FollowerAction, ...]
     trace: IterationTrace
@@ -254,10 +256,8 @@ class QueueResponder:
         self._followers = slot.followers
         self.free = tuple(range(n))
         self.pinned = (False, False)
-        self._draws = (0.0,) * n
-        # The solver's form of the interchange, d + e - rp (not dr + e,
-        # which rounds differently).
-        self._tps = [fs.d + 0.0 - fs.rp for fs in slot.followers]
+        self._draws = (0.0,) * n  # a free follower's entries are set per broadcast
+        self._tps = [0.0] * n
         self._certify(slot.m_b, slot.m_s, slot.m_b, slot.m_s)
 
     def _certify(self, ps_lo: float, ps_hi: float, pb_lo: float,
@@ -276,6 +276,8 @@ class QueueResponder:
                 continue
             fs = self._followers[i]
             draws[i] = e
+            # The solver's form of the interchange, d + e - rp (not dr + e,
+            # which rounds differently).
             tps[i] = tp = fs.d + e - fs.rp
             buys = buys or tp >= 0.0
             sells = sells or tp < 0.0
@@ -283,8 +285,8 @@ class QueueResponder:
         self.pinned = (buys, sells)
         self._draws = tuple(draws)
         self._tps = tps
-        self._free_rules = tuple(self._rules[i] for i in free)
-        self._free_slots = tuple((i, self._followers[i]) for i in free)
+        self._free_rules = tuple(map(self._rules.__getitem__, free))
+        self._free_slots = tuple(zip(free, map(self._followers.__getitem__, free)))
         # The interchanges never change when every follower is pinned.
         self.sums = None if free else interchange_sums(tps)
 
@@ -571,23 +573,23 @@ def _start(m_s: float, m_b: float, min_gap: float, y_lo: float,
                     max(m_s - min_gap, m_b), y_lo, y_hi, min_gap)
 
 
-def _against_fixed_draws(followers: tuple[FollowerAction, ...], b: float,
-                         slot: SlotData, c_b: float, v_p: float,
-                         y_box: tuple[float, float], min_gap: float) -> SlotSolution:
-    """The leader's exact optimum against draws no price moves, with the
-    empty trace.  The surrogate is linear in each price (Labbé, Marcotte &
-    Savard 1998): p_s = m_s if some interchange is >= 0, p_b = m_b if some
-    is < 0.  A price nobody trades on changes no payoff, so it is not
-    identified; it is posted at the loop's start.  y is the exact charge."""
+def _against_fixed_draws(es: Sequence[float], tps: Sequence[float],
+                         trades: tuple[bool, bool], b: float, slot: SlotData,
+                         c_b: float, v_p: float, y_box: tuple[float, float],
+                         min_gap: float) -> SlotSolution:
+    """The leader's exact optimum against draws ``es`` and interchanges
+    ``tps`` that no price moves, with the empty trace.  The surrogate is
+    linear in each price (Labbé, Marcotte & Savard 1998): p_s = m_s if some
+    interchange is >= 0, p_b = m_b if some is < 0, as ``trades`` says.  A
+    price nobody trades on changes no payoff, so it is not identified; it
+    is posted at the loop's start.  y is the exact charge."""
     m_s, m_b = slot.m_s, slot.m_b
     check_band(m_s, m_b, min_gap)
-    tps = [f.tp for f in followers]
-    p_s, p_b, _ = _start(m_s, m_b, min_gap, *y_box)
-    leader = LeaderAction(
-        p_s=m_s if any(tp >= 0.0 for tp in tps) else p_s,
-        p_b=m_b if any(tp < 0.0 for tp in tps) else p_b,
-        y=_argmin_charge(tps, b, slot.g_t, m_s, m_b, v_p, c_b, *y_box))
-    return SlotSolution(leader=leader, followers=followers, trace=_EMPTY_TRACE)
+    buys, sells = trades
+    start = (m_s, m_b) if buys and sells else _start(m_s, m_b, min_gap, *y_box)
+    leader = LeaderAction(m_s if buys else start[0], m_b if sells else start[1],
+                          _argmin_charge(tps, b, slot.g_t, m_s, m_b, v_p, c_b, *y_box))
+    return SlotSolution(leader, tuple(map(FollowerAction, es, tps)), _EMPTY_TRACE)
 
 
 def _solve_with_responder(responder, b: float, slot: SlotData,
@@ -598,9 +600,9 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     min_gap, rho = config.min_gap, config.rho
     y_lo, y_hi = y_box = y_box or (-pme_params.u_dmax, pme_params.u_cmax)
     if config.polish and not responder.free:
-        es, tps = responder.respond(m_s, m_b)
-        return _against_fixed_draws(tuple(map(FollowerAction, es, tps)), b, slot,
-                                    pme_params.c_b, pme_control.v_p, y_box, min_gap)
+        return _against_fixed_draws(responder._draws, responder._tps,
+                                    responder.pinned, b, slot, pme_params.c_b,
+                                    pme_control.v_p, y_box, min_gap)
     check_band(m_s, m_b, min_gap)
     pb_hi = max(m_s - min_gap, m_b)
     reach = TRUST_HALF_WIDTH * (m_s - m_b)
@@ -640,10 +642,9 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     else:
         sweeps = 0
         es, tps = responder.respond(p_s, p_b)
-    final_followers = tuple(FollowerAction(e=e, tp=tp) for e, tp in zip(es, tps))
     trace = IterationTrace(records=tuple(records), converged=converged,
                            polish_sweeps=sweeps)
-    return SlotSolution(leader=chi, followers=final_followers, trace=trace)
+    return SlotSolution(chi, tuple(map(FollowerAction, es, tps)), trace)
 
 
 def solve_slot(state: SlotState, slot: SlotData,

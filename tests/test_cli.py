@@ -259,6 +259,21 @@ def test_compare_single_case(tmp_path):
     assert rows[0]["name"] == "PROPOSED"
 
 
+@pytest.mark.parametrize("cases, named", [
+    ("1,1", "1 (FIXED_POINT_FORECAST_PRICE)"),
+    ("1, FIXED_POINT_FORECAST_PRICE", "1 (FIXED_POINT_FORECAST_PRICE)"),
+    ("proposed,3,4", "4 (PROPOSED)"),
+], ids=["by-number", "by-name", "apart"])
+def test_compare_refuses_a_case_named_twice(cases, named, tmp_path, capsys):
+    # A repeated case would run twice and write the same row twice.
+    out = tmp_path / "twice"
+    rc = main(["compare", "--slots", "4", "--followers", "2", "--out",
+               str(out), "--cases", cases])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: case {named} named twice\n"
+    assert not out.exists()
+
+
 def test_sweep_writes_rows_and_skips_bad_values(tmp_path, capsys):
     out = tmp_path / "sw"
     rc = main(["sweep", "--slots", "6", "--followers", "1", "--param", "t_max",

@@ -50,6 +50,7 @@ from nanodr.stackelberg import (
 
 from oracles import (
     brute_force_fixed_draws,
+    fixed_draws_rule,
     leader_surrogate,
     reference_loop,
     reference_scan,
@@ -523,16 +524,23 @@ def test_every_price_the_solver_asks_lies_in_the_band(case):
     # (n = 1, 5, 20, 50, gamma = 0, a band exactly min_gap wide, case-3
     # myopic boxes, an iteration cap hit), with the polish and without it.
     # Every loop iteration asks its trust box's responder once, also when
-    # that box has nothing free; with the polish on, a band with nothing
-    # free is asked once and runs no loop.
+    # that box has nothing free.  With the polish on, a band with nothing
+    # free runs no loop and asks no responder: the closed form returns the
+    # band certificate's template.
     for polish in (True, False):
         c = _loop_case(case, polish=polish, responder=_RecordingResponder)
         sol = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
                                     c.config, y_box=c.y_box)
         asked = c.responder.asked_full
+        closed_form = polish and not c.responder.free
+        assert (sol.trace.iterations == 0) is closed_form
+        if closed_form:
+            assert asked == c.responder.asked == c.responder.restricted == []
+            assert _bits(f.e for f in sol.followers) == _bits(c.responder._draws)
+            assert _bits(f.tp for f in sol.followers) == _bits(c.responder._tps)
+            continue
         assert asked and c.responder.asked
         assert len(asked) == sol.trace.iterations + len(c.responder.asked)
-        assert (sol.trace.iterations == 0) is (polish and not c.responder.free)
         m_b, m_s = c.slot.m_b, c.slot.m_s
         boxes = [box for _, _, box in asked] + [
             box for pair in c.responder.restricted for box in (pair[0], pair[1].box)]
@@ -713,12 +721,19 @@ def test_closed_form_is_the_polished_loop_bit_for_bit(run, monkeypatch):
     # In every slot whose band pins every follower, the default's leader
     # action, draws and interchanges equal, by float.hex, the polish of the
     # polish=False loop's last iterate.  Its trace has no records and is
-    # converged, and without the polish the same slot runs the loop.
+    # converged, and without the polish the same slot runs the loop.  The
+    # draws and interchanges are the band certificate's template, and the
+    # leader action is the fixed-draws rule's.
     slots = _closed_form_slots(monkeypatch, **_CLOSED_FORM_RUNS[run])
     assert slots
     for responder, b, slot, pme, pmec, config, y_box, sol in slots:
         assert sol.trace.records == () and sol.trace.converged
         assert sol.trace.polish_sweeps == 0
+        assert _bits(f.e for f in sol.followers) == _bits(responder._draws)
+        assert _bits(f.tp for f in sol.followers) == _bits(responder._tps)
+        want = fixed_draws_rule(responder._tps, b, slot, pmec.v_p, pme.c_b,
+                                y_box or (-pme.u_dmax, pme.u_cmax), config.min_gap)
+        assert _bits((sol.leader.p_s, sol.leader.p_b, sol.leader.y)) == _bits(want)
         act, es, tps = _polished_loop(responder, b, slot, pme, pmec, config,
                                       y_box)
         assert _bits((sol.leader.p_s, sol.leader.p_b, sol.leader.y)) == _bits(
