@@ -130,7 +130,7 @@ def _read_config_file(args: argparse.Namespace,
     flag takes true/false, yes/no or 1/0.
     """
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:  # a BOM is no key
             lines = fh.readlines()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
@@ -410,10 +410,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for token in args.values.split(","):
         if token.strip():
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
                 raise ConfigurationError(
                     f"sweep value {token.strip()!r} is not a number") from None
+            if value in values:
+                raise ConfigurationError(f"sweep value {value!r} given twice")
+            values.append(value)
     if not values:
         raise ConfigurationError("empty sweep value list")
     if args.param == "n":

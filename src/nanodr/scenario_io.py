@@ -37,37 +37,19 @@ from .domain import (
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs of the seeded synthetic scenario generator."""
+    """Size, horizon and seed of the seeded synthetic scenario generator."""
 
     n: int = 5
     slots: int = 72
     seed: int = 1                # default selects the reference winter week
-    g_t_low: float = -15.0       # aggregator net generation range (kWh)
-    g_t_high: float = 25.0
-    epsilon_low: float = 0.93    # per-building thermal inertia range
-    epsilon_high: float = 0.98
-    t_out_base: float = 8.0      # outdoor day-shape mean (°F)
-    t_out_amp: float = 9.0       # outdoor day-shape amplitude (°F)
-    t_out_noise: float = 1.0     # outdoor noise sigma (°F)
-    d_base: float = 0.6          # base load floor (kWh)
-    rp_scale: float = 3.6        # solar bell height (kWh)
-    t_opt_center: float = 70.5   # comfort target mean (°F)
-    t_opt_amp: float = 1.5       # comfort target swing (°F)
-    m_b: float = 3.0             # grid buying price (cent/kWh)
-    m_s_night: float = 4.2       # grid selling price off-peak floor (cent/kWh)
-    m_s_peak: float = 12.0       # evening-peak uplift (cent/kWh)
-    m_s_morning: float = 6.0     # morning-peak uplift (cent/kWh)
-    m_s_dip: float = 0.2         # midday solar-dip depth (cent/kWh)
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.slots < 1:
-            raise ScenarioError("need n >= 0 and slots >= 1")
-        if self.g_t_high < self.g_t_low:
-            raise ScenarioError("empty g_t range")
-        if not (0.0 < self.epsilon_low <= self.epsilon_high < 1.0):
-            raise ScenarioError("epsilon range must sit inside (0, 1)")
-        if self.m_s_night - self.m_s_dip < self.m_b + 1.0:
-            raise ScenarioError("selling price valley too close to the buying price")
+        if self.n < 0:
+            raise ScenarioError(f"need n >= 0, got n={self.n}")
+        if self.slots < 1:
+            raise ScenarioError(f"need slots >= 1, got slots={self.slots}")
+        if self.seed < 0:
+            raise ScenarioError(f"need seed >= 0, got seed={self.seed}")
 
 
 def default_nanogrid_params(epsilon: float) -> NanogridParams:
@@ -91,7 +73,7 @@ def synthetic_params(spec: SyntheticSpec) -> tuple[NanogridParams, ...]:
     """Per-building parameters matching generate_synthetic for the same seed."""
     import numpy as np  # only the generator needs NumPy: importing it is slow
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[0])
-    eps = rng.uniform(spec.epsilon_low, spec.epsilon_high, size=spec.n)
+    eps = rng.uniform(0.93, 0.98, size=spec.n)
     return tuple(default_nanogrid_params(float(e)) for e in eps)
 
 
@@ -116,7 +98,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Scenario:
     offsets = rng.uniform(-1.5, 1.5, size=n)
     phases = rng.uniform(-0.8, 0.8, size=n)
     day = np.sin(2.0 * math.pi * (hours - 9.0) / 24.0)
-    solar = spec.rp_scale * shape(13.0, 3.5)
+    solar = 3.6 * shape(13.0, 3.5)
     morning, evening = shape(8.0, 2.2), shape(19.0, 2.8)
 
     rp = np.zeros((slots, n))
@@ -124,33 +106,30 @@ def generate_synthetic(spec: SyntheticSpec) -> Scenario:
     t_out = np.zeros((slots, n))
     t_opt = np.zeros((slots, n))
     for i in range(n):
-        t_out[:, i] = (spec.t_out_base + offsets[i] + spec.t_out_amp * day
-                       + rng.normal(0.0, spec.t_out_noise, size=slots))
+        t_out[:, i] = 8.0 + offsets[i] + 9.0 * day + rng.normal(0.0, 1.0, size=slots)
         wind = rng.uniform(0.0, 0.8, size=slots)
         rp[:, i] = solar * rng.uniform(0.7, 1.0, size=slots) + wind
-        d[:, i] = (spec.d_base + 0.6 * morning + 0.9 * evening
+        d[:, i] = (0.6 + 0.6 * morning + 0.9 * evening
                    + rng.normal(0.0, 0.08, size=slots))
-        t_opt[:, i] = (spec.t_opt_center
-                       + spec.t_opt_amp * np.sin(2.0 * math.pi * (hours - 10.0) / 24.0
-                                                 + phases[i])
+        t_opt[:, i] = (70.5 + 1.5 * np.sin(2.0 * math.pi * (hours - 10.0) / 24.0
+                                           + phases[i])
                        + rng.normal(0.0, 0.2, size=slots))
 
     # Clips keep the comfort assumptions valid for the default parameters and
     # leave the interchange limit slack (d - rp and rp - d both well under
     # l_max - e_max).
-    t_out = np.clip(t_out, spec.t_out_base - 12.0, spec.t_out_base + 12.0)
+    t_out = np.clip(t_out, -4.0, 20.0)  # the day-shape mean 8 ± 12
     rp = np.clip(rp, 0.0, 4.5)
     d = np.clip(d, 0.1, 2.5)
     t_opt = np.clip(t_opt, 68.0, 75.0)
 
     evening_peak, morning_peak = shape(18.5, 1.8), shape(8.0, 1.5)
     midday_dip = shape(13.5, 2.5)
-    m_s = (spec.m_s_night + spec.m_s_peak * evening_peak
-           + spec.m_s_morning * morning_peak - spec.m_s_dip * midday_dip
+    m_s = (4.2 + 12.0 * evening_peak + 6.0 * morning_peak - 0.2 * midday_dip
            + rng.normal(0.0, 0.2, size=slots))
-    m_s = np.clip(m_s, spec.m_b + 1.0, 15.0)
-    m_b = np.full(slots, spec.m_b)
-    g_t = rng.uniform(spec.g_t_low, spec.g_t_high, size=slots)
+    m_s = np.clip(m_s, 4.0, 15.0)  # at least 1 cent/kWh above m_b
+    m_b = np.full(slots, 3.0)
+    g_t = rng.uniform(-15.0, 25.0, size=slots)
 
     scenario = Scenario.from_series(
         n=n, slots=slots,
@@ -191,7 +170,8 @@ def load_scenario(path: str) -> Scenario:
     Parse failures name the row and column; invariant violations name the
     constraint and slot (via Scenario construction).
     """
-    with open(path, newline="") as fh:
+    # utf-8-sig: a byte-order mark, as spreadsheet tools write, is no header.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

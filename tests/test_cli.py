@@ -302,6 +302,17 @@ def test_sweep_non_numeric_value_is_a_usage_error(values, named, tmp_path,
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("values", ["0.01,0.01,1e-2", "0.01,0.02,1e-2"])
+def test_sweep_refuses_a_value_given_twice(values, tmp_path, capsys):
+    # Values compare as numbers: a repeat would write the same row twice.
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--slots", "4", "--followers", "1", "--param", "gamma",
+               "--values", values, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: sweep value 0.01 given twice\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "2.5", "-1"])
 def test_n_sweep_rejects_a_non_count(value, tmp_path, capsys):
     # A valid value first: every value is checked before any is run.
@@ -356,6 +367,19 @@ def test_config_file_supplies_defaults(tmp_path):
     assert main(["run", "--config", str(cfg), "--slots", "4", "--out",
                  str(out2)]) == 0
     assert json.loads((out2 / "summary.json").read_text())["slots"] == 4
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # Spreadsheet tools and Windows Notepad start a UTF-8 file with a BOM.
+    text = "slots = 6\nfollowers = 2\ngamma = 0.02\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text)
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for cfg in (plain, bom):
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / cfg.stem)]) == 0
+    for name in ("summary.txt", "series.csv"):
+        assert _read(tmp_path / "bom" / name) == _read(tmp_path / "plain" / name)
 
 
 def test_config_file_supplies_string_flags(tmp_path):
@@ -523,6 +547,27 @@ def test_infinite_override_names_its_field(flag, value, field, tmp_path, capsys)
     assert rc == 2
     assert f"error: {field} must be finite, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "check-bounds", "gen-scenario",
+                                  "sweep"])
+def test_negative_seed_is_a_configuration_error(verb, tmp_path, monkeypatch, capsys):
+    # NumPy refuses a negative seed with a traceback; the spec names it first.
+    monkeypatch.chdir(tmp_path)
+    extra = ["--param", "gamma", "--values", "0.01"] if verb == "sweep" else []
+    out = [] if verb == "check-bounds" else ["--out", "o"]
+    rc = main([verb, "--seed", "-1", "--slots", "4"] + out + extra)
+    want = "need seed >= 0, got seed=-1"
+    if verb == "sweep":
+        # The sweep skips the row, as any other configuration error.
+        assert rc == 0
+        with open(tmp_path / "o" / "sweep.csv") as fh:
+            row, = csv.DictReader(fh)
+        assert row["status"] == f"skipped: {want}"
+    else:
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("verb, extra", [

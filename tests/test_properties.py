@@ -1,7 +1,8 @@
 """Properties of every comparison case over small random synthetic runs.
 
-Each example draws a seed, a size, the zero-weight extremes and an
-interchange limit (the smallest one ``run`` accepts, the default, or none),
+Each example draws a seed, a size, the zero-weight extremes, an
+interchange limit (the smallest one ``run`` accepts, the default, or none)
+and whether its odd slots' price bands are exactly ``min_gap`` wide,
 runs all five cases under the default policy's certified controls and under
 drawn certified controls, and checks the bounds, finiteness and determinism
 the certificates promise.  Every line the polish scans is checked against
@@ -98,11 +99,20 @@ def _check_loop_records(report, scenario, params, controls, pme, control):
 @given(seed=st.integers(1, 2 ** 16), n=st.integers(1, 6),
        slots=st.integers(1, 24), gamma=st.sampled_from([0.0, 0.01]),
        c_b=st.sampled_from([0.0, 0.01]),
-       limit=st.sampled_from(["tightest", "default", "inf"]), data=st.data())
-def test_every_case_keeps_its_bounds(seed, n, slots, gamma, c_b, limit, data):
+       limit=st.sampled_from(["tightest", "default", "inf"]),
+       narrow=st.booleans(), data=st.data())
+def test_every_case_keeps_its_bounds(seed, n, slots, gamma, c_b, limit, narrow,
+                                     data):
     spec = SyntheticSpec(n=n, slots=slots, seed=seed)
     scenario = generate_synthetic(spec)
     params = synthetic_params(spec)
+    if narrow:
+        # Every odd slot's band exactly min_gap wide: its one feasible price
+        # pair is the band itself.  replace validates the scenario again.
+        gap = GameConfig().min_gap
+        scenario = replace(scenario, m_s=tuple(
+            m_b + gap if k % 2 else m_s
+            for k, (m_s, m_b) in enumerate(zip(scenario.m_s, scenario.m_b))))
     if limit == "tightest":
         l_max = max(tightest_l_max(scenario.rp[k][i], scenario.d[k][i], p.e_max)
                     for k in range(slots) for i, p in enumerate(params))
@@ -127,6 +137,9 @@ def test_every_case_keeps_its_bounds(seed, n, slots, gamma, c_b, limit, data):
                 for f, p in zip(o.followers, params):
                     assert 0.0 <= f.e <= p.e_max
                     assert abs(f.tp) <= l_max * (1.0 + 1e-12)
+            if narrow and case.posts_prices:
+                assert [(o.leader.p_s, o.leader.p_b) for o in report.outcomes[1::2]] \
+                    == list(zip(scenario.m_s[1::2], scenario.m_b[1::2]))
             if case is CaseId.PROPOSED:
                 assert run_case(case, scenario, params, *controls) == report
                 _check_loop_records(report, scenario, params, *controls)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from nanodr.cli import main
 from nanodr.domain import Scenario, ScenarioError, check_assumptions
 from nanodr.scenario_io import (
     SyntheticSpec,
@@ -98,9 +99,10 @@ def test_generated_series_respect_ranges_and_assumptions():
     spec = SyntheticSpec(seed=4)
     scen = generate_synthetic(spec)
     params = synthetic_params(spec)
-    assert all(spec.g_t_low <= g <= spec.g_t_high for g in scen.g_t)
-    assert all(spec.epsilon_low <= p.epsilon <= spec.epsilon_high for p in params)
-    assert all(m == spec.m_b for m in scen.m_b)
+    # The generator's literal ranges.
+    assert all(-15.0 <= g <= 25.0 for g in scen.g_t)
+    assert all(0.93 <= p.epsilon <= 0.98 for p in params)
+    assert all(m == 3.0 for m in scen.m_b)
     # Must hold against the default building constants by construction.
     check_assumptions(scen, params)
     for i in range(scen.n):
@@ -113,23 +115,44 @@ def test_generated_series_respect_ranges_and_assumptions():
 
 
 def test_spec_validation():
-    with pytest.raises(ScenarioError):
-        SyntheticSpec(slots=0)
-    with pytest.raises(ScenarioError):
-        SyntheticSpec(g_t_low=5.0, g_t_high=-5.0)
-    with pytest.raises(ScenarioError):
-        SyntheticSpec(epsilon_low=0.0)
-    with pytest.raises(ScenarioError):
-        SyntheticSpec(m_s_night=3.5)
+    # Each message names its own field and value.  NumPy would refuse a
+    # negative seed later, with an error naming no field.
+    for field, value, message in (("slots", 0, "need slots >= 1, got slots=0"),
+                                  ("n", -1, "need n >= 0, got n=-1"),
+                                  ("seed", -1, "need seed >= 0, got seed=-1")):
+        with pytest.raises(ScenarioError) as exc:
+            SyntheticSpec(**{field: value})
+        assert str(exc.value) == message
+
+
+_GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "docs", "example_scenario.csv")
 
 
 def test_golden_example_file_loads():
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    golden = os.path.join(here, "docs", "example_scenario.csv")
-    scen = load_scenario(golden)
+    scen = load_scenario(_GOLDEN)
     assert scen.n == 2
     assert scen.slots == 24
     check_assumptions(scen, [default_nanogrid_params(0.95)] * scen.n)
+
+
+def test_golden_example_file_is_what_its_command_writes(tmp_path):
+    # docs/scenario_format.md names this command as the file's source; the
+    # file pins the generator's literals byte for byte.
+    path = tmp_path / "example.csv"
+    assert main(["gen-scenario", "--seed", "11", "--slots", "24",
+                 "--followers", "2", "--out", str(path)]) == 0
+    with open(_GOLDEN, "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+def test_byte_order_mark_is_no_part_of_the_header(tmp_path):
+    # Spreadsheet tools' "CSV UTF-8" starts the file with a BOM.
+    path = tmp_path / "bom.csv"
+    with open(_GOLDEN, "rb") as fh:
+        path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    loaded, golden = load_scenario(str(path)), load_scenario(_GOLDEN)
+    assert loaded == golden and repr(loaded) == repr(golden)
 
 
 def _csv_writer_oracle(scen, path):
