@@ -212,8 +212,7 @@ def run_case(case: CaseId, scenario: Scenario,
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:
             es = tuple(map(_tracking_draw, state.t, slot.followers, ng_params))
             tps = [fs.d + e - fs.rp for e, fs in zip(es, slot.followers)]
-            trades = (any(tp >= 0.0 for tp in tps), any(tp < 0.0 for tp in tps))
-            return _against_fixed_draws(es, tps, trades, state.b, slot,
+            return _against_fixed_draws(es, tps, state.b, slot,
                                         pme_params.c_b, pme_control.v_p,
                                         (-pme_params.u_dmax, pme_params.u_cmax),
                                         config.min_gap)

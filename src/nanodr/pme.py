@@ -44,7 +44,6 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
                  b: float, g_t: float, m_s: float, m_b: float,
                  control: PmeControl, params: PmeParams,
                  hbars: Sequence[float], *, free: Sequence[int],
-                 pinned: tuple[bool, bool],
                  sums: tuple[float, float, float] | None = None
                  ) -> tuple[float, float, float]:
     """Subgradients (g_ps, g_pb, g_y) of the leader surrogate at the iterate
@@ -58,14 +57,10 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
     m_s when the net residual is positive and m_b otherwise (the
     exact-balance point is assigned to the m_b branch).
 
-    ``free`` lists the followers whose sensitivity terms are summed; the
-    others are pinned on the responder's price box (sensitivity 0.0 at
-    every price in it), and ``pinned`` says whether one of them buys and
-    whether one sells.  Their terms are all the same signed zero, and a
-    sequential sum ends at -0.0 only if it starts there and every addend is
-    -0.0, so one such term per side, added last, gives the sum over every
-    follower bit for bit.  ``sums`` is ``interchange_sums(tps)`` when the
-    caller already has it.
+    Only a free follower with a nonzero sensitivity adds a term; the
+    others, pinned on the responder's price box included (sensitivity 0.0
+    at every price in it), add none.  ``sums`` is
+    ``interchange_sums(tps)`` when the caller already has it.
     """
     v_p = control.v_p
     total, buy_sum, sell_sum = interchange_sums(tps) if sums is None else sums
@@ -76,13 +71,11 @@ def subgradients(p_s: float, p_b: float, y: float, tps: Sequence[float],
     g_pb = -v_p * sell_sum
     if free:  # most iterations have none, and an empty zip still costs a call
         for i, hbar in zip(free, hbars):
+            if not hbar:
+                continue
             if tps[i] >= 0.0:
                 g_ps += v_p * (p_s - m) * hbar
             else:
                 g_pb += v_p * (p_b - m) * hbar
-    if pinned[0]:
-        g_ps += v_p * (p_s - m) * 0.0
-    if pinned[1]:
-        g_pb += v_p * (p_b - m) * 0.0
     g_y = b + params.c_b * v_p * y + v_p * m
     return g_ps, g_pb, g_y

@@ -7,7 +7,7 @@ sizes.  The loop stops when all three coordinates move less than ``rho``
 between consecutive iterates, or at the iteration cap (flagged, not fatal).
 With the polish on, a slot whose band pins every follower runs neither: the
 point where the polish would end has a closed form (``_against_fixed_draws``)
-read from the band certificate's template and flags, asking no responder.
+read from the band certificate's template, asking no responder.
 
 The loop carries the iterate as three floats and keeps one flat
 ``IterationRecord`` per iteration, which is one row of ``traces.csv``; the
@@ -51,8 +51,8 @@ never restricted again.  Every iteration asks its box's responder; while
 the box has no free follower, the answer is the box's own draws tuple and
 interchange list, and the subgradients read the interchange sums fixed for
 the box.  The responder returns slopes for its free followers only: a
-follower pinned on a box has slope 0.0 there, which the subgradients add
-as one signed-zero term per side, so the records are those of the band
+follower pinned on a box has slope 0.0 there, and the subgradients add a
+term only for a nonzero slope, so the records are those of the band
 responder, bit for bit.
 
 The polish narrows it along its lines.  A line with more than POLISH_CHUNK
@@ -240,9 +240,8 @@ class QueueResponder:
     the loop's projection and the polish's scans never leave the band.
     ``restrict`` gives the responder of a smaller box, which certifies only
     the followers still free: the loop's trust boxes, and the runs of scan
-    points on the polish's lines (``_line_router``).  ``pinned`` says
-    whether some pinned follower buys and whether one sells, and ``sums``
-    holds the interchange sums when nothing is free.
+    points on the polish's lines (``_line_router``).  ``sums`` holds the
+    interchange sums when nothing is free.
     """
 
     def __init__(self, state: SlotState, slot: SlotData,
@@ -255,7 +254,6 @@ class QueueResponder:
             slot.followers, params, controls, (None,) * n if boxes is None else boxes))
         self._followers = slot.followers
         self.free = tuple(range(n))
-        self.pinned = (False, False)
         self._draws = (0.0,) * n  # a free follower's entries are set per broadcast
         self._tps = [0.0] * n
         self._certify(slot.m_b, slot.m_s, slot.m_b, slot.m_s)
@@ -267,7 +265,6 @@ class QueueResponder:
         self.box = (ps_lo, ps_hi, pb_lo, pb_hi)
         draws = list(self._draws)
         tps = self._tps.copy()
-        buys, sells = self.pinned
         free = []
         for i in self.free:
             e = pinned_draw(self._rules[i], ps_lo, ps_hi, pb_lo, pb_hi)
@@ -278,11 +275,8 @@ class QueueResponder:
             draws[i] = e
             # The solver's form of the interchange, d + e - rp (not dr + e,
             # which rounds differently).
-            tps[i] = tp = fs.d + e - fs.rp
-            buys = buys or tp >= 0.0
-            sells = sells or tp < 0.0
+            tps[i] = fs.d + e - fs.rp
         self.free = tuple(free)
-        self.pinned = (buys, sells)
         self._draws = tuple(draws)
         self._tps = tps
         self._free_rules = tuple(map(self._rules.__getitem__, free))
@@ -574,18 +568,20 @@ def _start(m_s: float, m_b: float, min_gap: float, y_lo: float,
 
 
 def _against_fixed_draws(es: Sequence[float], tps: Sequence[float],
-                         trades: tuple[bool, bool], b: float, slot: SlotData,
-                         c_b: float, v_p: float, y_box: tuple[float, float],
+                         b: float, slot: SlotData, c_b: float, v_p: float,
+                         y_box: tuple[float, float],
                          min_gap: float) -> SlotSolution:
     """The leader's exact optimum against draws ``es`` and interchanges
     ``tps`` that no price moves, with the empty trace.  The surrogate is
     linear in each price (Labbé, Marcotte & Savard 1998): p_s = m_s if some
-    interchange is >= 0, p_b = m_b if some is < 0, as ``trades`` says.  A
-    price nobody trades on changes no payoff, so it is not identified; it
-    is posted at the loop's start.  y is the exact charge."""
+    interchange in ``tps`` is >= 0, p_b = m_b if some is < 0.  A price
+    nobody trades on (either, with no follower) changes no payoff, so it is
+    not identified; it is posted at the loop's start.  y is the exact
+    charge."""
     m_s, m_b = slot.m_s, slot.m_b
     check_band(m_s, m_b, min_gap)
-    buys, sells = trades
+    buys = max(tps, default=-1.0) >= 0.0
+    sells = min(tps, default=0.0) < 0.0
     start = (m_s, m_b) if buys and sells else _start(m_s, m_b, min_gap, *y_box)
     leader = LeaderAction(m_s if buys else start[0], m_b if sells else start[1],
                           _argmin_charge(tps, b, slot.g_t, m_s, m_b, v_p, c_b, *y_box))
@@ -600,9 +596,9 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     min_gap, rho = config.min_gap, config.rho
     y_lo, y_hi = y_box = y_box or (-pme_params.u_dmax, pme_params.u_cmax)
     if config.polish and not responder.free:
-        return _against_fixed_draws(responder._draws, responder._tps,
-                                    responder.pinned, b, slot, pme_params.c_b,
-                                    pme_control.v_p, y_box, min_gap)
+        return _against_fixed_draws(responder._draws, responder._tps, b, slot,
+                                    pme_params.c_b, pme_control.v_p, y_box,
+                                    min_gap)
     check_band(m_s, m_b, min_gap)
     pb_hi = max(m_s - min_gap, m_b)
     reach = TRUST_HALF_WIDTH * (m_s - m_b)
@@ -621,8 +617,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
         es, tps, slopes = local.respond_full(p_s, p_b)
         g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
                                        pme_control, pme_params, slopes,
-                                       free=local.free, pinned=local.pinned,
-                                       sums=local.sums)
+                                       free=local.free, sums=local.sums)
         steps = _step_sizes(m)
         n_s, n_b, n_y = _project(p_s - steps[0] * g_ps, p_b - steps[1] * g_pb,
                                  y - steps[2] * g_y, m_s, m_b, pb_hi,

@@ -350,10 +350,10 @@ def reference_loop(state, slot, ng_params, ng_controls, pme_params,
     ``drop_queue``, ``boxes`` and ``y_box`` set up the myopic game.
 
     Every iterate is a LeaderAction.  Each follower answers through
-    ``reference_response``; the subgradients are summed over every follower
-    in order; the steps are scale / (1 + 0.5*m); the projection clamps p_b
-    first, then p_s against the new p_b, then y; the loop stops once
-    max(distance) < rho.  Returns (rows, converged, last action), one row
+    ``reference_response``; the subgradients sum, in order, the terms of
+    every follower whose sensitivity is nonzero; the steps are
+    scale / (1 + 0.5*m); the projection clamps p_b first, then p_s against
+    the new p_b, then y; the loop stops once max(distance) < rho.  Returns (rows, converged, last action), one row
     per iteration in ``traces.csv`` order: p_s, p_b, y, g_ps, g_pb, g_y,
     the three steps, the three distances and the draws.
     """
@@ -393,6 +393,8 @@ def reference_loop(state, slot, ng_params, ng_controls, pme_params,
         price = m_s if total - g_t + chi.y > 0.0 else m_b
         g_ps, g_pb = -v_p * buy, -v_p * sell
         for tp, (_, hbar) in zip(tps, answers):
+            if hbar == 0.0:
+                continue
             if tp >= 0.0:
                 g_ps += v_p * (chi.p_s - price) * hbar
             else:

@@ -259,7 +259,7 @@ def test_05_subgradient_finite_difference():
 
         g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
                                        control, PME, slopes,
-                                       free=range(len(tps)), pinned=(False, False))
+                                       free=range(len(tps)))
         fd_ps = (pro(p_s + step, p_b, y) - pro(p_s - step, p_b, y)) / (2 * step)
         fd_pb = (pro(p_s, p_b + step, y) - pro(p_s, p_b - step, y)) / (2 * step)
         fd_y = (pro(p_s, p_b, y + step) - pro(p_s, p_b, y - step)) / (2 * step)

@@ -160,8 +160,7 @@ def test_charge_takes_the_kink_between_the_branches():
 
 def test_subgradients_empty_follower_set():
     g_ps, g_pb, g_y = subgradients(10.0, 5.0, 0.3, [], -6.0, -2.0, 12.0, 3.0,
-                                   CONTROL, PME, [], free=[],
-                                   pinned=(False, False))
+                                   CONTROL, PME, [], free=[])
     assert g_ps == 0.0
     assert g_pb == 0.0
     # Residual 0 - (-2) + 0.3 > 0 so the selling price is marginal.
@@ -170,24 +169,22 @@ def test_subgradients_empty_follower_set():
 
 def test_subgradients_balance_point_uses_buying_price():
     _, _, g_y = subgradients(10.0, 5.0, 0.0, [0.0], 0.0, 0.0, 12.0, 3.0,
-                             CONTROL, PME, [0.0], free=[0],
-                             pinned=(False, False))
+                             CONTROL, PME, [0.0], free=[0])
     assert g_y == pytest.approx(0.0 + 0.0 + 1.0 * 3.0)
 
 
 def test_subgradient_sign_with_buyers():
     # Pinned buyers: raising the selling price only raises revenue.
     g_ps, g_pb, _ = subgradients(10.0, 5.0, 0.0, [2.0, 1.0], -6.0, 0.0, 12.0,
-                                 3.0, CONTROL, PME, [0.0, 0.0], free=[0, 1],
-                                 pinned=(False, False))
+                                 3.0, CONTROL, PME, [0.0, 0.0], free=[0, 1])
     assert g_ps == pytest.approx(-1.0 * 3.0)
     assert g_ps < 0.0
     assert g_pb == 0.0
 
 
 def test_restricted_subgradients_keep_signed_zeros():
-    # Pinned followers (sensitivity 0.0) left out of the sensitivity loop
-    # and replaced by one term per side give the full sum bit for bit; the
+    # Only a nonzero sensitivity adds a term, so leaving pinned followers
+    # (sensitivity 0.0) out of ``free`` gives the full sum bit for bit; the
     # restricted call takes the free followers' sensitivities in ``free``
     # order.
     # Zero interchanges and prices at a band edge make the signed zeros
@@ -199,8 +196,6 @@ def test_restricted_subgradients_keep_signed_zeros():
         tps = [rng.choice([0.0, -0.0, 1.5, -2.0, 0.25]) for _ in range(n)]
         hbars = [rng.choice([0.0, 0.0, 0.7]) for _ in range(n)]
         free = [i for i in range(n) if hbars[i] != 0.0 or rng.random() < 0.3]
-        held = [tps[i] for i in range(n) if i not in free]
-        pinned = (any(tp >= 0.0 for tp in held), any(tp < 0.0 for tp in held))
         p_s = rng.choice([12.0, 8.0, 3.0])
         p_b = rng.choice([3.0, 5.0, 12.0])
         g_t = rng.choice([-3.0, 0.0, 3.0])
@@ -208,9 +203,8 @@ def test_restricted_subgradients_keep_signed_zeros():
                    if i not in free)
         free_hbars = [hbars[i] for i in free]
         args = (p_s, p_b, 0.0, tps, -6.0, g_t, 12.0, 3.0, CONTROL, PME)
-        full = subgradients(*args, hbars, free=range(len(tps)),
-                            pinned=(False, False))
-        restricted = subgradients(*args, free_hbars, free=free, pinned=pinned)
+        full = subgradients(*args, hbars, free=range(len(tps)))
+        restricted = subgradients(*args, free_hbars, free=free)
         assert repr(restricted) == repr(full)
         zeros += full[0] == 0.0 or full[1] == 0.0
     assert zeros > 500
@@ -265,7 +259,7 @@ def test_subgradients_match_finite_differences_at_interior_points():
 
         g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
                                        control, PME, slopes,
-                                       free=range(len(tps)), pinned=(False, False))
+                                       free=range(len(tps)))
         fd_ps = (pro(p_s + h_step, p_b, y) - pro(p_s - h_step, p_b, y)) / (2 * h_step)
         fd_pb = (pro(p_s, p_b + h_step, y) - pro(p_s, p_b - h_step, y)) / (2 * h_step)
         fd_y = (pro(p_s, p_b, y + h_step) - pro(p_s, p_b, y - h_step)) / (2 * h_step)

@@ -395,10 +395,12 @@ def test_most_followers_of_a_generated_slot_are_certified_pinned():
 @pytest.mark.parametrize("k", [0, 18])
 def test_template_and_restricted_subgradients_are_bit_exact(k):
     # Slot 0 has no free follower (sums once per slot), slot 18 no pinned
-    # one.  The template's draws and interchanges, the free followers'
-    # slopes (in ``free`` order) and the restricted subgradients equal the
-    # full computations over every follower's rule, bit for bit (signed
-    # zeros included); every pinned follower's slope there is 0.0.
+    # one.  The template's draws and interchanges and the free followers'
+    # slopes (in ``free`` order) equal the full computations over every
+    # follower's rule, bit for bit; every pinned follower's slope there is
+    # 0.0, and only a nonzero slope adds a subgradient term, so the
+    # restricted subgradients equal the full ones bit for bit too (signed
+    # zeros included).
     params, controls, state, pmec, slot, pme = _generated_slot(k=k)
     responder = QueueResponder(state, slot, params, controls)
     free = responder.free
@@ -420,11 +422,9 @@ def test_template_and_restricted_subgradients_are_bit_exact(k):
                    if i not in free)
         args = (act.p_s, act.p_b, act.y, tps, state.b, slot.g_t, slot.m_s,
                 slot.m_b, pmec, pme)
-        fast = subgradients(*args, slopes, free=free,
-                            pinned=responder.pinned, sums=responder.sums)
+        fast = subgradients(*args, slopes, free=free, sums=responder.sums)
         assert repr(fast) == repr(subgradients(*args, ref_slopes,
-                                               free=range(len(tps)),
-                                               pinned=(False, False)))
+                                               free=range(len(tps))))
 
 
 # -- the loop against its plain restatement ---------------------------------
