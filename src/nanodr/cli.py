@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -31,7 +32,13 @@ from dataclasses import replace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .baselines import CaseId, run_case
-from .domain import ConfigurationError, InvariantViolation, ScenarioError
+from .domain import (
+    ConfigurationError,
+    InvariantViolation,
+    NanogridParams,
+    Scenario,
+    ScenarioError,
+)
 from .policy import PolicyBundle, default_policy
 from .scenario_io import (
     SyntheticSpec,
@@ -161,6 +168,26 @@ def _read_config_file(args: argparse.Namespace,
     return defaults
 
 
+def _scenario_source(args: argparse.Namespace
+                     ) -> tuple[Scenario, str, list[NanogridParams]]:
+    """The scenario, its source label and its buildings' parameters, read
+    from ``--scenario`` or made by the generator from its flags."""
+    if args.scenario:
+        clashes = [_option(flag) for flag in _SPEC_FLAGS
+                   if getattr(args, flag.name) is not None]
+        if clashes:
+            raise ConfigurationError(
+                f"exactly one scenario source: --scenario conflicts with "
+                f"{', '.join(clashes)}"
+            )
+        scenario = load_scenario(args.scenario)
+        return (scenario, f"file:{args.scenario}",
+                [default_nanogrid_params(0.955) for _ in range(scenario.n)])
+    spec = SyntheticSpec(**_overrides(args, _SPEC_FLAGS))
+    return (generate_synthetic(spec), f"synthetic:seed={spec.seed}",
+            list(synthetic_params(spec)))
+
+
 class Setup:
     """Everything a command needs, assembled and validated.
 
@@ -168,25 +195,12 @@ class Setup:
     prices; then every slot's grid price band must be at least ``min_gap``
     wide, and this is checked before the certified windows are derived (a
     flat envelope makes them infinite) and before any slot is solved.
+    ``source`` is ``_scenario_source(args)`` when the caller already has it.
     """
 
-    def __init__(self, args: argparse.Namespace, posts_prices: bool = True):
-        if args.scenario:
-            clashes = [_option(flag) for flag in _SPEC_FLAGS
-                       if getattr(args, flag.name) is not None]
-            if clashes:
-                raise ConfigurationError(
-                    f"exactly one scenario source: --scenario conflicts with "
-                    f"{', '.join(clashes)}"
-                )
-            self.scenario = load_scenario(args.scenario)
-            self.source = f"file:{args.scenario}"
-            params = [default_nanogrid_params(0.955) for _ in range(self.scenario.n)]
-        else:
-            spec = SyntheticSpec(**_overrides(args, _SPEC_FLAGS))
-            self.scenario = generate_synthetic(spec)
-            self.source = f"synthetic:seed={spec.seed}"
-            params = list(synthetic_params(spec))
+    def __init__(self, args: argparse.Namespace, posts_prices: bool = True,
+                 source: tuple[Scenario, str, list[NanogridParams]] | None = None):
+        self.scenario, self.source, params = source or _scenario_source(args)
         self.config = GameConfig(**_overrides(args, _GAME_FLAGS),
                                  polish=not getattr(args, "no_polish", False))
         if posts_prices:
@@ -385,8 +399,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             # The cooperative case has no prices, so its internal transfer
             # columns (the first two) stay blank in the table.
             row.update(dict.fromkeys(_ECONOMICS[:2], ""))
+        # Only the proposed case refuses a breach; the others count theirs.
+        row.update(comfort_violations=report.comfort_violations,
+                   battery_violations=report.battery_violations)
         rows.append(row)
-    headers = ("case", "name", *_ECONOMICS)
+    headers = ("case", "name", *_ECONOMICS, "comfort_violations",
+               "battery_violations")
     with open(os.path.join(args.out, "comparison.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=headers)
         writer.writeheader()
@@ -411,6 +429,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if token.strip():
             try:
                 value = float(token)
+                if math.isnan(value) and args.param != "n":
+                    raise ValueError
             except ValueError:
                 raise ConfigurationError(
                     f"sweep value {token.strip()!r} is not a number") from None
@@ -425,6 +445,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for value in values:
             if not value.is_integer() or value < 0:
                 raise ConfigurationError(f"n must be a nonnegative integer, got {value}")
+        # The generator's unswept flags (seed and slots), checked before
+        # --out is made.
+        SyntheticSpec(**_overrides(args, _SPEC_FLAGS[:2]))
+        source = None
+    else:
+        # Every row reads the same scenario: read or made once, before --out.
+        source = _scenario_source(args)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     timing = []
@@ -437,7 +464,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             setattr(sweep_args, args.param, value)
         started = time.perf_counter()
         try:
-            setup = Setup(sweep_args)
+            setup = Setup(sweep_args, source=source)
             report = setup.simulate()
         except (ConfigurationError, ScenarioError) as exc:
             rows.append({**point, "status": f"skipped: {exc}"})

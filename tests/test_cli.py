@@ -248,6 +248,33 @@ def test_compare_table_rows_and_blanks(tmp_path):
     assert welfare["aggregate_cost"] != ""
 
 
+_EXAMPLE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "docs", "example_scenario.csv")
+
+
+def test_compare_reports_each_case_violations(tmp_path, capsys):
+    # Every comfort target above t_max = 77: the fixed-point cases track it
+    # out of the band, which they count rather than refuse; the proposed
+    # case keeps the band.
+    with open(_EXAMPLE, newline="") as fh:
+        rows = list(csv.reader(fh))
+    hot = [rows[0]] + [[("79.5" if name.startswith("t_opt_") else cell)
+                        for name, cell in zip(rows[0], row)] for row in rows[1:]]
+    scenario = tmp_path / "hot.csv"
+    with open(scenario, "w", newline="") as fh:
+        csv.writer(fh).writerows(hot)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(scenario), "--cases", "1,2,4",
+                 "--out", str(out)]) == 0
+    with open(out / "comparison.csv") as fh:
+        table = list(csv.DictReader(fh))
+    assert [(r["case"], r["comfort_violations"], r["battery_violations"])
+            for r in table] == [("1", "19", "0"), ("2", "19", "0"), ("4", "0", "0")]
+    # The console table carries the same columns.
+    header = capsys.readouterr().out.splitlines()[0].split()
+    assert header[-2:] == ["comfort_violations", "battery_violations"]
+
+
 def test_compare_single_case(tmp_path):
     out = tmp_path / "one"
     rc = main(["compare", "--slots", "6", "--followers", "1", "--out",
@@ -300,6 +327,26 @@ def test_sweep_non_numeric_value_is_a_usage_error(values, named, tmp_path,
     err = capsys.readouterr().err
     assert f"sweep value {named} is not a number" in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("param", ["gamma", "epsilon", "t_min", "t_max"])
+def test_sweep_nan_value_is_a_usage_error(param, tmp_path, capsys):
+    # nan != nan, so a repeat check alone would let "nan,nan" through.
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--slots", "4", "--followers", "1", "--param", param,
+               "--values", "nan,nan", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: sweep value 'nan' is not a number\n"
+    assert not out.exists()
+
+
+def test_sweep_on_a_missing_scenario_makes_no_directory(tmp_path, capsys):
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--scenario", str(tmp_path / "missing.csv"), "--param",
+               "gamma", "--values", "0.01", "--out", str(out)])
+    assert rc == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("values", ["0.01,0.01,1e-2", "0.01,0.02,1e-2"])
@@ -556,18 +603,11 @@ def test_negative_seed_is_a_configuration_error(verb, tmp_path, monkeypatch, cap
     monkeypatch.chdir(tmp_path)
     extra = ["--param", "gamma", "--values", "0.01"] if verb == "sweep" else []
     out = [] if verb == "check-bounds" else ["--out", "o"]
+    # No swept value can cure the seed, so the sweep refuses it up front too.
     rc = main([verb, "--seed", "-1", "--slots", "4"] + out + extra)
-    want = "need seed >= 0, got seed=-1"
-    if verb == "sweep":
-        # The sweep skips the row, as any other configuration error.
-        assert rc == 0
-        with open(tmp_path / "o" / "sweep.csv") as fh:
-            row, = csv.DictReader(fh)
-        assert row["status"] == f"skipped: {want}"
-    else:
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {want}\n"
-        assert not (tmp_path / "o").exists()
+    assert rc == 2
+    assert capsys.readouterr().err == "error: need seed >= 0, got seed=-1\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("verb, extra", [
