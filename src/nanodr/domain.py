@@ -324,12 +324,6 @@ def _tightest_l_max(e_max: float, rp: float, d: float) -> float:
     return l_max
 
 
-# The last scenario and parameters check_assumptions passed: a command binds
-# the pair for its policy and for each run.  Both are frozen; the scenario is
-# matched by identity, as hashing it would read every series.
-_checked: tuple[Scenario | None, tuple[NanogridParams, ...]] = (None, ())
-
-
 def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> None:
     """Check the comfort-guarantee assumptions for every nanogrid of a scenario.
 
@@ -345,9 +339,6 @@ def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> N
     are void without it.  Raises ConfigurationError naming the violated
     assumption; a binding l_max is refused with the smallest one accepted.
     """
-    global _checked
-    if _checked[0] is scenario and _checked[1] == tuple(params):
-        return
     if len(params) != scenario.n:
         raise ConfigurationError(
             f"got {len(params)} parameter sets for {scenario.n} nanogrids"
@@ -385,7 +376,6 @@ def check_assumptions(scenario: Scenario, params: Sequence[NanogridParams]) -> N
                     f"the smallest l_max accepted for nanogrid {i} in every "
                     f"slot is {tightest}"
                 )
-    _checked = (scenario, tuple(params))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +393,9 @@ def thermal_step(t: float, t_out: float, e: float, params: NanogridParams) -> fl
 def bilinear_trade_cost(tp: float, p_s: float, p_b: float) -> float:
     """Cost of a signed trade: buy at p_s when tp > 0, get paid p_b when tp < 0.
 
-    Equals 0.5*(p_s - p_b)*|tp| + 0.5*(p_s + p_b)*tp, the split-price form the
+    It settles a nanogrid's interchange at the aggregator's prices, and the
+    aggregator's residual with the main grid at (m_s, m_b).  Equals
+    0.5*(p_s - p_b)*|tp| + 0.5*(p_s + p_b)*tp, the split-price form the
     relaxed follower objective uses.
     """
     if tp >= 0.0:
@@ -414,17 +406,6 @@ def bilinear_trade_cost(tp: float, p_s: float, p_b: float) -> float:
 def battery_cost(y: float, c_b: float) -> float:
     """Amortized per-slot cost of charging or discharging by y."""
     return 0.5 * c_b * y * y
-
-
-def grid_settlement(residual: float, m_s: float, m_b: float) -> float:
-    """Cost of settling a signed residual with the main grid.
-
-    Positive residual is bought at m_s; negative residual is sold at m_b
-    (yielding negative cost, i.e. revenue).
-    """
-    if residual >= 0.0:
-        return m_s * residual
-    return m_b * residual
 
 
 def _trade_sums(p_s: float, p_b: float,
@@ -451,7 +432,7 @@ def pme_profit(action: LeaderAction, tps: Sequence[float], g_t: float,
     """
     revenue, total_tp = _trade_sums(action.p_s, action.p_b, tps)
     residual = total_tp - g_t + action.y
-    return revenue - battery_cost(action.y, c_b) - grid_settlement(residual, m_s, m_b)
+    return revenue - battery_cost(action.y, c_b) - bilinear_trade_cost(residual, m_s, m_b)
 
 
 def clamp(x: float, lo: float, hi: float) -> float:

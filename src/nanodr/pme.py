@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .domain import PmeControl, PmeParams, battery_cost, grid_settlement
+from .domain import PmeControl, PmeParams, battery_cost, bilinear_trade_cost
 
 
 def _close_pro_prime(revenue: float, total: float, y: float, b: float,
                      g_t: float, m_s: float, m_b: float, v_p: float,
                      c_b: float) -> float:
     """The surrogate from its trade sums: the only part that depends on y."""
-    settle = grid_settlement(total - g_t + y, m_s, m_b)
+    settle = bilinear_trade_cost(total - g_t + y, m_s, m_b)
     return b * y - v_p * revenue + v_p * (settle + battery_cost(y, c_b))
 
 

@@ -12,8 +12,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from nanodr import domain
-from nanodr.cli import main
 from nanodr.domain import (
     ConfigurationError,
     FollowerSlot,
@@ -301,50 +299,6 @@ def test_assumption_checks_refuse_a_binding_interchange_limit():
                              r".*; the smallest l_max accepted for nanogrid 1 "
                              r"in every slot is 7\.999999999999999$"):
         check_assumptions(scen, with_limit(6.5))
-
-
-def _counting_walks(monkeypatch):
-    """A list that gains one entry per (slot, nanogrid) cell
-    check_assumptions walks: it tests each cell's draw box once."""
-    cells = []
-    binds = domain._binds
-    monkeypatch.setattr(domain, "_binds",
-                        lambda *args: cells.append(args) or binds(*args))
-    return cells
-
-
-def test_a_compare_walks_its_scenario_and_parameters_once(monkeypatch,
-                                                          tmp_path):
-    # The generator, the policy and each of the five cases' runs bind the
-    # same scenario to the same parameters; the pair is walked once.
-    cells = _counting_walks(monkeypatch)
-    assert main(["compare", "--slots", "4", "--followers", "2", "--out",
-                 str(tmp_path / "cmp")]) == 0
-    assert len(cells) == 4 * 2
-
-
-def test_a_passed_check_passes_only_its_own_pair(monkeypatch):
-    scen = Scenario.from_series(
-        n=2, slots=3, rp=[[1.0, 1.0], [1.0, 1.0], [1.0, 9.0]],
-        d=[[1.0, 1.0], [1.0, 3.0], [1.0, 1.0]], t_out=[[40.0, 40.0]] * 3,
-        t_opt=[[70.0, 70.0]] * 3, m_s=[10.0] * 3, m_b=[3.0] * 3, g_t=[0.0] * 3,
-    )
-    with_limit = lambda l_max: [replace(PARAMS, l_max=l_max)] * 2
-    cells = _counting_walks(monkeypatch)
-    check_assumptions(scen, with_limit(8.0))
-    assert len(cells) == 6
-    check_assumptions(scen, tuple(with_limit(8.0)))  # equal parameters
-    assert len(cells) == 6
-    # The same scenario with a binding limit, and a refused pair again.
-    for _ in range(2):
-        with pytest.raises(ConfigurationError, match=r"^l_max=7\.5 binds"):
-            check_assumptions(scen, with_limit(7.5))
-    # An equal scenario that is another object is walked.
-    copy = Scenario.from_series(scen.n, scen.slots, scen.rp, scen.d, scen.t_out,
-                                scen.t_opt, scen.m_s, scen.m_b, scen.g_t)
-    walked = len(cells)
-    check_assumptions(copy, with_limit(8.0))
-    assert len(cells) == walked + 6
 
 
 def test_interchange_check_is_exact_at_the_edge():
