@@ -445,31 +445,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for value in values:
             if not value.is_integer() or value < 0:
                 raise ConfigurationError(f"n must be a nonnegative integer, got {value}")
-        # The generator's unswept flags (seed and slots), checked before
-        # --out is made.
-        SyntheticSpec(**_overrides(args, _SPEC_FLAGS[:2]))
         source = None
     else:
         # Every row reads the same scenario: read or made once, before --out.
         source = _scenario_source(args)
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
-    timing = []
+    # Every row is set up before --out is made; a fault that refuses every
+    # row is refused as run refuses it, and the others are skipped rows.
+    setups: list[Setup | Exception] = []
     for value in values:
-        point = {"param": args.param, "value": _fmt(value)}
         sweep_args = argparse.Namespace(**vars(args))
         if args.param == "n":
             sweep_args.followers = int(value)
         else:
             setattr(sweep_args, args.param, value)
-        started = time.perf_counter()
         try:
-            setup = Setup(sweep_args, source=source)
-            report = setup.simulate()
+            setups.append(Setup(sweep_args, source=source))
         except (ConfigurationError, ScenarioError) as exc:
-            rows.append({**point, "status": f"skipped: {exc}"})
-            print(f"warning: {args.param}={value} skipped: {exc}", file=sys.stderr)
+            setups.append(exc)
+    if all(isinstance(setup, Exception) for setup in setups):
+        raise setups[0]
+    os.makedirs(args.out, exist_ok=True)
+    rows = []
+    timing = []
+    for value, setup in zip(values, setups):
+        point = {"param": args.param, "value": _fmt(value)}
+        if isinstance(setup, Exception):
+            rows.append({**point, "status": f"skipped: {setup}"})
+            print(f"warning: {args.param}={value} skipped: {setup}", file=sys.stderr)
             continue
+        started = time.perf_counter()
+        report = setup.simulate()
         elapsed = time.perf_counter() - started
         rows.append({**point, "status": "ok", **_economics(report),
                      "total_hvac": _fmt(report.total_hvac),

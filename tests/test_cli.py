@@ -14,6 +14,8 @@ import pytest
 from nanodr import cli, simulator, stackelberg
 from nanodr.cli import main
 from nanodr.domain import ConfigurationError, InvariantViolation
+from nanodr.scenario_io import (SyntheticSpec, default_nanogrid_params,
+                                synthetic_params)
 
 
 def _read(path):
@@ -533,8 +535,15 @@ def test_scenario_error_is_actionable(tmp_path, capsys):
 def test_unwritable_out_is_a_usage_error(verb, extra, tmp_path, monkeypatch,
                                          capsys):
     # An artifact path that cannot be created exits 2 with one error line,
-    # not a traceback under exit 1 (the bound-violation code).
+    # not a traceback under exit 1 (the bound-violation code), before any
+    # slot is solved.
     monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slot was solved")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    monkeypatch.setattr(cli, "run_case", refuse)
     rc = main([verb, "--slots", "4", "--followers", "1", "--out", ""] + extra)
     assert rc == 2
     err = capsys.readouterr().err
@@ -596,6 +605,28 @@ def test_infinite_override_names_its_field(flag, value, field, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_a_scenario_file_carries_no_buildings(tmp_path):
+    # A generated file keeps the series but not the buildings' epsilon, so
+    # the file path and the seed path play different games.  ROADMAP item 8
+    # has the file carry its buildings; the first assertion then changes on
+    # purpose.
+    path = str(tmp_path / "s.csv")
+    assert main(["gen-scenario", "--seed", "1", "--out", path]) == 0
+
+    def setup(*flags):
+        return cli.Setup(cli.build_parser().parse_args(["run", *flags]))
+
+    from_file, from_seed = setup("--scenario", path), setup("--seed", "1")
+    assert all(p == default_nanogrid_params(0.955) for p in from_file.ng_params)
+    assert len(from_file.ng_params) == from_file.scenario.n == 5
+    assert from_seed.ng_params == list(synthetic_params(SyntheticSpec(seed=1)))
+    assert from_file.ng_params != from_seed.ng_params
+    # --epsilon sets every building on both paths.
+    for flags in (("--scenario", path), ("--seed", "1")):
+        assert all(p.epsilon == 0.95
+                   for p in setup(*flags, "--epsilon", "0.95").ng_params)
+
+
 @pytest.mark.parametrize("verb", ["run", "compare", "check-bounds", "gen-scenario",
                                   "sweep"])
 def test_negative_seed_is_a_configuration_error(verb, tmp_path, monkeypatch, capsys):
@@ -614,11 +645,13 @@ def test_negative_seed_is_a_configuration_error(verb, tmp_path, monkeypatch, cap
     ("run", []),
     ("compare", ["--cases", "1,4,5"]),
     ("check-bounds", []),
+    ("sweep", ["--param", "gamma", "--values", "0.01"]),
 ])
 def test_binding_interchange_limit_is_a_configuration_error(verb, extra, tmp_path,
                                                             capsys):
     # The comfort certificate needs l_max to leave the draw box at
-    # [0, e_max]; a binding limit is refused before anything runs.
+    # [0, e_max]; a binding limit is refused before anything runs (a sweep
+    # whose every row it refuses included).
     out = ["--out", str(tmp_path / "o")] if verb != "check-bounds" else []
     rc = main([verb, "--slots", "48", "--followers", "6", "--l-max", "2.5"]
               + out + extra)
@@ -643,14 +676,28 @@ def test_binding_interchange_limit_names_the_limit_that_runs(tmp_path, capsys):
                  "--out", str(tmp_path / "edge")]) == 0
 
 
-def test_binding_interchange_limit_is_a_skipped_sweep_row(tmp_path, capsys):
-    out = tmp_path / "sw"
-    rc = main(["sweep", "--slots", "48", "--followers", "6", "--param", "gamma",
-               "--values", "0.01", "--l-max", "2.5", "--out", str(out)])
-    assert rc == 0
-    with open(out / "sweep.csv") as fh:
-        row, = csv.DictReader(fh)
-    assert row["status"].startswith("skipped: l_max=2.5 binds the draw box")
+@pytest.mark.parametrize("fault, swept, message", [
+    (["--rho", "0"], ["gamma", "0.01,0.02"], "rho must be positive, got 0.0"),
+    (["--c-b", "-1"], ["epsilon", "0.95"], "c_b must be nonnegative, got -1.0"),
+    (["--max-iters", "0"], ["n", "1"], "max_iters must be >= 1, got 0"),
+    (["--v-p", "1e9"], ["gamma", "0.01"],
+     "aggregator: v_p=1000000000.0 exceeds the maximum stabilizing weight"),
+], ids=["rho", "c_b", "max_iters", "v_p"])
+def test_sweep_refuses_a_fault_no_value_cures(fault, swept, message, tmp_path,
+                                              monkeypatch, capsys):
+    # A solver, battery or control flag that refuses every row is refused
+    # as run refuses it: exit 2, run's message and no --out.
+    monkeypatch.chdir(tmp_path)
+    shape = ["--slots", "4", "--followers", "2"]
+    assert main(["run", *shape, *fault, "--out", "r"]) == 2
+    want = capsys.readouterr().err
+    assert want.startswith(f"error: {message}") and want.count("\n") == 1
+    param, values = swept
+    rc = main(["sweep", *shape, *fault, "--param", param, "--values", values,
+               "--out", "o"])
+    assert rc == 2
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "o").exists()
 
 
 def _scenario_with_band(tmp_path, width, slots=None):
@@ -678,7 +725,7 @@ def _scenario_with_band(tmp_path, width, slots=None):
 def test_band_narrower_than_min_gap_is_refused_before_any_slot(
         verb, extra, tmp_path, monkeypatch, capsys):
     # Only slot 2 is narrow: the error names it and min_gap, and nothing is
-    # solved first (the sweep skips its row instead).
+    # solved first (the sweep's only row is refused, so the sweep is too).
     path = _scenario_with_band(tmp_path, 0.005, slots=[2])
     monkeypatch.chdir(tmp_path)
 
@@ -689,21 +736,16 @@ def test_band_narrower_than_min_gap_is_refused_before_any_slot(
     monkeypatch.setattr(cli, "run_case", refuse)
     rc = main([verb, "--scenario", str(path)] + extra)
     want = "grid price band [3.0, 3.005] at slot 2 narrower than min_gap=0.01"
-    if verb == "sweep":
-        assert rc == 0
-        with open(tmp_path / "o" / "sweep.csv") as fh:
-            row, = csv.DictReader(fh)
-        assert row["status"] == f"skipped: {want}"
-    else:
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {want}\n"
-        assert not (tmp_path / "o").exists()
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not (tmp_path / "o").exists()
     # A synthetic scenario with a min_gap wider than every band: slot 0.
     rc = main([verb, "--slots", "4", "--followers", "2", "--min-gap", "1000"]
               + extra)
     err = capsys.readouterr().err
-    assert rc == (0 if verb == "sweep" else 2)
+    assert rc == 2
     assert "at slot 0 narrower than min_gap=1000.0" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cases_without_posted_prices_ignore_the_band(tmp_path, capsys):
