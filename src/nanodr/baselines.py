@@ -47,7 +47,7 @@ from .domain import (
     SlotState,
     clamp,
 )
-from .nanogrid import follower_rule
+from .nanogrid import FollowerModel, follower_models, follower_rule
 from .simulator import RunReport, run
 from .stackelberg import (
     _EMPTY_TRACE,
@@ -83,7 +83,8 @@ def _tracking_draw(t: float, fs: FollowerSlot, params: NanogridParams) -> float:
 
 
 def _actions(es: Iterable[float], slot: SlotData) -> tuple[FollowerAction, ...]:
-    return tuple(FollowerAction(e=e, tp=fs.d + e - fs.rp)
+    # tuple.__new__: a named tuple's own constructor is a Python function.
+    return tuple(tuple.__new__(FollowerAction, (e, fs.d + e - fs.rp))
                  for e, fs in zip(es, slot.followers))
 
 
@@ -114,11 +115,11 @@ def _comfort_box(t: float, fs: FollowerSlot,
 
 
 def _solve_welfare_slot(state: SlotState, slot: SlotData,
-                        ng_params: Sequence[NanogridParams],
-                        ng_controls: Sequence[NanogridControl],
+                        models: Sequence[FollowerModel],
                         pme_params: PmeParams,
                         pme_control: PmeControl) -> tuple[list[float], float]:
-    """Joint minimizer of the cooperative drift-plus-penalty for one slot.
+    """Joint minimizer of the cooperative drift-plus-penalty for one slot;
+    ``models`` are the run's building constants (``follower_models``).
 
     Up to a constant the objective is sum_j (q_j*x_j**2 + l_j*x_j) over the
     draws and the charge, each in its box, plus the settlement of the
@@ -134,10 +135,9 @@ def _solve_welfare_slot(state: SlotState, slot: SlotData,
     (draws, then the charge).
     """
     coords = []  # (q, l, lo, hi): the draws, then the charge
-    for h, t, fs, p, c in zip(state.h, state.t, slot.followers, ng_params,
-                              ng_controls):
+    for h, t, fs, model in zip(state.h, state.t, slot.followers, models):
         # Cooperative draw cost: the follower's price-free objective / v_i.
-        rule = follower_rule(h, t, fs, p, c)
+        rule = follower_rule(h, t, fs, model)
         coords.append((rule.vg * rule.oe * rule.oe / rule.v, rule.le / rule.v,
                         rule.at_lo[0], rule.at_hi[0]))
     coords.append((0.5 * pme_params.c_b, state.b / pme_control.v_p,
@@ -218,6 +218,8 @@ def run_case(case: CaseId, scenario: Scenario,
                                         config.min_gap)
 
     elif case is CaseId.MYOPIC_GAME:
+        models = follower_models(ng_params, ng_controls)
+
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:
             boxes = [
                 _comfort_box(state.t[i], fs, p)
@@ -225,16 +227,18 @@ def run_case(case: CaseId, scenario: Scenario,
             ]
             # Myopic play: no queue pressure on the followers.
             responder = QueueResponder(replace(state, h=(0.0,) * len(state.h)),
-                                       slot, ng_params, ng_controls, boxes=boxes)
+                                       slot, models, boxes=boxes)
             y_box = (max(-pme_params.u_dmax, pme_params.e_min - state.e_batt),
                      min(pme_params.u_cmax, pme_params.e_max_cap - state.e_batt))
             return _solve_with_responder(responder, 0.0, slot, pme_params,
                                          pme_control, config, y_box=y_box)
 
     elif case is CaseId.SOCIAL_WELFARE:
+        models = follower_models(ng_params, ng_controls)
+
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:
-            es, y = _solve_welfare_slot(state, slot, ng_params, ng_controls,
-                                        pme_params, pme_control)
+            es, y = _solve_welfare_slot(state, slot, models, pme_params,
+                                        pme_control)
             followers = _actions(es, slot)
             # Bookkeeping prices at the grid pair; internal transfers cancel,
             # so the aggregate cost equals the social-cost total.

@@ -20,7 +20,62 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .domain import FollowerSlot, NanogridControl, NanogridParams, clamp
+from .domain import FollowerSlot, NanogridControl, NanogridParams
+
+
+class FollowerModel(NamedTuple):
+    """One nanogrid's price-free building constants, built once per run
+    (``follower_models``) and read by every ``follower_rule`` of the run.
+
+    Each product is the left-most prefix of the expression it stands for in
+    ``follower_rule``'s formulas (see ``FollowerRule``), so a rule built
+    from it rounds as if it computed the product in place.  With one = 1 -
+    epsilon: eps_one = eps*one, neg_eps_one = -eps*one, le_mis =
+    2*v*gamma*one, alpha_mis = 2*v*gamma*one*eta, beta_span =
+    2*v*gamma*one*one*eta*eta*e_max, delta_mis = -2*gamma*one*eta and
+    delta_dr = 2*gamma*one*one*eta*eta; base_lo and base_hi are
+    vg*(oe*e)**2 at the default box's ends e = 0.0 and e_max.
+    """
+
+    v: float
+    eps: float
+    one: float
+    eta: float
+    oe: float
+    vg: float
+    eps_one: float
+    neg_eps_one: float
+    le_mis: float
+    alpha_mis: float
+    beta_span: float
+    hbar: float
+    delta_mis: float
+    delta_dr: float
+    has_vertex: bool
+    e_max: float
+    base_lo: float
+    base_hi: float
+
+
+def follower_models(params: Sequence[NanogridParams],
+                    controls: Sequence[NanogridControl]
+                    ) -> tuple[FollowerModel, ...]:
+    """Each nanogrid's ``FollowerModel``, in order.  The run holds the
+    tuple; nothing else keeps it."""
+    models = []
+    for p, c in zip(params, controls):
+        eps, eta, gam, e_max, v = p.epsilon, p.eta, p.gamma, p.e_max, c.v_i
+        one = 1.0 - eps
+        oe = one * eta
+        vg = v * gam
+        models.append(FollowerModel(
+            v, eps, one, eta, oe, vg, eps * one, -eps * one,
+            2.0 * v * gam * one, 2.0 * v * gam * one * eta,
+            2.0 * v * gam * one * one * eta * eta * e_max,
+            math.inf if gam == 0.0 else 1.0 / (2.0 * gam * one * one * eta * eta),
+            -2.0 * gam * one * eta, 2.0 * gam * one * one * eta * eta,
+            gam != 0.0, e_max, vg * (oe * 0.0) ** 2, vg * (oe * e_max) ** 2))
+    return tuple(models)
 
 
 class FollowerRule(NamedTuple):
@@ -40,6 +95,9 @@ class FollowerRule(NamedTuple):
     hbar = 1/(2*gamma*(1-eps)^2*eta^2) the draw's price sensitivity (kWh per
     cent/kWh).  With gamma == 0 the discomfort term vanishes: alpha and beta
     are zero, hbar is infinite and delta keeps its finite limit.
+
+    Built by ``follower_rule`` with ``tuple.__new__``: a named tuple's own
+    constructor is a Python function, and every slot builds n rules.
     """
 
     v: float
@@ -58,51 +116,52 @@ class FollowerRule(NamedTuple):
     dr: float
 
 
-def follower_rule(h: float, t: float, slot: FollowerSlot,
-                  params: NanogridParams, control: NanogridControl,
+def follower_rule(h: float, t: float, slot: FollowerSlot, model: FollowerModel,
                   box: tuple[float, float] | None = None) -> FollowerRule:
     """Build the decision rule at the current state and slot data.
 
-    The draw box is [0, e_max], which ``domain.check_assumptions`` proves
-    the interchange limit leaves whole; ``box`` replaces it (callers may
+    ``model`` holds the nanogrid's per-run building constants
+    (``follower_models``); the rule is built with ``tuple.__new__``.  The
+    draw box is [0, e_max], which ``domain.check_assumptions`` proves the
+    interchange limit leaves whole; ``box`` replaces it (callers may
     tighten it with extra per-slot constraints).  The contract for every
     box: it lies inside [0, e_max] or is a single point, so neither 0.0 nor
     e_max is ever strictly inside it.  ``respond`` and ``pinned_draw`` rely
     on this.
     """
-    lo, hi = (0.0, params.e_max) if box is None else box
-    eps = params.epsilon
-    one = 1.0 - eps
-    eta = params.eta
-    gam = params.gamma
-    v = control.v_i
-    vg = v * gam
-    oe = one * eta
-    mismatch = one * slot.t_out + eps * t - slot.t_opt  # °F above target, pre-draw
-    le = (eps * one * h + 2.0 * v * gam * one * mismatch) * eta
-    dr = slot.d - slot.rp
-    # The fixed candidates, written out: a comprehension is a nested call.
-    kink = clamp(slot.rp - slot.d, lo, hi)
-    at_lo = (lo, vg * (oe * lo) ** 2 + le * lo, dr + lo, abs(dr + lo))
-    at_kink = (kink, vg * (oe * kink) ** 2 + le * kink, dr + kink, abs(dr + kink))
-    at_hi = (hi, vg * (oe * hi) ** 2 + le * hi, dr + hi, abs(dr + hi))
-    if gam == 0.0:
-        alpha = beta = 0.0
-        vartheta = (-mismatch / (one * eta) if h == 0.0
-                    else -math.copysign(math.inf, h))
-        delta = -eps * one * h * eta / v
-        hbar = math.inf
+    (v, eps, one, eta, oe, vg, eps_one, neg_eps_one, le_mis, alpha_mis,
+     beta_span, hbar, delta_mis, delta_dr, has_vertex, e_max, base_lo,
+     base_hi) = model
+    t_out, d, rp = slot.t_out, slot.d, slot.rp
+    mismatch = one * t_out + eps * t - slot.t_opt  # °F above target, pre-draw
+    le = (eps_one * h + le_mis * mismatch) * eta
+    dr = d - rp
+    if box is None:
+        lo, hi = 0.0, e_max
     else:
-        alpha = 2.0 * v * gam * one * eta * mismatch
-        beta = alpha + 2.0 * v * gam * one * one * eta * eta * params.e_max
-        hbar = 1.0 / (2.0 * gam * one * one * eta * eta)
-        vartheta = -mismatch / (one * eta) - eps * h / (2.0 * v * gam * one * eta)
-        delta = (-2.0 * gam * one * eta * mismatch
-                 - eps * one * h * eta / v
-                 - 2.0 * gam * one * one * eta * eta * (slot.rp - slot.d))
-    pressure = -eps * one * h * eta
-    return FollowerRule(v, at_lo, at_kink, at_hi, gam != 0.0, pressure - alpha,
-                        pressure - beta, delta, vartheta, hbar, vg, oe, le, dr)
+        lo, hi = box
+        base_lo, base_hi = vg * (oe * lo) ** 2, vg * (oe * hi) ** 2
+    # The fixed candidates, written out: a comprehension is a nested call.
+    kink = rp - d
+    kink = lo if kink < lo else hi if kink > hi else kink
+    at_lo = (lo, base_lo + le * lo, dr + lo, abs(dr + lo))
+    at_kink = (kink, vg * (oe * kink) ** 2 + le * kink, dr + kink, abs(dr + kink))
+    at_hi = (hi, base_hi + le * hi, dr + hi, abs(dr + hi))
+    pressure = neg_eps_one * h * eta
+    if has_vertex:
+        alpha = alpha_mis * mismatch
+        beta = alpha + beta_span
+        vartheta = -mismatch / oe - eps * h / alpha_mis
+        delta = (delta_mis * mismatch
+                 - eps_one * h * eta / v
+                 - delta_dr * (rp - d))
+    else:
+        alpha = beta = 0.0
+        vartheta = -mismatch / oe if h == 0.0 else -math.copysign(math.inf, h)
+        delta = pressure / v
+    return tuple.__new__(FollowerRule, (
+        v, at_lo, at_kink, at_hi, has_vertex, pressure - alpha, pressure - beta,
+        delta, vartheta, hbar, vg, oe, le, dr))
 
 
 def respond(rules: Sequence[FollowerRule], p_s: float,
@@ -153,10 +212,22 @@ def respond(rules: Sequence[FollowerRule], p_s: float,
     return es, slopes
 
 
-def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
-                pb_hi: float) -> float | None:
+def box_corners(ps_lo: float, ps_hi: float, pb_lo: float, pb_hi: float
+                ) -> tuple[float, ...]:
+    """The price box [ps_lo, ps_hi] × [pb_lo, pb_hi] as ``pinned_draw``
+    reads it: its four bounds, the half gap and half sum ½(p_s - p_b),
+    ½(p_s + p_b) at (ps_lo, pb_lo) and at (ps_hi, pb_hi), and reach, its
+    largest |price|.  Computed once per box, for all its followers."""
+    return (ps_lo, ps_hi, pb_lo, pb_hi,
+            0.5 * (ps_lo - pb_lo), 0.5 * (ps_lo + pb_lo),
+            0.5 * (ps_hi - pb_hi), 0.5 * (ps_hi + pb_hi),
+            max(-ps_lo, ps_hi, -pb_lo, pb_hi))
+
+
+def pinned_draw(rule: FollowerRule, corners: tuple[float, ...]) -> float | None:
     """The draw ``respond`` gives at every price pair (p_s, p_b) in the box
-    [ps_lo, ps_hi] × [pb_lo, pb_hi], or None.
+    [ps_lo, ps_hi] × [pb_lo, pb_hi], or None.  ``corners`` is the box's
+    ``box_corners``.
 
     The slot's grid band is the box [m_b, m_s]²; the loop certifies smaller
     boxes around its iterate, and the polish the hulls of runs of scan
@@ -200,6 +271,7 @@ def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
     """
     (v, at_lo, at_kink, at_hi, has_vertex, _, _, delta, vartheta, hbar,
      _, _, _, _) = rule
+    ps_lo, ps_hi, pb_lo, pb_hi, g_lo, s_lo, g_hi, s_hi, reach = corners
     lo, hi = at_lo[0], at_hi[0]
     if has_vertex and lo < hi:
         if delta > ps_lo and not (vartheta - ps_hi * hbar >= hi
@@ -210,16 +282,13 @@ def pinned_draw(rule: FollowerRule, ps_lo: float, ps_hi: float, pb_lo: float,
             return None
     # w: the first argmin at (ps_lo, pb_lo), as respond evaluates a fixed
     # candidate; strict < keeps the earlier one.
-    g_lo, s_lo = 0.5 * (ps_lo - pb_lo), 0.5 * (ps_lo + pb_lo)
     w_e, w_base, w_tp, w_abs = at_lo
     w_lo = w_base + v * (g_lo * w_abs + s_lo * w_tp)
     for c in (at_kink, at_hi):
         val = c[1] + v * (g_lo * c[3] + s_lo * c[2])
         if val < w_lo:
             (w_e, w_base, w_tp, w_abs), w_lo = c, val
-    g_hi, s_hi = 0.5 * (ps_hi - pb_hi), 0.5 * (ps_hi + pb_hi)
     w_hi = w_base + v * (g_hi * w_abs + s_hi * w_tp)
-    reach = max(-ps_lo, ps_hi, -pb_lo, pb_hi)
     for c_e, c_base, c_tp, c_abs in (at_lo, at_kink, at_hi):
         if c_e == w_e:
             continue

@@ -34,6 +34,7 @@ from .domain import (
     pme_profit,
     thermal_step,
 )
+from .nanogrid import follower_models
 from .stackelberg import GameConfig, IterationTrace, SlotSolution, solve_slot
 
 _IDENTITY_TOL = 1e-12
@@ -138,7 +139,9 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
     battery bound breach raises InvariantViolation naming the slot (it should
     be unreachable under certified controls); otherwise breaches are only
     counted.  ``slot_solver`` substitutes a different per-slot policy (used
-    by the comparison cases); the default is the equilibrium solve.
+    by the comparison cases); the default is the equilibrium solve, which
+    reads the buildings' constants from one ``follower_models`` tuple built
+    here, before the first slot.
     ``trace_sink(k, trace)`` gets each slot's ``IterationTrace`` once its
     bounds pass, outside the solve; the run keeps no trace of its own.
     """
@@ -151,9 +154,11 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
     check_assumptions(scenario, ng_params)
 
     if slot_solver is None:
+        models = follower_models(ng_params, ng_controls)
+
         def slot_solver(state: SlotState, slot: SlotData) -> SlotSolution:
-            return solve_slot(state, slot, ng_params, ng_controls, pme_params,
-                              pme_control, config)
+            return solve_slot(state, slot, models, pme_params, pme_control,
+                              config)
 
     t0 = tuple(0.5 * (p.t_min + p.t_max) for p in ng_params)
     e0 = 0.5 * (pme_params.e_min + pme_params.e_max_cap)

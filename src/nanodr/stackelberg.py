@@ -69,6 +69,7 @@ from __future__ import annotations
 import copy
 import math
 from bisect import bisect_right
+from itertools import repeat
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -76,8 +77,6 @@ from .domain import (
     ConfigurationError,
     FollowerAction,
     LeaderAction,
-    NanogridControl,
-    NanogridParams,
     PmeControl,
     PmeParams,
     SlotData,
@@ -86,7 +85,8 @@ from .domain import (
     _trade_sums,
     clamp,
 )
-from .nanogrid import follower_rule, pinned_draw, respond
+from .nanogrid import (FollowerModel, box_corners, follower_rule, pinned_draw,
+                       respond)
 from .pme import _close_pro_prime, interchange_sums, subgradients
 
 
@@ -227,8 +227,9 @@ class QueueResponder:
 
     The rules read only ``state.h`` and ``state.t``; ``boxes`` overrides the
     draw intervals.  Each follower's price-free rule is built once per slot,
-    here, from the frozen state and slot data; each price broadcast only
-    evaluates it (``nanogrid.respond``).
+    here, from the frozen state, the slot data and the run's building
+    constants ``models`` (``nanogrid.follower_models``); each price
+    broadcast only evaluates it (``nanogrid.respond``).
 
     A responder answers only at prices in its price box ``box`` =
     (ps_lo, ps_hi, pb_lo, pb_hi).  ``nanogrid.pinned_draw`` certifies the
@@ -245,13 +246,12 @@ class QueueResponder:
     """
 
     def __init__(self, state: SlotState, slot: SlotData,
-                 params: Sequence[NanogridParams],
-                 controls: Sequence[NanogridControl],
+                 models: Sequence[FollowerModel],
                  boxes: Sequence[tuple[float, float]] | None = None):
         n = len(state.h)
         self._rules = tuple(map(
-            follower_rule, state.h, state.t,
-            slot.followers, params, controls, (None,) * n if boxes is None else boxes))
+            follower_rule, state.h, state.t, slot.followers, models,
+            repeat(None, n) if boxes is None else boxes))
         self._followers = slot.followers
         self.free = tuple(range(n))
         self._draws = (0.0,) * n  # a free follower's entries are set per broadcast
@@ -261,17 +261,20 @@ class QueueResponder:
     def _certify(self, ps_lo: float, ps_hi: float, pb_lo: float,
                  pb_hi: float) -> None:
         """Set the box and move the free followers pinned on it into the
-        template."""
+        template.  The box's corner terms are computed once, for all of
+        them (``nanogrid.box_corners``)."""
         self.box = (ps_lo, ps_hi, pb_lo, pb_hi)
+        corners = box_corners(ps_lo, ps_hi, pb_lo, pb_hi)
+        rules, followers = self._rules, self._followers
         draws = list(self._draws)
         tps = self._tps.copy()
         free = []
         for i in self.free:
-            e = pinned_draw(self._rules[i], ps_lo, ps_hi, pb_lo, pb_hi)
+            e = pinned_draw(rules[i], corners)
             if e is None:
                 free.append(i)
                 continue
-            fs = self._followers[i]
+            fs = followers[i]
             draws[i] = e
             # The solver's form of the interchange, d + e - rp (not dr + e,
             # which rounds differently).
@@ -279,8 +282,8 @@ class QueueResponder:
         self.free = tuple(free)
         self._draws = tuple(draws)
         self._tps = tps
-        self._free_rules = tuple(map(self._rules.__getitem__, free))
-        self._free_slots = tuple(zip(free, map(self._followers.__getitem__, free)))
+        self._free_rules = tuple(map(rules.__getitem__, free))
+        self._free_slots = tuple(zip(free, map(followers.__getitem__, free)))
         # The interchanges never change when every follower is pinned.
         self.sums = None if free else interchange_sums(tps)
 
@@ -559,6 +562,13 @@ def _polish(action: LeaderAction, responder, b: float, slot: SlotData,
 # ---------------------------------------------------------------------------
 
 
+def _follower_actions(es: Sequence[float], tps: Sequence[float]
+                      ) -> tuple[FollowerAction, ...]:
+    """The draws and interchanges as actions, built with ``tuple.__new__``:
+    a named tuple's own constructor is a Python function."""
+    return tuple(map(tuple.__new__, repeat(FollowerAction), zip(es, tps)))
+
+
 def _start(m_s: float, m_b: float, min_gap: float, y_lo: float,
            y_hi: float) -> tuple[float, float, float]:
     """The loop's first iterate: mid-band prices ``min_gap`` apart, y = 0."""
@@ -585,7 +595,7 @@ def _against_fixed_draws(es: Sequence[float], tps: Sequence[float],
     start = (m_s, m_b) if buys and sells else _start(m_s, m_b, min_gap, *y_box)
     leader = LeaderAction(m_s if buys else start[0], m_b if sells else start[1],
                           _argmin_charge(tps, b, slot.g_t, m_s, m_b, v_p, c_b, *y_box))
-    return SlotSolution(leader, tuple(map(FollowerAction, es, tps)), _EMPTY_TRACE)
+    return SlotSolution(leader, _follower_actions(es, tps), _EMPTY_TRACE)
 
 
 def _solve_with_responder(responder, b: float, slot: SlotData,
@@ -639,19 +649,19 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
         es, tps = responder.respond(p_s, p_b)
     trace = IterationTrace(records=tuple(records), converged=converged,
                            polish_sweeps=sweeps)
-    return SlotSolution(chi, tuple(map(FollowerAction, es, tps)), trace)
+    return SlotSolution(chi, _follower_actions(es, tps), trace)
 
 
 def solve_slot(state: SlotState, slot: SlotData,
-               ng_params: Sequence[NanogridParams],
-               ng_controls: Sequence[NanogridControl],
+               models: Sequence[FollowerModel],
                pme_params: PmeParams, pme_control: PmeControl,
                config: GameConfig) -> SlotSolution:
-    """Solve one slot's leader/follower game.
+    """Solve one slot's leader/follower game; ``models`` are the run's
+    building constants (``nanogrid.follower_models``).
 
     Non-convergence at the iteration cap is reported through the trace, not
     raised; the last iterate is still polished and returned.
     """
-    responder = QueueResponder(state, slot, ng_params, ng_controls)
+    responder = QueueResponder(state, slot, models)
     return _solve_with_responder(responder, state.b, slot, pme_params,
                                  pme_control, config)

@@ -36,7 +36,7 @@ from nanodr.domain import (
     bilinear_trade_cost,
     pme_profit,
 )
-from nanodr.nanogrid import follower_rule, respond
+from nanodr.nanogrid import follower_models, follower_rule, respond
 from nanodr.pme import _close_pro_prime, subgradients
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
@@ -64,7 +64,7 @@ def _answers(folks, p_s, p_b):
     """Each follower's action at the prices from the package's rule, built
     and evaluated as a solve does; ``folks`` holds (params, control, t, h,
     slot) per follower."""
-    rules = [follower_rule(h, t, slot, params, ctl)
+    rules = [follower_rule(h, t, slot, *follower_models([params], [ctl]))
              for params, ctl, t, h, slot in folks]
     es, _ = respond(rules, p_s, p_b)
     return [FollowerAction(e=e, tp=f[4].d + e - f[4].rp) for e, f in zip(es, folks)]
@@ -127,7 +127,8 @@ def test_03_follower_oracle_equivalence():
         params, control, t, h, slot, leader = random_follower_instance(rng)
         # The instance's l_max may bind: the rule gets the interchange box.
         lo, hi = interchange_box(slot, params)
-        (e,), _ = respond([follower_rule(h, t, slot, params, control, (lo, hi))],
+        model, = follower_models([params], [control])
+        (e,), _ = respond([follower_rule(h, t, slot, model, (lo, hi))],
                           leader.p_s, leader.p_b)
         mine = float(follower_objective_grid(e, h, t, slot, leader, params,
                                              control))
@@ -138,7 +139,7 @@ def test_03_follower_oracle_equivalence():
         best_val = float(values[idx])
         assert mine <= best_val + 1e-8 * (1.0 + abs(best_val))
         if params.gamma > 0.0:
-            rule = follower_rule(h, t, slot, params, control)
+            rule = follower_rule(h, t, slot, *follower_models([params], [control]))
             spacing = (hi - lo) / (len(grid) - 1)
             if control.v_i * leader.p_b > rule.zero_level:
                 expected = min(max(0.0, lo), hi)
@@ -302,7 +303,7 @@ def test_07_equilibrium_verification(desk):
                                  slot.followers)), act.p_s, act.p_b)
         for f, again in zip(outcome.followers, redo):
             worst_resolve = max(worst_resolve, abs(again.e - f.e))
-        responder = QueueResponder(state, slot, params, controls)
+        responder = QueueResponder(state, slot, follower_models(params, controls))
 
         def pro(ps, pb, yy):
             es = responder.respond(ps, pb)[0]

@@ -28,7 +28,7 @@ from nanodr.domain import (
     pme_profit,
     thermal_step,
 )
-from nanodr.nanogrid import follower_rule
+from nanodr.nanogrid import follower_models, follower_rule
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
     SyntheticSpec,
@@ -139,9 +139,11 @@ def test_welfare_solution_beats_equilibrium_pointwise(gamma, c_b):
     cfg = GameConfig()
     for k in range(scen.slots):
         slot = scen.slot(k)
-        sol = solve_slot(state, slot, params, controls, pme, pmec, cfg)
+        sol = solve_slot(state, slot, follower_models(params, controls), pme,
+                         pmec, cfg)
         es4 = [f.e for f in sol.followers]
-        es5, y5 = _solve_welfare_slot(state, slot, params, controls, pme,
+        es5, y5 = _solve_welfare_slot(state, slot,
+                                      follower_models(params, controls), pme,
                                       pmec)
         j4 = welfare_objective(es4, sol.leader.y, state, slot, params,
                                controls, pme, pmec)
@@ -192,7 +194,9 @@ def test_welfare_solve_meets_the_dual_bound():
     for _ in range(1000):
         inst = _random_welfare_instance(rng)
         state, slot, params, controls, pme, pmec = inst
-        es, y = _solve_welfare_slot(*inst)
+        es, y = _solve_welfare_slot(state, slot,
+                                    follower_models(params, controls), pme,
+                                    pmec)
         j = welfare_objective(es, y, *inst)
         bound, lam = welfare_dual_bound(*inst)
         assert abs(j - bound) <= 1e-9 * (1.0 + abs(j))
@@ -333,8 +337,8 @@ def test_every_draw_box_keeps_the_box_contract():
                  else rng.uniform(-e_max, 2.0 * e_max))
             t_out = (params.t_min - eps * t) / (1.0 - eps) - eta * x
         fs = FollowerSlot(rp=1.0, d=2.0, t_out=t_out, t_opt=70.0)
-        rule = follower_rule(t - 50.0, t, fs, params,
-                             NanogridControl(v_i=1.0, gamma_shift=-50.0))
+        rule = follower_rule(t - 50.0, t, fs, *follower_models(
+            [params], [NanogridControl(v_i=1.0, gamma_shift=-50.0)]))
         assert (rule.at_lo[0], rule.at_hi[0]) == (0.0, e_max)
         try:
             lo, hi = _comfort_box(t, fs, params)

@@ -19,7 +19,8 @@ from nanodr.domain import (
     SlotState,
     thermal_step,
 )
-from nanodr.nanogrid import FollowerRule, follower_rule, pinned_draw, respond
+from nanodr.nanogrid import (FollowerRule, box_corners, follower_models,
+                             follower_rule, pinned_draw, respond)
 from nanodr.pme import interchange_sums
 from nanodr.policy import _follower_bounds, default_policy
 from nanodr.scenario_io import default_pme_params
@@ -43,7 +44,8 @@ def _draw(h, t, slot, leader, params, control):
     evaluated as a solve does, on the box the oracles search (``l_max`` may
     bind it)."""
     box = interchange_box(slot, params)
-    es, _ = respond([follower_rule(h, t, slot, params, control, box)],
+    model, = follower_models([params], [control])
+    es, _ = respond([follower_rule(h, t, slot, model, box)],
                     leader.p_s, leader.p_b)
     return es[0]
 
@@ -51,7 +53,8 @@ def _draw(h, t, slot, leader, params, control):
 def _rule_value(e, h, t, slot, leader, params, control):
     """The package's objective at draw ``e``, as ``respond`` evaluates a
     fixed candidate: the rule built on the one-point box [e, e]."""
-    r = follower_rule(h, t, slot, params, control, box=(e, e))
+    r = follower_rule(h, t, slot, *follower_models([params], [control]),
+                      box=(e, e))
     _, base, tp, abs_tp = r.at_lo
     return base + r.v * (0.5 * (leader.p_s - leader.p_b) * abs_tp
                          + 0.5 * (leader.p_s + leader.p_b) * tp)
@@ -68,7 +71,7 @@ def test_thresholds_vanish_without_discomfort_weight():
     params = NanogridParams(epsilon=0.95, eta=15.0, e_max=5.0, t_min=66.0,
                             t_max=77.0, l_max=10.0, gamma=0.0)
     slot = FollowerSlot(rp=1.0, d=2.0, t_out=30.0, t_opt=70.0)
-    rule = follower_rule(-5.0, 70.0, slot, params, CONTROL)
+    rule = follower_rule(-5.0, 70.0, slot, *follower_models([params], [CONTROL]))
     # alpha and beta are zero: both levels are the bare drift pressure.
     pressure = -params.epsilon * (1 - params.epsilon) * -5.0 * params.eta
     assert rule.zero_level == pressure
@@ -83,7 +86,7 @@ def test_beta_alpha_identity_on_random_draws():
         params, control, t, h, slot, _ = random_follower_instance(rng)
         if params.gamma == 0.0:
             continue
-        rule = follower_rule(h, t, slot, params, control)
+        rule = follower_rule(h, t, slot, *follower_models([params], [control]))
         one = 1.0 - params.epsilon
         gap = 2.0 * control.v_i * params.gamma * one * one \
             * params.eta * params.eta * params.e_max
@@ -94,7 +97,7 @@ def test_beta_alpha_identity_on_random_draws():
 
 def test_vartheta_cancels_at_aligned_temperatures():
     slot = FollowerSlot(rp=1.0, d=2.0, t_out=70.0, t_opt=70.0)
-    rule = follower_rule(0.0, 70.0, slot, PARAMS, CONTROL)
+    rule = follower_rule(0.0, 70.0, slot, *follower_models([PARAMS], [CONTROL]))
     assert rule.vartheta == pytest.approx(0.0, abs=1e-12)
 
 
@@ -104,7 +107,7 @@ def test_delta_equals_scaled_vertex_to_kink_distance():
         params, control, t, h, slot, _ = random_follower_instance(rng)
         if params.gamma == 0.0:
             continue
-        rule = follower_rule(h, t, slot, params, control)
+        rule = follower_rule(h, t, slot, *follower_models([params], [control]))
         kink = slot.rp - slot.d
         assert rule.delta == pytest.approx((rule.vartheta - kink) / rule.hbar,
                                            rel=1e-9, abs=1e-9)
@@ -172,7 +175,7 @@ def test_zero_draw_threshold_case():
     t = 76.5
     h = t + control.gamma_shift
     leader = LeaderAction(p_s=10.0, p_b=5.0, y=0.0)
-    rule = follower_rule(h, t, slot, PARAMS, control)
+    rule = follower_rule(h, t, slot, *follower_models([PARAMS], [control]))
     assert control.v_i * leader.p_b > rule.zero_level  # case fires
     assert _draw(h, t, slot, leader, PARAMS, control) == 0.0
 
@@ -184,7 +187,7 @@ def test_full_power_threshold_case():
     t = 66.2
     h = t + control.gamma_shift
     leader = LeaderAction(p_s=10.0, p_b=5.0, y=0.0)
-    rule = follower_rule(h, t, slot, PARAMS, control)
+    rule = follower_rule(h, t, slot, *follower_models([PARAMS], [control]))
     assert control.v_i * leader.p_s < rule.rated_level  # case fires
     assert _draw(h, t, slot, leader, PARAMS, control) == PARAMS.e_max
 
@@ -245,7 +248,7 @@ def test_rate_gates_keep_the_edge_draw(case):
     assert _hex(es) == [edge.hex()]
     assert _hex(slopes) == [(0.0).hex()]
     # pinned_draw leaves the gates out, so it declines to pin this draw.
-    assert pinned_draw(rule, p_s, p_s, p_b, p_b) is None
+    assert pinned_draw(rule, box_corners(p_s, p_s, p_b, p_b)) is None
 
 
 def test_best_response_matches_brute_force():
@@ -303,7 +306,7 @@ def test_threshold_cases_agree_with_unclamped_argmin():
                               e_max=params.e_max, t_min=params.t_min,
                               t_max=params.t_max, l_max=50.0,
                               gamma=params.gamma)
-        rule = follower_rule(h, t, slot, wide, control)
+        rule = follower_rule(h, t, slot, *follower_models([wide], [control]))
         if control.v_i * leader.p_b > rule.zero_level:
             endpoint = 0.0
         elif control.v_i * leader.p_s < rule.rated_level:
@@ -359,7 +362,8 @@ def _prices_near_delta(rng, group, myopic):
         if params.gamma == 0.0:
             continue
         h = 0.0 if myopic else h
-        delta = follower_rule(h, t, slot, params, control).delta
+        delta = follower_rule(h, t, slot,
+                              *follower_models([params], [control])).delta
         for k in range(-4, 5):
             p = delta
             for _ in range(abs(k)):
@@ -386,10 +390,10 @@ def test_queue_responder_is_bit_exact_with_reference_rule(case):
                         followers=tuple(g[4] for g in group))
         if myopic:  # as case 3 plays: no queue pressure
             state = replace(state, h=(0.0,) * len(group))
-        responder = QueueResponder(state, slot, [g[0] for g in group],
-                                   [g[1] for g in group], boxes=boxes)
-        rules = [follower_rule(0.0 if myopic else h, t, fs, params, control,
-                               boxes[i])
+        responder = QueueResponder(state, slot, follower_models(
+            [g[0] for g in group], [g[1] for g in group]), boxes=boxes)
+        rules = [follower_rule(0.0 if myopic else h, t, fs,
+                               *follower_models([params], [control]), boxes[i])
                  for i, (params, control, t, h, fs, _) in enumerate(group)]
         for p_s, p_b in _prices_near_delta(rng, group, myopic):
             expected = [
@@ -573,8 +577,8 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
     for _ in range(400 if case == "near_boundary" else 150):
         group = _instances(rng, size, binding_l_max=case == "binding_l_max")
         boxes = _boxes(rng, group, myopic)
-        rules = [follower_rule(0.0 if myopic else h, t, fs, params, control,
-                               boxes[i])
+        rules = [follower_rule(0.0 if myopic else h, t, fs,
+                               *follower_models([params], [control]), boxes[i])
                  for i, (params, control, t, h, fs, _) in enumerate(group)]
         m_b = rng.uniform(1.0, 6.0)
         m_s = m_b + rng.uniform(0.5, 10.0)
@@ -593,8 +597,8 @@ def test_pinned_followers_are_bit_exact_over_the_band(case):
                         followers=tuple(g[4] for g in group))
         if myopic:  # as case 3 plays: no queue pressure
             state = replace(state, h=(0.0,) * len(group))
-        responder = QueueResponder(state, slot, [g[0] for g in group],
-                                   [g[1] for g in group], boxes=boxes)
+        responder = QueueResponder(state, slot, follower_models(
+            [g[0] for g in group], [g[1] for g in group]), boxes=boxes)
         assert responder.box == (m_b, m_s, m_b, m_s)
         uncertified += len(responder.free)
         certified += size - len(responder.free)
@@ -661,8 +665,8 @@ def test_fixed_candidate_gaps_are_smallest_at_the_deciding_corner():
         group = _instances(rng, 3, binding_l_max=rng.random() < 0.5)
         boxes = _boxes(rng, group, myopic)
         for i, (params, control, t, h, fs, _) in enumerate(group):
-            rule = follower_rule(0.0 if myopic else h, t, fs, params, control,
-                                 boxes[i])
+            rule = follower_rule(0.0 if myopic else h, t, fs,
+                                 *follower_models([params], [control]), boxes[i])
             zero_gamma += not rule.has_vertex
             fixed = (rule.at_lo, rule.at_kink, rule.at_hi)
             for _ in range(3):
@@ -702,7 +706,7 @@ def test_margin_covers_each_candidates_trade_term(dominant):
     # the certificate from pinning the draw.
     rule = follower_rule(-5e-9, 70.0, FollowerSlot(rp=2.0, d=2.0, t_out=50.0,
                                                     t_opt=70.0),
-                         replace(PARAMS, gamma=0.0), CONTROL)
+                         *follower_models([replace(PARAMS, gamma=0.0)], [CONTROL]))
     assert rule.at_lo == rule.at_kink == (0.0, 0.0, 0.0, 0.0)
     _, base, tp, _ = rule.at_hi
     if dominant == "rival":
@@ -714,7 +718,7 @@ def test_margin_covers_each_candidates_trade_term(dominant):
     draws = {respond([rule], p_s, m_b + (m_s - m_b) * j / 999)[0][0]
              for j in range(1000)}
     assert draws == {0.0, PARAMS.e_max}
-    assert pinned_draw(rule, m_b, m_s, m_b, m_s) is None
+    assert pinned_draw(rule, box_corners(m_b, m_s, m_b, m_s)) is None
 
 
 def test_best_response_is_bit_exact_with_reference_rule():

@@ -15,7 +15,7 @@ from nanodr.domain import (
     _trade_sums,
     pme_profit,
 )
-from nanodr.nanogrid import follower_rule, respond
+from nanodr.nanogrid import follower_models, follower_rule, respond
 from nanodr.pme import _close_pro_prime, subgradients
 from nanodr.policy import _leader_bounds, default_policy
 from nanodr.stackelberg import _argmin_charge
@@ -49,7 +49,7 @@ def _charge(b, m, control, params):
 def _answers(folks, p_s, p_b):
     """Each follower's action at the prices from the package's rule;
     ``folks`` holds (params, control, t, h, slot) per follower."""
-    rules = [follower_rule(h, t, slot, params, ctl)
+    rules = [follower_rule(h, t, slot, *follower_models([params], [ctl]))
              for params, ctl, t, h, slot in folks]
     es, _ = respond(rules, p_s, p_b)
     return [FollowerAction(e=e, tp=f[4].d + e - f[4].rp) for e, f in zip(es, folks)]
@@ -232,7 +232,8 @@ def test_subgradients_match_finite_differences_at_interior_points():
         m_s, m_b = 14.0, 3.0
 
         def answer(ps, pb):
-            slopes = [follower_rule(h, t, slot, params, ctl).hbar
+            slopes = [follower_rule(h, t, slot,
+                                    *follower_models([params], [ctl])).hbar
                       for params, ctl, t, h, slot, _, _ in folks]
             return _answers([f[:5] for f in folks], ps, pb), slopes
 

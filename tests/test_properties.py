@@ -32,6 +32,7 @@ from nanodr.scenario_io import (
     generate_synthetic,
     synthetic_params,
 )
+from nanodr.nanogrid import follower_models
 from nanodr.stackelberg import GameConfig, QueueResponder, _step_sizes, solve_slot
 
 from oracles import fixed_draws_rule, reference_loop, shadowed_scans, tightest_l_max
@@ -74,17 +75,17 @@ def _check_loop_records(report, scenario, params, controls, pme, control):
     states += [o.next_state for o in report.outcomes[:-1]]
     for k in sorted({0, scenario.slots // 2, scenario.slots - 1}):
         slot = scenario.slot(k)
-        sol = solve_slot(states[k], slot, params, controls, pme, control,
-                         GameConfig())
+        models = follower_models(params, controls)
+        sol = solve_slot(states[k], slot, models, pme, control, GameConfig())
         assert sol.leader == report.outcomes[k].leader
-        if not QueueResponder(states[k], slot, params, controls).free:
+        if not QueueResponder(states[k], slot, models).free:
             assert sol.trace.records == () and sol.trace.converged
             want = fixed_draws_rule([f.tp for f in sol.followers], states[k].b,
                                     slot, control.v_p, pme.c_b,
                                     (-pme.u_dmax, pme.u_cmax), GameConfig().min_gap)
             assert list(map(float.hex, want)) == list(map(float.hex, (
                 sol.leader.p_s, sol.leader.p_b, sol.leader.y)))
-            sol = solve_slot(states[k], slot, params, controls, pme, control,
+            sol = solve_slot(states[k], slot, models, pme, control,
                              GameConfig(polish=False))
         rows, converged, _ = reference_loop(states[k], slot, params, controls,
                                             pme, control, GameConfig())

@@ -23,7 +23,7 @@ from nanodr.domain import (
     SlotData,
     SlotState,
 )
-from nanodr.nanogrid import follower_rule, respond
+from nanodr.nanogrid import follower_models, follower_rule, respond
 from nanodr.pme import subgradients
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
@@ -125,8 +125,8 @@ def test_projection_rejects_narrow_band():
         check_band(3.005, 3.0, 0.01, slot=7)
     params, controls, state, pmec = _desk_setup()
     with pytest.raises(ConfigurationError, match="min_gap"):
-        solve_slot(state, _desk_slot(m_s=3.005), params, controls, PME, pmec,
-                   GameConfig())
+        solve_slot(state, _desk_slot(m_s=3.005),
+                   follower_models(params, controls), PME, pmec, GameConfig())
 
 
 def test_projection_accepts_band_equal_to_gap():
@@ -231,8 +231,8 @@ def test_solver_is_deterministic():
     params, controls, state, pmec = _desk_setup()
     slot = _desk_slot()
     cfg = GameConfig()
-    a = solve_slot(state, slot, params, controls, PME, pmec, cfg)
-    b = solve_slot(state, slot, params, controls, PME, pmec, cfg)
+    a = solve_slot(state, slot, follower_models(params, controls), PME, pmec, cfg)
+    b = solve_slot(state, slot, follower_models(params, controls), PME, pmec, cfg)
     assert a.leader == b.leader
     assert a.followers == b.followers
     assert a.trace.records == b.trace.records
@@ -243,7 +243,7 @@ def test_no_followers_reaches_closed_form_charge():
     state = SlotState(t=(), h=(), e_batt=9.0, b=-9.5)
     slot = SlotData(m_s=12.0, m_b=3.0, g_t=-5.0, followers=())
     pmec = PmeControl(v_p=1.0, theta=-18.5)
-    sol = solve_slot(state, slot, [], [], PME, pmec, GameConfig())
+    sol = solve_slot(state, slot, follower_models([], []), PME, pmec, GameConfig())
     # Net residual is y + 5 > 0 for any feasible y: the selling price is
     # marginal and the charge is the clamped vertex of one quadratic.
     vertex = -(state.b + pmec.v_p * slot.m_s) / (pmec.v_p * PME.c_b)
@@ -254,7 +254,8 @@ def test_no_followers_reaches_closed_form_charge():
 def test_trace_iterates_stay_feasible():
     params, controls, state, pmec = _desk_setup()
     slot = _desk_slot()
-    sol = solve_slot(state, slot, params, controls, PME, pmec, GameConfig())
+    sol = solve_slot(state, slot, follower_models(params, controls), PME, pmec,
+                     GameConfig())
     for rec in sol.trace.records:
         assert slot.m_b <= rec.p_b < rec.p_s <= slot.m_s
         assert rec.p_s - rec.p_b >= 0.01 - 1e-12
@@ -267,8 +268,9 @@ def test_returned_action_is_unilaterally_stable():
     params, controls, state, pmec = _desk_setup()
     slot = _desk_slot()
     cfg = GameConfig()
-    sol = solve_slot(state, slot, params, controls, PME, pmec, cfg)
-    responder = QueueResponder(state, slot, params, controls)
+    sol = solve_slot(state, slot, follower_models(params, controls), PME, pmec,
+                     cfg)
+    responder = QueueResponder(state, slot, follower_models(params, controls))
 
     def pro(ps, pb, y):
         es = responder.respond(ps, pb)[0]
@@ -285,8 +287,9 @@ def test_returned_action_is_unilaterally_stable():
                              slot.m_s, slot.m_b, cfg.min_gap)
         assert pro(*pert) >= base - tol
     # Followers re-solved at the final prices reproduce the returned draws.
-    rules = [follower_rule(h, t, fs, p, c) for h, t, fs, p, c
-             in zip(state.h, state.t, slot.followers, params, controls)]
+    rules = [follower_rule(h, t, fs, m) for h, t, fs, m
+             in zip(state.h, state.t, slot.followers,
+                    follower_models(params, controls))]
     redo, _ = respond(rules, sol.leader.p_s, sol.leader.p_b)
     assert redo == pytest.approx([f.e for f in sol.followers], abs=1e-6)
 
@@ -295,7 +298,8 @@ def test_non_convergence_is_flagged_not_raised():
     params, controls, state, pmec = _desk_setup()
     slot = _desk_slot()
     cfg = GameConfig(max_iters=3, polish=False)
-    sol = solve_slot(state, slot, params, controls, PME, pmec, cfg)
+    sol = solve_slot(state, slot, follower_models(params, controls), PME, pmec,
+                     cfg)
     assert not sol.trace.converged
     assert sol.trace.iterations == 3
 
@@ -366,19 +370,21 @@ def test_polish_asks_each_price_pair_once(case):
     else:
         params, controls, state, pmec, slot, pme = _generated_slot()
     cfg = GameConfig()
-    start = solve_slot(state, slot, params, controls, pme, pmec,
+    start = solve_slot(state, slot, follower_models(params, controls), pme, pmec,
                        GameConfig(polish=False)).leader
-    recorder = _RecordingResponder(state, slot, params, controls)
+    recorder = _RecordingResponder(state, slot,
+                                   follower_models(params, controls))
     act, sweeps, es, tps = _polish(start, recorder, state.b, slot, pme.c_b,
                                    pmec.v_p, (-pme.u_dmax, pme.u_cmax), cfg)
     # The confirming second sweep revisits the first sweep's pairs.
     assert sweeps >= 2
     assert len(recorder.asked) > 10
     assert len(set(recorder.asked)) == len(recorder.asked)
-    fresh = QueueResponder(state, slot, params, controls)
+    fresh = QueueResponder(state, slot, follower_models(params, controls))
     assert (es, tps) == fresh.respond(act.p_s, act.p_b)
     # The memo changes no result: the full solve returns the same action.
-    solved = solve_slot(state, slot, params, controls, pme, pmec, cfg)
+    solved = solve_slot(state, slot, follower_models(params, controls), pme,
+                        pmec, cfg)
     assert solved.leader == act
     assert [f.e for f in solved.followers] == list(es)
     assert [f.tp for f in solved.followers] == tps
@@ -388,7 +394,7 @@ def test_most_followers_of_a_generated_slot_are_certified_pinned():
     # The first slot of the seed-1 run at n=50: all of them, as before the
     # certificate took boxes other than the band.
     params, controls, state, pmec, slot, pme = _generated_slot(k=0)
-    responder = QueueResponder(state, slot, params, controls)
+    responder = QueueResponder(state, slot, follower_models(params, controls))
     assert responder.free == ()
 
 
@@ -402,11 +408,12 @@ def test_template_and_restricted_subgradients_are_bit_exact(k):
     # restricted subgradients equal the full ones bit for bit too (signed
     # zeros included).
     params, controls, state, pmec, slot, pme = _generated_slot(k=k)
-    responder = QueueResponder(state, slot, params, controls)
+    responder = QueueResponder(state, slot, follower_models(params, controls))
     free = responder.free
     assert free == (() if k == 0 else tuple(range(50)))
-    rules = [follower_rule(h, t, fs, p, c) for h, t, fs, p, c
-             in zip(state.h, state.t, slot.followers, params, controls)]
+    rules = [follower_rule(h, t, fs, m) for h, t, fs, m
+             in zip(state.h, state.t, slot.followers,
+                    follower_models(params, controls))]
     rng = random.Random(5)
     for _ in range(200):
         act = LeaderAction(p_s=rng.uniform(slot.m_b, slot.m_s),
@@ -483,7 +490,8 @@ def _loop_case(case, polish, responder=QueueResponder):
         params=params, controls=controls, state=state, pmec=pmec, slot=slot,
         pme=pme, config=config, myopic=myopic, boxes=boxes, y_box=y_box,
         b=0.0 if myopic else state.b,
-        responder=responder(played, slot, params, controls, boxes=boxes))
+        responder=responder(played, slot, follower_models(params, controls),
+                            boxes=boxes))
 
 
 @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
@@ -642,7 +650,7 @@ def test_every_polish_scan_matches_the_reference(case):
     if case == "desk":
         params, controls, state, pmec = _desk_setup()
         slot, pme, b, y_box = _desk_slot(), PME, state.b, None
-        responder = QueueResponder(state, slot, params, controls)
+        responder = QueueResponder(state, slot, follower_models(params, controls))
         config = GameConfig()
     else:
         c = _loop_case(case, polish=True)
