@@ -8,10 +8,12 @@ cost has one kink where the net interchange ``tp = d + e - rp`` changes
 sign, so the exact minimizer is one of four closed-form candidates: the
 box edges, the kink, and the branch vertex the price thresholds pick.
 The price-free part of this rule is built once per slot
-(``follower_rule``) and evaluated at each price broadcast (``respond``);
-``pinned_draw`` certifies the followers whose draw no price in a given box
-moves (the slot's grid band, or a smaller box around the leader's
-iterate, or a run of points on a line the polish scans).  The
+(``follower_rule``), from building constants built once per run
+(``follower_models``), and evaluated at each price broadcast
+(``respond``); ``pinned_draw`` certifies the followers whose draw no price
+in a given box moves (the slot's grid band, or a smaller box around the
+leader's iterate, or a run of points on a line the polish scans), against
+the box's corner terms (``box_corners``), computed once per box.  The
 certified tuning windows live in ``policy``.
 """
 

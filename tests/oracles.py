@@ -257,6 +257,84 @@ def reference_response(h, t, slot, p_s, p_b, params, control, box=None):
     return best_e, best_slope
 
 
+def reference_rule(h, t, slot, params, control, box=None):
+    """The follower's price-free rule, restated from ``params`` and
+    ``control`` with every product computed in place, as a plain tuple in
+    ``FollowerRule``'s field order.
+
+    The package builds the rule from per-run building constants; each of
+    them must be the left-most prefix of an expression here, so the two
+    agree bit for bit.
+    """
+    lo, hi = (0.0, params.e_max) if box is None else box
+    eps = params.epsilon
+    one = 1.0 - eps
+    eta = params.eta
+    gam = params.gamma
+    v = control.v_i
+    vg = v * gam
+    oe = one * eta
+    mismatch = one * slot.t_out + eps * t - slot.t_opt
+    le = (eps * one * h + 2.0 * v * gam * one * mismatch) * eta
+    dr = slot.d - slot.rp
+    kink = min(max(slot.rp - slot.d, lo), hi)
+
+    def fixed(e):
+        return (e, vg * (oe * e) ** 2 + le * e, dr + e, abs(dr + e))
+
+    if gam == 0.0:
+        alpha = beta = 0.0
+        vartheta = (-mismatch / (one * eta) if h == 0.0
+                    else -math.copysign(math.inf, h))
+        delta = -eps * one * h * eta / v
+        hbar = math.inf
+    else:
+        alpha = 2.0 * v * gam * one * eta * mismatch
+        beta = alpha + 2.0 * v * gam * one * one * eta * eta * params.e_max
+        hbar = 1.0 / (2.0 * gam * one * one * eta * eta)
+        vartheta = -mismatch / (one * eta) - eps * h / (2.0 * v * gam * one * eta)
+        delta = (-2.0 * gam * one * eta * mismatch
+                 - eps * one * h * eta / v
+                 - 2.0 * gam * one * one * eta * eta * (slot.rp - slot.d))
+    pressure = -eps * one * h * eta
+    return (v, fixed(lo), fixed(kink), fixed(hi), gam != 0.0, pressure - alpha,
+            pressure - beta, delta, vartheta, hbar, vg, oe, le, dr)
+
+
+def reference_pinned_draw(rule, ps_lo, ps_hi, pb_lo, pb_hi):
+    """``nanogrid.pinned_draw``'s certificate with its corner terms (the
+    half gap and half sum at (ps_lo, pb_lo) and (ps_hi, pb_hi), and the
+    box's reach) computed per call, restated from its docstring."""
+    v, at_lo, at_kink, at_hi, has_vertex = rule[:5]
+    delta, vartheta, hbar = rule[7:10]
+    lo, hi = at_lo[0], at_hi[0]
+    if has_vertex and lo < hi:
+        for reachable, p_lo, p_hi in ((delta > ps_lo, ps_lo, ps_hi),
+                                      (delta < pb_hi, pb_lo, pb_hi)):
+            if reachable and not (vartheta - p_hi * hbar >= hi
+                                  or vartheta - p_lo * hbar <= lo):
+                return None
+
+    def value(c, g, s):
+        return c[1] + v * (g * c[3] + s * c[2])
+
+    g_lo, s_lo = 0.5 * (ps_lo - pb_lo), 0.5 * (ps_lo + pb_lo)
+    g_hi, s_hi = 0.5 * (ps_hi - pb_hi), 0.5 * (ps_hi + pb_hi)
+    reach = max(-ps_lo, ps_hi, -pb_lo, pb_hi)
+    w = at_lo
+    for c in (at_kink, at_hi):
+        if value(c, g_lo, s_lo) < value(w, g_lo, s_lo):
+            w = c
+    for c in (at_lo, at_kink, at_hi):
+        if c[0] == w[0]:
+            continue
+        g, s = (g_lo, s_lo) if c[0] > w[0] else (g_hi, s_hi)
+        gap = value(c, g, s) - value(w, g, s)
+        if not gap > 1e-9 * (abs(w[1]) + abs(c[1]) + v * reach * (w[3] + c[3])):
+            return None
+    return w[0]
+
+
 def social_cost(es, y, ts, slot, ng_params, pme_params):
     """Cooperative cost of a joint action, restated from its definitions:
     battery use, grid settlement of the residual and the discomfort of each

@@ -1,5 +1,6 @@
 """Follower decision rule: thresholds, objective, best response, windows."""
 
+import collections
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from nanodr.baselines import _comfort_box
 from nanodr.domain import (
     ConfigurationError,
     FollowerSlot,
@@ -15,6 +17,7 @@ from nanodr.domain import (
     NanogridControl,
     NanogridParams,
     Scenario,
+    ScenarioError,
     SlotData,
     SlotState,
     thermal_step,
@@ -31,7 +34,9 @@ from oracles import (
     follower_objective_grid,
     interchange_box,
     random_follower_instance,
+    reference_pinned_draw,
     reference_response,
+    reference_rule,
 )
 
 PARAMS = NanogridParams(epsilon=0.95, eta=15.0, e_max=5.0, t_min=66.0,
@@ -809,3 +814,82 @@ def test_validate_control_names_violated_bound():
         default_policy(scenario, [PARAMS], pme, gamma_shift=[high])
     assert str(exc.value) == (f"nanogrid 0: gamma_shift={high} above the "
                               f"certified shift ceiling {bounds.gamma_max}")
+
+
+def _rule_bits(field):
+    """A rule field in bits: floats by ``float.hex``, tuples field by field."""
+    if isinstance(field, tuple):
+        return tuple(map(_rule_bits, field))
+    return field if isinstance(field, bool) else float.hex(field)
+
+
+def test_rules_from_the_run_record_are_bit_exact_with_the_reference():
+    # follower_rule reads each building's constants from the run's
+    # follower_models; every field must equal the rule restated from the
+    # params and control, bit for bit: gamma = 0 and > 0, h < 0, h = 0 and
+    # h > 0, the default box, single-point boxes and case 3's comfort boxes.
+    rng = random.Random(131)
+    kinds = collections.Counter()
+    for _ in range(4000):
+        params, control, t, h, slot, _ = random_follower_instance(rng)
+        h = rng.choice((-abs(h), 0.0, abs(h), -rng.uniform(0.0, 1e-6)))
+        box_kind = rng.choice(("default", "point", "comfort"))
+        if box_kind == "point":
+            e = rng.choice((0.0, params.e_max, rng.uniform(0.0, params.e_max)))
+            box = (e, e)
+        elif box_kind == "comfort":
+            params = replace(params, t_min=t - rng.uniform(0.0, 2.0),
+                             t_max=t + rng.uniform(0.0, 2.0))
+            try:
+                box = _comfort_box(t, slot, params)
+            except ScenarioError:
+                box_kind, box = "refused", None
+        else:
+            box = None
+        kinds[box_kind, params.gamma == 0.0, (h > 0.0) - (h < 0.0)] += 1
+        model, = follower_models([params], [control])
+        rule = follower_rule(h, t, slot, model, box)
+        assert type(rule) is FollowerRule
+        assert _rule_bits(tuple(rule)) == _rule_bits(
+            reference_rule(h, t, slot, params, control, box))
+    # Every box kind meets both gamma regimes and every sign of h.
+    for box_kind in ("default", "point", "comfort"):
+        for zero_gamma in (False, True):
+            for sign in (-1, 0, 1):
+                assert kinds[box_kind, zero_gamma, sign] >= 40
+
+
+@pytest.mark.parametrize("shape", ["box", "ps-line", "pb-line"])
+def test_per_box_corners_certify_as_per_call_corners(shape):
+    # The responder computes a box's corner terms once (box_corners) and
+    # certifies every follower against them; each answer must be the one
+    # the certificate gives with the terms computed per call.
+    rng = random.Random({"box": 139, "ps-line": 149, "pb-line": 151}[shape])
+    rules = []
+    for _ in range(60):
+        params, control, t, h, slot, _ = random_follower_instance(rng)
+        box = rng.choice((None, interchange_box(slot, params)))
+        rules.append(follower_rule(h, t, slot,
+                                   *follower_models([params], [control]), box))
+    pinned = declined = 0
+    for _ in range(400):
+        m_b = rng.uniform(-6.0, 6.0)
+        m_s = m_b + rng.uniform(0.01, 10.0)
+        ps_lo, ps_hi = sorted(rng.uniform(m_b, m_s) for _ in range(2))
+        pb_lo, pb_hi = sorted(rng.uniform(m_b, m_s) for _ in range(2))
+        if shape == "ps-line":
+            ps_hi = ps_lo
+        elif shape == "pb-line":
+            pb_hi = pb_lo
+        corners = box_corners(ps_lo, ps_hi, pb_lo, pb_hi)
+        for rule in rules:
+            got = pinned_draw(rule, corners)
+            want = reference_pinned_draw(rule, ps_lo, ps_hi, pb_lo, pb_hi)
+            if want is None:
+                assert got is None
+                declined += 1
+            else:
+                assert float.hex(got) == float.hex(want)
+                pinned += 1
+    # Observed 22,662-23,533 pinned and 467-1,338 declined.
+    assert pinned >= 10000 and declined >= 200
