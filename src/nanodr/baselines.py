@@ -31,10 +31,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .domain import (
-    FollowerAction,
     FollowerSlot,
     LeaderAction,
     NanogridControl,
@@ -50,11 +49,11 @@ from .domain import (
 from .nanogrid import FollowerModel, follower_models, follower_rule
 from .simulator import RunReport, run
 from .stackelberg import (
-    _EMPTY_TRACE,
     GameConfig,
     QueueResponder,
     SlotSolution,
     _against_fixed_draws,
+    _follower_actions,
     _solve_with_responder,
 )
 
@@ -74,28 +73,33 @@ class CaseId(enum.Enum):
                         CaseId.PROPOSED)
 
 
+def _draw_to(target: float, t: float, fs: FollowerSlot,
+             params: NanogridParams) -> float:
+    """The draw that moves the temperature from ``t`` to ``target`` in one
+    slot: the thermal step solved for the draw, unclamped."""
+    eps = params.epsilon
+    return ((target - eps * t) / (1.0 - eps) - fs.t_out) / params.eta
+
+
 def _tracking_draw(t: float, fs: FollowerSlot, params: NanogridParams) -> float:
     """Draw that lands the end-of-slot temperature exactly on the target,
     clamped to the draw box [0, e_max]."""
-    eps = params.epsilon
-    needed = (fs.t_opt - eps * t) / (1.0 - eps) - fs.t_out
-    return clamp(needed / params.eta, 0.0, params.e_max)
+    return clamp(_draw_to(fs.t_opt, t, fs, params), 0.0, params.e_max)
 
 
-def _actions(es: Iterable[float], slot: SlotData) -> tuple[FollowerAction, ...]:
-    # tuple.__new__: a named tuple's own constructor is a Python function.
-    return tuple(tuple.__new__(FollowerAction, (e, fs.d + e - fs.rp))
-                 for e, fs in zip(es, slot.followers))
+def _at_grid_prices(es: Sequence[float], y: float,
+                    slot: SlotData) -> SlotSolution:
+    """Draws ``es`` and charge ``y`` booked at the grid pair (m_s, m_b)."""
+    tps = [fs.d + e - fs.rp for e, fs in zip(es, slot.followers)]
+    return SlotSolution(LeaderAction(slot.m_s, slot.m_b, y),
+                        _follower_actions(es, tps))
 
 
 def _comfort_box(t: float, fs: FollowerSlot,
                  params: NanogridParams) -> tuple[float, float]:
     """[0, e_max] tightened so the next temperature stays inside the band."""
-    eps = params.epsilon
-    floor_need = (params.t_min - eps * t) / (1.0 - eps) - fs.t_out
-    ceil_need = (params.t_max - eps * t) / (1.0 - eps) - fs.t_out
-    lo = max(0.0, floor_need / params.eta)
-    hi = min(params.e_max, ceil_need / params.eta)
+    lo = max(0.0, _draw_to(params.t_min, t, fs, params))
+    hi = min(params.e_max, _draw_to(params.t_max, t, fs, params))
     if lo > hi:
         if lo - hi <= 1e-9:
             # Snap to a point of [0, e_max]: a floor need just above e_max
@@ -193,20 +197,17 @@ def run_case(case: CaseId, scenario: Scenario,
              config: GameConfig = GameConfig()) -> RunReport:
     """Run one comparison case over the scenario and report its economics.
 
-    Only the proposed case carries the runtime bound certificates, so the
-    other cases run with violation counting instead of hard failure.
+    The proposed case runs the simulator's own certified solve, which fails
+    hard on a comfort or battery breach; the other cases substitute their
+    per-slot policy, which carries no certificate, so their breaches are
+    only counted.
     """
-
-    if case is CaseId.PROPOSED:
-        return run(scenario, ng_params, ng_controls, pme_params, pme_control,
-                   config, strict_bounds=True)
+    models = follower_models(ng_params, ng_controls)  # cases 3 and 5
 
     if case is CaseId.FIXED_POINT_FORECAST_PRICE:
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:
-            leader = LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=0.0)
-            es = map(_tracking_draw, state.t, slot.followers, ng_params)
-            return SlotSolution(leader=leader, followers=_actions(es, slot),
-                                trace=_EMPTY_TRACE)
+            es = tuple(map(_tracking_draw, state.t, slot.followers, ng_params))
+            return _at_grid_prices(es, 0.0, slot)
 
     elif case is CaseId.FIXED_POINT_REAL_TIME_PRICE:
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:
@@ -218,8 +219,6 @@ def run_case(case: CaseId, scenario: Scenario,
                                         config.min_gap)
 
     elif case is CaseId.MYOPIC_GAME:
-        models = follower_models(ng_params, ng_controls)
-
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:
             boxes = [
                 _comfort_box(state.t[i], fs, p)
@@ -234,20 +233,15 @@ def run_case(case: CaseId, scenario: Scenario,
                                          pme_control, config, y_box=y_box)
 
     elif case is CaseId.SOCIAL_WELFARE:
-        models = follower_models(ng_params, ng_controls)
-
         def solver(state: SlotState, slot: SlotData) -> SlotSolution:
             es, y = _solve_welfare_slot(state, slot, models, pme_params,
                                         pme_control)
-            followers = _actions(es, slot)
             # Bookkeeping prices at the grid pair; internal transfers cancel,
             # so the aggregate cost equals the social-cost total.
-            leader = LeaderAction(p_s=slot.m_s, p_b=slot.m_b, y=y)
-            return SlotSolution(leader=leader, followers=followers,
-                                trace=_EMPTY_TRACE)
+            return _at_grid_prices(es, y, slot)
 
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown case {case}")
+    else:  # PROPOSED: the simulator's own certified solve
+        solver = None
 
     return run(scenario, ng_params, ng_controls, pme_params, pme_control,
-               config, strict_bounds=False, slot_solver=solver)
+               config, slot_solver=solver)

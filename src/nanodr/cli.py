@@ -424,6 +424,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"unsupported sweep parameter {args.param!r}; choose from {_SWEEPABLE}"
         )
+    # The swept parameter takes its values from --values alone, not from
+    # its own flag or --config key.
+    swept = "followers" if args.param == "n" else args.param
+    if getattr(args, swept) is not None:
+        raise ConfigurationError(f"{_option(_Flag(swept))} sets the swept "
+                                 f"parameter {args.param}; give it in --values only")
     values = []
     for token in args.values.split(","):
         if token.strip():
@@ -454,10 +460,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     setups: list[Setup | Exception] = []
     for value in values:
         sweep_args = argparse.Namespace(**vars(args))
-        if args.param == "n":
-            sweep_args.followers = int(value)
-        else:
-            setattr(sweep_args, args.param, value)
+        setattr(sweep_args, swept, int(value) if args.param == "n" else value)
         try:
             setups.append(Setup(sweep_args, source=source))
         except (ConfigurationError, ScenarioError) as exc:

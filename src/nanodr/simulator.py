@@ -129,19 +129,19 @@ TraceSink = Callable[[int, IterationTrace], None]
 def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
         ng_controls: Sequence[NanogridControl], pme_params: PmeParams,
         pme_control: PmeControl, config: GameConfig = GameConfig(),
-        strict_bounds: bool = True, trace_sink: TraceSink | None = None,
+        trace_sink: TraceSink | None = None,
         slot_solver: SlotSolver | None = None) -> RunReport:
     """Simulate the whole horizon and aggregate the economics.
 
     The comfort-guarantee assumptions are checked first.  Every run starts
     with each temperature at the middle of its comfort band and the battery
-    at the middle of its window.  With ``strict_bounds`` a comfort or
-    battery bound breach raises InvariantViolation naming the slot (it should
-    be unreachable under certified controls); otherwise breaches are only
-    counted.  ``slot_solver`` substitutes a different per-slot policy (used
-    by the comparison cases); the default is the equilibrium solve, which
-    reads the buildings' constants from one ``follower_models`` tuple built
-    here, before the first slot.
+    at the middle of its window.  The default per-slot policy is the
+    equilibrium solve, which reads the buildings' constants from one
+    ``follower_models`` tuple built here, before the first slot; it carries
+    the bound certificates, so a comfort or battery breach raises
+    InvariantViolation naming the slot.  ``slot_solver`` substitutes a
+    policy that carries none (the comparison cases); its breaches are only
+    counted.
     ``trace_sink(k, trace)`` gets each slot's ``IterationTrace`` once its
     bounds pass, outside the solve; the run keeps no trace of its own.
     """
@@ -153,7 +153,8 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
         )
     check_assumptions(scenario, ng_params)
 
-    if slot_solver is None:
+    strict = slot_solver is None
+    if strict:
         models = follower_models(ng_params, ng_controls)
 
         def slot_solver(state: SlotState, slot: SlotData) -> SlotSolution:
@@ -193,14 +194,14 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
         for i, p in enumerate(ng_params):
             if not p.t_min - tol <= next_state.t[i] <= p.t_max + tol:
                 comfort_violations += 1
-                if strict_bounds:
+                if strict:
                     raise InvariantViolation(
                         f"comfort bound violated at slot {k}, nanogrid {i}: "
                         f"T={next_state.t[i]} outside [{p.t_min}, {p.t_max}]"
                     )
         if not pme_params.e_min - tol <= next_state.e_batt <= pme_params.e_max_cap + tol:
             battery_violations += 1
-            if strict_bounds:
+            if strict:
                 raise InvariantViolation(
                     f"battery bound violated at slot {k}: "
                     f"E={next_state.e_batt} outside "

@@ -180,7 +180,7 @@ class SlotSolution(NamedTuple):
 
     leader: LeaderAction
     followers: tuple[FollowerAction, ...]
-    trace: IterationTrace
+    trace: IterationTrace = _EMPTY_TRACE
 
 
 def check_band(m_s: float, m_b: float, min_gap: float,
@@ -595,7 +595,7 @@ def _against_fixed_draws(es: Sequence[float], tps: Sequence[float],
     start = (m_s, m_b) if buys and sells else _start(m_s, m_b, min_gap, *y_box)
     leader = LeaderAction(m_s if buys else start[0], m_b if sells else start[1],
                           _argmin_charge(tps, b, slot.g_t, m_s, m_b, v_p, c_b, *y_box))
-    return SlotSolution(leader, _follower_actions(es, tps), _EMPTY_TRACE)
+    return SlotSolution(leader, _follower_actions(es, tps))
 
 
 def _solve_with_responder(responder, b: float, slot: SlotData,

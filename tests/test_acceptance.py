@@ -78,7 +78,7 @@ def desk():
     bundle = default_policy(scenario, params, PME)
     config = GameConfig()
     report = run(scenario, params, bundle.ng_controls, PME,
-                 bundle.pme_control, config, strict_bounds=True)
+                 bundle.pme_control, config)
     return spec, scenario, params, bundle, config, report
 
 
@@ -93,7 +93,7 @@ def certificate_runs():
         params = synthetic_params(spec)
         bundle = default_policy(scenario, params, PME)
         report = run(scenario, params, bundle.ng_controls, PME,
-                     bundle.pme_control, GameConfig(), strict_bounds=True)
+                     bundle.pme_control, GameConfig())
         reports.append((params, report))
     elapsed = time.perf_counter() - started
     return reports, elapsed

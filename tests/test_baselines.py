@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from nanodr import baselines
 from nanodr.baselines import (
     CaseId,
     _comfort_box,
@@ -15,6 +16,7 @@ from nanodr.baselines import (
 )
 from nanodr.domain import (
     ConfigurationError,
+    FollowerAction,
     FollowerSlot,
     LeaderAction,
     NanogridControl,
@@ -37,7 +39,7 @@ from nanodr.scenario_io import (
     synthetic_params,
 )
 from nanodr.simulator import run
-from nanodr.stackelberg import GameConfig, solve_slot
+from nanodr.stackelberg import GameConfig, IterationTrace, solve_slot
 
 from oracles import (
     fixed_draws_rule,
@@ -234,6 +236,52 @@ def test_tracking_case_pins_temperature():
     assert all(o.leader.y == 0.0 for o in rep.outcomes)
 
 
+def _first_state(params, bundle):
+    """The state every run starts from: mid-band temperatures, mid-window
+    battery."""
+    t = [0.5 * (p.t_min + p.t_max) for p in params]
+    e_batt = 0.5 * (PME.e_min + PME.e_max_cap)
+    return SlotState(t=tuple(t), h=tuple(x + c.gamma_shift for x, c
+                                         in zip(t, bundle.ng_controls)),
+                     e_batt=e_batt, b=e_batt + bundle.pme_control.theta)
+
+
+@pytest.mark.parametrize("case", [CaseId.FIXED_POINT_FORECAST_PRICE,
+                                  CaseId.SOCIAL_WELFARE])
+def test_grid_priced_cases_book_at_the_grid_pair(case, monkeypatch):
+    # Cases 1 and 5 post no prices: each slot books its draws and charge
+    # at (m_s, m_b) with the empty trace, and each action is
+    # (e, d + e - rp), bit for bit.
+    scen, params, bundle = _setup(seed=4, slots=24, n=3)
+    models = follower_models(params, bundle.ng_controls)
+    traces = []
+
+    def traced(*args, **kwargs):
+        return run(*args, **kwargs, trace_sink=lambda k, tr: traces.append(tr))
+
+    monkeypatch.setattr(baselines, "run", traced)
+    rep = run_case(case, scen, params, bundle.ng_controls, PME,
+                   bundle.pme_control, GameConfig())
+    assert traces == [IterationTrace(records=(), converged=True)] * 24
+    state = _first_state(params, bundle)
+    for o in rep.outcomes:
+        slot = scen.slot(o.slot)
+        if case is CaseId.SOCIAL_WELFARE:
+            es, y = _solve_welfare_slot(state, slot, models, PME,
+                                        bundle.pme_control)
+        else:
+            es = [_tracking_draw(x, fs, p)
+                  for x, fs, p in zip(state.t, slot.followers, params)]
+            y = 0.0
+        want = [slot.m_s, slot.m_b, y]
+        for e, fs in zip(es, slot.followers):
+            want += [e, fs.d + e - fs.rp]
+        got = [*o.leader, *(x for f in o.followers for x in f)]
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert all(type(f) is FollowerAction for f in o.followers)
+        state = o.next_state
+
+
 def test_real_time_pricing_case_beats_forecast_case_for_the_aggregator():
     scen, params, bundle = _setup(seed=4, slots=24, n=2)
     base = run_case(CaseId.FIXED_POINT_FORECAST_PRICE, scen, params,
@@ -251,11 +299,7 @@ def _check_real_time_actions(rep, scen, params, bundle, min_gap):
     loop's projected start, and the exact charge.  Returns the number of
     slots with no buyer and with no seller."""
     pmec = bundle.pme_control
-    t = [0.5 * (p.t_min + p.t_max) for p in params]
-    e_batt = 0.5 * (PME.e_min + PME.e_max_cap)
-    state = SlotState(t=tuple(t), h=tuple(x + c.gamma_shift for x, c
-                                          in zip(t, bundle.ng_controls)),
-                      e_batt=e_batt, b=e_batt + pmec.theta)
+    state = _first_state(params, bundle)
     untraded = collections.Counter()
     for k, o in enumerate(rep.outcomes):
         slot = scen.slot(k)

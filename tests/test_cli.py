@@ -362,6 +362,32 @@ def test_sweep_refuses_a_value_given_twice(values, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given, swept, flag", [
+    (["--followers", "2", "--gamma", "0.5"], "gamma", "--gamma"),
+    (["--followers", "7"], "n", "--followers"),
+    (["--followers", "2", "--t-min", "60"], "t_min", "--t-min"),
+    ("gamma = 0.5", "gamma", "--gamma"),
+    ("followers = 7", "n", "--followers"),
+], ids=["gamma", "n", "t_min", "gamma-config", "n-config"])
+def test_sweep_refuses_the_swept_parameters_own_flag(given, swept, flag,
+                                                     tmp_path, capsys):
+    # The swept values come from --values alone: the parameter's own flag
+    # or --config key would be silently overridden, so it is refused
+    # before --out is made.
+    if isinstance(given, str):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(given + "\n")
+        given = ["--config", str(config)]
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--slots", "4", *given, "--param", swept, "--values",
+               "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} sets the swept parameter {swept}; give it in --values "
+        f"only\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "2.5", "-1"])
 def test_n_sweep_rejects_a_non_count(value, tmp_path, capsys):
     # A valid value first: every value is checked before any is run.
@@ -693,6 +719,8 @@ def test_sweep_refuses_a_fault_no_value_cures(fault, swept, message, tmp_path,
     want = capsys.readouterr().err
     assert want.startswith(f"error: {message}") and want.count("\n") == 1
     param, values = swept
+    if param == "n":  # --followers is the n sweep's own flag
+        shape = shape[:2]
     rc = main(["sweep", *shape, *fault, "--param", param, "--values", values,
                "--out", "o"])
     assert rc == 2

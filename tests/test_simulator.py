@@ -23,6 +23,7 @@ from nanodr.scenario_io import (
     generate_synthetic,
     synthetic_params,
 )
+from nanodr import simulator
 from nanodr.simulator import run, update_queues
 from nanodr.stackelberg import GameConfig, IterationTrace, SlotSolution
 
@@ -153,7 +154,7 @@ def test_standard_run_respects_both_bound_certificates():
     pme = default_pme_params()
     bundle = default_policy(scen, params, pme)
     rep = run(scen, params, bundle.ng_controls, pme, bundle.pme_control,
-              GameConfig(), strict_bounds=True)
+              GameConfig())
     assert rep.comfort_violations == 0
     assert rep.battery_violations == 0
     for o in rep.outcomes:
@@ -177,27 +178,34 @@ def test_time_average_charge_is_window_bounded():
     assert abs(total / scen.slots) <= (pme.e_max_cap - pme.e_min) / scen.slots + 1e-9
 
 
-def test_battery_bound_violation_raises_with_slot():
+def test_battery_bound_violation_raises_with_slot(monkeypatch):
+    # A breach under the run's own certified solve is refused; the same
+    # policy substituted as slot_solver carries no certificate, so the run
+    # counts both slots' breaches.
     scen = _scenario_const(slots=2, g_t=0.0)
 
-    def reckless(state, slot):
+    def reckless(state, slot, *rest):
         return SlotSolution(leader=LeaderAction(p_s=10.0, p_b=5.0, y=8.0),
                             followers=(FollowerAction(e=0.0, tp=0.0),),
                             trace=_EMPTY)
 
+    monkeypatch.setattr(simulator, "solve_slot", reckless)
     # From the middle of the window, 9 kWh, y = 8 ends slot 0 at 17 > 16.
     with pytest.raises(InvariantViolation, match="slot 0"):
-        run(scen, [PARAMS], [CONTROL], PME, PMEC, GameConfig(),
-            slot_solver=reckless)
+        run(scen, [PARAMS], [CONTROL], PME, PMEC, GameConfig())
+    assert run(scen, [PARAMS], [CONTROL], PME, PMEC, GameConfig(),
+               slot_solver=reckless).battery_violations == 2
 
 
 @pytest.mark.parametrize("strict, sunk", [(False, 3), (True, 2)])
-def test_trace_sink_gets_each_checked_slot_in_order(strict, sunk):
+def test_trace_sink_gets_each_checked_slot_in_order(strict, sunk, monkeypatch):
+    # strict: the policy runs as the run's own solve, which refuses a
+    # breach; otherwise it is substituted and the breach is counted.
     scen = _scenario_const(slots=3)
     traces = [IterationTrace(records=(), converged=True) for _ in range(3)]
     solved, calls = [], []
 
-    def charge_last(state, slot):
+    def charge_last(state, slot, *rest):
         # y = 8 from the 9 kWh midpoint ends the last slot at 17 > 16.
         k = len(solved)
         solved.append(k)
@@ -206,9 +214,12 @@ def test_trace_sink_gets_each_checked_slot_in_order(strict, sunk):
                             followers=(FollowerAction(e=0.0, tp=0.0),),
                             trace=traces[k])
 
+    if strict:
+        monkeypatch.setattr(simulator, "solve_slot", charge_last)
+
     def simulate():
         return run(scen, [PARAMS], [CONTROL], PME, PMEC, GameConfig(),
-                   strict_bounds=strict, slot_solver=charge_last,
+                   slot_solver=None if strict else charge_last,
                    trace_sink=lambda k, trace: calls.append((k, trace)))
 
     if strict:
