@@ -420,6 +420,11 @@ _SWEEPABLE = ("gamma", "epsilon", "t_min", "t_max", "n")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Not required by argparse, so that a --config file can supply them.
+    for flag in ("param", "values"):
+        if getattr(args, flag) is None:
+            raise ConfigurationError(f"sweep needs --{flag}, on the command "
+                                     f"line or as {flag} = ... in --config")
     if args.param not in _SWEEPABLE:
         raise ConfigurationError(
             f"unsupported sweep parameter {args.param!r}; choose from {_SWEEPABLE}"
@@ -560,9 +565,8 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
                        help="comma list of case numbers or names")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_swp.add_argument("--param", required=True,
-                       help=f"one of {', '.join(_SWEEPABLE)}")
-    p_swp.add_argument("--values", required=True, help="comma list of values")
+    p_swp.add_argument("--param", help=f"one of {', '.join(_SWEEPABLE)}")
+    p_swp.add_argument("--values", help="comma list of values")
     p_swp.set_defaults(func=_cmd_sweep)
 
     p_chk = sub.add_parser("check-bounds",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple, Sequence
 
@@ -296,16 +297,27 @@ class Scenario:
         return cls(n, slots, grid(rp), grid(d), grid(t_out), grid(t_opt),
                    line(m_s), line(m_b), line(g_t))
 
+    @cached_property
+    def _slot_memo(self) -> list[SlotData | None]:
+        """Each slot's ``SlotData`` once ``slot`` has built it.  Kept in the
+        instance ``__dict__``, so no field, ``__eq__`` or ``replace`` sees it."""
+        return [None] * self.slots
+
     def slot(self, k: int) -> SlotData:
-        return SlotData(
-            m_s=self.m_s[k],
-            m_b=self.m_b[k],
-            g_t=self.g_t[k],
-            followers=tuple(
-                FollowerSlot(self.rp[k][i], self.d[k][i], self.t_out[k][i], self.t_opt[k][i])
-                for i in range(self.n)
-            ),
-        )
+        """Slot k's exogenous data, built on its first request and the same
+        object on every later one: a run asks each slot once, and the
+        comparison cases and sweep rows on one scenario share them."""
+        memo = self._slot_memo
+        data = memo[k]
+        if data is None:
+            data = memo[k] = SlotData(
+                m_s=self.m_s[k],
+                m_b=self.m_b[k],
+                g_t=self.g_t[k],
+                followers=tuple(map(FollowerSlot, self.rp[k], self.d[k],
+                                    self.t_out[k], self.t_opt[k])),
+            )
+        return data
 
 
 def _binds(l_max: float, e_max: float, rp: float, d: float) -> bool:

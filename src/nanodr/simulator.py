@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
 from .domain import (
     ConfigurationError,
@@ -40,9 +41,9 @@ from .stackelberg import GameConfig, IterationTrace, SlotSolution, solve_slot
 _IDENTITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Everything one slot produced: actions, costs, and the state it left."""
+class SlotOutcome(NamedTuple):
+    """Everything one slot produced: actions, costs, and the state it left.
+    Tuple-backed like the actions, and built by ``run`` with ``tuple.__new__``."""
 
     slot: int
     leader: LeaderAction
@@ -97,15 +98,15 @@ def update_queues(state: SlotState, followers: Sequence[FollowerAction],
     """
     t_next: list[float] = []
     h_next: list[float] = []
-    for i, (f, p, c) in enumerate(zip(followers, ng_params, ng_controls)):
-        fs = slot.followers[i]
-        t_new = thermal_step(state.t[i], fs.t_out, f.e, p)
-        h_recursive = (p.epsilon * state.h[i]
-                       + (1.0 - p.epsilon) * (c.gamma_shift + fs.t_out + p.eta * f.e))
+    for t, h, (e, _), fs, p, c in zip(state.t, state.h, followers,
+                                      slot.followers, ng_params, ng_controls):
+        t_new = thermal_step(t, fs.t_out, e, p)
+        h_recursive = (p.epsilon * h
+                       + (1.0 - p.epsilon) * (c.gamma_shift + fs.t_out + p.eta * e))
         h_shifted = t_new + c.gamma_shift
         if not abs(h_recursive - h_shifted) <= _IDENTITY_TOL:
             raise InvariantViolation(
-                f"temperature queue identity broke for nanogrid {i}: "
+                f"temperature queue identity broke for nanogrid {len(t_next)}: "
                 f"recursive {h_recursive} vs shifted {h_shifted}"
             )
         t_next.append(t_new)
@@ -181,24 +182,30 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
 
     for k in range(scenario.slots):
         slot = scenario.slot(k)
-        sol = slot_solver(state, slot)
-        leader, followers = sol.leader, sol.followers
+        leader, followers, trace = slot_solver(state, slot)
 
         next_state = update_queues(state, followers, leader, slot, ng_params,
                                    ng_controls, pme_control)
-        tps = [f.tp for f in followers]
+        tps = [tp for _, tp in followers]
         profit = pme_profit(leader, tps, slot.g_t, slot.m_s, slot.m_b,
                             pme_params.c_b)
         residual = math.fsum(tps) - slot.g_t + leader.y
 
-        for i, p in enumerate(ng_params):
-            if not p.t_min - tol <= next_state.t[i] <= p.t_max + tol:
+        # One pass over the buildings: the comfort check and each one's
+        # discomfort and |T - t_opt| terms, summed below with fsum.
+        discomfort: list[float] = []
+        deviation: list[float] = []
+        for t, fs, p in zip(next_state.t, slot.followers, ng_params):
+            if not p.t_min - tol <= t <= p.t_max + tol:
                 comfort_violations += 1
                 if strict:
                     raise InvariantViolation(
-                        f"comfort bound violated at slot {k}, nanogrid {i}: "
-                        f"T={next_state.t[i]} outside [{p.t_min}, {p.t_max}]"
+                        f"comfort bound violated at slot {k}, nanogrid "
+                        f"{len(discomfort)}: T={t} outside [{p.t_min}, {p.t_max}]"
                     )
+            gap = t - fs.t_opt
+            discomfort.append(p.gamma * gap ** 2)
+            deviation.append(abs(gap))
         if not pme_params.e_min - tol <= next_state.e_batt <= pme_params.e_max_cap + tol:
             battery_violations += 1
             if strict:
@@ -208,25 +215,17 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
                     f"[{pme_params.e_min}, {pme_params.e_max_cap}]"
                 )
         if trace_sink is not None:
-            trace_sink(k, sol.trace)
+            trace_sink(k, trace)
 
-        outcomes.append(SlotOutcome(
-            slot=k, leader=leader, followers=followers, next_state=next_state,
-            pme_profit=profit, grid_residual=residual,
-            converged=sol.trace.converged, iterations=sol.trace.iterations,
-        ))
+        outcomes.append(tuple.__new__(SlotOutcome, (
+            k, leader, followers, next_state, profit, residual,
+            trace.converged, trace.iterations)))
 
         profit_sum += profit
-        energy_sum += math.fsum(
-            bilinear_trade_cost(f.tp, leader.p_s, leader.p_b) for f in followers
-        )
-        discomfort_sum += math.fsum(
-            p.gamma * (next_state.t[i] - slot.followers[i].t_opt) ** 2
-            for i, p in enumerate(ng_params)
-        )
-        tatd_sum += math.fsum(
-            abs(next_state.t[i] - slot.followers[i].t_opt) for i in range(n)
-        )
+        energy_sum += math.fsum(map(bilinear_trade_cost, tps,
+                                    repeat(leader.p_s), repeat(leader.p_b)))
+        discomfort_sum += math.fsum(discomfort)
+        tatd_sum += math.fsum(deviation)
         state = next_state
 
     tatd = tatd_sum / (n * scenario.slots) if n > 0 else 0.0

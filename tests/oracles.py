@@ -149,6 +149,34 @@ def profit_from_definition(p_s, p_b, y, tps, g_t, m_s, m_b, c_b):
     return revenue - 0.5 * c_b * y * y - settle
 
 
+def report_totals(outcomes, scenario, ng_params):
+    """``RunReport``'s five totals, re-accumulated slot by slot with each
+    slot's sums written as generator expressions over indices, and the
+    comfort targets read from the scenario's columns, not ``Scenario.slot``.
+
+    fsum is correctly rounded, so the horizon loop's totals must equal these
+    bit for bit, however it gathers each slot's terms.
+    """
+    n = scenario.n
+    profit_sum = energy_sum = discomfort_sum = tatd_sum = 0.0
+    for o in outcomes:
+        t, t_opt = o.next_state.t, scenario.t_opt[o.slot]
+        profit_sum += o.pme_profit
+        energy_sum += math.fsum(
+            (o.leader.p_s if f.tp >= 0.0 else o.leader.p_b) * f.tp
+            for f in o.followers)
+        discomfort_sum += math.fsum(
+            p.gamma * (t[i] - t_opt[i]) ** 2 for i, p in enumerate(ng_params))
+        tatd_sum += math.fsum(abs(t[i] - t_opt[i]) for i in range(n))
+    return {
+        "pme_profit_total": profit_sum,
+        "energy_cost_total": energy_sum,
+        "discomfort_total": discomfort_sum,
+        "aggregate_cost": discomfort_sum + energy_sum - profit_sum,
+        "tatd": tatd_sum / (n * scenario.slots) if n > 0 else 0.0,
+    }
+
+
 def interior_follower_instance(rng: random.Random, buyer: bool):
     """A follower whose best response is a strictly interior branch vertex.
 

@@ -424,3 +424,29 @@ def test_proposed_case_delegates_to_simulator():
     assert via_case.aggregate_cost == direct.aggregate_cost
     assert ([o.leader for o in via_case.outcomes]
             == [o.leader for o in direct.outcomes])
+
+
+def _bits(x):
+    """A slot outcome's numbers, every float as its hex string."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, SlotState):
+        x = dataclasses.astuple(x)
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    return x
+
+
+@pytest.mark.parametrize("seed, slots, n", [(1, 72, 5), (1, 48, 20)],
+                         ids=["desk", "n20"])
+def test_cases_sharing_a_scenario_match_cases_run_alone(seed, slots, n):
+    # compare runs every case on one Scenario, which keeps the slots it
+    # built; a case run after the others must see exactly what it sees on
+    # a fresh copy.  The shared scenario runs the cases forward, then back,
+    # so each case also runs after all the others.
+    scen, params, bundle = _setup(seed=seed, slots=slots, n=n)
+    args = (params, bundle.ng_controls, PME, bundle.pme_control, GameConfig())
+    alone = {case: _bits(run_case(case, dataclasses.replace(scen), *args).outcomes)
+             for case in CaseId}
+    for case in [*CaseId, *reversed(CaseId)]:
+        assert _bits(run_case(case, scen, *args).outcomes) == alone[case], case

@@ -418,6 +418,37 @@ def test_sweep_artifact_deterministic(tmp_path):
     assert _read(a / "sweep.csv") == _read(b / "sweep.csv")
 
 
+def test_config_file_supplies_the_sweep_parameter_and_values(tmp_path):
+    # param and values are keys like any other, so the file alone can
+    # name the sweep; it writes what the same flags write.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("param = gamma\nvalues = 0.005,0.01\n")
+    common = ["--slots", "4", "--followers", "2"]
+    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+    assert main(["sweep", "--config", str(cfg), *common, "--out",
+                 str(from_file)]) == 0
+    assert main(["sweep", *common, "--param", "gamma", "--values", "0.005,0.01",
+                 "--out", str(from_flags)]) == 0
+    assert _read(from_file / "sweep.csv") == _read(from_flags / "sweep.csv")
+
+
+@pytest.mark.parametrize("given, missing", [
+    (["--values", "0.01"], "param"),
+    (["--param", "gamma"], "values"),
+    ([], "param"),
+])
+def test_sweep_without_param_or_values_makes_no_directory(given, missing,
+                                                          tmp_path, capsys):
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--slots", "4", "--followers", "2", *given, "--out",
+               str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: sweep needs --{missing}, on the command line or as "
+        f"{missing} = ... in --config\n")
+    assert not out.exists()
+
+
 def test_gen_scenario_roundtrip(tmp_path):
     path = tmp_path / "scen.csv"
     assert main(["gen-scenario", "--seed", "5", "--slots", "8", "--followers",
@@ -841,8 +872,8 @@ def test_each_command_takes_only_the_flags_it_reads(argv, tmp_path,
     assert not (tmp_path / "scenario.csv").exists()
 
 
-def _store(option, type_=float, default=None, required=False):
-    return (option,), option[2:].replace("-", "_"), type_, default, "_StoreAction", required
+def _store(option, type_=float, default=None):
+    return (option,), option[2:].replace("-", "_"), type_, default, "_StoreAction", False
 
 
 _GENERATOR_FLAGS = [
@@ -867,8 +898,7 @@ _FLAGS = {
     "compare": _GENERATOR_FLAGS + _MODEL_FLAGS + _SOLVER_FLAGS + [
         _OUT, _store("--cases", None, "1,2,3,4,5")],
     "sweep": _GENERATOR_FLAGS + _MODEL_FLAGS + _SOLVER_FLAGS + [
-        _OUT, _store("--param", None, required=True),
-        _store("--values", None, required=True)],
+        _OUT, _store("--param", None), _store("--values", None)],
     "check-bounds": _GENERATOR_FLAGS + _MODEL_FLAGS,
     "gen-scenario": _GENERATOR_FLAGS + [_store("--out", None, "scenario.csv")],
 }

@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from nanodr import domain
 from nanodr.domain import (
     ConfigurationError,
     FollowerSlot,
@@ -28,6 +29,7 @@ from nanodr.domain import (
     pme_profit,
     thermal_step,
 )
+from nanodr.scenario_io import SyntheticSpec, generate_synthetic
 
 from oracles import interchange_box, tightest_l_max
 
@@ -171,6 +173,35 @@ def test_scenario_valid_roundtrip_access():
     slot = scen.slot(1)
     assert slot.m_s == 10.0
     assert slot.followers[0].t_opt == 70.0
+
+
+def test_scenario_builds_each_slot_once_on_request(monkeypatch):
+    scen = generate_synthetic(SyntheticSpec(seed=4, slots=12, n=3))
+    built = []
+
+    def counted(*cells):
+        built.append(cells)
+        return FollowerSlot(*cells)
+
+    monkeypatch.setattr(domain, "FollowerSlot", counted)
+    # Slot k is built at its first request, not before, and kept.
+    slot = scen.slot(5)
+    assert len(built) == 3
+    assert scen.slot(5) is slot and scen.slot(-7) is slot
+    assert len(built) == 3
+    for k in range(scen.slots):
+        got = scen.slot(k)
+        assert scen.slot(k) is got
+        assert (got.m_s, got.m_b, got.g_t) == (scen.m_s[k], scen.m_b[k],
+                                               scen.g_t[k])
+        assert [(f.rp, f.d, f.t_out, f.t_opt) for f in got.followers] == list(
+            zip(scen.rp[k], scen.d[k], scen.t_out[k], scen.t_opt[k]))
+    assert len(built) == 3 * scen.slots
+    # The kept slots are no field: a copy compares and hashes alike, and
+    # builds its own.
+    copy = replace(scen)
+    assert copy == scen and hash(copy) == hash(scen)
+    assert copy.slot(5) == slot and copy.slot(5) is not slot
 
 
 def test_scenario_rejects_empty_price_band():

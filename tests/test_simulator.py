@@ -1,9 +1,11 @@
 """Time loop: queue updates, accounting, bound enforcement."""
 
+import dataclasses
 import math
 
 import pytest
 
+from nanodr.baselines import CaseId, run_case
 from nanodr.domain import (
     FollowerAction,
     InvariantViolation,
@@ -24,8 +26,10 @@ from nanodr.scenario_io import (
     synthetic_params,
 )
 from nanodr import simulator
-from nanodr.simulator import run, update_queues
+from nanodr.simulator import SlotOutcome, run, update_queues
 from nanodr.stackelberg import GameConfig, IterationTrace, SlotSolution
+
+from oracles import report_totals
 
 PARAMS = NanogridParams(epsilon=0.95, eta=15.0, e_max=5.0, t_min=66.0,
                         t_max=77.0, l_max=10.0, gamma=0.01)
@@ -145,6 +149,37 @@ def test_run_totals_match_outcome_reaccumulation():
         for o in rep.outcomes for i in range(scen.n)
     ) / (scen.n * scen.slots)
     assert rep.tatd == pytest.approx(tatd, rel=1e-12, abs=1e-12)
+
+
+def _desk(gamma=None):
+    """The reference week (seed 1, n=5, 72 slots) with its default policy;
+    ``gamma`` replaces every building's discomfort weight."""
+    spec = SyntheticSpec()
+    scen = generate_synthetic(spec)
+    params = synthetic_params(spec)
+    if gamma is not None:
+        params = [dataclasses.replace(p, gamma=gamma) for p in params]
+    pme = default_pme_params()
+    return scen, params, pme, default_policy(scen, params, pme)
+
+
+@pytest.mark.parametrize("case, gamma", [
+    (None, None), (None, 0.0), *((case, None) for case in CaseId),
+], ids=["desk", "gamma0", *(case.name for case in CaseId)])
+def test_run_totals_are_the_per_slot_sums_bit_for_bit(case, gamma):
+    # None is the plain run; the cases are compare's on the same scenario.
+    scen, params, pme, bundle = _desk(gamma)
+    args = (scen, params, bundle.ng_controls, pme, bundle.pme_control)
+    rep = run(*args) if case is None else run_case(case, *args)
+    want = report_totals(rep.outcomes, scen, params)
+    assert {name: getattr(rep, name).hex() for name in want} == {
+        name: value.hex() for name, value in want.items()}
+
+
+def test_slot_outcome_keeps_its_fields_in_order():
+    assert SlotOutcome._fields == (
+        "slot", "leader", "followers", "next_state", "pme_profit",
+        "grid_residual", "converged", "iterations")
 
 
 def test_standard_run_respects_both_bound_certificates():
