@@ -300,10 +300,11 @@ def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
                 "step_s", "step_b", "step_y", "dist_s", "dist_b", "dist_y"]
                + [f"e_{i + 1}" for i in range(n)])
     # The step triple depends only on the iteration index, so its text is
-    # formatted once per index.  Consecutive records of a trust box with
-    # nothing free share their draws tuple, formatted once per run of them,
-    # matched by identity, as 0.0 == -0.0.  A tuple's text leads with its
-    # comma (n = 0: no text).
+    # formatted once per index.  Consecutive records share their draws
+    # tuple while the responder hands back the same answer (a trust box
+    # with nothing free, or free draws that did not change), formatted once
+    # per run of them, matched by identity, as 0.0 == -0.0.  A tuple's text
+    # leads with its comma (n = 0: no text).
     cells = lambda values: "," + _cells(values) if values else ""
     steps_text: dict[int, str] = {}
     # A record's scalars are floats, so %r writes them as _fmt does.

@@ -49,11 +49,18 @@ whenever the iterate leaves it (``QueueResponder.restrict``); the box it
 keeps is the responder's own, so once the band has no free follower it is
 never restricted again.  Every iteration asks its box's responder; while
 the box has no free follower, the answer is the box's own draws tuple and
-interchange list, and the subgradients read the interchange sums fixed for
-the box.  The responder returns slopes for its free followers only: a
-follower pinned on a box has slope 0.0 there, and the subgradients add a
-term only for a nonzero slope, so the records are those of the band
-responder, bit for bit.
+interchange list.  Otherwise, when every free draw is the same object as
+in the last answer that responder built, it hands back that answer's draws
+tuple and interchange list: a fixed-candidate winner (an edge or the kink)
+is its rule's own float, so the same object is the same draw, sign of zero
+included, while a vertex winner is a new float each time and never
+matches.  The loop sums the interchanges only when it gets a new list.
+Most iterations at n=50 repeat every draw.  The responder returns slopes
+for its free followers only: a follower pinned on a box has slope 0.0
+there, and the subgradients add a term only for a nonzero slope, so the
+records are those of the band responder, bit for bit, at any box width.
+The width, 2% of the band either side, is the benchmark's best of 1%, 2%,
+3% and 5%: a narrower box pins more followers but is left more often.
 
 The polish narrows it along its lines.  A line with more than POLISH_CHUNK
 scan points is split into runs of POLISH_CHUNK gaps whose hulls tile it,
@@ -70,6 +77,7 @@ import copy
 import math
 from bisect import bisect_right
 from itertools import repeat
+from operator import is_
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -104,8 +112,8 @@ POLISH_PASSES, POLISH_TOL = 25, 1e-11
 # The loop's trust box reaches this fraction of the band width either side
 # of its iterate in each price (clipped to the band), and is certified afresh
 # whenever the iterate leaves it: a wider box pins fewer followers, a
-# narrower one is left, and paid for, more often.
-TRUST_HALF_WIDTH = 0.05
+# narrower one is left, and paid for, more often.  No answer depends on it.
+TRUST_HALF_WIDTH = 0.02
 # A polish line with more than POLISH_CHUNK scan points is answered from
 # responders certified on runs spanning POLISH_CHUNK gaps between its
 # points: a longer run pins fewer followers, a shorter one pays for more
@@ -147,6 +155,8 @@ class IterationRecord(NamedTuple):
     The broadcast iterate, the subgradients there, each coordinate's
     distance to the next iterate, and the follower draws at the iterate.
     The step sizes depend only on the iteration index (``_step_sizes``).
+    The loop builds each record with ``tuple.__new__``: a named tuple's own
+    constructor is a Python function.
     """
 
     p_s: float
@@ -241,8 +251,7 @@ class QueueResponder:
     the loop's projection and the polish's scans never leave the band.
     ``restrict`` gives the responder of a smaller box, which certifies only
     the followers still free: the loop's trust boxes, and the runs of scan
-    points on the polish's lines (``_line_router``).  ``sums`` holds the
-    interchange sums when nothing is free.
+    points on the polish's lines (``_line_router``).
     """
 
     def __init__(self, state: SlotState, slot: SlotData,
@@ -262,7 +271,8 @@ class QueueResponder:
                  pb_hi: float) -> None:
         """Set the box and move the free followers pinned on it into the
         template.  The box's corner terms are computed once, for all of
-        them (``nanogrid.box_corners``)."""
+        them (``nanogrid.box_corners``).  The last built answer is
+        forgotten: a restricted responder never returns its parent's."""
         self.box = (ps_lo, ps_hi, pb_lo, pb_hi)
         corners = box_corners(ps_lo, ps_hi, pb_lo, pb_hi)
         rules, followers = self._rules, self._followers
@@ -284,8 +294,9 @@ class QueueResponder:
         self._tps = tps
         self._free_rules = tuple(map(rules.__getitem__, free))
         self._free_slots = tuple(zip(free, map(followers.__getitem__, free)))
-        # The interchanges never change when every follower is pinned.
-        self.sums = None if free else interchange_sums(tps)
+        # The free followers' draws of the last built answer, and its draws
+        # tuple and interchange list.
+        self._built = None
 
     def restrict(self, ps_lo: float, ps_hi: float, pb_lo: float,
                  pb_hi: float) -> QueueResponder:
@@ -305,17 +316,28 @@ class QueueResponder:
         and the free followers' local price sensitivities in ``free`` order
         (``nanogrid.respond``'s), at prices in ``box``; a pinned follower's
         is 0.0.  With nothing free these are the box's own draws and
-        interchange list, shared by every call (callers do not modify them),
-        and ()."""
+        interchange list, and ().  Otherwise, when every free draw is the
+        same object as in the last answer built, that answer's draws and
+        interchanges come back with the fresh sensitivities.  Either way
+        the draws and interchanges may be shared by many calls: callers do
+        not modify them."""
         if not self.free:
             return self._draws, self._tps, ()
+        free_es, slopes = respond(self._free_rules, p_s, p_b)
+        built = self._built
+        # A fixed-candidate draw is its rule's own float, so the same object
+        # is the same draw, sign of zero included; a vertex draw is a new
+        # float every time, and never matches one the memo still holds.
+        if built is not None and all(map(is_, free_es, built[0])):
+            return built[1], built[2], slopes
         es = list(self._draws)
         tps = self._tps.copy()
-        free_es, slopes = respond(self._free_rules, p_s, p_b)
         for (i, fs), e in zip(self._free_slots, free_es):
             es[i] = e
             tps[i] = fs.d + e - fs.rp
-        return tuple(es), tps, slopes
+        es = tuple(es)
+        self._built = (free_es, es, tps)
+        return es, tps, slopes
 
     def respond(self, p_s: float, p_b: float) -> tuple[tuple[float, ...], list[float]]:
         """Draws and interchanges at prices in ``box``."""
@@ -618,6 +640,8 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
 
     p_s, p_b, y = _start(m_s, m_b, min_gap, y_lo, y_hi)
     records: list[IterationRecord] = []
+    record = tuple.__new__
+    summed = None  # the interchange list whose sums ``sums`` holds
     converged = False
     for m in range(1, config.max_iters + 1):
         if not (box_s_lo <= p_s <= box_s_hi and box_b_lo <= p_b <= box_b_hi):
@@ -625,16 +649,18 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
                                        max(p_b - reach, m_b), min(p_b + reach, m_s))
             box_s_lo, box_s_hi, box_b_lo, box_b_hi = local.box
         es, tps, slopes = local.respond_full(p_s, p_b)
+        if tps is not summed:
+            summed, sums = tps, interchange_sums(tps)
         g_ps, g_pb, g_y = subgradients(p_s, p_b, y, tps, b, g_t, m_s, m_b,
                                        pme_control, pme_params, slopes,
-                                       free=local.free, sums=local.sums)
+                                       free=local.free, sums=sums)
         steps = _step_sizes(m)
         n_s, n_b, n_y = _project(p_s - steps[0] * g_ps, p_b - steps[1] * g_pb,
                                  y - steps[2] * g_y, m_s, m_b, pb_hi,
                                  y_lo, y_hi, min_gap)
         d_s, d_b, d_y = abs(n_s - p_s), abs(n_b - p_b), abs(n_y - y)
-        records.append(IterationRecord(p_s, p_b, y, g_ps, g_pb, g_y,
-                                       d_s, d_b, d_y, es))
+        records.append(record(IterationRecord, (p_s, p_b, y, g_ps, g_pb, g_y,
+                                                d_s, d_b, d_y, es)))
         p_s, p_b, y = n_s, n_b, n_y
         if d_s < rho and d_b < rho and d_y < rho:
             converged = True

@@ -6,8 +6,9 @@ from outside, and reports a point it cannot find as absent, with its
 metrics at zero, rather than failing.  So a rename in ``src/`` could zero a
 per-layer metric without anything failing; this test fails instead.  It
 reads the worker's point tables and wraps nothing.  Its correctness gate
-and its slot probe read the horizon's reports and the slot solutions; the
-last tests feed them the desk's.
+and its slot probe read the horizon's reports and the slot solutions, and
+its response count the responder's answers; the last tests feed them the
+desk's.
 """
 
 import importlib
@@ -19,6 +20,7 @@ import pytest
 
 from nanodr import cli, simulator
 from nanodr.baselines import CaseId, run_case
+from nanodr.stackelberg import QueueResponder
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TABLES = ("RUN_POINTS", "SLOT_POINTS", "LAYER_POINTS", "RESPONDER_POINTS",
@@ -108,3 +110,38 @@ def test_the_probe_reads_each_slot_solution(monkeypatch):
     assert (0, True, 0) in probe.outcomes
     assert any(iterations > 0 and sweeps > 0
                for iterations, _, sweeps in probe.outcomes)
+
+
+def test_the_response_count_reads_every_answer_the_responder_gives(monkeypatch):
+    # The worker counts follower responses from what respond_full and
+    # respond return: n per answer, whether the answer was built, handed
+    # back again for unchanged draws, or is the template of a box with
+    # nothing free.
+    kinds = {"built": [], "reused": [], "none free": [], "respond": []}
+    last = {}
+    respond_full, respond = QueueResponder.respond_full, QueueResponder.respond
+
+    def full_point(self, p_s, p_b):
+        got = respond_full(self, p_s, p_b)
+        if not self.free:
+            kinds["none free"].append(got)
+        elif last.get(self) is not None and got[0] is last[self]:
+            kinds["reused"].append(got)
+        else:
+            kinds["built"].append(got)
+        last[self] = got[0]
+        return got
+
+    def point(self, p_s, p_b):
+        kinds["respond"].append(respond(self, p_s, p_b))
+        return kinds["respond"][-1]
+
+    monkeypatch.setattr(QueueResponder, "respond_full", full_point)
+    monkeypatch.setattr(QueueResponder, "respond", point)
+    setup = _desk()
+    setup.simulate()
+    n = len(setup.ng_params)
+    assert n == 5
+    for kind, answers in kinds.items():
+        assert answers, kind
+        assert {WORKER._responses(got) for got in answers} == {n}, kind

@@ -3,6 +3,7 @@
 import bisect
 import collections
 import math
+import operator
 import random
 from dataclasses import replace
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from nanodr.domain import (
     SlotState,
 )
 from nanodr.nanogrid import follower_models, follower_rule, respond
-from nanodr.pme import subgradients
+from nanodr.pme import interchange_sums, subgradients
 from nanodr.policy import default_policy
 from nanodr.scenario_io import (
     SyntheticSpec,
@@ -429,7 +430,7 @@ def test_template_and_restricted_subgradients_are_bit_exact(k):
                    if i not in free)
         args = (act.p_s, act.p_b, act.y, tps, state.b, slot.g_t, slot.m_s,
                 slot.m_b, pmec, pme)
-        fast = subgradients(*args, slopes, free=free, sums=responder.sums)
+        fast = subgradients(*args, slopes, free=free, sums=interchange_sums(tps))
         assert repr(fast) == repr(subgradients(*args, ref_slopes,
                                                free=range(len(tps))))
 
@@ -458,6 +459,8 @@ _LOOP_CASES = {
     # Case 3 with followers free on the band: the generated weights pin
     # every one of them, a stiffer discomfort weight does not.
     "myopic-free": dict(n=5, k=0, myopic=True, gamma=1.0),
+    # The same followers free, most of them at a fixed candidate.
+    "myopic-switching": dict(n=5, k=18, myopic=True, gamma=1.0),
     # The iterate leaves its first trust box, where nothing is free, for one
     # with free followers.
     "trust-boxes": dict(n=20, k=18),
@@ -465,7 +468,8 @@ _LOOP_CASES = {
 # The followers free on each case's band, as the band-only certificate found
 # them; the other cases have none.
 _BAND_FREE = {"n50": tuple(range(50)), "gamma0-free": tuple(range(5)),
-              "myopic-free": (1, 3, 4), "trust-boxes": tuple(range(20))}
+              "myopic-free": (1, 3, 4), "myopic-switching": (1, 3, 4),
+              "trust-boxes": tuple(range(20))}
 
 
 def _loop_case(case, polish, responder=QueueResponder):
@@ -636,6 +640,165 @@ def test_chunked_polish_is_bit_exact(case, monkeypatch):
         # no line-wide responder is built beside them.
         assert {id(sub) for _, sub in responder.runs} == asked
         assert {parent for parent, _ in responder.runs} <= {responder.box}
+
+
+@pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+def test_the_trust_box_width_changes_no_record(case, monkeypatch):
+    # A follower pinned on a trust box draws what the band responder gives
+    # it there, bit for bit, so the loop's records, flag and last iterate
+    # are the reference's at any width, from boxes left at every iteration
+    # to boxes as wide as the band.
+    c = _loop_case(case, polish=False)
+    rows, converged, last = reference_loop(c.state, c.slot, c.params,
+                                           c.controls, c.pme, c.pmec, c.config,
+                                           drop_queue=c.myopic, boxes=c.boxes,
+                                           y_box=c.y_box)
+    want = ([_bits(row) for row in rows], converged,
+            _bits((last.p_s, last.p_b, last.y)))
+    for width in (1e-4, stackelberg.TRUST_HALF_WIDTH, 0.05, 1.0):
+        monkeypatch.setattr(stackelberg, "TRUST_HALF_WIDTH", width)
+        c = _loop_case(case, polish=False)
+        sol = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
+                                    c.config, y_box=c.y_box)
+        got = [_bits((*rec[:6], *stackelberg._step_sizes(m), *rec[6:9], *rec.es))
+               for m, rec in enumerate(sol.trace.records, start=1)]
+        assert (got, sol.trace.converged,
+                _bits((sol.leader.p_s, sol.leader.p_b, sol.leader.y))) == want
+
+
+def test_iteration_record_keeps_its_fields_in_order():
+    # The loop builds each record with tuple.__new__, by position.
+    assert stackelberg.IterationRecord._fields == (
+        "p_s", "p_b", "y", "g_ps", "g_pb", "g_y", "dist_s", "dist_b", "dist_y",
+        "es")
+
+
+def _price_walk(rng, box, cuts, steps):
+    """Price pairs in ``box`` = (ps_lo, ps_hi, pb_lo, pb_hi): repeats, moves
+    shorter than the loop's rho, trips across a price in ``cuts`` (a
+    follower's switch) and back, and jumps."""
+    ps_lo, ps_hi, pb_lo, pb_hi = box
+
+    def clip(ps, pb):
+        return min(max(ps, ps_lo), ps_hi), min(max(pb, pb_lo), pb_hi)
+
+    pair = clip(rng.uniform(ps_lo, ps_hi), rng.uniform(pb_lo, pb_hi))
+    yield pair
+    for _ in range(steps):
+        kind = rng.randrange(4)
+        if kind == 1:
+            pair = clip(pair[0] + rng.uniform(-1e-3, 1e-3),
+                        pair[1] + rng.uniform(-1e-3, 1e-3))
+        elif kind == 2:
+            on_s = rng.random() < 0.5
+            lo, hi = (ps_lo, ps_hi) if on_s else (pb_lo, pb_hi)
+            inside = [x for x in cuts if lo < x < hi]
+            if inside:
+                x = rng.choice(inside)
+                at = pair[0] if on_s else pair[1]
+                over = x + math.copysign(1e-7, x - at)
+                yield clip(over, pair[1]) if on_s else clip(pair[0], over)
+        elif kind == 3:
+            pair = clip(rng.uniform(ps_lo, ps_hi), rng.uniform(pb_lo, pb_hi))
+        yield pair
+
+
+@pytest.mark.parametrize("case", ["n50", "myopic-free", "myopic-switching",
+                                  "gamma0-free"])
+def test_a_reused_answer_is_the_built_one_bit_for_bit(case, monkeypatch):
+    # respond_full hands back its last built draws and interchanges when
+    # every free draw is the same object as in that answer.  On the band's
+    # responder and on responders restricted from it (one to the band
+    # itself, which pins no one more, trust boxes, and a box inside a trust
+    # box), along price walks: every answer is a freshly built responder's,
+    # bit for bit; the last built objects come back exactly when the free
+    # draws are the same objects; and no restricted responder returns an
+    # object its parent built.
+    c = _loop_case(case, polish=False)
+    band = c.responder
+    played = replace(c.state, h=(0.0,) * len(c.state.h)) if c.myopic else c.state
+    models = follower_models(c.params, c.controls)
+    rng = random.Random(11)
+    cuts = band.price_breakpoints()
+    m_b, m_s = c.slot.m_b, c.slot.m_s
+    reach = 0.02 * (m_s - m_b)
+    built_by = {}  # responder -> the objects it returned
+    counts = collections.Counter()
+
+    def walk(responder, chain, parents):
+        last = None
+        for p_s, p_b in _price_walk(rng, responder.box, cuts, 40):
+            free_es = respond(responder._free_rules, p_s, p_b)[0]
+            es, tps, slopes = responder.respond_full(p_s, p_b)
+            fresh = QueueResponder(played, c.slot, models, boxes=c.boxes)
+            for box in chain:
+                fresh = fresh.restrict(*box)
+            assert fresh.free == responder.free
+            want = fresh.respond_full(p_s, p_b)
+            assert (_bits(es), _bits(tps), _bits(slopes)) == tuple(map(_bits, want))
+            if not responder.free:
+                assert es is responder._draws and tps is responder._tps
+                continue
+            same = last is not None and all(
+                e is last[0][i] for i, e in zip(responder.free, free_es))
+            assert (es is last[0] and tps is last[1]) if same else (
+                last is None or (es is not last[0] and tps is not last[1]))
+            counts["reused" if same else "built"] += 1
+            counts["vertex"] += any(slopes)
+            for parent in parents:
+                assert not any(es is o or tps is o for o in built_by[parent])
+            built_by.setdefault(responder, []).extend((es, tps))
+            last = es, tps
+        return p_s, p_b
+
+    p_s, p_b = walk(band, (), ())
+    for k in range(4):
+        if k == 0:  # the band again: the same free followers as its parent
+            box = band.box
+        else:
+            p_s, p_b = rng.uniform(m_b, m_s), rng.uniform(m_b, m_s)
+            box = (max(p_s - reach, m_b), min(p_s + reach, m_s),
+                   max(p_b - reach, m_b), min(p_b + reach, m_s))
+        sub = band.restrict(*box)
+        assert sub is not band
+        if k == 0:
+            assert sub.free == band.free
+            # First at the parent's last pair, whose answer the parent built.
+            assert sub.respond_full(p_s, p_b)[0] is not band.respond_full(p_s, p_b)[0]
+        walk(sub, (box,), (band,))
+        inner = (box[0], 0.5 * (box[0] + box[1]), box[2], 0.5 * (box[2] + box[3]))
+        walk(sub.restrict(*inner), (box, inner), (band, sub))
+    assert counts["built"] >= 20
+    if case == "myopic-free":  # some free follower always sits at its vertex
+        assert counts["reused"] == 0 and counts["vertex"] == counts["built"]
+    else:
+        assert counts["reused"] >= 20
+    assert (counts["vertex"] > 0) is (case != "gamma0-free")
+
+    # The loop's interchange sums are those of its interchanges, bit for
+    # bit, summed once for each new interchange list.
+    checked, summed = [], []
+
+    def checked_subgradients(p_s, p_b, y, tps, *args, sums, **kwargs):
+        assert _bits(sums) == _bits(interchange_sums(tps))
+        checked.append(tps)
+        return subgradients(p_s, p_b, y, tps, *args, sums=sums, **kwargs)
+
+    def counted_sums(tps):
+        summed.append(tps)
+        return interchange_sums(tps)
+
+    monkeypatch.setattr(stackelberg, "subgradients", checked_subgradients)
+    monkeypatch.setattr(stackelberg, "interchange_sums", counted_sums)
+    sol = _solve_with_responder(
+        QueueResponder(played, c.slot, models, boxes=c.boxes), c.b, c.slot,
+        c.pme, c.pmec, c.config, y_box=c.y_box)
+    assert len(checked) == sol.trace.iterations > 0
+    changed = [tps for k, tps in enumerate(checked)
+               if k == 0 or tps is not checked[k - 1]]
+    assert len(summed) == len(changed)
+    assert (len(changed) < len(checked)) is (case != "myopic-free")
+    assert all(map(operator.is_, summed, changed))
 
 
 @pytest.mark.parametrize("case", ["desk", "n50", "n50-all-pinned", "myopic",
