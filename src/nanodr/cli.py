@@ -16,6 +16,11 @@ long flag names, ``#`` comments) supplies defaults; explicit flags win.
 All result artifacts are deterministic for a fixed seed/config; wall-clock
 timings go to a separate ``timing.csv`` sidecar, which is the only
 non-deterministic output.
+
+``run --traces`` formats ``traces.csv`` in a writer process forked at the
+first slot with iteration records (in process where ``os.fork`` is
+missing); the file atomically replaces the old one only once the writer
+has exited cleanly (``_traces_csv``).
 """
 
 from __future__ import annotations
@@ -23,13 +28,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import marshal
 import math
 import os
 import sys
 import time
+import traceback
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence,
+                    TextIO)
 
 from .baselines import CaseId, run_case
 from .domain import (
@@ -287,18 +295,16 @@ def _write_series(report: RunReport, setup: Setup, out_dir: str) -> None:
             for o in report.outcomes)
 
 
-@contextmanager
-def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
-    """Stream ``traces.csv``, one write per slot, from the sink it yields.
+def _trace_rows(fh: TextIO, n: int) -> Callable[[int, Sequence[tuple]], object]:
+    """Write ``traces.csv``'s header for ``n`` nanogrids to ``fh``; returns
+    the function that writes one slot's records as its rows, in one write.
 
-    The rows go to a temporary file in ``out_dir`` that replaces
-    ``traces.csv`` only when the body completes; on any exception it is
-    closed and removed, so a failed run leaves ``traces.csv`` as it was.
+    A record is an ``IterationRecord`` or the plain tuple of its fields.
     """
-    n = setup.scenario.n
     headers = (["slot", "iter", "p_s", "p_b", "y", "g_ps", "g_pb", "g_y",
                 "step_s", "step_b", "step_y", "dist_s", "dist_b", "dist_y"]
                + [f"e_{i + 1}" for i in range(n)])
+    fh.write(",".join(headers) + "\r\n")
     # The step triple depends only on the iteration index, so its text is
     # formatted once per index.  Consecutive records share their draws
     # tuple while the responder hands back the same answer (a trust box
@@ -310,10 +316,10 @@ def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
     # A record's scalars are floats, so %r writes them as _fmt does.
     row = "%d,%d,%r,%r,%r,%r,%r,%r%s,%r,%r,%r%s\r\n"
 
-    def slot_rows(k: int, trace: IterationTrace) -> Iterable[str]:
+    def slot_rows(k: int, records: Sequence[tuple]) -> Iterable[str]:
         last = draws = None
         for m, (p_s, p_b, y, g_ps, g_pb, g_y, d_s, d_b, d_y,
-                es) in enumerate(trace.records, start=1):
+                es) in enumerate(records, start=1):
             if es is not last:
                 last, draws = es, cells(es)
             step = steps_text.get(m)
@@ -322,13 +328,124 @@ def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
             yield row % (k, m, p_s, p_b, y, g_ps, g_pb, g_y, step,
                          d_s, d_b, d_y, draws)
 
+    return lambda k, records: fh.write("".join(slot_rows(k, records)))
+
+
+def _format_frames(pipe: int, fh: TextIO, n: int) -> NoReturn:
+    """The writer process: each frame read from ``pipe`` to ``fh`` as its
+    rows, until the pipe closes; then leave by ``os._exit``.
+
+    A frame is a 4-byte little-endian length and the ``marshal`` bytes of
+    ``(slot, records)``.  The exit status is 0 once ``fh`` is flushed and
+    closed, an ``OSError``'s errno where it fits, and 255 after any other
+    failure, whose traceback goes straight to file descriptor 2.
+    """
+    code = 255
+    try:
+        with open(pipe, "rb") as frames:
+            write = _trace_rows(fh, n)
+            while size := frames.read(4):
+                write(*marshal.loads(frames.read(int.from_bytes(size, "little"))))
+        fh.close()
+        code = 0
+    except OSError as exc:
+        if exc.errno is not None and 0 < exc.errno < 255:
+            code = exc.errno
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
+class _WriterProcess:
+    """A forked ``_format_frames`` on ``fh``, fed through a pipe."""
+
+    def __init__(self, fh: TextIO, n: int, path: str):
+        self.path = path
+        read, self.pipe = os.pipe()
+        self.pid: int | None = os.fork()
+        if self.pid == 0:
+            os.close(self.pipe)
+            _format_frames(read, fh, n)
+        os.close(read)
+
+    def send(self, k: int, records: Sequence[tuple]) -> None:
+        # marshal writes plain tuples only, and a draws tuple that several
+        # records share once, so the writer reads it back shared.
+        frame = marshal.dumps((k, tuple(map(tuple, records))))
+        view = memoryview(len(frame).to_bytes(4, "little") + frame)
+        try:
+            while view:  # a signal can cut a write short
+                view = view[os.write(self.pipe, view):]
+        except BrokenPipeError:
+            self.close()  # the writer left first; raise its error
+            raise
+
+    def close(self) -> None:
+        """Close the pipe and reap the writer; raise its failure, an errno
+        as the ``OSError`` it was."""
+        pid, self.pid = self.pid, None
+        if pid is None:
+            return
+        try:
+            os.close(self.pipe)
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if 0 < code < 255:
+            raise OSError(code, os.strerror(code), self.path)
+        if code:  # 255, or minus the signal that killed it
+            raise ChildProcessError(f"{self.path}: writer process exited {code}")
+
+
+@contextmanager
+def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
+    """Stream ``traces.csv`` from the sink it yields, one write per slot.
+
+    The rows go to a temporary file in ``out_dir`` that replaces
+    ``traces.csv`` only when the body completes; on any exception it is
+    closed and removed, so a failed run leaves ``traces.csv`` as it was.
+
+    The first slot with records forks one writer process (``_format_frames``),
+    and each slot's records reach it through a pipe as one ``marshal``
+    frame, so the float ``repr`` of every row runs beside the slot solves,
+    not in their process; without ``os.fork`` the same ``_trace_rows``
+    writes in process.  When the body completes the pipe is closed and the
+    writer reaped before the rename; on any failure it is reaped too, and a
+    writer's ``OSError`` is raised again here.  The writer is fork-safe: it
+    runs only ``marshal``, str formatting and file writes, takes no lock
+    another thread may hold, and leaves by ``os._exit``, so no buffer or
+    exit handler it inherits runs twice; it never calls into NumPy, whose
+    threads the fork does not copy.  (Python >= 3.12 warns on a ``fork()``
+    in a process with more than one thread, and after ``import numpy``
+    OpenBLAS's pool makes that two threads on a 2-vCPU host.)
+    """
+    n = setup.scenario.n
+    path = os.path.join(out_dir, "traces.csv")
     tmp = os.path.join(out_dir, f".traces.csv.{os.getpid()}.tmp")
+    writer: _WriterProcess | None = None
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(",".join(headers) + "\r\n")
-            yield lambda k, trace: fh.write("".join(slot_rows(k, trace)))
-        os.replace(tmp, os.path.join(out_dir, "traces.csv"))
+            if hasattr(os, "fork"):
+                def sink(k: int, trace: IterationTrace) -> None:
+                    nonlocal writer
+                    if trace.records:
+                        if writer is None:
+                            writer = _WriterProcess(fh, n, path)
+                        writer.send(k, trace.records)
+
+                yield sink
+                if writer is None:
+                    _trace_rows(fh, n)  # no rows: the header alone
+                else:
+                    writer.close()
+            else:
+                write = _trace_rows(fh, n)
+                yield lambda k, trace: write(k, trace.records)
+        os.replace(tmp, path)
     except BaseException:
+        if writer is not None:
+            with suppress(OSError):
+                writer.close()
         with suppress(OSError):
             os.unlink(tmp)
         raise
@@ -342,10 +459,12 @@ def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
 def _cmd_run(args: argparse.Namespace) -> int:
     setup = Setup(args)
     os.makedirs(args.out, exist_ok=True)
+    # traces.csv is in place before the other artifacts are written, so a
+    # run whose traces fail, in the writer process too, changes none.
     with _traces_csv(setup, args.out) if args.traces else nullcontext() as sink:
         report = setup.simulate(sink)
-        _write_summary(report, setup, args.out)
-        _write_series(report, setup, args.out)
+    _write_summary(report, setup, args.out)
+    _write_series(report, setup, args.out)
     for key, value in _summary_pairs(report, setup):
         print(f"{key} = {value}")
     return 0

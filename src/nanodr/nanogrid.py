@@ -36,7 +36,7 @@ class FollowerModel(NamedTuple):
     2*v*gamma*one, alpha_mis = 2*v*gamma*one*eta, beta_span =
     2*v*gamma*one*one*eta*eta*e_max, delta_mis = -2*gamma*one*eta and
     delta_dr = 2*gamma*one*one*eta*eta; base_lo and base_hi are
-    vg*(oe*e)**2 at the default box's ends e = 0.0 and e_max.
+    vg*(q*q), q = oe*e, at the default box's ends e = 0.0 and e_max.
     """
 
     v: float
@@ -70,21 +70,23 @@ def follower_models(params: Sequence[NanogridParams],
         one = 1.0 - eps
         oe = one * eta
         vg = v * gam
+        q_lo, q_hi = oe * 0.0, oe * e_max
         models.append(FollowerModel(
             v, eps, one, eta, oe, vg, eps * one, -eps * one,
             2.0 * v * gam * one, 2.0 * v * gam * one * eta,
             2.0 * v * gam * one * one * eta * eta * e_max,
             math.inf if gam == 0.0 else 1.0 / (2.0 * gam * one * one * eta * eta),
             -2.0 * gam * one * eta, 2.0 * gam * one * one * eta * eta,
-            gam != 0.0, e_max, vg * (oe * 0.0) ** 2, vg * (oe * e_max) ** 2))
+            gam != 0.0, e_max, vg * (q_lo * q_lo), vg * (q_hi * q_hi)))
     return tuple(models)
 
 
 class FollowerRule(NamedTuple):
     """The price-free part of one nanogrid's decision rule in one slot.
 
-    The objective at draw ``e`` is ``(vg*(oe*e)**2 + le*e) + v*trade`` with
-    ``trade = 0.5*(p_s-p_b)*|tp| + 0.5*(p_s+p_b)*tp`` and ``tp = dr + e``.
+    The objective at draw ``e`` is ``(vg*(q*q) + le*e) + v*trade`` with
+    ``q = oe*e``, ``trade = 0.5*(p_s-p_b)*|tp| + 0.5*(p_s+p_b)*tp`` and
+    ``tp = dr + e``.
     The fixed candidates (box edges, clamped kink) are held as (draw,
     price-free value, tp, |tp|).  With ``has_vertex`` (gamma > 0) a branch
     vertex vartheta - price*hbar may compete as a fourth (``respond``).
@@ -142,12 +144,14 @@ def follower_rule(h: float, t: float, slot: FollowerSlot, model: FollowerModel,
         lo, hi = 0.0, e_max
     else:
         lo, hi = box
-        base_lo, base_hi = vg * (oe * lo) ** 2, vg * (oe * hi) ** 2
+        q_lo, q_hi = oe * lo, oe * hi
+        base_lo, base_hi = vg * (q_lo * q_lo), vg * (q_hi * q_hi)
     # The fixed candidates, written out: a comprehension is a nested call.
     kink = rp - d
     kink = lo if kink < lo else hi if kink > hi else kink
     at_lo = (lo, base_lo + le * lo, dr + lo, abs(dr + lo))
-    at_kink = (kink, vg * (oe * kink) ** 2 + le * kink, dr + kink, abs(dr + kink))
+    q = oe * kink
+    at_kink = (kink, vg * (q * q) + le * kink, dr + kink, abs(dr + kink))
     at_hi = (hi, base_hi + le * hi, dr + hi, abs(dr + hi))
     pressure = neg_eps_one * h * eta
     if has_vertex:
@@ -204,7 +208,8 @@ def respond(rules: Sequence[FollowerRule], p_s: float,
             cand = vartheta - (p_s if delta > p_s else p_b) * hbar
             if lo < cand < hi:
                 tp = dr + cand
-                val = (vg * (oe * cand) ** 2 + le * cand
+                q = oe * cand
+                val = (vg * (q * q) + le * cand
                        + v * (half_gap * abs(tp) + half_sum * tp))
                 # An equal draw is the kink's, whose zero sensitivity wins.
                 if val < best or (val == best and cand < e):

@@ -120,10 +120,9 @@ def _follower_bounds(params: NanogridParams, v_i: float | None,
             f"although v_i={v_i} <= v_max={v_max}; envelope inconsistent"
         )
 
-    drift_bound = 0.5 * one * one * max(
-        (gamma_min + t_out_min) ** 2,
-        (gamma_min + t_out_max + eta * params.e_max) ** 2,
-    )
+    low = gamma_min + t_out_min
+    high = gamma_min + t_out_max + eta * params.e_max
+    drift_bound = 0.5 * one * one * max(low * low, high * high)
     return FollowerBounds(gamma_min, gamma_max, v_max, opt_span, swing, drift_bound)
 
 
@@ -143,7 +142,8 @@ def _leader_bounds(params: PmeParams, v_p: float | None,
         v_p = v_p_max
     theta_min = params.u_cmax - params.e_max_cap - v_p * m_b_min - v_p * c_min
     theta_max = -params.u_dmax - params.e_min - v_p * m_s_max - v_p * c_max
-    drift_bound = 0.5 * max(params.u_cmax ** 2, params.u_dmax ** 2)
+    u_c, u_d = params.u_cmax, params.u_dmax
+    drift_bound = 0.5 * max(u_c * u_c, u_d * u_d)
     return LeaderBounds(theta_min, theta_max, v_p_max, c_min, c_max, drift_bound)
 
 

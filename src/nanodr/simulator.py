@@ -204,7 +204,7 @@ def run(scenario: Scenario, ng_params: Sequence[NanogridParams],
                         f"{len(discomfort)}: T={t} outside [{p.t_min}, {p.t_max}]"
                     )
             gap = t - fs.t_opt
-            discomfort.append(p.gamma * gap ** 2)
+            discomfort.append(p.gamma * (gap * gap))
             deviation.append(abs(gap))
         if not pme_params.e_min - tol <= next_state.e_batt <= pme_params.e_max_cap + tol:
             battery_violations += 1

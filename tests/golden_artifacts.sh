@@ -7,9 +7,12 @@
 #
 # Runs the installed `nanodr` entry point; NANODR overrides the command.
 # Each command's standard output is kept beside its artifacts as <name>.txt.
-# The bytes depend on the C library's pow (CPython's float ** 2 calls it)
-# and on NumPy's seeded streams, so the digests hold on the CI platform;
-# a change that must leave every artifact as it was keeps them all.
+# The runs' arithmetic is IEEE alone (every square is a product, not a
+# call to the C library's pow), but the generated scenarios depend on
+# NumPy's seeded streams and sin and on the C library's exp and pow, so the
+# digests hold on the CI platform; a change that must leave every artifact
+# as it was keeps them all.  tests/test_cli.py pins the artifacts of the
+# committed docs/example_scenario.csv in the test suite itself.
 set -eu
 out=$1
 nanodr=${NANODR:-nanodr}

@@ -308,7 +308,8 @@ def reference_rule(h, t, slot, params, control, box=None):
     kink = min(max(slot.rp - slot.d, lo), hi)
 
     def fixed(e):
-        return (e, vg * (oe * e) ** 2 + le * e, dr + e, abs(dr + e))
+        q = oe * e
+        return (e, vg * (q * q) + le * e, dr + e, abs(dr + e))
 
     if gam == 0.0:
         alpha = beta = 0.0

@@ -2,6 +2,8 @@
 
 import argparse
 import csv
+import errno
+import hashlib
 import json
 import math
 import os
@@ -159,13 +161,127 @@ def test_failed_traced_run_changes_no_artifact(error, code, tmp_path,
     # Slots 0-2 reach the trace writer before slot 3 fails; another seed
     # would write other rows.
     monkeypatch.setattr(simulator, "solve_slot", fail_mid_horizon)
+    forks = _count_forks(monkeypatch)
     assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
                  "--traces"]) == code
     assert "injected" in capsys.readouterr().err
     assert {p.name: _read(p) for p in out.iterdir()} == before
+    # The writer process was started, and it was reaped.
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    """The pids of the children this process forks from now on."""
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_a_failed_writer_process_changes_no_artifact(tmp_path, monkeypatch,
+                                                     capsys):
+    out = tmp_path / "tr"
+    assert main(["run", "--slots", "6", "--out", str(out), "--traces"]) == 0
+    before = {p.name: _read(p) for p in out.iterdir()}
+    parent, trace_rows = os.getpid(), cli._trace_rows
+
+    def no_space(fh, n):
+        # The writer process inherits this through the fork; only it fails.
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return trace_rows(fh, n)
+
+    monkeypatch.setattr(cli, "_trace_rows", no_space)
+    forks = _count_forks(monkeypatch)
+    assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
+                 "--traces"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
+    assert "traces.csv" in err and "Traceback" not in err
+    assert {p.name: _read(p) for p in out.iterdir()} == before
+    assert not list(out.glob(".traces.csv.*.tmp"))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_run_without_iterations_writes_the_header_and_forks_nothing(
+        tmp_path, monkeypatch):
+    solve = simulator.solve_slot
+    monkeypatch.setattr(simulator, "solve_slot", lambda *args, **kwargs: solve(
+        *args, **kwargs)._replace(trace=stackelberg.IterationTrace((), True)))
+    forks = _count_forks(monkeypatch)
+    out = tmp_path / "tr"
+    assert main(["run", "--slots", "6", "--out", str(out), "--traces"]) == 0
+    assert forks == []
+    assert _read(out / "traces.csv").decode().split("\r\n") == [
+        "slot,iter,p_s,p_b,y,g_ps,g_pb,g_y,step_s,step_b,step_y,dist_s,dist_b,"
+        "dist_y,e_1,e_2,e_3,e_4,e_5", ""]
+
+
+def test_traces_are_written_in_process_without_fork(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    report, traces, out = _traced_run(tmp_path, monkeypatch,
+                                      ["--slots", "24", "--followers", "20"])
+    assert any(trace.records for trace in traces)
+    _assert_reference_csvs(report, traces, out, tmp_path)
+
+
+# SHA-256 of stdout and of every artifact of two commands on the committed
+# example scenario (n=2, 24 slots; traces.csv has 110 rows over 7 free
+# slots).  These bytes come from IEEE arithmetic (every square is a
+# product), math.fsum and float repr alone, so they should hold wherever
+# CPython runs; they were taken on Python 3.11, x86-64 and glibc only.
+_EXAMPLE_DIGESTS = {
+    ("run", "--traces"): {
+        "stdout": "24eb0fd3059a235e4ec8c6e4a7d7381ee427c13c78c75fb0ccfcc72278bfba31",
+        "series.csv": "c4ad99ca2179a2ba933c615b6758ccc9b79be31a4f9e45b421c547974b212f63",
+        "summary.json": "bb84c93a83f4bc6784411ad2ac80ea02d4caa870de4f2255ed23c3f69cc505c5",
+        "summary.txt": "24eb0fd3059a235e4ec8c6e4a7d7381ee427c13c78c75fb0ccfcc72278bfba31",
+        "traces.csv": "06762a397b9ef7b45d573a78212b1b141fb2854b2440b6de374446a5497b2a3f",
+    },
+    ("compare",): {
+        "stdout": "1d9842dd12faf0e7c35d7f0eae6474f9bad50e871c52b2842f831222eb04daeb",
+        "comparison.csv": "3725d844467f8ee7263edfe415d56079a4ce86a7f61c0b7a8f34ae35364607ff",
+    },
+}
+
+
+@pytest.mark.parametrize("command", _EXAMPLE_DIGESTS, ids=lambda c: c[0])
+def test_example_scenario_artifacts_are_pinned_byte_for_byte(command, tmp_path,
+                                                             monkeypatch, capsys):
+    # summary.txt names the scenario path as given: run from the checkout.
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    out = tmp_path / "out"
+    assert main([*command, "--scenario", "docs/example_scenario.csv",
+                 "--out", str(out)]) == 0
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    digests = {"stdout": sha(capsys.readouterr().out.encode())}
+    digests.update((p.name, sha(_read(p))) for p in out.iterdir()
+                   if p.name != "timing.csv")
+    assert digests == _EXAMPLE_DIGESTS[command]
 
 
 def test_traced_run_memory_does_not_grow_with_the_horizon(tmp_path):
+    _assert_traced_memory_does_not_grow(tmp_path)
+
+
+def test_in_process_traced_run_memory_does_not_grow_with_the_horizon(
+        tmp_path, monkeypatch):
+    # Without os.fork the rows are formatted in this process too.
+    monkeypatch.delattr(os, "fork")
+    _assert_traced_memory_does_not_grow(tmp_path)
+
+
+def _assert_traced_memory_does_not_grow(tmp_path):
     # The generator imports NumPy on first use; a warm-up run does that and
     # fills the process's caches, so neither measured run pays for them.
     import numpy  # noqa: F401
