@@ -18,9 +18,10 @@ timings go to a separate ``timing.csv`` sidecar, which is the only
 non-deterministic output.
 
 ``run --traces`` formats ``traces.csv`` in a writer process forked at the
-first slot with iteration records (in process where ``os.fork`` is
-missing); the file atomically replaces the old one only once the writer
-has exited cleanly (``_traces_csv``).
+first slot with iteration records, which reach it as the solver's plain
+tuples (in process where ``os.fork`` is missing); the file atomically
+replaces the old one only once the writer has exited cleanly
+(``_traces_csv``).
 """
 
 from __future__ import annotations
@@ -299,7 +300,8 @@ def _trace_rows(fh: TextIO, n: int) -> Callable[[int, Sequence[tuple]], object]:
     """Write ``traces.csv``'s header for ``n`` nanogrids to ``fh``; returns
     the function that writes one slot's records as its rows, in one write.
 
-    A record is an ``IterationRecord`` or the plain tuple of its fields.
+    A record is the plain 10-tuple that ``IterationTrace.records`` holds,
+    read by position.
     """
     headers = (["slot", "iter", "p_s", "p_b", "y", "g_ps", "g_pb", "g_y",
                 "step_s", "step_b", "step_y", "dist_s", "dist_b", "dist_y"]
@@ -357,44 +359,14 @@ def _format_frames(pipe: int, fh: TextIO, n: int) -> NoReturn:
         os._exit(code)
 
 
-class _WriterProcess:
-    """A forked ``_format_frames`` on ``fh``, fed through a pipe."""
-
-    def __init__(self, fh: TextIO, n: int, path: str):
-        self.path = path
-        read, self.pipe = os.pipe()
-        self.pid: int | None = os.fork()
-        if self.pid == 0:
-            os.close(self.pipe)
-            _format_frames(read, fh, n)
-        os.close(read)
-
-    def send(self, k: int, records: Sequence[tuple]) -> None:
-        # marshal writes plain tuples only, and a draws tuple that several
-        # records share once, so the writer reads it back shared.
-        frame = marshal.dumps((k, tuple(map(tuple, records))))
-        view = memoryview(len(frame).to_bytes(4, "little") + frame)
-        try:
-            while view:  # a signal can cut a write short
-                view = view[os.write(self.pipe, view):]
-        except BrokenPipeError:
-            self.close()  # the writer left first; raise its error
-            raise
-
-    def close(self) -> None:
-        """Close the pipe and reap the writer; raise its failure, an errno
-        as the ``OSError`` it was."""
-        pid, self.pid = self.pid, None
-        if pid is None:
-            return
-        try:
-            os.close(self.pipe)
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if 0 < code < 255:
-            raise OSError(code, os.strerror(code), self.path)
-        if code:  # 255, or minus the signal that killed it
-            raise ChildProcessError(f"{self.path}: writer process exited {code}")
+def _reap(pid: int, path: str) -> None:
+    """Wait for the writer process ``pid``; raise its failure, an errno as
+    the ``OSError`` it was."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if 0 < code < 255:
+        raise OSError(code, os.strerror(code), path)
+    if code:  # 255, or minus the signal that killed it
+        raise ChildProcessError(f"{path}: writer process exited {code}")
 
 
 @contextmanager
@@ -409,46 +381,66 @@ def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
     and each slot's records reach it through a pipe as one ``marshal``
     frame, so the float ``repr`` of every row runs beside the slot solves,
     not in their process; without ``os.fork`` the same ``_trace_rows``
-    writes in process.  When the body completes the pipe is closed and the
-    writer reaped before the rename; on any failure it is reaped too, and a
-    writer's ``OSError`` is raised again here.  The writer is fork-safe: it
-    runs only ``marshal``, str formatting and file writes, takes no lock
-    another thread may hold, and leaves by ``os._exit``, so no buffer or
-    exit handler it inherits runs twice; it never calls into NumPy, whose
-    threads the fork does not copy.  (Python >= 3.12 warns on a ``fork()``
-    in a process with more than one thread, and after ``import numpy``
-    OpenBLAS's pool makes that two threads on a 2-vCPU host.)
+    writes in process.  The sink's closure holds the writer's pid and its
+    pipe.  When the body completes the pipe is closed and the writer reaped
+    (``_reap``) before the rename.  On any failure it is reaped too, and a
+    broken pipe, which means the writer left first, is raised as the
+    writer's own error.  The writer is fork-safe: it runs only ``marshal``,
+    str formatting and file writes, takes no lock another thread may hold,
+    and leaves by ``os._exit``, so no buffer or exit handler it inherits
+    runs twice; it never calls into NumPy, whose threads the fork does not
+    copy.  (Python >= 3.12 warns on a ``fork()`` in a process with more
+    than one thread, and after ``import numpy`` OpenBLAS's pool makes that
+    two threads on a 2-vCPU host.)
     """
     n = setup.scenario.n
     path = os.path.join(out_dir, "traces.csv")
     tmp = os.path.join(out_dir, f".traces.csv.{os.getpid()}.tmp")
-    writer: _WriterProcess | None = None
+    pid = pipe = None  # the writer, once forked; the pipe while it is unreaped
     try:
         with open(tmp, "w", newline="") as fh:
             if hasattr(os, "fork"):
                 def sink(k: int, trace: IterationTrace) -> None:
-                    nonlocal writer
-                    if trace.records:
-                        if writer is None:
-                            writer = _WriterProcess(fh, n, path)
-                        writer.send(k, trace.records)
+                    nonlocal pid, pipe
+                    if not trace.records:
+                        return
+                    if pid is None:
+                        read, fd = os.pipe()
+                        pid = os.fork()
+                        if pid == 0:
+                            os.close(fd)
+                            _format_frames(read, fh, n)
+                        os.close(read)
+                        pipe = fd
+                    # marshal writes a draws tuple that several records
+                    # share once, so the writer reads it back shared.
+                    frame = marshal.dumps((k, trace.records))
+                    view = memoryview(len(frame).to_bytes(4, "little") + frame)
+                    while view:  # a signal can cut a write short
+                        view = view[os.write(pipe, view):]
 
                 yield sink
-                if writer is None:
+                if pid is None:
                     _trace_rows(fh, n)  # no rows: the header alone
-                else:
-                    writer.close()
             else:
                 write = _trace_rows(fh, n)
                 yield lambda k, trace: write(k, trace.records)
+        if pipe is not None:
+            os.close(pipe)
+            pipe = None
+            _reap(pid, path)
         os.replace(tmp, path)
-    except BaseException:
-        if writer is not None:
-            with suppress(OSError):
-                writer.close()
+    except BaseException as exc:
+        if pipe is not None:
+            os.close(pipe)
+            try:
+                _reap(pid, path)
+            except OSError as error:
+                if isinstance(exc, BrokenPipeError):  # the writer left first
+                    exc = error
         with suppress(OSError):
             os.unlink(tmp)
-        raise
+        raise exc
 
 
 # ---------------------------------------------------------------------------

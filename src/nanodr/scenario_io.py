@@ -219,9 +219,13 @@ def load_scenario(path: str) -> Scenario:
     # Parse a row's cells in ``expected`` order in one pass.  A row that
     # fails is walked cell by cell, which names its first bad cell.
     pick = itemgetter(*(index[h] for h in expected))
+    width = len(header)
     table = []
     for k, row in enumerate(rows):
         row_no = k + 2  # 1-based, after the header
+        if len(row) > width:  # a short row names its first missing cell
+            raise ScenarioError(f"{path}: row {row_no} has {len(row)} cells, "
+                                f"the header {width}")
         try:
             vals = list(map(float, pick(row)))
         except (IndexError, ValueError):

@@ -9,8 +9,8 @@ With the polish on, a slot whose band pins every follower runs neither: the
 point where the polish would end has a closed form (``_against_fixed_draws``)
 read from the band certificate's template, asking no responder.
 
-The loop carries the iterate as three floats and keeps one flat
-``IterationRecord`` per iteration, which is one row of ``traces.csv``; the
+The loop carries the iterate as three floats and keeps one plain tuple per
+iteration (``IterationTrace``), which is one row of ``traces.csv``; the
 band, the projection's bounds and the responder's per-slot template are
 read once per slot, before it.  The band itself (at least ``min_gap`` wide)
 is checked once per slot here, and by the commands over every slot before
@@ -148,32 +148,19 @@ class GameConfig:
             raise ConfigurationError(f"min_gap must be positive, got {self.min_gap}")
 
 
-class IterationRecord(NamedTuple):
-    """One loop iteration, flat: one ``traces.csv`` row after its slot and
-    iteration index.
-
-    The broadcast iterate, the subgradients there, each coordinate's
-    distance to the next iterate, and the follower draws at the iterate.
-    The step sizes depend only on the iteration index (``_step_sizes``).
-    The loop builds each record with ``tuple.__new__``: a named tuple's own
-    constructor is a Python function.
-    """
-
-    p_s: float
-    p_b: float
-    y: float
-    g_ps: float
-    g_pb: float
-    g_y: float
-    dist_s: float
-    dist_b: float
-    dist_y: float
-    es: tuple[float, ...]
-
-
 @dataclass(frozen=True)
 class IterationTrace:
-    records: tuple[IterationRecord, ...]
+    """One slot's loop: a record per iteration, and how the loop ended.
+
+    A record is the plain tuple ``(p_s, p_b, y, g_ps, g_pb, g_y, dist_s,
+    dist_b, dist_y, es)``: the broadcast iterate, the subgradients there,
+    each coordinate's distance to the next iterate, and the follower draws
+    at the iterate.  That is a ``traces.csv`` row without its slot and
+    iteration index and the step triple, which depends only on the index
+    (``_step_sizes``).
+    """
+
+    records: tuple[tuple, ...]
     converged: bool  # the stop rule fired; with no records, the action is exact
     polish_sweeps: int = 0
 
@@ -639,8 +626,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
     box_s_hi = box_b_hi = -math.inf
 
     p_s, p_b, y = _start(m_s, m_b, min_gap, y_lo, y_hi)
-    records: list[IterationRecord] = []
-    record = tuple.__new__
+    records: list[tuple] = []
     summed = None  # the interchange list whose sums ``sums`` holds
     converged = False
     for m in range(1, config.max_iters + 1):
@@ -659,8 +645,7 @@ def _solve_with_responder(responder, b: float, slot: SlotData,
                                  y - steps[2] * g_y, m_s, m_b, pb_hi,
                                  y_lo, y_hi, min_gap)
         d_s, d_b, d_y = abs(n_s - p_s), abs(n_b - p_b), abs(n_y - y)
-        records.append(record(IterationRecord, (p_s, p_b, y, g_ps, g_pb, g_y,
-                                                d_s, d_b, d_y, es)))
+        records.append((p_s, p_b, y, g_ps, g_pb, g_y, d_s, d_b, d_y, es))
         p_s, p_b, y = n_s, n_b, n_y
         if d_s < rho and d_b < rho and d_y < rho:
             converged = True

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -81,13 +82,12 @@ def _reference_csvs(report, traces, out_dir):
                          "dist_b", "dist_y"]
                         + [f"e_{i + 1}" for i in range(n)])
         for o, trace in zip(report.outcomes, traces, strict=True):
-            for m, rec in enumerate(trace.records, start=1):
+            for m, (*scalars, es) in enumerate(trace.records, start=1):
                 writer.writerow(
-                    [str(o.slot), str(m), fmt(rec.p_s), fmt(rec.p_b),
-                     fmt(rec.y), fmt(rec.g_ps), fmt(rec.g_pb), fmt(rec.g_y)]
+                    [str(o.slot), str(m)] + [fmt(x) for x in scalars[:6]]
                     + [fmt(x) for x in stackelberg._step_sizes(m)]
-                    + [fmt(rec.dist_s), fmt(rec.dist_b), fmt(rec.dist_y)]
-                    + [fmt(e) for e in rec.es])
+                    + [fmt(x) for x in scalars[6:]]
+                    + [fmt(e) for e in es])
 
 
 def _traced_run(tmp_path, monkeypatch, flags):
@@ -136,7 +136,7 @@ def test_traces_match_the_reference_when_the_draws_change_mid_slot(tmp_path,
     # one box share a draws tuple, and the tuple changes between rows.
     report, traces, out = _traced_run(tmp_path, monkeypatch,
                                       ["--slots", "24", "--followers", "20"])
-    draws = [[id(rec.es) for rec in trace.records] for trace in traces]
+    draws = [[id(rec[-1]) for rec in trace.records] for trace in traces]
     assert any(1 < len(set(ids)) < len(ids) for ids in draws)
     _assert_reference_csvs(report, traces, out, tmp_path)
 
@@ -213,6 +213,54 @@ def test_a_failed_writer_process_changes_no_artifact(tmp_path, monkeypatch,
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_writer_that_left_first_is_named_instead_of_the_broken_pipe(
+        tmp_path, monkeypatch, capsys):
+    out = tmp_path / "tr"
+    assert main(["run", "--slots", "6", "--out", str(out), "--traces"]) == 0
+    before = {p.name: _read(p) for p in out.iterdir()}
+    parent, trace_rows = os.getpid(), cli._trace_rows
+
+    def no_space(fh, n):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return trace_rows(fh, n)
+
+    solve, write, broken = simulator.solve_slot, os.write, []
+
+    def after_the_writer_left(*args, **kwargs):
+        # Once forked, the writer has exited (unreaped) before the next
+        # slot is solved, so that slot's send finds no reader.
+        deadline = time.monotonic() + 60.0
+        while forks and os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT
+                                  | os.WNOHANG) is None:
+            assert time.monotonic() < deadline, "the writer did not exit"
+            time.sleep(0.001)
+        return solve(*args, **kwargs)
+
+    def counting_write(fd, data):
+        try:
+            return write(fd, data)
+        except BrokenPipeError:
+            broken.append(fd)
+            raise
+
+    monkeypatch.setattr(cli, "_trace_rows", no_space)
+    monkeypatch.setattr(simulator, "solve_slot", after_the_writer_left)
+    monkeypatch.setattr(os, "write", counting_write)
+    forks = _count_forks(monkeypatch)
+    assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
+                 "--traces"]) == 2
+    assert len(broken) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
+    assert "traces.csv" in err and "Traceback" not in err
+    assert {p.name: _read(p) for p in out.iterdir()} == before
+    assert not list(out.glob(".traces.csv.*.tmp"))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_a_run_without_iterations_writes_the_header_and_forks_nothing(
         tmp_path, monkeypatch):
     solve = simulator.solve_slot
@@ -235,9 +283,9 @@ def test_traces_are_written_in_process_without_fork(tmp_path, monkeypatch):
     _assert_reference_csvs(report, traces, out, tmp_path)
 
 
-# SHA-256 of stdout and of every artifact of two commands on the committed
-# example scenario (n=2, 24 slots; traces.csv has 110 rows over 7 free
-# slots).  These bytes come from IEEE arithmetic (every square is a
+# SHA-256 of stdout and of every artifact of three commands on the
+# committed example scenario (n=2, 24 slots; traces.csv has 110 rows over 7
+# free slots).  These bytes come from IEEE arithmetic (every square is a
 # product), math.fsum and float repr alone, so they should hold wherever
 # CPython runs; they were taken on Python 3.11, x86-64 and glibc only.
 _EXAMPLE_DIGESTS = {
@@ -251,6 +299,10 @@ _EXAMPLE_DIGESTS = {
     ("compare",): {
         "stdout": "1d9842dd12faf0e7c35d7f0eae6474f9bad50e871c52b2842f831222eb04daeb",
         "comparison.csv": "3725d844467f8ee7263edfe415d56079a4ce86a7f61c0b7a8f34ae35364607ff",
+    },
+    ("sweep", "--param", "gamma", "--values", "0.005,0.01,0.02"): {
+        "stdout": "e3054782b427186a7afab4d21e4687591a5c235cb95a2657acc3ff5242b97731",
+        "sweep.csv": "0addb4a5734287e34cadea0633d0c1ea32679996eced7b147b679f746b8ccb72",
     },
 }
 

@@ -89,7 +89,7 @@ def _check_loop_records(report, scenario, params, controls, pme, control):
                              GameConfig(polish=False))
         rows, converged, _ = reference_loop(states[k], slot, params, controls,
                                             pme, control, GameConfig())
-        got = [(*rec[:6], *_step_sizes(m), *rec[6:9], *rec.es)
+        got = [(*rec[:6], *_step_sizes(m), *rec[6:9], *rec[9])
                for m, rec in enumerate(sol.trace.records, start=1)]
         assert [list(map(float.hex, row)) for row in got] == [
             list(map(float.hex, row)) for row in rows]

@@ -223,6 +223,16 @@ def test_short_row_names_the_missing_column(tmp_path):
     assert message == f"{path}: row 3 is short, no column 'd_1'"
 
 
+def test_long_row_names_both_cell_counts(tmp_path):
+    # Two cells past row 2's last column: the data is not rectangular.
+    with open(_GOLDEN, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    lines[1] += ",999,abc"
+    path = tmp_path / "long_row.csv"
+    message = _load_error(path, "\r\n".join(lines))
+    assert message == f"{path}: row 2 has 14 cells, the header 12"
+
+
 @pytest.mark.parametrize("header", [
     "slot,m_s,m_b,g_t,rp_1,d_1,t_out_1,t_opt_1,m_s",
     # Not reported as a missing rp_2 of a two-nanogrid file.

@@ -2,6 +2,7 @@
 
 import bisect
 import collections
+import marshal
 import math
 import operator
 import random
@@ -257,10 +258,10 @@ def test_trace_iterates_stay_feasible():
     slot = _desk_slot()
     sol = solve_slot(state, slot, follower_models(params, controls), PME, pmec,
                      GameConfig())
-    for rec in sol.trace.records:
-        assert slot.m_b <= rec.p_b < rec.p_s <= slot.m_s
-        assert rec.p_s - rec.p_b >= 0.01 - 1e-12
-        assert -PME.u_dmax <= rec.y <= PME.u_cmax
+    for p_s, p_b, y, *_ in sol.trace.records:
+        assert slot.m_b <= p_b < p_s <= slot.m_s
+        assert p_s - p_b >= 0.01 - 1e-12
+        assert -PME.u_dmax <= y <= PME.u_cmax
     assert sol.trace.iterations <= GameConfig().max_iters
     assert len(sol.trace.records) == sol.trace.iterations
 
@@ -511,7 +512,7 @@ def test_loop_matches_the_reference_bit_for_bit(case):
                                            c.controls, c.pme, c.pmec, c.config,
                                            drop_queue=c.myopic, boxes=c.boxes,
                                            y_box=c.y_box)
-    got = [(*rec[:6], *stackelberg._step_sizes(m), *rec[6:9], *rec.es)
+    got = [(*rec[:6], *stackelberg._step_sizes(m), *rec[6:9], *rec[9])
            for m, rec in enumerate(sol.trace.records, start=1)]
     assert len(got) == len(rows)
     for mine, ref in zip(got, rows):
@@ -660,17 +661,24 @@ def test_the_trust_box_width_changes_no_record(case, monkeypatch):
         c = _loop_case(case, polish=False)
         sol = _solve_with_responder(c.responder, c.b, c.slot, c.pme, c.pmec,
                                     c.config, y_box=c.y_box)
-        got = [_bits((*rec[:6], *stackelberg._step_sizes(m), *rec[6:9], *rec.es))
+        got = [_bits((*rec[:6], *stackelberg._step_sizes(m), *rec[6:9], *rec[9]))
                for m, rec in enumerate(sol.trace.records, start=1)]
         assert (got, sol.trace.converged,
                 _bits((sol.leader.p_s, sol.leader.p_b, sol.leader.y))) == want
 
 
-def test_iteration_record_keeps_its_fields_in_order():
-    # The loop builds each record with tuple.__new__, by position.
-    assert stackelberg.IterationRecord._fields == (
-        "p_s", "p_b", "y", "g_ps", "g_pb", "g_y", "dist_s", "dist_b", "dist_y",
-        "es")
+def test_iteration_records_are_plain_tuples_of_ten():
+    # marshal, which sends each slot's records to the traces writer, takes
+    # exact tuples only: nine floats, then the draws tuple.
+    params, controls, state, pmec = _desk_setup()
+    sol = solve_slot(state, _desk_slot(), follower_models(params, controls),
+                     PME, pmec, GameConfig())
+    assert sol.trace.records
+    for rec in sol.trace.records:
+        assert type(rec) is tuple and len(rec) == 10
+        assert all(type(x) is float for x in rec[:9])
+        assert type(rec[9]) is tuple and len(rec[9]) == len(params)
+    assert marshal.loads(marshal.dumps(sol.trace.records)) == sol.trace.records
 
 
 def _price_walk(rng, box, cuts, steps):
