@@ -12,7 +12,8 @@
 # NumPy's seeded streams and sin and on the C library's exp and pow, so the
 # digests hold on the CI platform; a change that must leave every artifact
 # as it was keeps them all.  tests/test_cli.py pins the artifacts of the
-# committed docs/example_scenario.csv in the test suite itself.
+# committed docs/example_scenario.csv and docs/example_scenario_n20.csv in
+# the test suite itself.
 set -eu
 out=$1
 nanodr=${NANODR:-nanodr}

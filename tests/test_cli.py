@@ -283,43 +283,187 @@ def test_traces_are_written_in_process_without_fork(tmp_path, monkeypatch):
     _assert_reference_csvs(report, traces, out, tmp_path)
 
 
-# SHA-256 of stdout and of every artifact of three commands on the
-# committed example scenario (n=2, 24 slots; traces.csv has 110 rows over 7
-# free slots).  These bytes come from IEEE arithmetic (every square is a
-# product), math.fsum and float repr alone, so they should hold wherever
-# CPython runs; they were taken on Python 3.11, x86-64 and glibc only.
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the open files in /proc/self/fd")
+def test_a_failed_fork_closes_its_pipe_and_changes_no_artifact(tmp_path,
+                                                               monkeypatch,
+                                                               capsys):
+    out = tmp_path / "tr"
+    assert main(["run", "--slots", "6", "--out", str(out), "--traces"]) == 0
+    before = {p.name: _read(p) for p in out.iterdir()}
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    capsys.readouterr()
+    open_files = len(os.listdir("/proc/self/fd"))
+    assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
+                 "--traces"]) == 2
+    assert len(os.listdir("/proc/self/fd")) == open_files
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [Errno {errno.EAGAIN}] ")
+    assert os.strerror(errno.EAGAIN) in err and "Traceback" not in err
+    assert {p.name: _read(p) for p in out.iterdir()} == before
+    assert not list(out.glob(".traces.csv.*.tmp"))
+
+
+def _env_with_src():
+    """This environment, with the checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+_AFFINITY = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                               reason="no CPU affinity API")
+
+
+def _record_writer_cpus(monkeypatch, path):
+    """Have the writer process write the CPUs it may run on to ``path``,
+    once it has placed itself."""
+    parent, trace_rows = os.getpid(), cli._trace_rows
+
+    def recording(fh, n):
+        if os.getpid() != parent:
+            path.write_text(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
+        return trace_rows(fh, n)
+
+    monkeypatch.setattr(cli, "_trace_rows", recording)
+
+
+def _cpus(path):
+    return set(map(int, path.read_text().split()))
+
+
+@_AFFINITY
+def test_the_writer_runs_off_the_cpu_the_solver_forked_it_on(tmp_path,
+                                                             monkeypatch):
+    allowed = os.sched_getaffinity(0)
+    if len(allowed) < 2:
+        pytest.skip("this process may run on one CPU only")
+    this_cpu, read = cli._this_cpu, []
+    monkeypatch.setattr(cli, "_this_cpu", lambda: read.append(this_cpu()) or read[-1])
+    _record_writer_cpus(monkeypatch, tmp_path / "cpus")
+    report, traces, out = _traced_run(tmp_path, monkeypatch,
+                                      ["--slots", "24", "--followers", "20"])
+    # Read once, just before the one fork, and a CPU this process may use.
+    assert len(read) == 1 and read[0] in allowed
+    writer = _cpus(tmp_path / "cpus")
+    assert writer and read[0] not in writer
+    assert writer == allowed - {read[0]}
+    _assert_reference_csvs(report, traces, out, tmp_path)
+
+
+@_AFFINITY
+def test_a_writer_allowed_one_cpu_keeps_it(tmp_path):
+    cpu = min(os.sched_getaffinity(0))
+    script = (
+        "import os, sys\n"
+        "from nanodr import cli\n"
+        f"os.sched_setaffinity(0, {{{cpu}}})\n"
+        "parent, trace_rows = os.getpid(), cli._trace_rows\n"
+        "def recording(fh, n):\n"
+        "    if os.getpid() != parent:\n"
+        "        with open(sys.argv[1], 'w') as out:\n"
+        "            out.write(' '.join(map(str, sorted(os.sched_getaffinity(0)))))\n"
+        "    return trace_rows(fh, n)\n"
+        "cli._trace_rows = recording\n"
+        "sys.exit(cli.main(['run', '--slots', '24', '--traces', '--out', sys.argv[2]]))\n")
+    one = tmp_path / "one"
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "cpus"), str(one)],
+                   env=_env_with_src(), check=True, capture_output=True)
+    assert _cpus(tmp_path / "cpus") == {cpu}
+    here = tmp_path / "here"
+    assert main(["run", "--slots", "24", "--traces", "--out", str(here)]) == 0
+    for name in ("traces.csv", "series.csv", "summary.txt"):
+        assert _read(one / name) == _read(here / name)
+
+
+@_AFFINITY
+def test_a_refused_affinity_leaves_the_writer_where_it_was(tmp_path, monkeypatch):
+    plain = tmp_path / "plain"
+    assert main(["run", "--slots", "24", "--traces", "--out", str(plain)]) == 0
+    asked = tmp_path / "asked"
+
+    def refuse(pid, cpus):
+        asked.touch()
+        raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    _record_writer_cpus(monkeypatch, tmp_path / "cpus")
+    out = tmp_path / "tr"
+    assert main(["run", "--slots", "24", "--traces", "--out", str(out)]) == 0
+    assert _read(out / "traces.csv") == _read(plain / "traces.csv")
+    allowed = os.sched_getaffinity(0)
+    assert _cpus(tmp_path / "cpus") == allowed
+    # The writer asked, unless this process may run on one CPU only.
+    assert asked.exists() == (len(allowed) > 1)
+
+
+# SHA-256 of stdout and of every artifact of three commands on each
+# committed example scenario, keyed by its file and then by the command:
+# n=2 over 24 slots, whose traces.csv has 110 rows over 7 free slots, and
+# n=20 over 48 slots, with 1,882 rows over 12.  These bytes come from IEEE
+# arithmetic (every square is a product), math.fsum and float repr alone,
+# so they should hold wherever CPython runs; they were taken on Python
+# 3.11, x86-64 and glibc only.
 _EXAMPLE_DIGESTS = {
-    ("run", "--traces"): {
-        "stdout": "24eb0fd3059a235e4ec8c6e4a7d7381ee427c13c78c75fb0ccfcc72278bfba31",
-        "series.csv": "c4ad99ca2179a2ba933c615b6758ccc9b79be31a4f9e45b421c547974b212f63",
-        "summary.json": "bb84c93a83f4bc6784411ad2ac80ea02d4caa870de4f2255ed23c3f69cc505c5",
-        "summary.txt": "24eb0fd3059a235e4ec8c6e4a7d7381ee427c13c78c75fb0ccfcc72278bfba31",
-        "traces.csv": "06762a397b9ef7b45d573a78212b1b141fb2854b2440b6de374446a5497b2a3f",
+    "docs/example_scenario.csv": {
+        ("run", "--traces"): {
+            "stdout": "24eb0fd3059a235e4ec8c6e4a7d7381ee427c13c78c75fb0ccfcc72278bfba31",
+            "series.csv": "c4ad99ca2179a2ba933c615b6758ccc9b79be31a4f9e45b421c547974b212f63",
+            "summary.json": "bb84c93a83f4bc6784411ad2ac80ea02d4caa870de4f2255ed23c3f69cc505c5",
+            "summary.txt": "24eb0fd3059a235e4ec8c6e4a7d7381ee427c13c78c75fb0ccfcc72278bfba31",
+            "traces.csv": "06762a397b9ef7b45d573a78212b1b141fb2854b2440b6de374446a5497b2a3f",
+        },
+        ("compare",): {
+            "stdout": "1d9842dd12faf0e7c35d7f0eae6474f9bad50e871c52b2842f831222eb04daeb",
+            "comparison.csv": "3725d844467f8ee7263edfe415d56079a4ce86a7f61c0b7a8f34ae35364607ff",
+        },
+        ("sweep", "--param", "gamma", "--values", "0.005,0.01,0.02"): {
+            "stdout": "e3054782b427186a7afab4d21e4687591a5c235cb95a2657acc3ff5242b97731",
+            "sweep.csv": "0addb4a5734287e34cadea0633d0c1ea32679996eced7b147b679f746b8ccb72",
+        },
     },
-    ("compare",): {
-        "stdout": "1d9842dd12faf0e7c35d7f0eae6474f9bad50e871c52b2842f831222eb04daeb",
-        "comparison.csv": "3725d844467f8ee7263edfe415d56079a4ce86a7f61c0b7a8f34ae35364607ff",
-    },
-    ("sweep", "--param", "gamma", "--values", "0.005,0.01,0.02"): {
-        "stdout": "e3054782b427186a7afab4d21e4687591a5c235cb95a2657acc3ff5242b97731",
-        "sweep.csv": "0addb4a5734287e34cadea0633d0c1ea32679996eced7b147b679f746b8ccb72",
+    "docs/example_scenario_n20.csv": {
+        ("run", "--traces"): {
+            "stdout": "6819fc1d2af1c4b02d4d57510bde269e79fb380d288cb8820b6b126d35840813",
+            "series.csv": "88d10db90d4e9865f763b3f46ecb55dcd5d04e09967cc19d9a7f778ceb5d5cec",
+            "summary.json": "600eceaef2cb78f0a8a205f27402e913d86dcef9f0d7bddcc36a1749f5eeb765",
+            "summary.txt": "6819fc1d2af1c4b02d4d57510bde269e79fb380d288cb8820b6b126d35840813",
+            "traces.csv": "42b62b9c0ea64ad8ae13fe7246b9c44787e356215c46634aa52c93d16d1ab683",
+        },
+        ("compare",): {
+            "stdout": "3ea3774d3a242fe43016c848ab4cd48cb6098de8d673de2c938248947af2e7a2",
+            "comparison.csv": "d7bf25db75e0e23eed82993cd4907f09893cd09229e9d836db4c11d313450679",
+        },
+        ("sweep", "--param", "gamma", "--values", "0.005,0.01,0.02"): {
+            "stdout": "985a5da23f84dc3dbb28c4e21c41afd743a74f5a8869c136e7d7786fd94ebb8e",
+            "sweep.csv": "6551eb0f5d4db70aa7e368e018c2fc2238a99f2756c8ae23df1927078ff7680f",
+        },
     },
 }
 
 
-@pytest.mark.parametrize("command", _EXAMPLE_DIGESTS, ids=lambda c: c[0])
-def test_example_scenario_artifacts_are_pinned_byte_for_byte(command, tmp_path,
-                                                             monkeypatch, capsys):
+@pytest.mark.parametrize("scenario, command", [
+    pytest.param(scenario, command,
+                 id=command[0] + ("-n20" if scenario.endswith("_n20.csv") else ""))
+    for scenario, commands in _EXAMPLE_DIGESTS.items() for command in commands])
+def test_example_scenario_artifacts_are_pinned_byte_for_byte(scenario, command,
+                                                             tmp_path, monkeypatch,
+                                                             capsys):
     # summary.txt names the scenario path as given: run from the checkout.
     monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     out = tmp_path / "out"
-    assert main([*command, "--scenario", "docs/example_scenario.csv",
-                 "--out", str(out)]) == 0
+    assert main([*command, "--scenario", scenario, "--out", str(out)]) == 0
     sha = lambda data: hashlib.sha256(data).hexdigest()
     digests = {"stdout": sha(capsys.readouterr().out.encode())}
     digests.update((p.name, sha(_read(p))) for p in out.iterdir()
                    if p.name != "timing.csv")
-    assert digests == _EXAMPLE_DIGESTS[command]
+    assert digests == _EXAMPLE_DIGESTS[scenario][command]
 
 
 def test_traced_run_memory_does_not_grow_with_the_horizon(tmp_path):
@@ -357,12 +501,8 @@ def _assert_traced_memory_does_not_grow(tmp_path):
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, nanodr.cli; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_env_with_src(), check=True)
 
 
 def test_check_bounds_prints_without_artifacts(tmp_path, capsys):
