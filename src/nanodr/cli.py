@@ -17,13 +17,15 @@ All result artifacts are deterministic for a fixed seed/config; wall-clock
 timings go to a separate ``timing.csv`` sidecar, which is the only
 non-deterministic output.
 
-``run --traces`` formats ``traces.csv`` in a writer process forked at the
-first slot with iteration records, which reach it as the solver's plain
-tuples (in process where ``os.fork`` is missing); the file atomically
-replaces the old one only once the writer has exited cleanly
-(``_traces_csv``).  The writer keeps off the CPU the solving process forked
-it on: a pipe write wakes its reader on the sending CPU, so otherwise the
-two share one core and the solver waits inside ``os.write``.
+``run --traces`` writes ``traces.csv``'s header when it opens the file and
+formats its rows in a writer process forked at the first slot with
+iteration records, which reach it as the solver's plain tuples, by
+``marshal.dump`` into a buffered pipe (in process where ``os.fork`` is
+missing); the file atomically replaces the old one only once the writer has
+exited cleanly (``_traces_csv``).  The writer keeps off the CPU the solving
+process forked it on: a pipe write wakes its reader on the sending CPU, so
+otherwise the two share one core and the solver waits on the pipe.  It
+ignores Ctrl-C, which fails the run in the solving process alone.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import json
 import marshal
 import math
 import os
+import signal
 import sys
 import time
 import traceback
@@ -58,7 +61,6 @@ from .scenario_io import (
     generate_synthetic,
     load_scenario,
     save_scenario,
-    synthetic_params,
 )
 from .simulator import RunReport, TraceSink, run
 from .stackelberg import GameConfig, IterationTrace, _step_sizes, check_band
@@ -195,8 +197,8 @@ def _scenario_source(args: argparse.Namespace
         return (scenario, f"file:{args.scenario}",
                 [default_nanogrid_params(0.955) for _ in range(scenario.n)])
     spec = SyntheticSpec(**_overrides(args, _SPEC_FLAGS))
-    return (generate_synthetic(spec), f"synthetic:seed={spec.seed}",
-            list(synthetic_params(spec)))
+    scenario, buildings = generate_synthetic(spec)
+    return scenario, f"synthetic:seed={spec.seed}", buildings
 
 
 class Setup:
@@ -347,26 +349,30 @@ def _this_cpu() -> int | None:
         return None
 
 
-def _format_frames(pipe: int, fh: TextIO, n: int, cpus: set[int]) -> NoReturn:
-    """The writer process: each frame read from ``pipe`` to ``fh`` as its
-    rows, until the pipe closes; then leave by ``os._exit``.
+def _format_frames(pipe: int, fh: TextIO,
+                   write: Callable[[int, Sequence[tuple]], object],
+                   cpus: set[int]) -> NoReturn:
+    """The writer process: each ``(slot, records)`` pair that ``marshal``
+    reads from ``pipe`` goes to ``write``, the row writer of ``fh``, until
+    the pipe closes; then leave by ``os._exit``.
 
-    It first moves itself onto ``cpus`` (empty: it stays where it is), and
-    runs where it was if the kernel refuses.  A frame is a 4-byte
-    little-endian length and the ``marshal`` bytes of ``(slot, records)``.
-    The exit status is 0 once ``fh`` is flushed and closed, an ``OSError``'s
-    errno where it fits, and 255 after any other failure, whose traceback
-    goes straight to file descriptor 2.
+    It ignores Ctrl-C, which the terminal sends to the solving process too:
+    that process fails and closes the pipe, and the writer drains it and
+    exits 0.  It first moves itself onto ``cpus`` (empty: it stays where it
+    is), and runs where it was if the kernel refuses.  The exit status is 0
+    once ``fh`` is flushed and closed, an ``OSError``'s errno where it fits,
+    and 255 after any other failure, whose traceback goes straight to file
+    descriptor 2.
     """
     code = 255
     try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
         if cpus:
             with suppress(OSError):
                 os.sched_setaffinity(0, cpus)
-        with open(pipe, "rb") as frames:
-            write = _trace_rows(fh, n)
-            while size := frames.read(4):
-                write(*marshal.loads(frames.read(int.from_bytes(size, "little"))))
+        with open(pipe, "rb") as frames, suppress(EOFError):
+            while True:
+                write(*marshal.load(frames))
         fh.close()
         code = 0
     except OSError as exc:
@@ -390,85 +396,85 @@ def _reap(pid: int, path: str) -> None:
 
 @contextmanager
 def _traces_csv(setup: Setup, out_dir: str) -> Iterator[TraceSink]:
-    """Stream ``traces.csv`` from the sink it yields, one write per slot.
+    """Stream ``traces.csv`` from the sink it yields, slot by slot.
 
     The rows go to a temporary file in ``out_dir`` that replaces
     ``traces.csv`` only when the body completes; on any exception it is
     closed and removed, so a failed run leaves ``traces.csv`` as it was.
+    The header is written when the file is opened, by the one
+    ``_trace_rows`` call, whose row writer formats every row.
 
     The first slot with records forks one writer process (``_format_frames``),
-    and each slot's records reach it through a pipe as one ``marshal``
-    frame, so the float ``repr`` of every row runs beside the slot solves,
-    not in their process; without ``os.fork`` the same ``_trace_rows``
-    writes in process.  A fork that fails closes both ends of its pipe.
+    which inherits the row writer, and from then on each slot's records
+    reach it by ``marshal.dump`` into a buffered pipe, so the float ``repr``
+    of every row runs beside the slot solves, not in their process; without
+    ``os.fork`` the sink calls the row writer itself.  A fork that fails
+    closes both ends of its pipe.
 
     The writer may run on every CPU this process may use but the one it
     runs on at the fork (``_this_cpu``).  The kernel wakes a pipe's reader
     synchronously, on the sending CPU, so an unplaced writer formats on the
     solver's core: in the 720-slot month at n=5 on a 2-vCPU host it did
-    so for 191 of 191 frames, and the solver waited 31-59 ms inside
-    ``os.write`` per run; placed, 0 of 191 and 0.5-1 ms.  With one CPU
-    allowed, without ``os.sched_setaffinity`` or ``/proc``, or where the
-    kernel refuses the set, the writer runs where it was forked, and the
-    rows are the same.  The sink's closure holds the writer's pid and its
+    so for 191 of 191 slots, and the solver waited 31-59 ms per run inside
+    its pipe writes (one ``os.write`` per slot then); placed, 0 of 191 and
+    0.5-1 ms.  With one CPU allowed, without ``os.sched_setaffinity`` or
+    ``/proc``, or where the kernel refuses the set, the writer runs where it
+    was forked, and the rows are the same.  The sink's closure holds the writer's pid and its
     pipe.  When the body completes the pipe is closed and the writer reaped
-    (``_reap``) before the rename.  On any failure it is reaped too, and a
-    broken pipe, which means the writer left first, is raised as the
-    writer's own error.  The writer is fork-safe: it runs only ``marshal``,
-    str formatting and file writes, takes no lock another thread may hold,
-    and leaves by ``os._exit``, so no buffer or exit handler it inherits
-    runs twice; it never calls into NumPy, whose threads the fork does not
-    copy.  (Python >= 3.12 warns on a ``fork()`` in a process with more
-    than one thread, and after ``import numpy`` OpenBLAS's pool makes that
-    two threads on a 2-vCPU host.)
+    (``_reap``) before the rename.  On any failure, Ctrl-C included, it is
+    reaped too, and a broken pipe, which means the writer left first, is
+    raised as the writer's own error.  The writer is fork-safe: it runs
+    only ``marshal``, str formatting and file writes, takes no lock another
+    thread may hold, and leaves by ``os._exit``, so no buffer or exit
+    handler it inherits runs twice; it never calls into NumPy, whose
+    threads the fork does not copy.  (Python >= 3.12 warns on a ``fork()``
+    in a process with more than one thread, and after ``import numpy``
+    OpenBLAS's pool makes that two threads on a 2-vCPU host.)
     """
-    n = setup.scenario.n
     path = os.path.join(out_dir, "traces.csv")
     tmp = os.path.join(out_dir, f".traces.csv.{os.getpid()}.tmp")
     pid = pipe = None  # the writer, once forked; the pipe while it is unreaped
     try:
         with open(tmp, "w", newline="") as fh:
-            if hasattr(os, "fork"):
-                def sink(k: int, trace: IterationTrace) -> None:
-                    nonlocal pid, pipe
-                    if not trace.records:
-                        return
-                    if pid is None:
-                        cpu = _this_cpu() if hasattr(os, "sched_setaffinity") else None
-                        cpus = set() if cpu is None else os.sched_getaffinity(0) - {cpu}
-                        read, fd = os.pipe()
-                        try:
-                            pid = os.fork()
-                        except BaseException:  # EAGAIN, ENOMEM: no writer
-                            os.close(read)
-                            os.close(fd)
-                            raise
-                        if pid == 0:
-                            os.close(fd)
-                            _format_frames(read, fh, n, cpus)
+            write = _trace_rows(fh, setup.scenario.n)
+
+            def sink(k: int, trace: IterationTrace) -> None:
+                nonlocal pid, pipe
+                if not trace.records:
+                    return
+                if pid is None and hasattr(os, "fork"):
+                    fh.flush()  # the writer inherits no buffered header
+                    cpu = _this_cpu() if hasattr(os, "sched_setaffinity") else None
+                    cpus = set() if cpu is None else os.sched_getaffinity(0) - {cpu}
+                    read, fd = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except BaseException:  # EAGAIN, ENOMEM: no writer
                         os.close(read)
-                        pipe = fd
+                        os.close(fd)
+                        raise
+                    if pid == 0:
+                        os.close(fd)
+                        _format_frames(read, fh, write, cpus)
+                    os.close(read)
+                    pipe = open(fd, "wb")
+                if pipe is None:
+                    write(k, trace.records)
+                else:
                     # marshal writes a draws tuple that several records
                     # share once, so the writer reads it back shared.
-                    frame = marshal.dumps((k, trace.records))
-                    view = memoryview(len(frame).to_bytes(4, "little") + frame)
-                    while view:  # a signal can cut a write short
-                        view = view[os.write(pipe, view):]
+                    marshal.dump((k, trace.records), pipe)
 
-                yield sink
-                if pid is None:
-                    _trace_rows(fh, n)  # no rows: the header alone
-            else:
-                write = _trace_rows(fh, n)
-                yield lambda k, trace: write(k, trace.records)
+            yield sink
         if pipe is not None:
-            os.close(pipe)
+            pipe.close()  # its last flush may find the writer gone
             pipe = None
             _reap(pid, path)
         os.replace(tmp, path)
     except BaseException as exc:
         if pipe is not None:
-            os.close(pipe)
+            with suppress(OSError):
+                pipe.close()
             try:
                 _reap(pid, path)
             except OSError as error:
@@ -682,7 +688,7 @@ def _cmd_check_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_scenario(args: argparse.Namespace) -> int:
-    scenario = generate_synthetic(SyntheticSpec(**_overrides(args, _SPEC_FLAGS)))
+    scenario, _ = generate_synthetic(SyntheticSpec(**_overrides(args, _SPEC_FLAGS)))
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     save_scenario(scenario, args.out)

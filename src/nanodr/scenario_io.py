@@ -69,26 +69,26 @@ def _bell(hour: float, center: float, width: float) -> float:
     return math.exp(-((dist / width) ** 2))
 
 
-def synthetic_params(spec: SyntheticSpec) -> tuple[NanogridParams, ...]:
-    """Per-building parameters matching generate_synthetic for the same seed."""
-    import numpy as np  # only the generator needs NumPy: importing it is slow
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[0])
-    eps = rng.uniform(0.93, 0.98, size=spec.n)
-    return tuple(default_nanogrid_params(float(e)) for e in eps)
+def generate_synthetic(spec: SyntheticSpec) -> tuple[Scenario, list[NanogridParams]]:
+    """Deterministic scenario for the given spec and its buildings'
+    parameters; same seed, same pair.
 
-
-def generate_synthetic(spec: SyntheticSpec) -> Scenario:
-    """Deterministic scenario for the given spec; same seed, same scenario.
+    The seed's ``SeedSequence`` spawns two streams: the first draws each
+    building's thermal inertia ε uniformly from [0.93, 0.98] (the other
+    constants are ``default_nanogrid_params``'), the second the series.
 
     Day shapes: a deep-winter sinusoidal outdoor temperature with small
     per-building offsets, a small double-peaked base load, a midday solar
     bell plus wind noise, a slowly moving comfort target, and a selling
     price that is cheap off-peak with narrow morning and evening peaks and
     a slight midday solar dip.  The generated series are validated against
-    the default building parameters so the comfort certificates apply.
+    the drawn buildings so the comfort certificates apply.
     """
-    import numpy as np
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[1])
+    import numpy as np  # only the generator needs NumPy: importing it is slow
+    buildings_seed, series_seed = np.random.SeedSequence(spec.seed).spawn(2)
+    eps = np.random.default_rng(buildings_seed).uniform(0.93, 0.98, size=spec.n)
+    buildings = [default_nanogrid_params(float(e)) for e in eps]
+    rng = np.random.default_rng(series_seed)
     n, slots = spec.n, spec.slots
     hours = np.arange(slots) % 24
     # A day shape: _bell on the 24 NumPy-int hours, looked up per slot; the
@@ -136,8 +136,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Scenario:
         rp=rp.tolist(), d=d.tolist(), t_out=t_out.tolist(), t_opt=t_opt.tolist(),
         m_s=m_s.tolist(), m_b=m_b.tolist(), g_t=g_t.tolist(),
     )
-    check_assumptions(scenario, synthetic_params(spec))
-    return scenario
+    check_assumptions(scenario, buildings)
+    return scenario, buildings
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from nanodr.scenario_io import (
     SyntheticSpec,
     default_pme_params,
     generate_synthetic,
-    synthetic_params,
 )
 from nanodr.simulator import run
 from nanodr.stackelberg import GameConfig, QueueResponder, _argmin_charge, _project
@@ -73,8 +72,7 @@ def _answers(folks, p_s, p_b):
 @pytest.fixture(scope="module")
 def desk():
     spec = SyntheticSpec()
-    scenario = generate_synthetic(spec)
-    params = synthetic_params(spec)
+    scenario, params = generate_synthetic(spec)
     bundle = default_policy(scenario, params, PME)
     config = GameConfig()
     report = run(scenario, params, bundle.ng_controls, PME,
@@ -89,8 +87,7 @@ def certificate_runs():
     started = time.perf_counter()
     for seed in range(20):
         spec = SyntheticSpec(seed=seed)
-        scenario = generate_synthetic(spec)
-        params = synthetic_params(spec)
+        scenario, params = generate_synthetic(spec)
         bundle = default_policy(scenario, params, PME)
         report = run(scenario, params, bundle.ng_controls, PME,
                      bundle.pme_control, GameConfig())

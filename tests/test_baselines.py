@@ -36,7 +36,6 @@ from nanodr.scenario_io import (
     SyntheticSpec,
     default_pme_params,
     generate_synthetic,
-    synthetic_params,
 )
 from nanodr.simulator import run
 from nanodr.stackelberg import GameConfig, IterationTrace, solve_slot
@@ -55,8 +54,7 @@ PME = default_pme_params()
 
 def _setup(seed=3, slots=24, n=3):
     spec = SyntheticSpec(seed=seed, slots=slots, n=n)
-    scen = generate_synthetic(spec)
-    params = synthetic_params(spec)
+    scen, params = generate_synthetic(spec)
     bundle = default_policy(scen, params, PME)
     return scen, params, bundle
 

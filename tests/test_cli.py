@@ -5,12 +5,15 @@ import csv
 import errno
 import hashlib
 import json
+import marshal
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 
@@ -18,7 +21,7 @@ from nanodr import cli, simulator, stackelberg
 from nanodr.cli import main
 from nanodr.domain import ConfigurationError, InvariantViolation
 from nanodr.scenario_io import (SyntheticSpec, default_nanogrid_params,
-                                synthetic_params)
+                                generate_synthetic)
 
 
 def _read(path):
@@ -141,37 +144,6 @@ def test_traces_match_the_reference_when_the_draws_change_mid_slot(tmp_path,
     _assert_reference_csvs(report, traces, out, tmp_path)
 
 
-@pytest.mark.parametrize("error, code", [
-    (InvariantViolation("injected"), 3),
-    (ConfigurationError("injected"), 2),
-])
-def test_failed_traced_run_changes_no_artifact(error, code, tmp_path,
-                                               monkeypatch, capsys):
-    out = tmp_path / "tr"
-    assert main(["run", "--slots", "6", "--out", str(out), "--traces"]) == 0
-    before = {p.name: _read(p) for p in out.iterdir()}
-    solve, calls = simulator.solve_slot, []
-
-    def fail_mid_horizon(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 4:
-            raise error
-        return solve(*args, **kwargs)
-
-    # Slots 0-2 reach the trace writer before slot 3 fails; another seed
-    # would write other rows.
-    monkeypatch.setattr(simulator, "solve_slot", fail_mid_horizon)
-    forks = _count_forks(monkeypatch)
-    assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
-                 "--traces"]) == code
-    assert "injected" in capsys.readouterr().err
-    assert {p.name: _read(p) for p in out.iterdir()} == before
-    # The writer process was started, and it was reaped.
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _count_forks(monkeypatch):
     """The pids of the children this process forks from now on."""
     fork, forks = os.fork, []
@@ -186,93 +158,192 @@ def _count_forks(monkeypatch):
     return forks
 
 
-def test_a_failed_writer_process_changes_no_artifact(tmp_path, monkeypatch,
-                                                     capsys):
-    out = tmp_path / "tr"
+@contextmanager
+def _a_failed_run_changes_no_artifact(out, monkeypatch, forks=1):
+    """Write a traced run's artifacts to ``out``, then run the body, whose
+    run there fails: afterwards ``out`` holds the same files with the same
+    bytes and no temporary traces file, and the body has forked ``forks``
+    processes, all of them reaped.  Yields the pids it forks."""
     assert main(["run", "--slots", "6", "--out", str(out), "--traces"]) == 0
     before = {p.name: _read(p) for p in out.iterdir()}
-    parent, trace_rows = os.getpid(), cli._trace_rows
-
-    def no_space(fh, n):
-        # The writer process inherits this through the fork; only it fails.
-        if os.getpid() != parent:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return trace_rows(fh, n)
-
-    monkeypatch.setattr(cli, "_trace_rows", no_space)
-    forks = _count_forks(monkeypatch)
-    assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
-                 "--traces"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
-    assert "traces.csv" in err and "Traceback" not in err
+    forked = _count_forks(monkeypatch)
+    yield forked
     assert {p.name: _read(p) for p in out.iterdir()} == before
     assert not list(out.glob(".traces.csv.*.tmp"))
-    assert len(forks) == 1
+    assert len(forked) == forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_writer_that_left_first_is_named_instead_of_the_broken_pipe(
-        tmp_path, monkeypatch, capsys):
-    out = tmp_path / "tr"
-    assert main(["run", "--slots", "6", "--out", str(out), "--traces"]) == 0
-    before = {p.name: _read(p) for p in out.iterdir()}
+def _hook_the_writers_rows(monkeypatch, hook):
+    """Have the writer process call ``hook(k)`` before it writes slot
+    ``k``'s rows; the row writer of this process stays as it is."""
     parent, trace_rows = os.getpid(), cli._trace_rows
 
-    def no_space(fh, n):
-        if os.getpid() != parent:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return trace_rows(fh, n)
+    def hooked_rows(fh, n):
+        write = trace_rows(fh, n)
 
-    solve, write, broken = simulator.solve_slot, os.write, []
+        def hooked_write(k, records):
+            if os.getpid() != parent:
+                hook(k)
+            return write(k, records)
+
+        return hooked_write
+
+    monkeypatch.setattr(cli, "_trace_rows", hooked_rows)
+
+
+def _no_space(k):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("error, code", [
+    (InvariantViolation("injected"), 3),
+    (ConfigurationError("injected"), 2),
+])
+def test_failed_traced_run_changes_no_artifact(error, code, tmp_path,
+                                               monkeypatch, capsys):
+    out = tmp_path / "tr"
+    solve, calls = simulator.solve_slot, []
+
+    def fail_mid_horizon(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise error
+        return solve(*args, **kwargs)
+
+    # The writer process is started, and it is reaped.
+    with _a_failed_run_changes_no_artifact(out, monkeypatch):
+        # Slots 0-2 reach the trace sink before slot 3 fails; another seed
+        # would write other rows.
+        monkeypatch.setattr(simulator, "solve_slot", fail_mid_horizon)
+        assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
+                     "--traces"]) == code
+    assert "injected" in capsys.readouterr().err
+
+
+def test_a_failed_writer_process_changes_no_artifact(tmp_path, monkeypatch,
+                                                     capsys):
+    out = tmp_path / "tr"
+    with _a_failed_run_changes_no_artifact(out, monkeypatch):
+        # Only the writer process fails.
+        _hook_the_writers_rows(monkeypatch, _no_space)
+        assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
+                     "--traces"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
+    assert "traces.csv" in err and "Traceback" not in err
+
+
+# The seed-2 run's slots 0, 1, 2 and 5 have records, whose marshal bytes
+# take 14,447, 21,337, 1,799 and 1,965 bytes at n=5.  The pipe's buffer
+# holds 4,096 bytes on Linux: a larger send goes to the pipe at once, and
+# the last two wait in the buffer for the pipe's close.
+@pytest.mark.parametrize("last, sent_ok, broken_sends", [
+    pytest.param(0, [0], [1], id="at-a-send"),
+    pytest.param(1, [0, 1, 2, 5], [], id="at-the-close",
+                 marks=pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                          reason="sizes the pipe's buffer")),
+])
+def test_a_writer_that_left_first_is_named_instead_of_the_broken_pipe(
+        last, sent_ok, broken_sends, tmp_path, monkeypatch, capsys):
+    # The writer fails at slot ``last`` and exits, unreaped, before the
+    # next slot is solved; a send or the pipe's close then finds no reader.
+    out = tmp_path / "tr"
+    solve, dump, sent, broken = simulator.solve_slot, marshal.dump, [], []
+
+    def fail_at_last(k):
+        if k == last:
+            _no_space(k)
 
     def after_the_writer_left(*args, **kwargs):
-        # Once forked, the writer has exited (unreaped) before the next
-        # slot is solved, so that slot's send finds no reader.
         deadline = time.monotonic() + 60.0
-        while forks and os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT
-                                  | os.WNOHANG) is None:
+        while last in sent and os.waitid(os.P_PID, forks[0], os.WEXITED
+                                         | os.WNOWAIT | os.WNOHANG) is None:
             assert time.monotonic() < deadline, "the writer did not exit"
             time.sleep(0.001)
         return solve(*args, **kwargs)
 
-    def counting_write(fd, data):
+    def counting_dump(value, file):
         try:
-            return write(fd, data)
+            dump(value, file)
         except BrokenPipeError:
-            broken.append(fd)
+            broken.append(value[0])
             raise
+        sent.append(value[0])
 
-    monkeypatch.setattr(cli, "_trace_rows", no_space)
-    monkeypatch.setattr(simulator, "solve_slot", after_the_writer_left)
-    monkeypatch.setattr(os, "write", counting_write)
-    forks = _count_forks(monkeypatch)
-    assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
-                 "--traces"]) == 2
-    assert len(broken) == 1
+    with _a_failed_run_changes_no_artifact(out, monkeypatch) as forks:
+        _hook_the_writers_rows(monkeypatch, fail_at_last)
+        monkeypatch.setattr(simulator, "solve_slot", after_the_writer_left)
+        monkeypatch.setattr(marshal, "dump", counting_dump)
+        assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
+                     "--traces"]) == 2
+    # The slots whose send returned, and the one whose send found the
+    # writer gone; at the close, the pipe's last flush found it gone.
+    assert sent == sent_ok and broken == broken_sends
     err = capsys.readouterr().err
     assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
     assert "traces.csv" in err and "Traceback" not in err
-    assert {p.name: _read(p) for p in out.iterdir()} == before
-    assert not list(out.glob(".traces.csv.*.tmp"))
-    assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the writer's ignored signals in /proc")
+def test_ctrl_c_prints_one_traceback_and_changes_no_artifact(tmp_path,
+                                                            monkeypatch):
+    # The terminal sends Ctrl-C's SIGINT to the whole process group: here
+    # the run's own session, the solving process and its writer.
+    script = (
+        "import os, signal, sys, time\n"
+        "from nanodr import cli, simulator\n"
+        "fork, solve, forks = os.fork, simulator.solve_slot, []\n"
+        "def counting_fork():\n"
+        "    pid = fork()\n"
+        "    forks.extend([pid] if pid else [])\n"
+        "    return pid\n"
+        "def ignores_sigint(pid):\n"
+        "    with open(f'/proc/{pid}/status') as fh:\n"
+        "        mask = next(line for line in fh if line.startswith('SigIgn:'))\n"
+        "    return int(mask.split()[1], 16) >> (signal.SIGINT - 1) & 1\n"
+        "def interrupt(*args, **kwargs):\n"
+        "    if forks:  # a slot after the fork\n"
+        "        deadline = time.monotonic() + 10.0\n"
+        "        while not ignores_sigint(forks[0]) and time.monotonic() < deadline:\n"
+        "            time.sleep(0.001)\n"
+        "        os.killpg(0, signal.SIGINT)\n"
+        "    return solve(*args, **kwargs)\n"
+        "os.fork, simulator.solve_slot = counting_fork, interrupt\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    out = tmp_path / "tr"
+    with _a_failed_run_changes_no_artifact(out, monkeypatch, forks=0):
+        done = subprocess.run(
+            [sys.executable, "-c", script, "run", "--seed", "2", "--slots", "6",
+             "--out", str(out), "--traces"],
+            env=_env_with_src(), capture_output=True, text=True,
+            start_new_session=True, timeout=120)
+    assert done.returncode == -signal.SIGINT
+    assert done.stderr.count("Traceback") == 1
+    assert done.stderr.rstrip().endswith("KeyboardInterrupt")
+
+
+@pytest.mark.parametrize("flags, n", [
+    # Every slot's trace emptied after its solve.
+    pytest.param(["--slots", "6"], 5, id="emptied"),
+    # No nanogrid, so no slot iterates.
+    pytest.param(["--followers", "0", "--slots", "4"], 0, id="no-nanogrid"),
+])
 def test_a_run_without_iterations_writes_the_header_and_forks_nothing(
-        tmp_path, monkeypatch):
-    solve = simulator.solve_slot
-    monkeypatch.setattr(simulator, "solve_slot", lambda *args, **kwargs: solve(
-        *args, **kwargs)._replace(trace=stackelberg.IterationTrace((), True)))
+        flags, n, tmp_path, monkeypatch):
+    if n:
+        solve = simulator.solve_slot
+        monkeypatch.setattr(simulator, "solve_slot", lambda *args, **kwargs: solve(
+            *args, **kwargs)._replace(trace=stackelberg.IterationTrace((), True)))
     forks = _count_forks(monkeypatch)
     out = tmp_path / "tr"
-    assert main(["run", "--slots", "6", "--out", str(out), "--traces"]) == 0
+    assert main(["run", *flags, "--out", str(out), "--traces"]) == 0
     assert forks == []
     assert _read(out / "traces.csv").decode().split("\r\n") == [
         "slot,iter,p_s,p_b,y,g_ps,g_pb,g_y,step_s,step_b,step_y,dist_s,dist_b,"
-        "dist_y,e_1,e_2,e_3,e_4,e_5", ""]
+        "dist_y" + "".join(f",e_{i + 1}" for i in range(n)), ""]
 
 
 def test_traces_are_written_in_process_without_fork(tmp_path, monkeypatch):
@@ -289,23 +360,20 @@ def test_a_failed_fork_closes_its_pipe_and_changes_no_artifact(tmp_path,
                                                                monkeypatch,
                                                                capsys):
     out = tmp_path / "tr"
-    assert main(["run", "--slots", "6", "--out", str(out), "--traces"]) == 0
-    before = {p.name: _read(p) for p in out.iterdir()}
 
     def no_fork():
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    capsys.readouterr()
-    open_files = len(os.listdir("/proc/self/fd"))
-    assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
-                 "--traces"]) == 2
-    assert len(os.listdir("/proc/self/fd")) == open_files
+    with _a_failed_run_changes_no_artifact(out, monkeypatch, forks=0):
+        monkeypatch.setattr(os, "fork", no_fork)
+        capsys.readouterr()
+        open_files = len(os.listdir("/proc/self/fd"))
+        assert main(["run", "--seed", "2", "--slots", "6", "--out", str(out),
+                     "--traces"]) == 2
+        assert len(os.listdir("/proc/self/fd")) == open_files
     err = capsys.readouterr().err
     assert err.startswith(f"error: [Errno {errno.EAGAIN}] ")
     assert os.strerror(errno.EAGAIN) in err and "Traceback" not in err
-    assert {p.name: _read(p) for p in out.iterdir()} == before
-    assert not list(out.glob(".traces.csv.*.tmp"))
 
 
 def _env_with_src():
@@ -324,14 +392,8 @@ _AFFINITY = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
 def _record_writer_cpus(monkeypatch, path):
     """Have the writer process write the CPUs it may run on to ``path``,
     once it has placed itself."""
-    parent, trace_rows = os.getpid(), cli._trace_rows
-
-    def recording(fh, n):
-        if os.getpid() != parent:
-            path.write_text(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
-        return trace_rows(fh, n)
-
-    monkeypatch.setattr(cli, "_trace_rows", recording)
+    _hook_the_writers_rows(monkeypatch, lambda k: path.write_text(
+        " ".join(map(str, sorted(os.sched_getaffinity(0))))))
 
 
 def _cpus(path):
@@ -366,10 +428,13 @@ def test_a_writer_allowed_one_cpu_keeps_it(tmp_path):
         f"os.sched_setaffinity(0, {{{cpu}}})\n"
         "parent, trace_rows = os.getpid(), cli._trace_rows\n"
         "def recording(fh, n):\n"
-        "    if os.getpid() != parent:\n"
-        "        with open(sys.argv[1], 'w') as out:\n"
-        "            out.write(' '.join(map(str, sorted(os.sched_getaffinity(0)))))\n"
-        "    return trace_rows(fh, n)\n"
+        "    write = trace_rows(fh, n)\n"
+        "    def recording_write(k, records):\n"
+        "        if os.getpid() != parent:\n"
+        "            with open(sys.argv[1], 'w') as out:\n"
+        "                out.write(' '.join(map(str, sorted(os.sched_getaffinity(0)))))\n"
+        "        return write(k, records)\n"
+        "    return recording_write\n"
         "cli._trace_rows = recording\n"
         "sys.exit(cli.main(['run', '--slots', '24', '--traces', '--out', sys.argv[2]]))\n")
     one = tmp_path / "one"
@@ -984,7 +1049,7 @@ def test_a_scenario_file_carries_no_buildings(tmp_path):
     from_file, from_seed = setup("--scenario", path), setup("--seed", "1")
     assert all(p == default_nanogrid_params(0.955) for p in from_file.ng_params)
     assert len(from_file.ng_params) == from_file.scenario.n == 5
-    assert from_seed.ng_params == list(synthetic_params(SyntheticSpec(seed=1)))
+    assert from_seed.ng_params == generate_synthetic(SyntheticSpec(seed=1))[1]
     assert from_file.ng_params != from_seed.ng_params
     # --epsilon sets every building on both paths.
     for flags in (("--scenario", path), ("--seed", "1")):

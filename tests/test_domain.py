@@ -176,7 +176,7 @@ def test_scenario_valid_roundtrip_access():
 
 
 def test_scenario_builds_each_slot_once_on_request(monkeypatch):
-    scen = generate_synthetic(SyntheticSpec(seed=4, slots=12, n=3))
+    scen, _ = generate_synthetic(SyntheticSpec(seed=4, slots=12, n=3))
     built = []
 
     def counted(*cells):

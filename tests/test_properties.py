@@ -30,7 +30,6 @@ from nanodr.scenario_io import (
     SyntheticSpec,
     default_pme_params,
     generate_synthetic,
-    synthetic_params,
 )
 from nanodr.nanogrid import follower_models
 from nanodr.stackelberg import GameConfig, QueueResponder, _step_sizes, solve_slot
@@ -105,8 +104,7 @@ def _check_loop_records(report, scenario, params, controls, pme, control):
 def test_every_case_keeps_its_bounds(seed, n, slots, gamma, c_b, limit, narrow,
                                      data):
     spec = SyntheticSpec(n=n, slots=slots, seed=seed)
-    scenario = generate_synthetic(spec)
-    params = synthetic_params(spec)
+    scenario, params = generate_synthetic(spec)
     if narrow:
         # Every odd slot's band exactly min_gap wide: its one feasible price
         # pair is the band itself.  replace validates the scenario again.
@@ -159,8 +157,7 @@ def _hex_actions(report):
        slots=st.integers(12, 24))
 def test_chunked_polish_matches_the_band_polish(seed, n, slots):
     spec = SyntheticSpec(n=n, slots=slots, seed=seed)
-    scenario = generate_synthetic(spec)
-    params = synthetic_params(spec)
+    scenario, params = generate_synthetic(spec)
     pme = default_pme_params()
     bundle = default_policy(scenario, params, pme)
     controls = (bundle.ng_controls, pme, bundle.pme_control)

@@ -14,13 +14,12 @@ from nanodr.scenario_io import (
     generate_synthetic,
     load_scenario,
     save_scenario,
-    synthetic_params,
 )
 
 
 def test_roundtrip_is_bit_identical(tmp_path):
     spec = SyntheticSpec(seed=9, slots=3, n=2)
-    scen = generate_synthetic(spec)
+    scen, _ = generate_synthetic(spec)
     path = tmp_path / "scen.csv"
     save_scenario(scen, str(path))
     loaded = load_scenario(str(path))
@@ -86,19 +85,17 @@ def test_out_of_order_slots_rejected(tmp_path):
 
 
 def test_same_seed_same_scenario():
-    a = generate_synthetic(SyntheticSpec(seed=12))
-    b = generate_synthetic(SyntheticSpec(seed=12))
+    a, a_params = generate_synthetic(SyntheticSpec(seed=12))
+    b, b_params = generate_synthetic(SyntheticSpec(seed=12))
     assert a == b
-    assert synthetic_params(SyntheticSpec(seed=12)) == \
-        synthetic_params(SyntheticSpec(seed=12))
-    c = generate_synthetic(SyntheticSpec(seed=13))
+    assert a_params == b_params
+    c, _ = generate_synthetic(SyntheticSpec(seed=13))
     assert a != c
 
 
 def test_generated_series_respect_ranges_and_assumptions():
     spec = SyntheticSpec(seed=4)
-    scen = generate_synthetic(spec)
-    params = synthetic_params(spec)
+    scen, params = generate_synthetic(spec)
     # The generator's literal ranges.
     assert all(-15.0 <= g <= 25.0 for g in scen.g_t)
     assert all(0.93 <= p.epsilon <= 0.98 for p in params)
@@ -173,7 +170,7 @@ def _csv_writer_oracle(scen, path):
 
 @pytest.mark.parametrize("n", [0, 2, 50])
 def test_save_writes_the_csv_writer_bytes(tmp_path, n):
-    scen = generate_synthetic(SyntheticSpec(seed=3, slots=30, n=n))
+    scen, _ = generate_synthetic(SyntheticSpec(seed=3, slots=30, n=n))
     save_scenario(scen, str(tmp_path / "saved.csv"))
     _csv_writer_oracle(scen, tmp_path / "oracle.csv")
     assert (tmp_path / "saved.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -193,7 +190,7 @@ def test_signed_zero_and_extreme_numbers_roundtrip(tmp_path):
 
 
 def test_permuted_padded_columns_load_to_the_same_scenario(tmp_path):
-    scen = generate_synthetic(SyntheticSpec(seed=5, slots=6, n=3))
+    scen, _ = generate_synthetic(SyntheticSpec(seed=5, slots=6, n=3))
     save_scenario(scen, str(tmp_path / "plain.csv"))
     with open(tmp_path / "plain.csv", newline="") as fh:
         rows = list(csv.reader(fh))

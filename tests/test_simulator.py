@@ -23,7 +23,6 @@ from nanodr.scenario_io import (
     SyntheticSpec,
     default_pme_params,
     generate_synthetic,
-    synthetic_params,
 )
 from nanodr import simulator
 from nanodr.simulator import SlotOutcome, run, update_queues
@@ -123,8 +122,7 @@ def test_single_slot_idle_run_is_neutral():
 
 def test_run_totals_match_outcome_reaccumulation():
     spec = SyntheticSpec(seed=3, slots=24, n=3)
-    scen = generate_synthetic(spec)
-    params = synthetic_params(spec)
+    scen, params = generate_synthetic(spec)
     pme = default_pme_params()
     bundle = default_policy(scen, params, pme)
     rep = run(scen, params, bundle.ng_controls, pme, bundle.pme_control,
@@ -155,8 +153,7 @@ def _desk(gamma=None):
     """The reference week (seed 1, n=5, 72 slots) with its default policy;
     ``gamma`` replaces every building's discomfort weight."""
     spec = SyntheticSpec()
-    scen = generate_synthetic(spec)
-    params = synthetic_params(spec)
+    scen, params = generate_synthetic(spec)
     if gamma is not None:
         params = [dataclasses.replace(p, gamma=gamma) for p in params]
     pme = default_pme_params()
@@ -184,8 +181,7 @@ def test_slot_outcome_keeps_its_fields_in_order():
 
 def test_standard_run_respects_both_bound_certificates():
     spec = SyntheticSpec(seed=5, slots=24)
-    scen = generate_synthetic(spec)
-    params = synthetic_params(spec)
+    scen, params = generate_synthetic(spec)
     pme = default_pme_params()
     bundle = default_policy(scen, params, pme)
     rep = run(scen, params, bundle.ng_controls, pme, bundle.pme_control,
@@ -202,8 +198,7 @@ def test_time_average_charge_is_window_bounded():
     # Total signed charge equals the battery state change, so its magnitude
     # can never exceed the window width.
     spec = SyntheticSpec(seed=9, slots=48, n=2)
-    scen = generate_synthetic(spec)
-    params = synthetic_params(spec)
+    scen, params = generate_synthetic(spec)
     pme = default_pme_params()
     bundle = default_policy(scen, params, pme)
     rep = run(scen, params, bundle.ng_controls, pme, bundle.pme_control,

@@ -32,7 +32,6 @@ from nanodr.scenario_io import (
     SyntheticSpec,
     default_pme_params,
     generate_synthetic,
-    synthetic_params,
 )
 from nanodr.stackelberg import (
     POLISH_CHUNK,
@@ -347,8 +346,7 @@ def _is_line(box):
 
 def _generated_slot(n=50, k=18, seed=1, gamma=None, c_b=None):
     spec = SyntheticSpec(n=n, slots=24, seed=seed)
-    scenario = generate_synthetic(spec)
-    params = synthetic_params(spec)
+    scenario, params = generate_synthetic(spec)
     if gamma is not None:
         params = [replace(p, gamma=gamma) for p in params]
     pme = default_pme_params()
@@ -863,7 +861,7 @@ def _closed_form_slots(monkeypatch, n, slots, seed=1,
     returns every slot solve whose band has nothing free, as
     (responder, b, slot, pme, pmec, config, y_box, solution)."""
     spec = SyntheticSpec(n=n, slots=slots, seed=seed)
-    scenario, params = generate_synthetic(spec), synthetic_params(spec)
+    scenario, params = generate_synthetic(spec)
     pme = default_pme_params()
     bundle = default_policy(scenario, params, pme)
     solve, got = stackelberg._solve_with_responder, []
